@@ -3,6 +3,11 @@
 Rows are dicts {column: Fraction} with no stored zeros.  Everything here
 is deterministic: pivots are chosen as the smallest column index of each
 reduced row, and input order fixes the elimination order.
+
+Integer rows can also be ranked over GF(p) (``rank_mod_p``).  That rank
+is a lower bound on the rank over Q, so when it meets a proven upper
+bound it certifies the rational rank; ``certified_rank`` falls back to
+exact elimination whenever it does not.
 """
 
 from __future__ import annotations
@@ -75,6 +80,67 @@ def rank_of_rows(rows) -> int:
     return elim.rank
 
 
+MODULUS = 2 ** 31 - 1
+
+
+def rank_mod_p(rows, p: int = MODULUS) -> int:
+    """Rank over GF(p) of sparse rows with integer entries, p prime.
+
+    Reducing an integer matrix mod p can only lose rank, so the result is
+    a lower bound on the rank over Q.  A non-integer entry is a ValueError.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        red: dict[int, int] = {}
+        for j, x in row.items():
+            if getattr(x, "denominator", None) != 1:
+                raise ValueError(f"rank_mod_p needs integer entries, got {x!r}")
+            x = x.numerator % p
+            if x:
+                red[j] = x
+        while red:
+            j = min(red)
+            piv = pivots.get(j)
+            if piv is None:
+                inv = pow(red[j], -1, p)
+                pivots[j] = {i: x * inv % p for i, x in red.items()}
+                break
+            c = red[j]
+            for i, x in piv.items():
+                y = (red.get(i, 0) - c * x) % p
+                if y:
+                    red[i] = y
+                else:
+                    del red[i]
+    return len(pivots)
+
+
+def certified_rank(rows, upper: int) -> int:
+    """Rank over Q of integer rows, given a proven upper bound on it.
+
+    The GF(p) rank is a lower bound, so when it reaches ``upper`` the two
+    meet and ``upper`` is the rank.  Otherwise the exact Fraction
+    elimination decides.
+    """
+    rows = list(rows)
+    if rank_mod_p(rows) == upper:
+        return upper
+    return rank_of_rows(rows)
+
+
+def _reduced_pivots(elim: Eliminator) -> dict[int, Row]:
+    """The eliminator's pivot rows back-substituted to reduced echelon form."""
+    pivots = dict(elim.pivots)
+    for j in sorted(pivots, reverse=True):
+        row = pivots[j]
+        for i in sorted(pivots):
+            if i >= j:
+                break
+            if j in pivots[i]:
+                pivots[i] = row_axpy(pivots[i], -pivots[i][j], row)
+    return pivots
+
+
 def nullspace(rows, ncols: int) -> list[Row]:
     """Basis of {x : row . x = 0 for all rows}, one vector per free column.
 
@@ -84,15 +150,7 @@ def nullspace(rows, ncols: int) -> list[Row]:
     elim = Eliminator()
     for row in rows:
         elim.insert(row)
-    # Back-substitute to reduced echelon form.
-    pivots = dict(elim.pivots)
-    for j in sorted(pivots, reverse=True):
-        row = pivots[j]
-        for i in sorted(pivots):
-            if i >= j:
-                break
-            if j in pivots[i]:
-                pivots[i] = row_axpy(pivots[i], -pivots[i][j], row)
+    pivots = _reduced_pivots(elim)
     free = [j for j in range(ncols) if j not in pivots]
     basis = []
     for f in free:
@@ -121,14 +179,7 @@ def solve(rows, rhs, ncols: int) -> Row | None:
         elim.insert(r)
     if aug_col in elim.pivots:
         return None
-    pivots = dict(elim.pivots)
-    for j in sorted(pivots, reverse=True):
-        row = pivots[j]
-        for i in sorted(pivots):
-            if i >= j:
-                break
-            if j in pivots[i]:
-                pivots[i] = row_axpy(pivots[i], -pivots[i][j], row)
+    pivots = _reduced_pivots(elim)
     # Pivot row now reads x_j + (free terms) + c = 0; with free vars at zero
     # the solution is x_j = -c.
     sol: Row = {}

@@ -19,12 +19,23 @@ import sys
 
 from . import checks
 from .cochains import basis_manifest, cochain_to_csv, harmonic_space
+from .padic import is_prime
 from .radon import induced_apartments
 from .tower import build_path_graph, num_components
 from .tree import TreeParams, build_ball, enumerate_oriented_diameters
 
 SUITES = ("euler", "adjoint", "radon-d", "exactness", "loops", "primitive",
           "equivariance", "padic", "stabilizer", "transitivity", "span", "gamma0")
+K_SUITES = ("euler", "adjoint", "radon-d", "exactness", "loops", "primitive",
+            "equivariance")
+P_SUITES = ("padic", "stabilizer", "transitivity", "gamma0")
+
+
+def _check_k(k: int, radius: int) -> None:
+    """The one k-range rule: a radius-R ball has k-paths for 0 <= k <= 2R."""
+    if not 0 <= k <= 2 * radius:
+        raise ValueError(f"no {k}-paths in a radius-{radius} ball "
+                         f"(need 0 <= k <= {2 * radius})")
 
 
 def parse_matrix(text: str):
@@ -41,7 +52,11 @@ def parse_matrix(text: str):
         parts = row.split(",")
         if len(parts) != 2:
             raise ValueError("each matrix row needs two comma-separated entries")
-        entries.extend(Fraction(part.strip()) for part in parts)
+        for part in parts:
+            try:
+                entries.append(Fraction(part.strip()))
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"bad matrix entry {part.strip()!r}") from None
     return GroupElement.of(*entries)
 
 
@@ -134,14 +149,12 @@ def _cmd_ball(args) -> int:
 
 def _cmd_tower(args) -> int:
     try:
-        ball = build_ball(TreeParams(args.q, args.radius))
+        params = TreeParams(args.q, args.radius)
+        _check_k(args.k, args.radius)
     except ValueError as exc:
         print(f"treeforms: {exc}", file=sys.stderr)
         return 2
-    if args.k < 0 or args.k > 2 * args.radius:
-        print(f"treeforms: no {args.k}-paths in a radius-{args.radius} ball "
-              f"(need 0 <= k <= {2 * args.radius})", file=sys.stderr)
-        return 2
+    ball = build_ball(params)
     pg = build_path_graph(ball, args.k)
     print(f"V={pg.num_vertices} E={pg.num_edges} C={num_components(pg)}")
     if args.output:
@@ -153,6 +166,11 @@ def _cmd_check(args) -> int:
     margin = args.margin if args.margin is not None else args.k + 2
     samples = args.samples
     try:
+        if args.suite in K_SUITES:
+            TreeParams(args.q, args.radius)
+            _check_k(args.k, args.radius)
+        if args.suite in P_SUITES and not is_prime(args.p):
+            raise ValueError(f"p must be a prime, got {args.p}")
         if args.suite == "euler":
             passed, report = checks.check_euler(args.q, args.radius, args.k)
         elif args.suite == "adjoint":
@@ -218,8 +236,10 @@ def _cmd_export(args) -> int:
         _write_file(path, ball.to_json() if args.format == "json" else ball.to_dot())
         print(path)
         return 0
-    if args.k < 0 or args.k > 2 * args.radius:
-        print(f"treeforms: no {args.k}-paths in a radius-{args.radius} ball", file=sys.stderr)
+    try:
+        _check_k(args.k, args.radius)
+    except ValueError as exc:
+        print(f"treeforms: {exc}", file=sys.stderr)
         return 2
     pg = build_path_graph(ball, args.k)
     if args.what == "tower":

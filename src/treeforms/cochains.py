@@ -137,6 +137,12 @@ def harmonic_space(pg: PathGraph) -> list[Cochain]:
     unit cycle per non-forest edge.  Its size |E| - |V| + #components is
     cross-checked against the rank oracle in the test suite.
     """
+    return [Cochain(1, vec) for _, vec in _fundamental_cycles(pg)]
+
+
+def _fundamental_cycles(pg: PathGraph) -> list[tuple[int, dict[int, Fraction]]]:
+    """(non-forest edge a, unit cycle through a) for each non-forest edge,
+    by increasing a; a is the only non-forest edge of its cycle."""
     nv, ne = pg.num_vertices, pg.num_edges
     forest_up: list[tuple[int, int] | None] = [None] * nv  # vertex -> (parent vertex, edge)
     in_forest = [False] * ne
@@ -174,7 +180,7 @@ def harmonic_space(pg: PathGraph) -> list[Cochain]:
             s = parent
         return steps
 
-    basis = []
+    cycles = []
     for a in range(ne):
         if in_forest[a]:
             continue
@@ -194,8 +200,8 @@ def harmonic_space(pg: PathGraph) -> list[Cochain]:
         for e, frm, to in up_t:  # traversed downward on the t side: reverse
             delta = ONE if pg.tail[e] == to else -ONE
             vec[e] = vec.get(e, ZERO) + delta
-        basis.append(Cochain(1, vec))
-    return basis
+        cycles.append((a, vec))
+    return cycles
 
 
 def incidence_rows(pg: PathGraph):
@@ -209,8 +215,15 @@ def incidence_rows(pg: PathGraph):
 
 
 def coboundary_rank(pg: PathGraph) -> int:
-    """rank(d), computed by exact sparse elimination."""
-    return _linalg.rank_of_rows(incidence_rows(pg))
+    """rank(d), certified over GF(p) with the exact Fraction rank as fallback.
+
+    The rows of d* at the vertices of one component sum to zero, so
+    V - #components is an upper bound on rank(d).  When the rank mod
+    2^31 - 1, a lower bound, reaches it, that is the rank; d is totally
+    unimodular, so it always does.  Otherwise exact elimination decides.
+    """
+    upper = pg.num_vertices - num_components(pg)
+    return _linalg.certified_rank(incidence_rows(pg), upper)
 
 
 def h1c_dimension(pg: PathGraph) -> int:
@@ -218,35 +231,54 @@ def h1c_dimension(pg: PathGraph) -> int:
     return pg.num_edges - coboundary_rank(pg)
 
 
-def intersect_harmonic_exact(pg: PathGraph) -> int:
-    """dim(ker d* intersect im d), by exact rank of the stacked system.
-
-    dim(A + B) is the rank of the stacked bases; the intersection follows
-    from dim A + dim B - dim(A + B).  Positivity of the rational pairing
-    forces 0; the computation verifies it rather than assuming it.
-    """
-    cycles = [c.data for c in harmonic_space(pg)]
-    dim_a = len(cycles)
-    elim = _linalg.Eliminator()
-    dim_b = 0
+def _adjoint_rows(pg: PathGraph) -> list[dict[int, Fraction]]:
+    """Rows of d*: one sparse row per vertex, spanning im d."""
+    rows = []
     for s in range(pg.num_vertices):
         row: dict[int, Fraction] = {}
         for a in pg.edges_into[s]:
             row[a] = row.get(a, ZERO) + ONE
         for a in pg.edges_out_of[s]:
             row[a] = row.get(a, ZERO) - ONE
-        if elim.insert({k: v for k, v in row.items() if v}):
+        rows.append({k: v for k, v in row.items() if v})
+    return rows
+
+
+def intersect_harmonic_exact(pg: PathGraph) -> int:
+    """dim(ker d* intersect im d), certified over GF(p) or by exact rank.
+
+    A is spanned by the fundamental cycles, B = im d by the V rows of d*.
+    dim A <= #cycles, and dim B <= V - #components because the rows of
+    one component sum to zero.  When the rank mod 2^31 - 1 of the stacked
+    rows, a lower bound on dim(A + B), reaches #cycles + V - #components,
+    both bounds are tight and dim(A cap B) = dim A + dim B - dim(A + B)
+    is 0.  Otherwise exact Fraction elimination computes the three
+    dimensions.  Positivity of the rational pairing forces 0; the
+    computation verifies it rather than assuming it.
+    """
+    cycles = _fundamental_cycles(pg)
+    vertex_rows = _adjoint_rows(pg)
+    upper = len(cycles) + pg.num_vertices - num_components(pg)
+    # Cycle rows first, each led by its own non-forest edge: they form an
+    # identity block and the vertex rows reduce against it with little fill.
+    col = {a: i for i, (a, _) in enumerate(cycles)}
+    for a in range(pg.num_edges):
+        col.setdefault(a, len(col))
+    stacked = [{col[a]: x for a, x in row.items()}
+               for row in [vec for _, vec in cycles] + vertex_rows]
+    if _linalg.rank_mod_p(stacked) == upper:
+        return 0
+
+    dim_a = len(cycles)
+    elim = _linalg.Eliminator()
+    dim_b = 0
+    for row in vertex_rows:
+        if elim.insert(row):
             dim_b += 1
-    for c in cycles:
+    for _, c in cycles:
         elim.insert(c)
     dim_sum = elim.rank
     return dim_a + dim_b - dim_sum
-
-
-def act_on_cochain(pg: PathGraph, maps: tuple[list[int], list[int]], c: Cochain) -> Cochain:
-    """Push a cochain forward along an automorphism's (vertex, edge) maps."""
-    vmap, emap = maps
-    return c.permuted(vmap if c.level == 0 else emap)
 
 
 # -- export formats ---------------------------------------------------

@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, formats, determinism."""
 
 import json
+import signal
+
+import pytest
 
 from treeforms.cli import main
 
@@ -9,6 +12,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_bounded(capsys, *argv, seconds=20):
+    """run(), failing instead of hanging when main() does not return in time."""
+    def expire(signum, frame):
+        raise TimeoutError(f"treeforms {' '.join(argv)} ran past {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return run(capsys, *argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 class TestBall:
@@ -153,3 +170,29 @@ class TestExport:
         code, _, _ = run(capsys, "export", "--what", "ball", "--q", "2", "--radius", "1",
                          "--outdir", "/no/such/dir")
         assert code == 3
+
+
+class TestBadInput:
+    """Bad --p, --matrix or --k: exit 2 with one line on stderr, before any work."""
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "gamma0", "--matrix", "1,2;4,3", "--n", "1", "--p", "1"),
+        ("check", "gamma0", "--matrix", "1,2;4,3", "--n", "1", "--p", "0"),
+        ("check", "gamma0", "--matrix", "1,2;4,3", "--n", "1", "--p", "4"),
+        ("check", "gamma0", "--matrix", "1/0,0;0,1"),
+        ("check", "padic", "--p", "4"),
+        ("check", "stabilizer", "--p", "4", "--n", "1"),
+        ("check", "euler", "--q", "2", "--radius", "2", "--k", "9"),
+    ])
+    def test_exit_2_with_one_line(self, capsys, argv):
+        code, out, err = run_bounded(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+
+    def test_k_rule_matches_tower(self, capsys):
+        _, _, tower_err = run(capsys, "tower", "--q", "2", "--radius", "2", "--k", "9")
+        _, _, check_err = run(capsys, "check", "euler", "--q", "2", "--radius", "2",
+                              "--k", "9")
+        assert check_err == tower_err
+        assert "need 0 <= k <= 4" in check_err

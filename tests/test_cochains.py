@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from treeforms import _linalg
 from treeforms.cochains import (Cochain, adjoint, basis_manifest, coboundary,
-                                cochain_to_csv, h1c_dimension, harmonic_space,
-                                incidence_rows, intersect_harmonic_exact,
-                                l2_norm_squared, pairing)
+                                coboundary_rank, cochain_to_csv, h1c_dimension,
+                                harmonic_space, incidence_rows,
+                                intersect_harmonic_exact, l2_norm_squared, pairing)
 from treeforms.tower import apply_automorphism, num_components
 from treeforms.tree import random_automorphism
 
@@ -195,6 +196,30 @@ class TestDimensionIdentities:
     @pytest.mark.parametrize("q,radius,k", [(2, 1, 0), (2, 2, 1), (2, 3, 2), (3, 2, 2)])
     def test_harmonic_meets_coboundaries_trivially(self, q, radius, k):
         assert intersect_harmonic_exact(tower(q, radius, k)) == 0
+
+
+class TestCertifiedRanks:
+    """The GF(p) certificates agree with the Fraction elimination they skip."""
+
+    @pytest.mark.parametrize("q,radius,k", [(2, 2, 0), (2, 3, 1), (2, 2, 2),
+                                            (2, 3, 4), (3, 2, 2)])
+    def test_agree_with_fraction_elimination(self, q, radius, k, monkeypatch):
+        pg = tower(q, radius, k)
+        d_rows = list(incidence_rows(pg))
+        dstar_rows = [{} for _ in range(pg.num_vertices)]
+        for a, row in enumerate(d_rows):
+            for s, x in row.items():
+                dstar_rows[s][a] = x
+        cycles = [w.data for w in harmonic_space(pg)]
+        dim_a = _linalg.rank_of_rows(cycles)
+        dim_b = _linalg.rank_of_rows(dstar_rows)
+        oracle = dim_a + dim_b - _linalg.rank_of_rows(cycles + dstar_rows)
+        assert coboundary_rank(pg) == _linalg.rank_of_rows(d_rows) == dim_b
+        assert intersect_harmonic_exact(pg) == oracle == 0
+        # A certificate that is never met sends both through the Fraction route.
+        monkeypatch.setattr(_linalg, "rank_mod_p", lambda rows, p=_linalg.MODULUS: -1)
+        assert coboundary_rank(pg) == dim_b
+        assert intersect_harmonic_exact(pg) == oracle
 
 
 class TestEquivariance:
