@@ -29,6 +29,10 @@ SUITES = ("euler", "adjoint", "radon-d", "exactness", "loops", "primitive",
 K_SUITES = ("euler", "adjoint", "radon-d", "exactness", "loops", "primitive",
             "equivariance")
 P_SUITES = ("padic", "stabilizer", "transitivity", "gamma0")
+N_SUITES = ("stabilizer", "gamma0")
+# --samples when the flag is omitted.
+DEFAULT_SAMPLES = {"adjoint": 100, "radon-d": 100, "loops": 200, "equivariance": 20,
+                   "stabilizer": 200}
 
 
 def _check_k(k: int, radius: int) -> None:
@@ -164,8 +168,12 @@ def _cmd_tower(args) -> int:
 
 def _cmd_check(args) -> int:
     margin = args.margin if args.margin is not None else args.k + 2
-    samples = args.samples
+    samples = args.samples if args.samples is not None else DEFAULT_SAMPLES.get(args.suite)
     try:
+        if args.samples is not None and args.samples < 1:
+            raise ValueError(f"--samples must be >= 1, got {args.samples}")
+        if args.suite in N_SUITES and args.n < 0:
+            raise ValueError(f"--n must be >= 0, got {args.n}")
         if args.suite in K_SUITES:
             TreeParams(args.q, args.radius)
             _check_k(args.k, args.radius)
@@ -175,25 +183,25 @@ def _cmd_check(args) -> int:
             passed, report = checks.check_euler(args.q, args.radius, args.k)
         elif args.suite == "adjoint":
             passed, report = checks.check_adjoint(args.q, args.radius, args.k,
-                                                  args.seed, samples or 100)
+                                                  args.seed, samples)
         elif args.suite == "radon-d":
             passed, report = checks.check_radon_d(args.q, args.radius, args.k,
-                                                  args.seed, samples or 100)
+                                                  args.seed, samples)
         elif args.suite == "exactness":
             passed, report = checks.check_exactness(args.q, args.radius, args.k,
                                                     margin, scan=args.scan)
         elif args.suite == "loops":
             passed, report = checks.check_loops(args.q, args.radius, args.k,
-                                                margin, args.seed, samples or 200)
+                                                margin, args.seed, samples)
         elif args.suite == "primitive":
             passed, report = checks.check_primitive(args.q, args.radius, args.k, margin)
         elif args.suite == "equivariance":
             passed, report = checks.check_equivariance(args.q, args.radius, args.k,
-                                                       args.seed, samples or 20)
+                                                       args.seed, samples)
         elif args.suite == "padic":
             passed, report = checks.check_padic(args.p, args.radius)
         elif args.suite == "stabilizer":
-            passed, report = checks.check_stabilizer(args.p, args.n, samples or 200,
+            passed, report = checks.check_stabilizer(args.p, args.n, samples,
                                                      args.seed, args.modulus)
         elif args.suite == "transitivity":
             passed, report = checks.check_transitivity(args.p, args.seed)

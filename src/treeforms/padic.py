@@ -109,22 +109,6 @@ class GroupElement:
         # Projectively the adjugate is the inverse.
         return GroupElement(self.d, -self.b, -self.c, self.a)
 
-    def scaled_unit_min_valuation(self, p: int) -> "GroupElement":
-        """Scalar-normalize so the minimum entry valuation is 0."""
-        m = min(v for v in (valuation(x, p) for x in self.entries) if v is not None)
-        if m == 0:
-            return self
-        c = Fraction(p) ** (-m)
-        return GroupElement(self.a * c, self.b * c, self.c * c, self.d * c)
-
-    def proportional_to(self, other: "GroupElement") -> bool:
-        return (self.a * other.b == self.b * other.a
-                and self.a * other.c == self.c * other.a
-                and self.a * other.d == self.d * other.a
-                and self.b * other.c == self.c * other.b
-                and self.b * other.d == self.d * other.b
-                and self.c * other.d == self.d * other.c)
-
     def to_json_dict(self) -> list[list[str]]:
         def fmt(x: Fraction) -> str:
             return f"{x.numerator}/{x.denominator}"

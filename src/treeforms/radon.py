@@ -22,6 +22,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import _linalg
 from .cochains import Cochain, coboundary
@@ -117,14 +118,35 @@ def apartments_through(aps: ApartmentFamily, a: int) -> list[OrientedApartment]:
 
 
 def radon_transform(pg: PathGraph, aps: ApartmentFamily, omega: Cochain) -> dict[int, Fraction]:
-    """Value at each apartment = exact sum of the cochain over its edges."""
+    """Value at each apartment = exact sum of the cochain over its edges.
+
+    The sums are accumulated in Python ints: every value is put over the
+    lcm of the cochain's denominators, the numerators are summed per
+    apartment through the family's edge index, and only the nonzero sums
+    become Fractions (one shared object per distinct sum).  Keys appear in
+    the order the apartments are first reached; an edge id outside the
+    path graph is a ValueError.
+    """
     if omega.level != 1:
         raise ValueError("the transform applies to 1-cochains")
+    data = omega.data
+    den = lcm(*(x.denominator for x in data.values()))
+    through = aps._through
+    sums: dict[int, int] = {}
+    for a, x in data.items():
+        aps.pg.check_edge(a)
+        n = x.numerator * (den // x.denominator)
+        for i in through.get(a, ()):
+            sums[i] = sums.get(i, 0) + n
+    shared: dict[int, Fraction] = {}
     out: dict[int, Fraction] = {}
-    for a, x in omega.data.items():
-        for i in aps.through(a):
-            out[i] = out.get(i, ZERO) + x
-    return {i: v for i, v in out.items() if v}
+    for i, n in sums.items():
+        if n:
+            v = shared.get(n)
+            if v is None:
+                v = shared[n] = Fraction(n, den)
+            out[i] = v
+    return out
 
 
 def radon_image_csv(image: dict[int, Fraction]) -> str:
@@ -163,22 +185,27 @@ def interior_vertices(pg: PathGraph, margin: int) -> list[int]:
 
 
 def _kernel_rows(pg: PathGraph, aps: ApartmentFamily, interior: list[int]):
-    """Deduplicated constraint rows of the transform on interior columns."""
-    col = {a: j for j, a in enumerate(interior)}
+    """Deduplicated constraint rows of the transform on interior columns.
+
+    Apartments are deduplicated on the sorted tuple of their interior
+    column ids, and a {column: Fraction} row is built only for the first
+    apartment of each distinct tuple, so rows keep first-occurrence order.
+    """
+    col = {a: j for j, a in enumerate(interior)}.get
     seen = set()
     rows = []
     for ap in aps:
-        row = {}
-        for a in ap.edges:
-            j = col.get(a)
-            if j is not None:
-                row[j] = row.get(j, ZERO) + ONE
-        row = {j: v for j, v in row.items() if v}
-        if row:
-            key = tuple(sorted((j, v) for j, v in row.items()))
-            if key not in seen:
-                seen.add(key)
-                rows.append(row)
+        js = [j for j in map(col, ap.edges) if j is not None]
+        if not js:
+            continue
+        key = tuple(sorted(js))
+        if key in seen:
+            continue
+        seen.add(key)
+        row: dict[int, Fraction] = {}
+        for j in js:
+            row[j] = row.get(j, ZERO) + ONE
+        rows.append(row)
     return rows
 
 
@@ -217,9 +244,45 @@ class ExactnessReport:
         return json.dumps(payload, sort_keys=True) + "\n"
 
 
+def _certified_exact(rows, image: list[dict[int, Fraction]], ncols: int) -> int | None:
+    """dim K when a certificate proves im d = K, else None.
+
+    K is the kernel of the integer rows on ncols columns and image holds
+    the coboundaries d1_s in the same columns.  With r_img and r_rows the
+    GF(p) ranks of the image and of the rows: if r_rows = ncols - r_img
+    and every row annihilates every d1_s (checked exactly, through a
+    column -> rows index), then im d is inside K, so
+    dim K >= dim im d >= r_img forces rank_Q(rows) <= ncols - r_img =
+    r_rows <= rank_Q(rows).  All four numbers then agree and im d = K.
+    """
+    r_img = _linalg.rank_mod_p(image)
+    if _linalg.rank_mod_p(rows) != ncols - r_img:
+        return None
+    # rank_mod_p accepted both sides, so every entry is an integer.
+    by_col: dict[int, list[tuple[int, int]]] = {}
+    for r, row in enumerate(rows):
+        for j, c in row.items():
+            by_col.setdefault(j, []).append((r, c.numerator))
+    for vec in image:
+        dots: dict[int, int] = {}
+        for j, v in vec.items():
+            v = v.numerator
+            for r, c in by_col.get(j, ()):
+                dots[r] = dots.get(r, 0) + c * v
+        if any(dots.values()):
+            return None
+    return r_img
+
+
 def exactness_check(pg: PathGraph, aps: ApartmentFamily, margin: int) -> ExactnessReport:
     """Compare ker(transform) on interior cochains with d of interior
-    0-cochains, as subspaces, by exact rank of the stacked system.
+    0-cochains, as subspaces.
+
+    After the containment of each d1_s in the interior, a GF(p) rank
+    certificate (``_certified_exact``) settles the common case: it proves
+    im d = ker and gives both dimensions.  When it does not hold, exact
+    Fraction ranks of the rows, of the image and of the stacked kernel
+    basis and image decide.
 
     An empty interior makes both spaces trivial and the report says so
     (kernel_dim = image_dim = 0, equal); it is not an error, since the
@@ -227,40 +290,37 @@ def exactness_check(pg: PathGraph, aps: ApartmentFamily, margin: int) -> Exactne
     """
     interior = interior_edges(pg, margin)
     int_verts = interior_vertices(pg, margin)
-    interior_set = set(interior)
+    params = pg.ball.params
+
+    def report(kernel_dim: int, image_dim: int, equal: bool) -> ExactnessReport:
+        return ExactnessReport(params.q, params.radius, pg.k, margin, kernel_dim,
+                               image_dim, equal, len(interior), len(int_verts))
 
     if not interior:
-        return ExactnessReport(pg.ball.params.q, pg.ball.params.radius, pg.k,
-                               margin, 0, 0, True, 0, len(int_verts))
+        return report(0, 0, True)
 
     rows = _kernel_rows(pg, aps, interior)
-    kernel_dim = len(interior) - _linalg.rank_of_rows(rows)
-
-    image_vectors = []
-    contained = True
+    col = {a: j for j, a in enumerate(interior)}
+    image = []
     for s in int_verts:
         df = coboundary(pg, Cochain.indicator(0, s))
-        if any(a not in interior_set for a in df.support):
-            contained = False
-            break
-        image_vectors.append(df.data)
-    if not contained:
-        return ExactnessReport(pg.ball.params.q, pg.ball.params.radius, pg.k,
-                               margin, kernel_dim, -1, False,
-                               len(interior), len(int_verts))
+        if any(a not in col for a in df.support):
+            return report(len(interior) - _linalg.rank_of_rows(rows), -1, False)
+        image.append({col[a]: v for a, v in df.data.items()})
 
-    image_dim = _linalg.rank_of_rows(image_vectors)
+    dim = _certified_exact(rows, image, len(interior))
+    if dim is not None:
+        return report(dim, dim, True)
+
+    kernel_dim = len(interior) - _linalg.rank_of_rows(rows)
+    image_dim = _linalg.rank_of_rows(image)
     equal = kernel_dim == image_dim
     if equal and kernel_dim:
         # Containment of the image in the kernel, verified by stacking.
         kernel_basis = _linalg.nullspace(rows, len(interior))
-        col = {a: j for j, a in enumerate(interior)}
-        reindexed = [{col[a]: v for a, v in vec.items()} for vec in image_vectors]
-        stacked = _linalg.rank_of_rows(kernel_basis + reindexed)
+        stacked = _linalg.rank_of_rows(kernel_basis + image)
         equal = stacked == kernel_dim
-    return ExactnessReport(pg.ball.params.q, pg.ball.params.radius, pg.k,
-                           margin, kernel_dim, image_dim, equal,
-                           len(interior), len(int_verts))
+    return report(kernel_dim, image_dim, equal)
 
 
 def minimal_exact_margin(pg: PathGraph, aps: ApartmentFamily, upto: int) -> int | None:

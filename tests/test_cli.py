@@ -196,3 +196,38 @@ class TestBadInput:
                               "--k", "9")
         assert check_err == tower_err
         assert "need 0 <= k <= 4" in check_err
+
+
+class TestSamplesAndN:
+    """--samples and --n: the default only when omitted, bad values refused."""
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "stabilizer", "--p", "2", "--n", "1", "--samples", "0"),
+        ("check", "adjoint", "--q", "2", "--radius", "3", "--k", "1", "--samples", "-3"),
+        ("check", "radon-d", "--q", "2", "--radius", "3", "--k", "1", "--samples", "0"),
+        ("check", "loops", "--q", "2", "--radius", "3", "--k", "0", "--samples", "0"),
+        ("check", "equivariance", "--q", "2", "--radius", "2", "--k", "0", "--samples", "0"),
+    ])
+    def test_samples_below_one_refused(self, capsys, argv):
+        code, out, err = run_bounded(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "--samples" in err
+
+    @pytest.mark.parametrize("extra,reported", [((), 200), (("--samples", "7"), 7)])
+    def test_samples_reported(self, capsys, extra, reported):
+        code, out, _ = run(capsys, "check", "stabilizer", "--p", "2", "--n", "1", *extra)
+        assert code == 0
+        assert json.loads(out)["samples"] == reported
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "stabilizer", "--p", "2", "--n", "-1"),
+        ("check", "gamma0", "--p", "2", "--n", "-1", "--matrix", "1,0;2,1"),
+    ])
+    def test_negative_n_refused(self, capsys, argv):
+        code, out, err = run_bounded(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "--n" in err and "radius" not in err

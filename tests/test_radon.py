@@ -5,17 +5,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treeforms import _linalg
 from treeforms.cochains import Cochain, coboundary
-from treeforms.radon import (MarginError, PathDependenceError,
+from treeforms.radon import (ApartmentFamily, MarginError, PathDependenceError,
                              WalkWithSigns, apartments_through, enlarged_support,
                              exactness_check, fundamental_loops,
                              induced_apartments, interior_edges,
                              interior_vertices, minimal_exact_margin,
                              path_integral, primitive, radon_image_csv,
                              radon_kernel_interior, radon_transform,
-                             random_loops, span_check)
+                             random_loops, span_check, _certified_exact,
+                             _kernel_rows)
 from treeforms.tower import build_path_graph
 from treeforms.tree import enumerate_oriented_diameters
 
@@ -141,6 +143,50 @@ class TestRadonTransform:
                                     "1,-2,1", "3,1,2"]
 
 
+def _fraction_transform(aps, omega):
+    """Reference transform: Fraction sums through the checked edge index."""
+    out = {}
+    for a, x in omega.data.items():
+        for i in aps.through(a):
+            out[i] = out.get(i, ZERO) + x
+    return {i: v for i, v in out.items() if v}
+
+
+MIXED = st.sampled_from([Fraction(n, d) for n in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 3, 4, 6)])
+
+
+class TestIntegerTransform:
+    """The int-accumulated transform against Fraction sums."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), inst=st.sampled_from([(2, 2, 1), (2, 3, 0), (3, 2, 1), (2, 3, 2)]))
+    def test_matches_naive_fraction_sum(self, data, inst):
+        pg = tower(*inst)
+        aps = apartments(*inst)
+        values = data.draw(st.dictionaries(st.integers(0, pg.num_edges - 1), MIXED,
+                                           max_size=8))
+        # Adding a coboundary cancels values along every leaf-avoiding stretch.
+        potential = data.draw(st.dictionaries(st.sampled_from(interior_vertices(pg, 0)),
+                                              MIXED, max_size=4))
+        omega = Cochain(1, values) + coboundary(pg, Cochain(0, potential))
+        image = radon_transform(pg, aps, omega)
+        naive = {}
+        for ap in aps:
+            v = sum((omega(a) for a in ap.edges), ZERO)
+            if v:
+                naive[ap.id] = v
+        assert image == naive
+        assert list(image.items()) == list(_fraction_transform(aps, omega).items())
+        assert all(type(v) is Fraction for v in image.values())
+
+    def test_out_of_range_edge_rejected(self):
+        pg = tower(2, 2, 1)
+        aps = apartments(2, 2, 1)
+        for bad in (-1, pg.num_edges):
+            with pytest.raises(ValueError):
+                radon_transform(pg, aps, Cochain(1, {0: ONE, bad: Fraction(1, 2)}))
+
+
 class TestInterior:
     def test_interior_edges_small_margin(self):
         pg = tower(2, 4, 0)
@@ -207,6 +253,37 @@ class TestRadonKernel:
         assert len(radon_kernel_interior(pg, aps, 2)) == len(inner) - rank
 
 
+def _fraction_keyed_rows(aps, interior):
+    """Reference rows: Fraction counts, deduplicated on (column, value) keys."""
+    col = {a: j for j, a in enumerate(interior)}
+    seen = set()
+    rows = []
+    for ap in aps:
+        row = {}
+        for a in ap.edges:
+            j = col.get(a)
+            if j is not None:
+                row[j] = row.get(j, ZERO) + ONE
+        if row:
+            key = tuple(sorted(row.items()))
+            if key not in seen:
+                seen.add(key)
+                rows.append(row)
+    return rows
+
+
+class TestKernelRows:
+    @pytest.mark.parametrize("q,radius,k", [(2, 3, 0), (2, 4, 1), (3, 3, 1), (2, 4, 2)])
+    def test_match_fraction_keyed_dedup(self, q, radius, k):
+        pg = tower(q, radius, k)
+        aps = apartments(q, radius, k)
+        for margin in range(k + 3):
+            inner = interior_edges(pg, margin)
+            got = _kernel_rows(pg, aps, inner)
+            want = _fraction_keyed_rows(aps, inner)
+            assert [list(r.items()) for r in got] == [list(r.items()) for r in want]
+
+
 class TestExactness:
     GRID = [(2, 3, 0), (2, 3, 1), (2, 3, 2),
             (2, 4, 0), (2, 4, 1), (2, 4, 2),
@@ -257,6 +334,56 @@ class TestExactness:
         rep = exactness_check(tower(2, 3, 0), apartments(2, 3, 0), 2)
         payload = json.loads(rep.to_json())
         assert set(payload) == {"q", "R", "k", "margin", "kernel_dim", "image_dim", "equal"}
+
+
+def _fallback_only(monkeypatch):
+    """Make every GF(p) rank one short, so no certificate can hold."""
+    real = _linalg.rank_mod_p
+    monkeypatch.setattr(_linalg, "rank_mod_p", lambda rows, p=_linalg.MODULUS: real(rows, p) - 1)
+
+
+class TestExactnessCertificate:
+    """The GF(p) certificate against the Fraction route it short-cuts."""
+
+    GRID = TestExactness.GRID
+
+    def test_ranks_alone_do_not_certify(self):
+        # Both ranks fit (1 = 2 - 1), but the row does not annihilate the
+        # image, so im d = span(e0) is not inside K = span(e1).
+        assert _certified_exact([{0: ONE}], [{0: ONE}], 2) is None
+        assert _certified_exact([{0: ONE}], [{1: ONE}], 2) == 1
+        assert _certified_exact([{0: ONE, 1: ONE}], [{0: ONE, 1: -ONE}], 2) == 1
+
+    def test_certificate_decides_default_margin(self, monkeypatch):
+        def refuse(rows):
+            raise AssertionError("Fraction elimination ran")
+
+        monkeypatch.setattr(_linalg, "rank_of_rows", refuse)
+        for q, radius, k in self.GRID:
+            rep = exactness_check(tower(q, radius, k), apartments(q, radius, k), k + 2)
+            assert rep.equal and rep.kernel_dim == rep.image_dim
+
+    @pytest.mark.parametrize("q,radius,k", GRID)
+    def test_fallback_gives_identical_reports(self, monkeypatch, q, radius, k):
+        pg = tower(q, radius, k)
+        aps = apartments(q, radius, k)
+        margins = range(k + 3)
+        certified = [exactness_check(pg, aps, m) for m in margins]
+        _fallback_only(monkeypatch)
+        assert [exactness_check(pg, aps, m) for m in margins] == certified
+
+    @pytest.mark.parametrize("q,radius,k", GRID)
+    def test_half_family_routes_agree(self, monkeypatch, q, radius, k):
+        """Half of the apartments leave a kernel larger than im d at margin 0."""
+        pg = tower(q, radius, k)
+        half = ApartmentFamily(pg, apartments(q, radius, k).apartments[::2])
+        margins = range(k + 3)
+        certified = [exactness_check(pg, half, m) for m in margins]
+        if k >= 1:
+            assert not certified[0].equal
+            assert certified[0].kernel_dim > certified[0].image_dim
+        _fallback_only(monkeypatch)
+        assert [exactness_check(pg, half, m) for m in margins] == certified
 
 
 class TestWalksAndIntegrals:
