@@ -6,8 +6,9 @@ of the arguments and seed; rationals are printed exactly, never as
 floats.
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
-2 invalid arguments, 3 I/O error.  TREEFORMS_OUTDIR sets the default
-output directory for exports.
+2 invalid arguments, 3 I/O error, 4 internal error (an unexpected
+exception, reported as one stderr line without a traceback).
+TREEFORMS_OUTDIR sets the default output directory for exports.
 """
 
 from __future__ import annotations
@@ -19,13 +20,34 @@ import sys
 
 from . import checks
 from .cochains import basis_manifest, cochain_to_csv, harmonic_space
-from .padic import is_prime
+from .padic import in_gamma0, is_prime
 from .radon import induced_apartments
 from .tower import build_path_graph, num_components
 from .tree import TreeParams, build_ball, enumerate_oriented_diameters
 
-SUITES = ("euler", "adjoint", "radon-d", "exactness", "loops", "primitive",
-          "equivariance", "padic", "stabilizer", "transitivity", "span", "gamma0")
+# suite -> call(args, margin, samples) -> (passed, report)
+SUITE_CALLS = {
+    "euler": lambda a, margin, samples: checks.check_euler(a.q, a.radius, a.k),
+    "adjoint": lambda a, margin, samples: checks.check_adjoint(a.q, a.radius, a.k,
+                                                               a.seed, samples),
+    "radon-d": lambda a, margin, samples: checks.check_radon_d(a.q, a.radius, a.k,
+                                                               a.seed, samples),
+    "exactness": lambda a, margin, samples: checks.check_exactness(a.q, a.radius, a.k,
+                                                                   margin, scan=a.scan),
+    "loops": lambda a, margin, samples: checks.check_loops(a.q, a.radius, a.k, margin,
+                                                           a.seed, samples),
+    "primitive": lambda a, margin, samples: checks.check_primitive(a.q, a.radius, a.k,
+                                                                   margin),
+    "equivariance": lambda a, margin, samples: checks.check_equivariance(
+        a.q, a.radius, a.k, a.seed, samples),
+    "padic": lambda a, margin, samples: checks.check_padic(a.p, a.radius),
+    "stabilizer": lambda a, margin, samples: checks.check_stabilizer(a.p, a.n, samples,
+                                                                     a.seed, a.modulus),
+    "transitivity": lambda a, margin, samples: checks.check_transitivity(a.p, a.seed),
+    "span": lambda a, margin, samples: checks.check_span(a.q, a.radius),
+    "gamma0": lambda a, margin, samples: _check_gamma0(a),
+}
+SUITES = tuple(SUITE_CALLS)
 K_SUITES = ("euler", "adjoint", "radon-d", "exactness", "loops", "primitive",
             "equivariance")
 P_SUITES = ("padic", "stabilizer", "transitivity", "gamma0")
@@ -123,13 +145,8 @@ def _build_parser() -> _Parser:
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-        return
-    try:
-        with open(output, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"treeforms: cannot write {output}: {exc}", file=sys.stderr)
-        raise SystemExit(3)
+    else:
+        _write_file(output, text)
 
 
 def _write_file(path: str, text: str) -> None:
@@ -166,6 +183,16 @@ def _cmd_tower(args) -> int:
     return 0
 
 
+def _check_gamma0(args) -> tuple[bool, dict]:
+    if not args.matrix:
+        raise ValueError("gamma0 requires --matrix")
+    g = parse_matrix(args.matrix)
+    passed = in_gamma0(g, args.n, args.p)
+    return passed, {"check": "gamma0",
+                    "params": {"matrix": g.to_json_dict(), "n": args.n, "p": args.p},
+                    "samples": 1, "passed": passed}
+
+
 def _cmd_check(args) -> int:
     margin = args.margin if args.margin is not None else args.k + 2
     samples = args.samples if args.samples is not None else DEFAULT_SAMPLES.get(args.suite)
@@ -179,44 +206,7 @@ def _cmd_check(args) -> int:
             _check_k(args.k, args.radius)
         if args.suite in P_SUITES and not is_prime(args.p):
             raise ValueError(f"p must be a prime, got {args.p}")
-        if args.suite == "euler":
-            passed, report = checks.check_euler(args.q, args.radius, args.k)
-        elif args.suite == "adjoint":
-            passed, report = checks.check_adjoint(args.q, args.radius, args.k,
-                                                  args.seed, samples)
-        elif args.suite == "radon-d":
-            passed, report = checks.check_radon_d(args.q, args.radius, args.k,
-                                                  args.seed, samples)
-        elif args.suite == "exactness":
-            passed, report = checks.check_exactness(args.q, args.radius, args.k,
-                                                    margin, scan=args.scan)
-        elif args.suite == "loops":
-            passed, report = checks.check_loops(args.q, args.radius, args.k,
-                                                margin, args.seed, samples)
-        elif args.suite == "primitive":
-            passed, report = checks.check_primitive(args.q, args.radius, args.k, margin)
-        elif args.suite == "equivariance":
-            passed, report = checks.check_equivariance(args.q, args.radius, args.k,
-                                                       args.seed, samples)
-        elif args.suite == "padic":
-            passed, report = checks.check_padic(args.p, args.radius)
-        elif args.suite == "stabilizer":
-            passed, report = checks.check_stabilizer(args.p, args.n, samples,
-                                                     args.seed, args.modulus)
-        elif args.suite == "transitivity":
-            passed, report = checks.check_transitivity(args.p, args.seed)
-        elif args.suite == "gamma0":
-            from .padic import in_gamma0
-            if not args.matrix:
-                print("treeforms: gamma0 requires --matrix", file=sys.stderr)
-                return 2
-            g = parse_matrix(args.matrix)
-            passed = in_gamma0(g, args.n, args.p)
-            report = {"check": "gamma0",
-                      "params": {"matrix": g.to_json_dict(), "n": args.n, "p": args.p},
-                      "samples": 1, "passed": passed}
-        else:
-            passed, report = checks.check_span(args.q, args.radius)
+        passed, report = SUITE_CALLS[args.suite](args, margin, samples)
     except ValueError as exc:
         print(f"treeforms: {exc}", file=sys.stderr)
         return 2
@@ -287,6 +277,11 @@ def main(argv=None) -> int:
         return _cmd_export(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    except Exception as exc:
+        # Anything else is a defect in treeforms, not a verdict or bad input.
+        message = " ".join(str(exc).splitlines())
+        print(f"treeforms: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

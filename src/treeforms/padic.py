@@ -22,16 +22,20 @@ from .tree import BallAutomorphism, TreeBall, TreeParams, build_ball
 
 
 def valuation(x, p: int):
-    """v_p(x) for a rational x; None plays the role of +infinity at 0."""
-    x = Fraction(x)
-    if x == 0:
+    """v_p(x) for a rational x; None plays the role of +infinity at 0.
+
+    p must be at least 2: p = 1 divides everything and p = 0 nothing."""
+    if p < 2:
+        raise ValueError(f"valuation needs p >= 2, got {p}")
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    n, d = x.numerator, x.denominator
+    if n == 0:
         return None
     v = 0
-    n = x.numerator
     while n % p == 0:
         n //= p
         v += 1
-    d = x.denominator
     while d % p == 0:
         d //= p
         v -= 1
@@ -179,13 +183,24 @@ def act(g: GroupElement, v: LatticeClassVertex, p: int) -> LatticeClassVertex:
 
 
 def tree_distance(v: LatticeClassVertex, w: LatticeClassVertex, p: int) -> int:
-    """|e1 - e2| for the elementary-divisor valuations of the relative
-    position matrix(v)^-1 matrix(w)."""
-    m = v.matrix(p).inverse().mul(w.matrix(p))
-    vmin = min(x for x in (valuation(e, p) for e in m.entries) if x is not None)
-    vdet = valuation(m.det, p)
-    # Divisors are p^vmin and p^(vdet - vmin).
-    return abs(vdet - 2 * vmin)
+    """|e1 - e2| for the elementary-divisor valuations e1 <= e2 of the
+    relative position matrix(v)^-1 matrix(w), in closed form.
+
+    With v = [[p^n1, u1], [0, 1]] and w = [[p^n2, u2], [0, 1]],
+
+        matrix(v)^-1 matrix(w) = [[p^dn, (u2 - u1) / p^n1], [0, 1]],
+        dn = n2 - n1.
+
+    Its determinant has valuation e1 + e2 = dn, and e1 is the least
+    entry valuation, min(dn, 0, v_p(u2 - u1) - n1), where the last term
+    is absent when u1 = u2 (a zero entry).  So the distance is
+    |dn - 2 e1|, from one subtraction and one valuation.
+    """
+    dn = w.n - v.n
+    e1 = min(dn, 0)
+    if v.u != w.u:
+        e1 = min(e1, valuation(w.u - v.u, p) - v.n)
+    return abs(dn - 2 * e1)
 
 
 def lattice_neighbors(v: LatticeClassVertex, p: int) -> list[LatticeClassVertex]:
@@ -273,12 +288,24 @@ def standard_path(emb: BallEmbedding, n: int) -> tuple[int, ...]:
     return tuple(path)
 
 
+def fixes_vertex(g: GroupElement, lv: LatticeClassVertex, p: int) -> bool:
+    """act(g, lv, p) == lv, without column reduction.
+
+    With M = matrix(lv) = [[p^n, u], [0, 1]], g fixes the class [M]
+    exactly when M^-1 g M lies in Q_p^* GL(2, Z_p), the level-0
+    congruence subgroup.  For g = [[a, b], [c, d]],
+
+        M^-1 g M = [[a - c u, (b + (a - d) u - c u^2) / p^n],
+                    [c p^n,   c u + d]].
+    """
+    a, b, c, d = g.entries
+    u, pn = lv.u, Fraction(p) ** lv.n
+    conj = GroupElement(a - c * u, (b + (a - d) * u - c * u * u) / pn, c * pn, c * u + d)
+    return in_gamma0(conj, 0, p)
+
+
 def fixes_path_pointwise(g: GroupElement, emb: BallEmbedding, path: tuple[int, ...]) -> bool:
-    for v in path:
-        lv = emb.to_lattice[v]
-        if act(g, lv, emb.p) != lv:
-            return False
-    return True
+    return all(fixes_vertex(g, emb.to_lattice[v], emb.p) for v in path)
 
 
 def sample_gamma0(p: int, n: int, modulus_exp: int, count: int, seed: int) -> list[GroupElement]:
@@ -379,15 +406,25 @@ def stabilizer_transitivity_check(emb: BallEmbedding, pg, s: int, side: str,
 
     stabilizer = [g for g in enumerate_unit_lifts(emb.p, modulus_exp)
                   if fixes_path_pointwise(g, emb, path)]
+    # Every stabilizer element fixes the path, so it maps an edge at s on
+    # this side to another one: the orbit is a subset of the targets, and
+    # only the base edge's vertices off the path need to be moved.
     edge_index = {e: i for i, e in enumerate(pg.edges)}
-    base = targets[0]
+    on_path = set(path)
+    base = pg.edges[targets[0]]
     orbit = set()
     for g in stabilizer:
-        perm = emb.automorphism_from(g)
-        image_seq = tuple(perm(v) for v in pg.edges[base])
-        image = edge_index.get(image_seq)
+        image_seq = []
+        for v in base:
+            if v not in on_path:
+                v = emb.from_lattice.get(act(g, emb.to_lattice[v], emb.p))
+                if v is None:
+                    raise ValueError("group element does not preserve the ball window")
+            image_seq.append(v)
+        image = edge_index.get(tuple(image_seq))
         if image is not None:
             orbit.add(image)
+            if len(orbit) == len(targets):
+                break
     covered = set(targets) <= orbit
     return TransitivityResult(covered, covered, len(orbit), len(targets), len(stabilizer))
-

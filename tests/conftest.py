@@ -1,8 +1,27 @@
+import contextlib
+import signal
+
 import pytest
 
 from treeforms.radon import induced_apartments
 from treeforms.tower import build_path_graph
 from treeforms.tree import TreeParams, build_ball, enumerate_oriented_diameters
+
+@contextlib.contextmanager
+def time_limit(seconds, what):
+    """Fail with TimeoutError instead of hanging when the block runs past
+    `seconds` (SIGALRM; main thread only)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"{what} ran past {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
 
 _BALLS: dict = {}
 _TOWERS: dict = {}

@@ -1,10 +1,11 @@
 """Command-line interface: exit codes, formats, determinism."""
 
 import json
-import signal
 
 import pytest
 
+from conftest import time_limit
+from treeforms import checks
 from treeforms.cli import main
 
 
@@ -16,16 +17,8 @@ def run(capsys, *argv):
 
 def run_bounded(capsys, *argv, seconds=20):
     """run(), failing instead of hanging when main() does not return in time."""
-    def expire(signum, frame):
-        raise TimeoutError(f"treeforms {' '.join(argv)} ran past {seconds} s")
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
+    with time_limit(seconds, f"treeforms {' '.join(argv)}"):
         return run(capsys, *argv)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
 
 
 class TestBall:
@@ -231,3 +224,17 @@ class TestSamplesAndN:
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert "--n" in err and "radius" not in err
+
+
+class TestInternalError:
+    """An unexpected exception exits 4 with one stderr line, no traceback."""
+
+    def test_exit_4_with_one_line(self, capsys, monkeypatch):
+        def broken(p, radius):
+            raise RuntimeError("lattice table\ncorrupted")
+
+        monkeypatch.setattr(checks, "check_padic", broken)
+        code, out, err = run(capsys, "check", "padic", "--p", "2", "--radius", "2")
+        assert code == 4
+        assert out == ""
+        assert err == "treeforms: internal error: RuntimeError: lattice table corrupted\n"

@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import time_limit
 from treeforms.padic import (GroupElement, IDENTITY, LatticeClassVertex, ROOT,
-                             act, canonicalize, embed_ball,
+                             TransitivityResult, act, canonicalize, embed_ball,
                              enumerate_unit_lifts, fixes_path_pointwise,
-                             in_gamma0, lattice_neighbors, residue_mod,
-                             sample_gamma0, sample_with_exact_lower_valuation,
+                             fixes_vertex, in_gamma0, lattice_neighbors,
+                             residue_mod, sample_gamma0,
+                             sample_with_exact_lower_valuation,
                              stabilizer_transitivity_check, standard_path,
                              tree_distance, valuation)
 from treeforms.tower import build_path_graph
@@ -25,6 +27,57 @@ def rand_invertible(rng, span=8):
             return GroupElement(*entries)
 
 
+def rand_class(rng, p):
+    """A canonical class, often with negative n and non-integral u."""
+    if rng.random() < 0.25:
+        return canonicalize(rand_invertible(rng), p)
+    n = rng.randrange(-4, 5)
+    return LatticeClassVertex(n, residue_mod(F(rng.randrange(-300, 301), rng.randrange(1, 40)),
+                                             n, p))
+
+
+def scaled(g, lam):
+    return GroupElement(g.a * lam, g.b * lam, g.c * lam, g.d * lam)
+
+
+# Reference routines: the matrix and full-automorphism forms that the
+# closed forms in treeforms.padic replace.
+
+def tree_distance_oracle(v, w, p):
+    """|e1 - e2| from the elementary divisors of matrix(v)^-1 matrix(w)."""
+    m = v.matrix(p).inverse().mul(w.matrix(p))
+    vmin = min(x for x in (valuation(e, p) for e in m.entries) if x is not None)
+    return abs(valuation(m.det, p) - 2 * vmin)
+
+
+def fixes_vertex_oracle(g, lv, p):
+    return act(g, lv, p) == lv
+
+
+def transitivity_oracle(emb, pg, s, modulus_exp):
+    """Both sides' results from every unit lift fixing the path, each
+    applied as a whole-ball automorphism to the base edge."""
+    path = pg.verts[s]
+    stabilizer = [g for g in enumerate_unit_lifts(emb.p, modulus_exp)
+                  if all(fixes_vertex_oracle(g, emb.to_lattice[v], emb.p) for v in path)]
+    perms = [emb.automorphism_from(g) for g in stabilizer]
+    edge_index = {e: i for i, e in enumerate(pg.edges)}
+    results = {}
+    for side, targets in (("+", pg.edges_into[s]), ("-", pg.edges_out_of[s])):
+        if len(targets) <= 1:
+            results[side] = TransitivityResult(True, True, len(targets), len(targets), 0)
+            continue
+        orbit = set()
+        for perm in perms:
+            image = edge_index.get(tuple(perm(v) for v in pg.edges[targets[0]]))
+            if image is not None:
+                orbit.add(image)
+        covered = set(targets) <= orbit
+        results[side] = TransitivityResult(covered, covered, len(orbit), len(targets),
+                                           len(stabilizer))
+    return results
+
+
 class TestValuation:
     @pytest.mark.parametrize("x,p,v", [(8, 2, 3), (F(3, 4), 2, -2), (F(9, 5), 3, 2),
                                        (1, 7, 0), (F(-12), 2, 2)])
@@ -33,6 +86,19 @@ class TestValuation:
 
     def test_zero_is_infinite(self):
         assert valuation(0, 5) is None
+
+    @pytest.mark.parametrize("p", [1, 0, -3])
+    @pytest.mark.parametrize("call", [
+        lambda p: valuation(F(6), p),
+        lambda p: residue_mod(F(6), 2, p),
+        lambda p: canonicalize(GroupElement.of(2, 1, 0, 1), p),
+        lambda p: in_gamma0(GroupElement.of(1, 0, 2, 1), 1, p),
+        lambda p: tree_distance(ROOT, LatticeClassVertex(1, F(1)), p),
+    ], ids=["valuation", "residue_mod", "canonicalize", "in_gamma0", "tree_distance"])
+    def test_p_below_two_refused(self, call, p):
+        # p = 1 used to loop forever and p = 0 to divide by zero.
+        with time_limit(10, f"valuation at p={p}"), pytest.raises(ValueError, match="p >= 2"):
+            call(p)
 
     def test_multiplicative(self):
         rng = random.Random(0)
@@ -134,6 +200,28 @@ class TestDistance:
             w = canonicalize(rand_invertible(rng), 2)
             assert tree_distance(v, w, 2) == tree_distance(w, v, 2)
 
+    @pytest.mark.parametrize("n1,u1,n2,u2,p", [
+        (-2, F(1, 8), -3, F(3, 32), 2),
+        (-1, F(2, 9), 2, F(5), 3),
+        (-2, F(1, 125), -2, F(2, 125), 5),
+        (1, F(1), -2, F(1), 2),
+    ])
+    def test_closed_form_examples(self, n1, u1, n2, u2, p):
+        v = LatticeClassVertex(n1, residue_mod(u1, n1, p))
+        w = LatticeClassVertex(n2, residue_mod(u2, n2, p))
+        assert tree_distance(v, w, p) == tree_distance_oracle(v, w, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), p=st.sampled_from([2, 3, 5]))
+    def test_closed_form_matches_elementary_divisors(self, seed, p):
+        rng = random.Random(seed)
+        for _ in range(20):
+            v = rand_class(rng, p)
+            w = rand_class(rng, p)
+            if rng.random() < 0.2:
+                w = LatticeClassVertex(w.n, residue_mod(v.u, w.n, p))
+            assert tree_distance(v, w, p) == tree_distance_oracle(v, w, p)
+
     def test_neighbors_at_distance_one(self):
         for p in (2, 3):
             for v in (ROOT, LatticeClassVertex(2, F(1)), LatticeClassVertex(-1, F(0))):
@@ -212,6 +300,34 @@ class TestGamma0:
                     assert in_gamma0(g, n, p)
 
 
+class TestFixesVertex:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), p=st.sampled_from([2, 3, 5]))
+    def test_matches_action(self, seed, p):
+        rng = random.Random(seed)
+        lv = rand_class(rng, p)
+        m = lv.matrix(p)
+        unit = sample_gamma0(p, 0, 3, 1, seed)[0]
+        fixer = m.mul(unit).mul(m.inverse())
+        lam = F(p) ** rng.randrange(-2, 3) * F(rng.choice([1, -1, p + 1]), rng.choice([1, p - 1, 7]))
+        g = rand_invertible(rng)
+        for h in (g, scaled(g, lam), fixer, scaled(fixer, lam)):
+            assert fixes_vertex(h, lv, p) == fixes_vertex_oracle(h, lv, p)
+        assert fixes_vertex(scaled(fixer, lam), lv, p)
+
+    def test_both_outcomes_and_non_unit_determinants(self):
+        rng = random.Random(3)
+        seen = set()
+        for _ in range(300):
+            p = rng.choice([2, 3, 5])
+            lv = rand_class(rng, p)
+            g = rand_invertible(rng, span=3)
+            fixed = fixes_vertex(g, lv, p)
+            assert fixed == fixes_vertex_oracle(g, lv, p)
+            seen.add((fixed, valuation(g.det, p) != 0))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
 class TestStandardPath:
     def test_level0_edge(self):
         emb = embed_ball(2, 2)
@@ -273,6 +389,30 @@ class TestTransitivity:
                          if emb.ball.is_leaf(pth[0]))
         res = stabilizer_transitivity_check(emb, pg, leaf_path, "+", 2)
         assert res.covered and res.target_size == 1
+
+    @pytest.mark.parametrize("p,path,m", [(2, "root0", 2), (2, "root0", 3), (2, "std1", 2),
+                                          (2, "std1", 3), (3, "root0", 2)])
+    def test_matches_full_automorphism_route(self, p, path, m):
+        if path == "root0":
+            emb = embed_ball(p, 2)
+            pg = build_path_graph(emb.ball, 0)
+            s = pg.vert_index[(0,)]
+        else:
+            emb = embed_ball(p, 3)
+            pg = build_path_graph(emb.ball, 1)
+            s = pg.vert_index[standard_path(emb, 0)]
+        expected = transitivity_oracle(emb, pg, s, m)
+        for side in ("+", "-"):
+            assert stabilizer_transitivity_check(emb, pg, s, side, m) == expected[side]
+
+    def test_singleton_side_matches_oracle(self):
+        emb = embed_ball(2, 2)
+        pg = build_path_graph(emb.ball, 0)
+        leaf = next(s for s, pth in enumerate(pg.verts) if emb.ball.is_leaf(pth[0]))
+        expected = transitivity_oracle(emb, pg, leaf, 2)
+        assert expected["+"].target_size == 1
+        for side in ("+", "-"):
+            assert stabilizer_transitivity_check(emb, pg, leaf, side, 2) == expected[side]
 
     def test_unit_lift_enumeration_size(self):
         # |GL(2, Z/4)| = 96
