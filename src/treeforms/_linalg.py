@@ -1,8 +1,16 @@
 """Sparse exact linear algebra over the rationals.
 
-Rows are dicts {column: Fraction} with no stored zeros.  Everything here
-is deterministic: pivots are chosen as the smallest column index of each
-reduced row, and input order fixes the elimination order.
+Rows are dicts {column: value} with no stored zeros; a value is an
+``int`` or a ``Fraction``.  Everything here is deterministic: pivots are
+chosen as the smallest column index of each reduced row, and input order
+fixes the elimination order.
+
+During elimination integral entries are held as Python ints: an
+integral ``Fraction`` is taken in as its numerator, and a pivot row is
+divided by its lead only when that lead is not +-1.  On unimodular rows
+(incidence rows, characteristic functions) every step is then integer
+arithmetic.  The results of ``solve`` and ``nullspace`` are still
+``Fraction`` values.
 
 Integer rows can also be ranked over GF(p) (``rank_mod_p``).  That rank
 is a lower bound on the rank over Q, so when it meets a proven upper
@@ -12,23 +20,22 @@ exact elimination whenever it does not.
 
 from __future__ import annotations
 
+from math import lcm
 from fractions import Fraction
 
-Row = dict[int, Fraction]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+Row = dict[int, int | Fraction]
 
 
-def row_scale(row: Row, c: Fraction) -> Row:
-    return {j: c * x for j, x in row.items()}
+def _held(x):
+    """x as an int when it is integral, else unchanged."""
+    return x.numerator if x.denominator == 1 else x
 
 
-def row_axpy(row: Row, c: Fraction, other: Row) -> Row:
+def row_axpy(row: Row, c, other: Row) -> Row:
     """row + c * other, dropping cancellations."""
     out = dict(row)
     for j, x in other.items():
-        y = out.get(j, ZERO) + c * x
+        y = out.get(j, 0) + c * x
         if y:
             out[j] = y
         else:
@@ -43,7 +50,7 @@ class Eliminator:
         self.pivots: dict[int, Row] = {}
 
     def reduce(self, row: Row) -> Row:
-        row = dict(row)
+        row = {j: _held(x) for j, x in row.items()}
         while row:
             j = min(row)
             piv = self.pivots.get(j)
@@ -51,7 +58,7 @@ class Eliminator:
                 return row
             c = -row[j]
             for i, x in piv.items():
-                y = row.get(i, ZERO) + c * x
+                y = row.get(i, 0) + c * x
                 if y:
                     row[i] = y
                 else:
@@ -64,7 +71,12 @@ class Eliminator:
         if not row:
             return False
         j = min(row)
-        self.pivots[j] = row_scale(row, ONE / row[j])
+        lead = row[j]
+        if lead == -1:
+            row = {i: -x for i, x in row.items()}
+        elif lead != 1:
+            row = {i: _held(Fraction(x, lead)) for i, x in row.items()}
+        self.pivots[j] = row
         return True
 
     @property
@@ -119,8 +131,7 @@ def certified_rank(rows, upper: int) -> int:
     """Rank over Q of integer rows, given a proven upper bound on it.
 
     The GF(p) rank is a lower bound, so when it reaches ``upper`` the two
-    meet and ``upper`` is the rank.  Otherwise the exact Fraction
-    elimination decides.
+    meet and ``upper`` is the rank.  Otherwise exact elimination decides.
     """
     rows = list(rows)
     if rank_mod_p(rows) == upper:
@@ -131,9 +142,10 @@ def certified_rank(rows, upper: int) -> int:
 def _reduced_pivots(elim: Eliminator) -> dict[int, Row]:
     """The eliminator's pivot rows back-substituted to reduced echelon form."""
     pivots = dict(elim.pivots)
-    for j in sorted(pivots, reverse=True):
+    order = sorted(pivots)
+    for j in reversed(order):
         row = pivots[j]
-        for i in sorted(pivots):
+        for i in order:
             if i >= j:
                 break
             if j in pivots[i]:
@@ -154,11 +166,11 @@ def nullspace(rows, ncols: int) -> list[Row]:
     free = [j for j in range(ncols) if j not in pivots]
     basis = []
     for f in free:
-        vec: Row = {f: ONE}
+        vec: Row = {f: Fraction(1)}
         for j, row in pivots.items():
-            c = row.get(f, ZERO)
+            c = row.get(f)
             if c:
-                vec[j] = -c
+                vec[j] = Fraction(-c)
         basis.append(vec)
     return basis
 
@@ -167,26 +179,29 @@ def solve(rows, rhs, ncols: int) -> Row | None:
     """One exact solution of rows . x = rhs, or None if inconsistent.
 
     Works on the homogenized system (x, 1): each equation row.x = b is
-    stored as row.x - b = 0 with the constant in an extra last column.
-    Free variables are set to zero.
+    stored as row.x - L b = 0 with the constant in an extra last column,
+    where L is the lcm of the denominators of rhs, so that column is
+    integral.  Free variables are set to zero.
     """
+    rhs = list(rhs)
+    scale = lcm(*(b.denominator for b in rhs))
     aug_col = ncols
     elim = Eliminator()
     for row, b in zip(rows, rhs):
         r = dict(row)
         if b:
-            r[aug_col] = -b
+            r[aug_col] = -b * scale
         elim.insert(r)
     if aug_col in elim.pivots:
         return None
     pivots = _reduced_pivots(elim)
-    # Pivot row now reads x_j + (free terms) + c = 0; with free vars at zero
-    # the solution is x_j = -c.
+    # Pivot row now reads x_j + (free terms) + c / L = 0; with free vars at
+    # zero the solution is x_j = -c / L.
     sol: Row = {}
     for j, row in pivots.items():
-        c = row.get(aug_col, ZERO)
+        c = row.get(aug_col)
         if c:
-            sol[j] = -c
+            sol[j] = Fraction(-c, scale)
     return sol
 
 

@@ -21,14 +21,16 @@ from fractions import Fraction
 from . import _linalg
 from .cochains import (Cochain, adjoint, coboundary, h1c_dimension,
                        harmonic_space, incidence_rows, pairing)
-from .padic import (embed_ball, fixes_path_pointwise, sample_gamma0,
+from .padic import (_extension_orbit, _path_stabilizer, embed_ball,
+                    fixes_path_pointwise, sample_gamma0,
                     sample_with_exact_lower_valuation, standard_path,
-                    stabilizer_transitivity_check, tree_distance)
+                    tree_distance)
 from .radon import (exactness_check, fundamental_loops, induced_apartments,
                     interior_edges, interior_vertices, minimal_exact_margin,
                     path_integral, primitive, radon_kernel_interior,
                     radon_transform, random_loops, span_check)
-from .tower import (apply_automorphism, build_path_graph, num_components)
+from .tower import (apply_automorphism, build_path_graph, component_roots,
+                    num_components)
 from .tree import (TreeParams, build_ball, enumerate_oriented_diameters,
                    random_automorphism)
 
@@ -172,8 +174,6 @@ def check_primitive(q: int, radius: int, k: int, margin: int) -> tuple[bool, dic
     """Primitive reconstruction for every kernel-basis element, compared
     against an exact linear solve of df = omega up to one constant per
     component."""
-    from .tower import UnionFind
-
     ball = build_ball(TreeParams(q, radius))
     pg = build_path_graph(ball, k)
     aps = induced_apartments(pg, enumerate_oriented_diameters(ball))
@@ -183,10 +183,7 @@ def check_primitive(q: int, radius: int, k: int, margin: int) -> tuple[bool, dic
                       "margin": margin, "kernel_dim": 0, "passed": True}
     basis = radon_kernel_interior(pg, aps, margin)
 
-    uf = UnionFind(pg.num_vertices)
-    for h, t in zip(pg.head, pg.tail):
-        uf.union(h, t)
-    comp_of = [uf.find(s) for s in range(pg.num_vertices)]
+    comp_of = component_roots(pg)
 
     from .radon import enlarged_support
     failures = []
@@ -303,20 +300,23 @@ def check_stabilizer(p: int, n: int, samples: int, seed: int,
                     "boundary_mover_found": somebody_moved, "passed": passed}
 
 
+def _both_sides(emb, pg, s: int, modulus_exp: int):
+    """Transitivity on the + and - sides of path-graph vertex s, from one
+    enumeration of the path's stabilizer."""
+    stabilizer = _path_stabilizer(emb, pg.verts[s], modulus_exp)
+    return [_extension_orbit(emb, pg, s, side, stabilizer) for side in "+-"]
+
+
 def check_transitivity(p: int, seed: int = 0) -> tuple[bool, dict]:
     """Stabilizer orbit coverage on the root 0-path and the standard
     interior 1-path (positive certificates via unit-lift enumeration)."""
     emb2 = embed_ball(p, 2)
     pg0 = build_path_graph(emb2.ball, 0)
-    root0 = pg0.vert_index[(0,)]
-    r_plus = stabilizer_transitivity_check(emb2, pg0, root0, "+", 2)
-    r_minus = stabilizer_transitivity_check(emb2, pg0, root0, "-", 2)
+    r_plus, r_minus = _both_sides(emb2, pg0, pg0.vert_index[(0,)], 2)
 
     emb3 = embed_ball(p, 3)
     pg1 = build_path_graph(emb3.ball, 1)
-    s1 = pg1.vert_index[standard_path(emb3, 0)]
-    t_plus = stabilizer_transitivity_check(emb3, pg1, s1, "+", 3)
-    t_minus = stabilizer_transitivity_check(emb3, pg1, s1, "-", 3)
+    t_plus, t_minus = _both_sides(emb3, pg1, pg1.vert_index[standard_path(emb3, 0)], 3)
 
     results = [r_plus, r_minus, t_plus, t_minus]
     passed = all(r.covered for r in results)

@@ -396,21 +396,40 @@ def stabilizer_transitivity_check(emb: BallEmbedding, pg, s: int, side: str,
     only means the sampling window was too small, reported as
     inconclusive rather than false.
     """
+    stabilizer = []
+    if len(_side_targets(pg, s, side)) > 1:
+        stabilizer = _path_stabilizer(emb, pg.verts[s], modulus_exp)
+    return _extension_orbit(emb, pg, s, side, stabilizer)
+
+
+def _side_targets(pg, s: int, side: str) -> list[int]:
+    """The edges extending path-graph vertex s on the given side."""
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
     pg.check_vertex(s)
-    path = pg.verts[s]
-    targets = pg.edges_into[s] if side == "+" else pg.edges_out_of[s]
+    return pg.edges_into[s] if side == "+" else pg.edges_out_of[s]
+
+
+def _path_stabilizer(emb: BallEmbedding, path: tuple[int, ...],
+                     modulus_exp: int) -> list[GroupElement]:
+    """The unit lifts modulo p^modulus_exp that fix the path pointwise."""
+    return [g for g in enumerate_unit_lifts(emb.p, modulus_exp)
+            if fixes_path_pointwise(g, emb, path)]
+
+
+def _extension_orbit(emb: BallEmbedding, pg, s: int, side: str,
+                     stabilizer: list[GroupElement]) -> TransitivityResult:
+    """Coverage of one side of s by the orbit of its first extension under
+    ``stabilizer``, the pointwise stabilizer of the path s (unused, and
+    reported as size 0, when the side has at most one extension)."""
+    targets = _side_targets(pg, s, side)
     if len(targets) <= 1:
         return TransitivityResult(True, True, len(targets), len(targets), 0)
-
-    stabilizer = [g for g in enumerate_unit_lifts(emb.p, modulus_exp)
-                  if fixes_path_pointwise(g, emb, path)]
     # Every stabilizer element fixes the path, so it maps an edge at s on
     # this side to another one: the orbit is a subset of the targets, and
     # only the base edge's vertices off the path need to be moved.
     edge_index = {e: i for i, e in enumerate(pg.edges)}
-    on_path = set(path)
+    on_path = set(pg.verts[s])
     base = pg.edges[targets[0]]
     orbit = set()
     for g in stabilizer:

@@ -26,7 +26,7 @@ from math import lcm
 
 from . import _linalg
 from .cochains import Cochain, coboundary
-from .tower import PathGraph, UnionFind
+from .tower import PathGraph, component_roots
 from .tree import GeodesicSegment, convex_hull
 
 ZERO = Fraction(0)
@@ -508,10 +508,7 @@ def primitive(pg: PathGraph, aps: ApartmentFamily, omega: Cochain, base: int) ->
     if base in enlarged:
         raise MarginError("base vertex lies inside the enlarged support region")
 
-    uf = UnionFind(pg.num_vertices)
-    for h, t in zip(pg.head, pg.tail):
-        uf.union(h, t)
-    comp_of = [uf.find(s) for s in range(pg.num_vertices)]
+    comp_of = component_roots(pg)
 
     roots = {comp_of[base]: base}
     for a in omega.support:

@@ -166,14 +166,20 @@ class UnionFind:
             self.parent[max(rx, ry)] = min(rx, ry)
 
 
-def components(pg: PathGraph) -> list[list[int]]:
-    """Connected components of the underlying undirected graph."""
+def component_roots(pg: PathGraph) -> list[int]:
+    """For each vertex, the root of its connected component (of the
+    underlying undirected graph): the component's smallest vertex."""
     uf = UnionFind(pg.num_vertices)
     for h, t in zip(pg.head, pg.tail):
         uf.union(h, t)
+    return [uf.find(s) for s in range(pg.num_vertices)]
+
+
+def components(pg: PathGraph) -> list[list[int]]:
+    """Connected components of the underlying undirected graph."""
     groups: dict[int, list[int]] = {}
-    for s in range(pg.num_vertices):
-        groups.setdefault(uf.find(s), []).append(s)
+    for s, root in enumerate(component_roots(pg)):
+        groups.setdefault(root, []).append(s)
     return [groups[r] for r in sorted(groups)]
 
 

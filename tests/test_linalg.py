@@ -1,4 +1,5 @@
-"""Sparse exact elimination against a dense fraction RREF oracle."""
+"""Sparse exact elimination against a dense fraction RREF oracle and
+against the all-Fraction sparse eliminator it replaced."""
 
 import random
 from fractions import Fraction
@@ -6,7 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import tower
 from treeforms import _linalg
+from treeforms.cochains import incidence_rows
 
 
 def dense_rref_rank(matrix):
@@ -162,3 +165,183 @@ class TestModularRank:
             _linalg.rank_mod_p([{0: Fraction(1, 2)}])
         with pytest.raises(ValueError):
             _linalg.rank_mod_p([{0: 1.0}])
+
+
+# -- the all-Fraction eliminator, kept as the oracle ---------------------
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def oracle_axpy(row, c, other):
+    out = dict(row)
+    for j, x in other.items():
+        y = out.get(j, ZERO) + c * x
+        if y:
+            out[j] = y
+        else:
+            out.pop(j, None)
+    return out
+
+
+class FractionEliminator:
+    """Every step in Fraction; every pivot row scaled by 1/lead."""
+
+    def __init__(self):
+        self.pivots = {}
+
+    def reduce(self, row):
+        row = dict(row)
+        while row:
+            j = min(row)
+            piv = self.pivots.get(j)
+            if piv is None:
+                return row
+            c = -row[j]
+            for i, x in piv.items():
+                y = row.get(i, ZERO) + c * x
+                if y:
+                    row[i] = y
+                else:
+                    row.pop(i, None)
+        return row
+
+    def insert(self, row):
+        row = self.reduce(row)
+        if not row:
+            return False
+        j = min(row)
+        inv = ONE / row[j]
+        self.pivots[j] = {i: inv * x for i, x in row.items()}
+        return True
+
+
+def oracle_rref(rows):
+    elim = FractionEliminator()
+    for row in rows:
+        elim.insert(row)
+    pivots = dict(elim.pivots)
+    for j in sorted(pivots, reverse=True):
+        for i in sorted(pivots):
+            if i >= j:
+                break
+            if j in pivots[i]:
+                pivots[i] = oracle_axpy(pivots[i], -pivots[i][j], pivots[j])
+    return pivots
+
+
+def oracle_nullspace(rows, ncols):
+    pivots = oracle_rref(rows)
+    basis = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        vec = {f: ONE}
+        for j, row in pivots.items():
+            c = row.get(f, ZERO)
+            if c:
+                vec[j] = -c
+        basis.append(vec)
+    return basis
+
+
+def oracle_solve(rows, rhs, ncols):
+    aug = []
+    for row, b in zip(rows, rhs):
+        r = dict(row)
+        if b:
+            r[ncols] = -Fraction(b)
+        aug.append(r)
+    pivots = oracle_rref(aug)
+    if ncols in pivots:
+        return None
+    return {j: -row[ncols] for j, row in pivots.items() if row.get(ncols)}
+
+
+def same(got, want):
+    """Equal values in the same key order, every value a Fraction."""
+    assert list(got.items()) == list(want.items())
+    assert all(type(x) is Fraction for x in got.values())
+
+
+# Unit and non-unit pivots, held both as int and as Fraction.
+ENTRIES = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-1), Fraction(3),
+                           Fraction(-2, 3), Fraction(4, 1)])
+RHS = st.one_of(st.integers(-3, 3),
+                st.fractions(min_value=-3, max_value=3, max_denominator=6))
+
+
+@st.composite
+def systems(draw):
+    ncols = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), ENTRIES), max_size=8))
+    return rows, ncols
+
+
+def apply(rows, x):
+    return [sum((v * x.get(j, 0) for j, v in row.items()), Fraction(0)) for row in rows]
+
+
+class TestAgainstFractionOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(system=systems())
+    def test_rank_and_nullspace(self, system):
+        rows, ncols = system
+        assert _linalg.rank_of_rows(rows) == len(oracle_rref(rows))
+        got = _linalg.nullspace(rows, ncols)
+        want = oracle_nullspace(rows, ncols)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            same(g, w)
+
+    @settings(max_examples=150, deadline=None)
+    @given(system=systems(), data=st.data())
+    def test_solve_mixed_denominators(self, system, data):
+        rows, ncols = system
+        rhs = data.draw(st.lists(RHS, min_size=len(rows), max_size=len(rows)))
+        got = _linalg.solve(rows, rhs, ncols)
+        want = oracle_solve(rows, rhs, ncols)
+        assert (got is None) == (want is None)
+        if want is not None:
+            same(got, want)
+            assert apply(rows, got) == rhs
+
+    @settings(max_examples=100, deadline=None)
+    @given(system=systems(), data=st.data())
+    def test_solve_consistent_and_inconsistent(self, system, data):
+        rows, ncols = system
+        x = data.draw(st.dictionaries(st.integers(0, ncols - 1), RHS))
+        rhs = apply(rows, x)
+        got = _linalg.solve(rows, rhs, ncols)
+        assert got is not None
+        same(got, oracle_solve(rows, rhs, ncols))
+        # Repeating an equation with its right-hand side moved by 1/2
+        # makes the system inconsistent.
+        rows = rows + [rows[0] if rows else {}]
+        rhs = rhs + [(rhs[0] if rhs else 0) + Fraction(1, 2)]
+        assert _linalg.solve(rows, rhs, ncols) is None
+        assert oracle_solve(rows, rhs, ncols) is None
+
+    def test_pivot_row_held_as_ints(self):
+        elim = _linalg.Eliminator()
+        elim.insert({2: Fraction(-1), 5: Fraction(3)})
+        elim.insert({3: 2, 4: Fraction(3)})
+        assert elim.pivots == {2: {2: 1, 5: -3}, 3: {3: 1, 4: Fraction(3, 2)}}
+        assert [type(x) for x in elim.pivots[2].values()] == [int, int]
+
+    @pytest.mark.parametrize("q,radius", [(2, 3), (2, 4), (3, 3), (3, 4)])
+    def test_incidence_solve_grid(self, q, radius):
+        rng = random.Random(q * 10 + radius)
+        for k in range(4):
+            pg = tower(q, radius, k)
+            rows = list(incidence_rows(pg))
+            f = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+                 for _ in range(pg.num_vertices)]
+            consistent = [f[pg.head[a]] - f[pg.tail[a]] for a in range(pg.num_edges)]
+            arbitrary = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 5))
+                         for _ in range(pg.num_edges)]
+            for rhs in (consistent, arbitrary):
+                got = _linalg.solve(rows, rhs, pg.num_vertices)
+                want = oracle_solve(rows, rhs, pg.num_vertices)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    same(got, want)
+            assert _linalg.solve(rows, consistent, pg.num_vertices) is not None

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import time_limit
+from treeforms import checks, padic
 from treeforms.padic import (GroupElement, IDENTITY, LatticeClassVertex, ROOT,
                              TransitivityResult, act, canonicalize, embed_ball,
                              enumerate_unit_lifts, fixes_path_pointwise,
@@ -404,6 +405,7 @@ class TestTransitivity:
         expected = transitivity_oracle(emb, pg, s, m)
         for side in ("+", "-"):
             assert stabilizer_transitivity_check(emb, pg, s, side, m) == expected[side]
+        assert checks._both_sides(emb, pg, s, m) == [expected["+"], expected["-"]]
 
     def test_singleton_side_matches_oracle(self):
         emb = embed_ball(2, 2)
@@ -413,6 +415,19 @@ class TestTransitivity:
         assert expected["+"].target_size == 1
         for side in ("+", "-"):
             assert stabilizer_transitivity_check(emb, pg, leaf, side, 2) == expected[side]
+        assert checks._both_sides(emb, pg, leaf, 2) == [expected["+"], expected["-"]]
+
+    def test_check_enumerates_each_path_stabilizer_once(self, monkeypatch):
+        moduli = []
+
+        def spy(p, modulus_exp):
+            moduli.append(modulus_exp)
+            return enumerate_unit_lifts(p, modulus_exp)
+
+        monkeypatch.setattr(padic, "enumerate_unit_lifts", spy)
+        passed, report = checks.check_transitivity(2)
+        assert passed and report["conclusive"]
+        assert moduli == [2, 3]
 
     def test_unit_lift_enumeration_size(self):
         # |GL(2, Z/4)| = 96

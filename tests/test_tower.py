@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from treeforms.tower import (apply_automorphism, build_path_graph, components,
-                             edges_with_head, edges_with_tail, incidence,
+from treeforms.tower import (apply_automorphism, build_path_graph, component_roots,
+                             components, edges_with_head, edges_with_tail, incidence,
                              monotone_path_check, num_components)
 from treeforms.tree import random_automorphism
 
@@ -172,6 +172,7 @@ class TestComponents:
             adj[pg.head[a]].add(pg.tail[a])
             adj[pg.tail[a]].add(pg.head[a])
         seen, count = set(), 0
+        root = {}
         for s in range(pg.num_vertices):
             if s in seen:
                 continue
@@ -182,8 +183,11 @@ class TestComponents:
                 if x in seen:
                     continue
                 seen.add(x)
+                root[x] = s
                 stack.extend(adj[x])
         assert num_components(pg) == count
+        # s is the smallest vertex of the component it opens
+        assert component_roots(pg) == [root[s] for s in range(pg.num_vertices)]
 
     def test_partition(self):
         pg = tower(2, 2, 1)
