@@ -25,10 +25,11 @@ from .padic import (_extension_orbit, _path_stabilizer, embed_ball,
                     fixes_path_pointwise, sample_gamma0,
                     sample_with_exact_lower_valuation, standard_path,
                     tree_distance)
-from .radon import (exactness_check, fundamental_loops, induced_apartments,
-                    interior_edges, interior_vertices, minimal_exact_margin,
-                    path_integral, primitive, radon_kernel_interior,
-                    radon_transform, random_loops, span_check)
+from .radon import (enlarged_support, exactness_check, fundamental_loops,
+                    induced_apartments, interior_edges, interior_vertices,
+                    minimal_exact_margin, path_integral, primitive,
+                    radon_kernel_interior, radon_transform, random_loops,
+                    span_check)
 from .tower import (apply_automorphism, build_path_graph, component_roots,
                     num_components)
 from .tree import (TreeParams, build_ball, enumerate_oriented_diameters,
@@ -184,8 +185,6 @@ def check_primitive(q: int, radius: int, k: int, margin: int) -> tuple[bool, dic
     basis = radon_kernel_interior(pg, aps, margin)
 
     comp_of = component_roots(pg)
-
-    from .radon import enlarged_support
     failures = []
     for idx, w in enumerate(basis):
         enlarged = enlarged_support(pg, w)
@@ -204,7 +203,6 @@ def check_primitive(q: int, radius: int, k: int, margin: int) -> tuple[bool, dic
                 failures.append({"basis": idx, "reason": "oracle solve inconsistent"})
                 continue
             per_comp: dict[int, Fraction] = {}
-            ok = True
             for s in range(pg.num_vertices):
                 delta = f(s) - sol.get(s, ZERO)
                 comp = comp_of[s]
@@ -213,10 +211,7 @@ def check_primitive(q: int, radius: int, k: int, margin: int) -> tuple[bool, dic
                 elif per_comp[comp] != delta:
                     failures.append({"basis": idx,
                                      "reason": f"oracle differs non-constantly at {s}"})
-                    ok = False
                     break
-            if not ok:
-                continue
     passed = not failures
     return passed, {"suite": "primitive", "q": q, "R": radius, "k": k, "margin": margin,
                     "kernel_dim": len(basis), "failures": failures[:5], "passed": passed}

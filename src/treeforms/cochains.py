@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _linalg
-from .tower import PathGraph, num_components
+from .tower import PathGraph, SpanningForest, num_components
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -124,10 +124,6 @@ def pairing(x: Cochain, y: Cochain) -> Fraction:
     return sum((v * large[i] for i, v in small.items() if i in large), ZERO)
 
 
-def l2_norm_squared(omega: Cochain) -> Fraction:
-    return pairing(omega, omega)
-
-
 def harmonic_space(pg: PathGraph) -> list[Cochain]:
     """Basis of ker d*, the space of harmonic forms.
 
@@ -142,76 +138,22 @@ def harmonic_space(pg: PathGraph) -> list[Cochain]:
 
 def _fundamental_cycles(pg: PathGraph) -> list[tuple[int, dict[int, Fraction]]]:
     """(non-forest edge a, unit cycle through a) for each non-forest edge,
-    by increasing a; a is the only non-forest edge of its cycle."""
-    nv, ne = pg.num_vertices, pg.num_edges
-    forest_up: list[tuple[int, int] | None] = [None] * nv  # vertex -> (parent vertex, edge)
-    in_forest = [False] * ne
-    seen = [False] * nv
-    for root in range(nv):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = [root]
-        qi = 0
-        while qi < len(queue):
-            s = queue[qi]
-            qi += 1
-            for a in pg.edges_out_of[s]:
-                t = pg.head[a]
-                if not seen[t]:
-                    seen[t] = True
-                    in_forest[a] = True
-                    forest_up[t] = (s, a)
-                    queue.append(t)
-            for a in pg.edges_into[s]:
-                t = pg.tail[a]
-                if not seen[t]:
-                    seen[t] = True
-                    in_forest[a] = True
-                    forest_up[t] = (s, a)
-                    queue.append(t)
-
-    def path_to_root(s: int) -> list[tuple[int, int, int]]:
-        """(edge, from, to) steps walking up the forest from s."""
-        steps = []
-        while forest_up[s] is not None:
-            parent, a = forest_up[s]
-            steps.append((a, s, parent))
-            s = parent
-        return steps
-
+    by increasing a; a is the only non-forest edge of its cycle.  The
+    cycle carries unit flow along its forest loop, so each edge's value is
+    +1 where the loop runs tail to head and -1 where it runs back."""
+    forest = SpanningForest(pg)
     cycles = []
-    for a in range(ne):
-        if in_forest[a]:
-            continue
-        t, h = pg.tail[a], pg.head[a]
-        # Unit flow around the cycle: along a from tail to head, then back
-        # through the forest from head to tail.
-        vec = {a: ONE}
-        up_h = path_to_root(h)
-        up_t = path_to_root(t)
-        # Trim the common tail of both root paths (the part above the meet).
-        while up_h and up_t and up_h[-1][0] == up_t[-1][0]:
-            up_h.pop()
-            up_t.pop()
-        for e, frm, to in up_h:  # traversed from h upward: direction frm -> to
-            delta = ONE if pg.tail[e] == frm else -ONE
-            vec[e] = vec.get(e, ZERO) + delta
-        for e, frm, to in up_t:  # traversed downward on the t side: reverse
-            delta = ONE if pg.tail[e] == to else -ONE
-            vec[e] = vec.get(e, ZERO) + delta
-        cycles.append((a, vec))
+    for a in forest.non_tree_edges:
+        edges, verts = forest.loop(a)
+        cycles.append((a, {e: ONE if pg.tail[e] == x else -ONE
+                           for e, x in zip(edges, verts)}))
     return cycles
 
 
 def incidence_rows(pg: PathGraph):
     """Rows of the coboundary matrix d: one sparse row per edge."""
     for a in range(pg.num_edges):
-        h, t = pg.head[a], pg.tail[a]
-        if h == t:  # cannot happen: edge paths are injective
-            yield {}
-        else:
-            yield {h: ONE, t: -ONE}
+        yield {pg.head[a]: ONE, pg.tail[a]: -ONE}
 
 
 def coboundary_rank(pg: PathGraph) -> int:

@@ -26,7 +26,7 @@ from math import lcm
 
 from . import _linalg
 from .cochains import Cochain, coboundary
-from .tower import PathGraph, component_roots
+from .tower import PathGraph, SpanningForest, component_roots
 from .tree import GeodesicSegment, convex_hull
 
 ZERO = Fraction(0)
@@ -111,10 +111,6 @@ def induced_apartments(pg: PathGraph, diameters: list[GeodesicSegment]) -> Apart
         windows = tuple(edge_index[seq[i:i + k + 2]] for i in range(nwin))
         apartments.append(OrientedApartment(len(apartments), seq, windows))
     return ApartmentFamily(pg, apartments)
-
-
-def apartments_through(aps: ApartmentFamily, a: int) -> list[OrientedApartment]:
-    return [aps.apartments[i] for i in aps.through(a)]
 
 
 def radon_transform(pg: PathGraph, aps: ApartmentFamily, omega: Cochain) -> dict[int, Fraction]:
@@ -386,51 +382,8 @@ def fundamental_loops(pg: PathGraph, edge_ids: list[int]) -> list[WalkWithSigns]
     One loop per non-forest edge: the edge followed by the forest path
     back from its head to its tail.
     """
-    verts = sorted({pg.head[a] for a in edge_ids} | {pg.tail[a] for a in edge_ids})
-    up: dict[int, tuple[int, int]] = {}
-    seen = set()
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in verts}
-    for a in sorted(edge_ids):
-        adj[pg.tail[a]].append((a, pg.head[a]))
-        adj[pg.head[a]].append((a, pg.tail[a]))
-    in_forest = set()
-    for root in verts:
-        if root in seen:
-            continue
-        seen.add(root)
-        queue = [root]
-        qi = 0
-        while qi < len(queue):
-            s = queue[qi]
-            qi += 1
-            for a, t in adj[s]:
-                if t not in seen:
-                    seen.add(t)
-                    in_forest.add(a)
-                    up[t] = (s, a)
-                    queue.append(t)
-
-    def climb(s: int) -> list[tuple[int, int, int]]:
-        steps = []
-        while s in up:
-            parent, a = up[s]
-            steps.append((a, s, parent))
-            s = parent
-        return steps
-
-    loops = []
-    for a in sorted(edge_ids):
-        if a in in_forest:
-            continue
-        t, h = pg.tail[a], pg.head[a]
-        up_h, up_t = climb(h), climb(t)
-        while up_h and up_t and up_h[-1][0] == up_t[-1][0]:
-            up_h.pop()
-            up_t.pop()
-        edges = [a] + [e for e, _, _ in up_h] + [e for e, _, _ in reversed(up_t)]
-        vertices = [t, h] + [to for _, _, to in up_h] + [frm for _, frm, _ in reversed(up_t)]
-        loops.append(WalkWithSigns.from_itinerary(pg, edges, vertices))
-    return loops
+    forest = SpanningForest(pg, edge_ids)
+    return [WalkWithSigns.from_itinerary(pg, *forest.loop(a)) for a in forest.non_tree_edges]
 
 
 def random_loops(pg: PathGraph, edge_ids: list[int], count: int, seed: int,
@@ -522,43 +475,24 @@ def primitive(pg: PathGraph, aps: ApartmentFamily, omega: Cochain, base: int) ->
                 "a component of the support has no vertex outside the enlarged region")
         roots[comp] = min(candidates)
 
+    forest = SpanningForest(pg, roots=[roots[comp] for comp in sorted(roots)])
     values: dict[int, Fraction] = {}
-    up: dict[int, tuple[int, int]] = {}  # integration forest: vertex -> (parent, edge)
-    visited_comps = set()
-    for comp, root in sorted(roots.items()):
-        visited_comps.add(comp)
-        values[root] = ZERO
-        queue = [root]
-        qi = 0
-        while qi < len(queue):
-            s = queue[qi]
-            qi += 1
-            for a in pg.edges_out_of[s]:
-                t = pg.head[a]
-                if t not in values:
-                    values[t] = values[s] + omega.data.get(a, ZERO)
-                    up[t] = (s, a)
-                    queue.append(t)
-            for a in pg.edges_into[s]:
-                t = pg.tail[a]
-                if t not in values:
-                    values[t] = values[s] - omega.data.get(a, ZERO)
-                    up[t] = (s, a)
-                    queue.append(t)
+    for s in forest.order:
+        a = forest.parent_edge[s]
+        if a is None:
+            values[s] = ZERO
+        elif pg.head[a] == s:
+            values[s] = values[pg.tail[a]] + omega.data.get(a, ZERO)
+        else:
+            values[s] = values[pg.head[a]] - omega.data.get(a, ZERO)
 
-    # Verify df = omega on every edge of the integrated components; a
-    # mismatch exhibits a loop with nonzero integral (the edge plus the
-    # integration-forest path back, along which df = omega by construction).
-    for a in range(pg.num_edges):
-        h, t = pg.head[a], pg.tail[a]
-        if comp_of[t] not in visited_comps:
-            if omega.data.get(a):
-                raise MarginError("support meets a component with no base vertex")
-            continue
-        got = values[h] - values[t]
+    # df = omega holds on forest edges by construction; a non-forest edge
+    # where it fails closes a loop with nonzero integral.
+    for a in forest.non_tree_edges:
+        got = values[pg.head[a]] - values[pg.tail[a]]
         want = omega.data.get(a, ZERO)
         if got != want:
-            loop = _forest_loop(pg, up, a)
+            loop = WalkWithSigns.from_itinerary(pg, *forest.loop(a))
             raise PathDependenceError(
                 f"edge {a}: df = {got} but cochain value is {want}; "
                 "the cochain is not in the transform kernel", loop)
@@ -570,27 +504,6 @@ def primitive(pg: PathGraph, aps: ApartmentFamily, omega: Cochain, base: int) ->
                 f"primitive does not vanish at vertex {s} outside the enlarged region; "
                 "margin too small for this support")
     return f
-
-
-def _forest_loop(pg: PathGraph, up: dict[int, tuple[int, int]], a: int) -> WalkWithSigns:
-    """Edge a plus the integration-forest path from its head back to its tail."""
-    t, h = pg.tail[a], pg.head[a]
-
-    def climb(s: int) -> list[tuple[int, int, int]]:
-        steps = []
-        while s in up:
-            parent, e = up[s]
-            steps.append((e, s, parent))
-            s = parent
-        return steps
-
-    up_h, up_t = climb(h), climb(t)
-    while up_h and up_t and up_h[-1][0] == up_t[-1][0]:
-        up_h.pop()
-        up_t.pop()
-    edges = [a] + [e for e, _, _ in up_h] + [e for e, _, _ in reversed(up_t)]
-    vertices = [t, h] + [to for _, _, to in up_h] + [frm for _, frm, _ in reversed(up_t)]
-    return WalkWithSigns.from_itinerary(pg, edges, vertices)
 
 
 # -- span of characteristic functions -----------------------------------

@@ -121,18 +121,6 @@ def incidence(pg: PathGraph, a: int, s: int) -> int:
     return 0
 
 
-def edges_with_head(pg: PathGraph, s: int) -> list[int]:
-    """A_s^+: edges a with a's head equal to s."""
-    pg.check_vertex(s)
-    return list(pg.edges_into[s])
-
-
-def edges_with_tail(pg: PathGraph, s: int) -> list[int]:
-    """A_s^-: edges a with a's tail equal to s."""
-    pg.check_vertex(s)
-    return list(pg.edges_out_of[s])
-
-
 def apply_automorphism(pg: PathGraph, g: BallAutomorphism) -> tuple[list[int], list[int]]:
     """Entrywise action on paths: returns (vertex map, edge map).
 
@@ -148,31 +136,79 @@ def apply_automorphism(pg: PathGraph, g: BallAutomorphism) -> tuple[list[int], l
     return vmap, emap
 
 
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+class SpanningForest:
+    """Breadth-first spanning forest of a path graph, or of the subgraph
+    spanned by some of its edges (``edge_ids``; default all).
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+    Trees grow from ``roots`` in the given order; with no roots every
+    vertex not yet reached opens a tree, in increasing order, so each
+    tree's root is the smallest vertex of its component.  A vertex meets
+    its neighbours through its outgoing edges, then its incoming ones.
+    Per vertex it keeps ``parent_edge`` (None at roots and unreached
+    vertices), ``depth`` and ``root`` (None when unreached); ``order``
+    lists the reached vertices in discovery order, and
+    ``non_tree_edges`` the sorted used edges of the reached trees that
+    are not forest edges.
+    """
 
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
+    def __init__(self, pg: PathGraph, edge_ids=None, roots=None):
+        self.pg = pg
+        used = None if edge_ids is None else set(edge_ids)
+        nv = pg.num_vertices
+        self.parent_edge: list[int | None] = [None] * nv
+        self.depth = [0] * nv
+        self.root: list[int | None] = [None] * nv
+        self.order: list[int] = []
+        steps = ((pg.edges_out_of, pg.head), (pg.edges_into, pg.tail))
+        for r in range(nv) if roots is None else roots:
+            if self.root[r] is not None:
+                continue
+            self.root[r] = r
+            qi = len(self.order)
+            self.order.append(r)
+            while qi < len(self.order):
+                s = self.order[qi]
+                qi += 1
+                for incident, other in steps:
+                    for a in incident[s]:
+                        t = other[a]
+                        if self.root[t] is None and (used is None or a in used):
+                            self.root[t] = r
+                            self.parent_edge[t] = a
+                            self.depth[t] = self.depth[s] + 1
+                            self.order.append(t)
+        tree = set(self.parent_edge)
+        self.non_tree_edges = [a for a in (range(pg.num_edges) if used is None else sorted(used))
+                               if a not in tree and self.root[pg.tail[a]] is not None]
+
+    def loop(self, a: int) -> tuple[list[int], list[int]]:
+        """(edges, vertices) itinerary of edge a, tail to head, followed by
+        the forest path from its head back to its tail.  The two ends meet
+        by climbing from the deeper one, so the cost is the loop's length."""
+        pg, parent_edge, depth = self.pg, self.parent_edge, self.depth
+        t, h = pg.tail[a], pg.head[a]
+        up_edges, up_verts = [], []  # from h toward the meeting vertex
+        down_edges, down_verts = [], []  # from t toward it, reversed below
+        x, y = h, t
+        while x != y:
+            if depth[x] >= depth[y]:
+                e = parent_edge[x]
+                x = pg.tail[e] if pg.head[e] == x else pg.head[e]
+                up_edges.append(e)
+                up_verts.append(x)
+            else:
+                e = parent_edge[y]
+                down_edges.append(e)
+                down_verts.append(y)
+                y = pg.tail[e] if pg.head[e] == y else pg.head[e]
+        return ([a] + up_edges + down_edges[::-1],
+                [t, h] + up_verts + down_verts[::-1])
 
 
 def component_roots(pg: PathGraph) -> list[int]:
     """For each vertex, the root of its connected component (of the
     underlying undirected graph): the component's smallest vertex."""
-    uf = UnionFind(pg.num_vertices)
-    for h, t in zip(pg.head, pg.tail):
-        uf.union(h, t)
-    return [uf.find(s) for s in range(pg.num_vertices)]
+    return SpanningForest(pg).root
 
 
 def components(pg: PathGraph) -> list[list[int]]:

@@ -56,9 +56,6 @@ class GeodesicSegment:
         """Number of edges."""
         return len(self.vertices) - 1
 
-    def reversed(self) -> "GeodesicSegment":
-        return GeodesicSegment(tuple(reversed(self.vertices)))
-
 
 class TreeBall:
     """Radius-R truncation of the (q+1)-homogeneous tree.

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from treeforms import _linalg
 from treeforms.cochains import Cochain, coboundary
 from treeforms.radon import (ApartmentFamily, MarginError, PathDependenceError,
-                             WalkWithSigns, apartments_through, enlarged_support,
+                             WalkWithSigns, enlarged_support,
                              exactness_check, fundamental_loops,
                              induced_apartments, interior_edges,
                              interior_vertices, minimal_exact_margin,
@@ -78,7 +78,7 @@ class TestApartmentsThrough:
         pg = tower(2, 1, 0)
         aps = apartments(2, 1, 0)
         a = pg.edges.index((0, 1))
-        through = apartments_through(aps, a)
+        through = [aps.apartments[i] for i in aps.through(a)]
         assert len(through) == 2
         # the two apartments end at leaf 1 coming from the other two leaves
         assert {ap.base for ap in through} == {(2, 0, 1), (3, 0, 1)}

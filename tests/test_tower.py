@@ -2,15 +2,19 @@
 
 import itertools
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from treeforms.tower import (apply_automorphism, build_path_graph, component_roots,
-                             components, edges_with_head, edges_with_tail, incidence,
+from treeforms.cochains import Cochain
+from treeforms.radon import PathDependenceError, fundamental_loops, path_integral, primitive
+from treeforms.tower import (SpanningForest, apply_automorphism, build_path_graph,
+                             component_roots, components, incidence,
                              monotone_path_check, num_components)
 from treeforms.tree import random_automorphism
 
-from conftest import ball, tower
+from conftest import apartments, ball, tower
 
 
 def enumerate_paths_oracle(b, nverts):
@@ -105,19 +109,19 @@ class TestNeighborSets:
     def test_root_of_ball21(self):
         pg = tower(2, 1, 0)
         root = pg.vert_index[(0,)]
-        assert len(edges_with_head(pg, root)) == 3
-        assert len(edges_with_tail(pg, root)) == 3
+        assert len(pg.edges_into[root]) == 3
+        assert len(pg.edges_out_of[root]) == 3
 
     def test_leaf_of_ball21(self):
         pg = tower(2, 1, 0)
         leaf = pg.vert_index[(1,)]
-        assert len(edges_with_head(pg, leaf)) == 1
-        assert len(edges_with_tail(pg, leaf)) == 1
+        assert len(pg.edges_into[leaf]) == 1
+        assert len(pg.edges_out_of[leaf]) == 1
 
     def test_disjoint(self):
         pg = tower(2, 2, 1)
         for s in range(pg.num_vertices):
-            assert not set(edges_with_head(pg, s)) & set(edges_with_tail(pg, s))
+            assert not set(pg.edges_into[s]) & set(pg.edges_out_of[s])
 
 
 class TestAutomorphismAction:
@@ -166,7 +170,7 @@ class TestComponents:
     @pytest.mark.parametrize("q,radius,k", [(2, 3, 2), (2, 2, 2), (3, 2, 2)])
     def test_against_bfs_oracle(self, q, radius, k):
         pg = tower(q, radius, k)
-        # BFS oracle independent of the union-find implementation
+        # Depth-first oracle, independent of SpanningForest
         adj = {s: set() for s in range(pg.num_vertices)}
         for a in range(pg.num_edges):
             adj[pg.head[a]].add(pg.tail[a])
@@ -194,6 +198,109 @@ class TestComponents:
         comps = components(pg)
         flat = sorted(s for comp in comps for s in comp)
         assert flat == list(range(pg.num_vertices))
+
+
+FOREST_TOWERS = [(q, radius, k) for q in (2, 3) for radius in (2, 3) for k in range(4)]
+
+
+def random_edge_subset(pg, seed, percent):
+    rng = random.Random(seed)
+    return [a for a in range(pg.num_edges) if rng.randrange(100) < percent]
+
+
+def union_find_components(pg, edge_ids):
+    """(vertices touched by edge_ids, their component count), by union-find."""
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a in edge_ids:
+        parent[find(pg.head[a])] = find(pg.tail[a])
+    return len(parent), len({find(x) for x in list(parent)})
+
+
+class TestSpanningForest:
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from(FOREST_TOWERS), seed=st.integers(0, 10 ** 6),
+           percent=st.integers(0, 100))
+    def test_parent_edges_form_a_forest(self, case, seed, percent):
+        pg = tower(*case)
+        edge_ids = random_edge_subset(pg, seed, percent)
+        forest = SpanningForest(pg, edge_ids)
+        tree_edges = 0
+        for s in range(pg.num_vertices):
+            a = forest.parent_edge[s]
+            assert forest.root[s] is not None
+            if a is None:
+                assert forest.root[s] == s and forest.depth[s] == 0
+                continue
+            tree_edges += 1
+            assert a in edge_ids and s in (pg.head[a], pg.tail[a])
+            parent = pg.tail[a] if pg.head[a] == s else pg.head[a]
+            assert forest.depth[s] == forest.depth[parent] + 1
+            assert forest.root[s] == forest.root[parent]
+        touched, ncomp = union_find_components(pg, edge_ids)
+        assert tree_edges == touched - ncomp
+        assert sorted(forest.order) == list(range(pg.num_vertices))
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from(FOREST_TOWERS), seed=st.integers(0, 10 ** 6),
+           percent=st.integers(0, 100))
+    def test_loops_close_through_one_non_tree_edge(self, case, seed, percent):
+        pg = tower(*case)
+        edge_ids = random_edge_subset(pg, seed, percent)
+        forest = SpanningForest(pg, edge_ids)
+        non_tree = set(forest.non_tree_edges)
+        assert forest.non_tree_edges == sorted(non_tree)
+        for a in forest.non_tree_edges:
+            edges, verts = forest.loop(a)
+            assert edges[0] == a and len(verts) == len(edges) + 1
+            assert verts[0] == verts[-1] == pg.tail[a]
+            for e, x, y in zip(edges, verts, verts[1:]):
+                assert {x, y} == {pg.head[e], pg.tail[e]}
+            assert [e for e in edges if e in non_tree] == [a]
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from(FOREST_TOWERS), seed=st.integers(0, 10 ** 6),
+           percent=st.integers(0, 100))
+    def test_fundamental_loop_count_is_cycle_rank(self, case, seed, percent):
+        pg = tower(*case)
+        edge_ids = random_edge_subset(pg, seed, percent)
+        touched, ncomp = union_find_components(pg, edge_ids)
+        assert len(fundamental_loops(pg, edge_ids)) == len(edge_ids) - touched + ncomp
+
+    def test_roots_grow_only_their_components(self):
+        pg = tower(2, 3, 3)
+        roots = component_roots(pg)
+        chosen = [pg.num_vertices - 1, 5]
+        forest = SpanningForest(pg, roots=chosen)
+        assert forest.order[0] == chosen[0]
+        for s in range(pg.num_vertices):
+            reached = roots[s] in {roots[r] for r in chosen}
+            assert (forest.root[s] is not None) == reached
+            if reached:
+                assert forest.root[s] in chosen and roots[forest.root[s]] == roots[s]
+        unreached = [a for a in range(pg.num_edges) if forest.root[pg.tail[a]] is None]
+        assert unreached and not set(unreached) & set(forest.non_tree_edges)
+
+    def test_path_dependence_on_disconnected_tower(self):
+        """Base on an isolated k=2 path, support in the large component: the
+        support's component gets its own root and the failing loop lies in it."""
+        pg, aps = tower(2, 4, 2), apartments(2, 4, 2)
+        comps = components(pg)
+        assert len(comps) > 1
+        base = next(comp[0] for comp in comps if len(comp) == 1)
+        bad = Cochain.indicator(1, 4)
+        with pytest.raises(PathDependenceError, match="^edge 4: df = 0 but cochain value is 1") as err:
+            primitive(pg, aps, bad, base)
+        loop = err.value.loop
+        assert loop.is_loop() and path_integral(bad, loop) != 0
+        roots = component_roots(pg)
+        assert {roots[s] for s in loop.vertices} == {roots[pg.tail[4]]} != {roots[base]}
 
 
 class TestMonotoneWalks:
