@@ -6,8 +6,9 @@ pinned hashes live in ``golden_cli.json`` next to this file; a change to
 any export or JSON report shows up here as a hash mismatch.
 
 To re-record after a deliberate output change, run
-``PYTHONPATH=src python tests/test_golden_cli.py --record`` and state
-the change where it is reviewed.
+``PYTHONPATH=src python tests/test_golden_cli.py --record``; it prints
+one line per key whose hashes changed, or that was added or removed,
+so the change can be stated where it is reviewed.
 """
 
 import contextlib
@@ -40,6 +41,14 @@ def _cases() -> list[list[str]]:
             for suite in ("loops", "primitive"):
                 cases.append(["check", suite, "--q", "2", "--radius", "3", "--k", str(k),
                               "--margin", str(margin)])
+    for q in (2, 3):
+        for k in range(3):
+            for margin in range(4):
+                cases.append(["check", "exactness", "--q", str(q), "--radius", "3",
+                              "--k", str(k), "--margin", str(margin)])
+    for k in range(2):
+        cases.append(["check", "exactness", "--q", "2", "--radius", "4", "--k", str(k),
+                      "--scan"])
     return cases
 
 
@@ -89,5 +98,13 @@ def test_cli_output_is_byte_identical(golden, argv):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden_cli.py --record")
-    GOLDEN.write_text(json.dumps({_key(argv): run_case(argv) for argv in CASES},
-                                 indent=1, sort_keys=True) + "\n")
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    new = {_key(argv): run_case(argv) for argv in CASES}
+    for key in sorted(old.keys() | new.keys()):
+        if key not in new:
+            print(f"removed: {key}")
+        elif key not in old:
+            print(f"added: {key}")
+        elif old[key] != new[key]:
+            print(f"changed: {key}")
+    GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
