@@ -25,11 +25,11 @@ from .padic import (_extension_orbit, _path_stabilizer, embed_ball,
                     fixes_path_pointwise, sample_gamma0,
                     sample_with_exact_lower_valuation, standard_path,
                     tree_distance)
-from .radon import (enlarged_support, exactness_check, fundamental_loops,
-                    induced_apartments, interior_edges, interior_vertices,
-                    minimal_exact_margin, path_integral, primitive,
-                    radon_kernel_interior, radon_transform, random_loops,
-                    span_check)
+from .radon import (MarginError, PathDependenceError, enlarged_support,
+                    exactness_check, fundamental_loops, induced_apartments,
+                    interior_edges, interior_vertices, minimal_exact_margin,
+                    path_integral, primitive, radon_kernel_interior,
+                    radon_transform, random_loops, span_check)
 from .tower import (apply_automorphism, build_path_graph, component_roots,
                     num_components)
 from .tree import (TreeParams, build_ball, enumerate_oriented_diameters,
@@ -94,8 +94,8 @@ def check_radon_d(q: int, radius: int, k: int, seed: int, samples: int = 100) ->
     ends_at: dict[int, list[int]] = {}
     starts_at: dict[int, list[int]] = {}
     for ap in aps:
-        ends_at.setdefault(pg.vert_index[pg.edges[ap.edges[-1]][1:]], []).append(ap.id)
-        starts_at.setdefault(pg.vert_index[pg.edges[ap.edges[0]][:-1]], []).append(ap.id)
+        ends_at.setdefault(pg.head[ap.edges[-1]], []).append(ap.id)
+        starts_at.setdefault(pg.tail[ap.edges[0]], []).append(ap.id)
     one = Fraction(1)
     for s in range(pg.num_vertices):
         image = radon_transform(pg, aps, coboundary(pg, Cochain.indicator(0, s)))
@@ -192,7 +192,11 @@ def check_primitive(q: int, radius: int, k: int, margin: int) -> tuple[bool, dic
         if not outside:
             failures.append({"basis": idx, "reason": "no base vertex available"})
             continue
-        f = primitive(pg, aps, w, min(outside))
+        try:
+            f = primitive(pg, aps, w, min(outside))
+        except (MarginError, PathDependenceError) as exc:
+            failures.append({"basis": idx, "reason": str(exc)})
+            continue
         for a in range(pg.num_edges):
             if f(pg.head[a]) - f(pg.tail[a]) != w(a):
                 failures.append({"basis": idx, "reason": f"df mismatch at edge {a}"})

@@ -173,54 +173,35 @@ def h1c_dimension(pg: PathGraph) -> int:
     return pg.num_edges - coboundary_rank(pg)
 
 
-def _adjoint_rows(pg: PathGraph) -> list[dict[int, Fraction]]:
-    """Rows of d*: one sparse row per vertex, spanning im d."""
-    rows = []
-    for s in range(pg.num_vertices):
-        row: dict[int, Fraction] = {}
-        for a in pg.edges_into[s]:
-            row[a] = row.get(a, ZERO) + ONE
-        for a in pg.edges_out_of[s]:
-            row[a] = row.get(a, ZERO) - ONE
-        rows.append({k: v for k, v in row.items() if v})
-    return rows
-
-
 def intersect_harmonic_exact(pg: PathGraph) -> int:
-    """dim(ker d* intersect im d), certified over GF(p) or by exact rank.
+    """dim(ker d* intersect im d), from a certified rank of A + B.
 
-    A is spanned by the fundamental cycles, B = im d by the V rows of d*.
-    dim A <= #cycles, and dim B <= V - #components because the rows of
-    one component sum to zero.  When the rank mod 2^31 - 1 of the stacked
-    rows, a lower bound on dim(A + B), reaches #cycles + V - #components,
-    both bounds are tight and dim(A cap B) = dim A + dim B - dim(A + B)
-    is 0.  Otherwise exact Fraction elimination computes the three
-    dimensions.  Positivity of the rational pairing forces 0; the
-    computation verifies it rather than assuming it.
+    A is spanned by the fundamental cycles, independent since each is
+    the only one nonzero at its own non-forest edge, and B = im d by the
+    V rows of d*, whose rows over one component sum to zero.  So
+    #cycles + V - #components bounds dim(A + B), and ``certified_rank``
+    meets it exactly when the intersection is 0; otherwise the
+    intersection is #cycles + rank(d) - dim(A + B).  Positivity of the
+    rational pairing forces 0; the computation verifies it rather than
+    assuming it.
     """
     cycles = _fundamental_cycles(pg)
-    vertex_rows = _adjoint_rows(pg)
     upper = len(cycles) + pg.num_vertices - num_components(pg)
     # Cycle rows first, each led by its own non-forest edge: they form an
     # identity block and the vertex rows reduce against it with little fill.
     col = {a: i for i, (a, _) in enumerate(cycles)}
     for a in range(pg.num_edges):
         col.setdefault(a, len(col))
-    stacked = [{col[a]: x for a, x in row.items()}
-               for row in [vec for _, vec in cycles] + vertex_rows]
-    if _linalg.rank_mod_p(stacked) == upper:
+    stacked = [{col[a]: x for a, x in vec.items()} for _, vec in cycles]
+    for s in range(pg.num_vertices):
+        # Row s of d* is [a:s] on the edges at s; no edge has head = tail.
+        row = {col[a]: 1 for a in pg.edges_into[s]}
+        row.update((col[a], -1) for a in pg.edges_out_of[s])
+        stacked.append(row)
+    dim_sum = _linalg.certified_rank(stacked, upper)
+    if dim_sum == upper:
         return 0
-
-    dim_a = len(cycles)
-    elim = _linalg.Eliminator()
-    dim_b = 0
-    for row in vertex_rows:
-        if elim.insert(row):
-            dim_b += 1
-    for _, c in cycles:
-        elim.insert(c)
-    dim_sum = elim.rank
-    return dim_a + dim_b - dim_sum
+    return len(cycles) + coboundary_rank(pg) - dim_sum
 
 
 # -- export formats ---------------------------------------------------

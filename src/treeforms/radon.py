@@ -180,11 +180,11 @@ def interior_vertices(pg: PathGraph, margin: int) -> list[int]:
     return [s for s, p in enumerate(pg.verts) if _hull_margin(pg, p) >= margin + 1]
 
 
-def _kernel_rows(pg: PathGraph, aps: ApartmentFamily, interior: list[int]):
+def _kernel_rows(aps: ApartmentFamily, interior: list[int]):
     """Deduplicated constraint rows of the transform on interior columns.
 
     Apartments are deduplicated on the sorted tuple of their interior
-    column ids, and a {column: Fraction} row is built only for the first
+    column ids, and a {column: int count} row is built only for the first
     apartment of each distinct tuple, so rows keep first-occurrence order.
     """
     col = {a: j for j, a in enumerate(interior)}.get
@@ -198,9 +198,9 @@ def _kernel_rows(pg: PathGraph, aps: ApartmentFamily, interior: list[int]):
         if key in seen:
             continue
         seen.add(key)
-        row: dict[int, Fraction] = {}
+        row: dict[int, int] = {}
         for j in js:
-            row[j] = row.get(j, ZERO) + ONE
+            row[j] = row.get(j, 0) + 1
         rows.append(row)
     return rows
 
@@ -210,7 +210,7 @@ def radon_kernel_interior(pg: PathGraph, aps: ApartmentFamily, margin: int) -> l
     interior = interior_edges(pg, margin)
     if not interior:
         raise MarginError(f"no interior edges at margin {margin}")
-    rows = _kernel_rows(pg, aps, interior)
+    rows = _kernel_rows(aps, interior)
     basis = _linalg.nullspace(rows, len(interior))
     return [Cochain(1, {interior[j]: v for j, v in vec.items()}) for vec in basis]
 
@@ -240,45 +240,43 @@ class ExactnessReport:
         return json.dumps(payload, sort_keys=True) + "\n"
 
 
-def _certified_exact(rows, image: list[dict[int, Fraction]], ncols: int) -> int | None:
-    """dim K when a certificate proves im d = K, else None.
+def _subspace_dims(rows, image, ncols: int) -> tuple[int, int, bool]:
+    """(dim K, dim im d, im d = K) for K the kernel of the integer rows on
+    ncols columns and image the integer coboundaries d1_s in those columns.
 
-    K is the kernel of the integer rows on ncols columns and image holds
-    the coboundaries d1_s in the same columns.  With r_img and r_rows the
-    GF(p) ranks of the image and of the rows: if r_rows = ncols - r_img
-    and every row annihilates every d1_s (checked exactly, through a
-    column -> rows index), then im d is inside K, so
-    dim K >= dim im d >= r_img forces rank_Q(rows) <= ncols - r_img =
-    r_rows <= rank_Q(rows).  All four numbers then agree and im d = K.
+    Containment is checked first, exactly: every row must annihilate every
+    d1_s.  Then im d lies in K, so rank(rows) + rank(image) <= ncols, with
+    equality exactly when im d = K; GF(p) ranks, lower bounds, that reach
+    ncols settle it, and otherwise the exact ranks of the same rows decide.
+    Without containment the spaces differ and the exact ranks give both
+    dimensions.
     """
-    r_img = _linalg.rank_mod_p(image)
-    if _linalg.rank_mod_p(rows) != ncols - r_img:
-        return None
-    # rank_mod_p accepted both sides, so every entry is an integer.
     by_col: dict[int, list[tuple[int, int]]] = {}
     for r, row in enumerate(rows):
         for j, c in row.items():
-            by_col.setdefault(j, []).append((r, c.numerator))
-    for vec in image:
+            by_col.setdefault(j, []).append((r, c))
+
+    def annihilated(vec) -> bool:
         dots: dict[int, int] = {}
         for j, v in vec.items():
-            v = v.numerator
             for r, c in by_col.get(j, ()):
                 dots[r] = dots.get(r, 0) + c * v
-        if any(dots.values()):
-            return None
-    return r_img
+        return not any(dots.values())
+
+    contained = all(map(annihilated, image))
+    if contained:
+        r_img = _linalg.rank_mod_p(image)
+        if _linalg.rank_mod_p(rows) + r_img == ncols:
+            return r_img, r_img, True
+    kernel_dim = ncols - _linalg.rank_of_rows(rows)
+    image_dim = _linalg.rank_of_rows(image)
+    return kernel_dim, image_dim, contained and kernel_dim == image_dim
 
 
 def exactness_check(pg: PathGraph, aps: ApartmentFamily, margin: int) -> ExactnessReport:
     """Compare ker(transform) on interior cochains with d of interior
-    0-cochains, as subspaces.
-
-    After the containment of each d1_s in the interior, a GF(p) rank
-    certificate (``_certified_exact``) settles the common case: it proves
-    im d = ker and gives both dimensions.  When it does not hold, exact
-    Fraction ranks of the rows, of the image and of the stacked kernel
-    basis and image decide.
+    0-cochains, as subspaces, through ``_subspace_dims``.  Each d1_s of an
+    interior vertex s lies on interior edges (``interior_vertices``).
 
     An empty interior makes both spaces trivial and the report says so
     (kernel_dim = image_dim = 0, equal); it is not an error, since the
@@ -295,28 +293,14 @@ def exactness_check(pg: PathGraph, aps: ApartmentFamily, margin: int) -> Exactne
     if not interior:
         return report(0, 0, True)
 
-    rows = _kernel_rows(pg, aps, interior)
+    rows = _kernel_rows(aps, interior)
     col = {a: j for j, a in enumerate(interior)}
     image = []
     for s in int_verts:
+        # d1_s is integral and supported on interior edges.
         df = coboundary(pg, Cochain.indicator(0, s))
-        if any(a not in col for a in df.support):
-            return report(len(interior) - _linalg.rank_of_rows(rows), -1, False)
-        image.append({col[a]: v for a, v in df.data.items()})
-
-    dim = _certified_exact(rows, image, len(interior))
-    if dim is not None:
-        return report(dim, dim, True)
-
-    kernel_dim = len(interior) - _linalg.rank_of_rows(rows)
-    image_dim = _linalg.rank_of_rows(image)
-    equal = kernel_dim == image_dim
-    if equal and kernel_dim:
-        # Containment of the image in the kernel, verified by stacking.
-        kernel_basis = _linalg.nullspace(rows, len(interior))
-        stacked = _linalg.rank_of_rows(kernel_basis + image)
-        equal = stacked == kernel_dim
-    return report(kernel_dim, image_dim, equal)
+        image.append({col[a]: v.numerator for a, v in df.data.items()})
+    return report(*_subspace_dims(rows, image, len(interior)))
 
 
 def minimal_exact_margin(pg: PathGraph, aps: ApartmentFamily, upto: int) -> int | None:

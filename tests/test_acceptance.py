@@ -17,6 +17,7 @@ import time
 from fractions import Fraction
 
 from treeforms import _linalg
+from treeforms.checks import check_equivariance, check_radon_d
 from treeforms.cochains import (Cochain, adjoint, coboundary, h1c_dimension,
                                 harmonic_space, incidence_rows,
                                 intersect_harmonic_exact, pairing)
@@ -25,12 +26,10 @@ from treeforms.padic import (embed_ball, fixes_path_pointwise, sample_gamma0,
                              stabilizer_transitivity_check, standard_path,
                              tree_distance)
 from treeforms.radon import (enlarged_support, exactness_check,
-                             fundamental_loops, interior_edges,
-                             interior_vertices, path_integral, primitive,
-                             radon_kernel_interior, radon_transform,
-                             random_loops, span_check)
-from treeforms.tower import (apply_automorphism, components, num_components)
-from treeforms.tree import random_automorphism
+                             fundamental_loops, interior_edges, path_integral,
+                             primitive, radon_kernel_interior, random_loops,
+                             span_check)
+from treeforms.tower import components, num_components
 
 from conftest import apartments, ball, tower
 
@@ -98,34 +97,9 @@ def test_criterion_02_adjointness():
 def test_criterion_03_radon_kills_coboundaries():
     failures = []
     for (q, radius, k) in GRID:
-        pg = tower(q, radius, k)
-        aps = apartments(q, radius, k)
-        inner = set(interior_vertices(pg, 0))
-        ends_at, starts_at = {}, {}
-        for ap in aps:
-            ends_at.setdefault(pg.vert_index[pg.edges[ap.edges[-1]][1:]], []).append(ap.id)
-            starts_at.setdefault(pg.vert_index[pg.edges[ap.edges[0]][:-1]], []).append(ap.id)
-        for s in range(pg.num_vertices):
-            image = radon_transform(pg, aps, coboundary(pg, Cochain.indicator(0, s)))
-            predicted = {}
-            for i in ends_at.get(s, ()):
-                predicted[i] = predicted.get(i, ZERO) + 1
-            for i in starts_at.get(s, ()):
-                predicted[i] = predicted.get(i, ZERO) - 1
-            predicted = {i: Fraction(v) for i, v in predicted.items() if v}
-            if s in inner and predicted:
-                failures.append((q, radius, k, s, "interior vertex at apartment end"))
-                break
-            if image != predicted:
-                failures.append((q, radius, k, s, "telescoping mismatch"))
-                break
-        rng = random.Random(17 + q + radius + k)
-        inner_ids = sorted(inner)
-        for _ in range(100 if inner_ids else 0):
-            f = rand_sparse(rng, 0, inner_ids, 5)
-            if radon_transform(pg, aps, coboundary(pg, f)):
-                failures.append((q, radius, k, "random interior cochain"))
-                break
+        passed, report = check_radon_d(q, radius, k, seed=17 + q + radius + k, samples=100)
+        if not passed:
+            failures.append(report)
     ok = not failures
     announce(3, "R(df) = 0", ok,
              "exhaustive leaf-avoiding indicators + boundary telescoping + 100 random")
@@ -232,33 +206,10 @@ def test_criterion_07_harmonic_meets_coboundaries_trivially():
 def test_criterion_08_equivariance():
     failures = []
     for (q, radius, k) in GRID:
-        b = ball(q, radius)
-        pg = tower(q, radius, k)
-        aps = apartments(q, radius, k)
-        base_of = {ap.base: ap.id for ap in aps}
-        rng = random.Random(q * 31 + radius * 7 + k)
-        for i in range(20):
-            g = random_automorphism(b, seed=5000 + 97 * i + q * 13 + radius * 5 + k)
-            vmap, emap = apply_automorphism(pg, g)
-            if any(pg.head[emap[a]] != vmap[pg.head[a]]
-                   or pg.tail[emap[a]] != vmap[pg.tail[a]]
-                   for a in range(pg.num_edges)):
-                failures.append((q, radius, k, i, "incidence"))
-                break
-            ap_perm = {ap.id: base_of[tuple(g.perm[v] for v in ap.base)] for ap in aps}
-            f = rand_sparse(rng, 0, range(pg.num_vertices))
-            w = rand_sparse(rng, 1, range(pg.num_edges))
-            if coboundary(pg, f.permuted(vmap)) != coboundary(pg, f).permuted(emap):
-                failures.append((q, radius, k, i, "d"))
-                break
-            if adjoint(pg, w.permuted(emap)) != adjoint(pg, w).permuted(vmap):
-                failures.append((q, radius, k, i, "d*"))
-                break
-            before = radon_transform(pg, aps, w)
-            if {ap_perm[j]: v for j, v in before.items()} != \
-                    radon_transform(pg, aps, w.permuted(emap)):
-                failures.append((q, radius, k, i, "R"))
-                break
+        passed, report = check_equivariance(q, radius, k, seed=q * 31 + radius * 7 + k,
+                                            automorphisms=20)
+        if not passed:
+            failures.append(report)
     ok = not failures
     announce(8, "equivariance of d, d*, R and incidence", ok,
              f"{len(GRID)} instances x 20 automorphisms")

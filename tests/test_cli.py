@@ -191,6 +191,23 @@ class TestBadInput:
         assert "need 0 <= k <= 4" in check_err
 
 
+class TestValidArguments:
+    """Valid sizes and margins report a verdict (exit 0 or 1), never exit 2."""
+
+    def test_margin_sweep_exits_0_or_1(self, capsys):
+        bad = []
+        for q, radius in ((2, 2), (2, 3), (3, 2)):
+            for k in range(4):
+                for margin in range(k + 3):
+                    for suite in ("loops", "primitive", "exactness"):
+                        argv = ("check", suite, "--q", str(q), "--radius", str(radius),
+                                "--k", str(k), "--margin", str(margin))
+                        code, _, err = run(capsys, *argv)
+                        if code not in (0, 1):
+                            bad.append((argv, code, err))
+        assert not bad, bad
+
+
 class TestSamplesAndN:
     """--samples and --n: the default only when omitted, bad values refused."""
 

@@ -16,8 +16,8 @@ from treeforms.radon import (ApartmentFamily, MarginError, PathDependenceError,
                              interior_vertices, minimal_exact_margin,
                              path_integral, primitive, radon_image_csv,
                              radon_kernel_interior, radon_transform,
-                             random_loops, span_check, _certified_exact,
-                             _kernel_rows)
+                             random_loops, span_check, _kernel_rows,
+                             _subspace_dims)
 from treeforms.tower import build_path_graph
 from treeforms.tree import enumerate_oriented_diameters
 
@@ -198,12 +198,14 @@ class TestInterior:
         pg = tower(2, 3, 2)
         assert interior_edges(pg, 4) == []
 
-    def test_coboundary_of_interior_vertex_stays_interior(self):
-        pg = tower(2, 4, 1)
-        inner_edges = set(interior_edges(pg, 2))
-        for s in interior_vertices(pg, 2):
-            df = coboundary(pg, Cochain.indicator(0, s))
-            assert set(df.support) <= inner_edges
+    @pytest.mark.parametrize("q,radius,k", [(2, 4, 1), (2, 3, 0), (2, 3, 3), (3, 3, 2)])
+    def test_coboundary_of_interior_vertex_stays_interior(self, q, radius, k):
+        pg = tower(q, radius, k)
+        for margin in range(radius + 2):
+            inner_edges = set(interior_edges(pg, margin))
+            for s in interior_vertices(pg, margin):
+                df = coboundary(pg, Cochain.indicator(0, s))
+                assert set(df.support) <= inner_edges
 
 
 class TestRadonKernel:
@@ -279,7 +281,7 @@ class TestKernelRows:
         aps = apartments(q, radius, k)
         for margin in range(k + 3):
             inner = interior_edges(pg, margin)
-            got = _kernel_rows(pg, aps, inner)
+            got = _kernel_rows(aps, inner)
             want = _fraction_keyed_rows(aps, inner)
             assert [list(r.items()) for r in got] == [list(r.items()) for r in want]
 
@@ -350,9 +352,9 @@ class TestExactnessCertificate:
     def test_ranks_alone_do_not_certify(self):
         # Both ranks fit (1 = 2 - 1), but the row does not annihilate the
         # image, so im d = span(e0) is not inside K = span(e1).
-        assert _certified_exact([{0: ONE}], [{0: ONE}], 2) is None
-        assert _certified_exact([{0: ONE}], [{1: ONE}], 2) == 1
-        assert _certified_exact([{0: ONE, 1: ONE}], [{0: ONE, 1: -ONE}], 2) == 1
+        assert _subspace_dims([{0: ONE}], [{0: ONE}], 2) == (1, 1, False)
+        assert _subspace_dims([{0: ONE}], [{1: ONE}], 2) == (1, 1, True)
+        assert _subspace_dims([{0: ONE, 1: ONE}], [{0: ONE, 1: -ONE}], 2) == (1, 1, True)
 
     def test_certificate_decides_default_margin(self, monkeypatch):
         def refuse(rows):
