@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from treeforms import cli
 from treeforms.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
@@ -49,7 +50,102 @@ def _cases() -> list[list[str]]:
     for k in range(2):
         cases.append(["check", "exactness", "--q", "2", "--radius", "4", "--k", str(k),
                       "--scan"])
+    cases += [line.split() for line in OTHER_COMMANDS + BAD_INPUT + TWO_FAULTS]
     return cases
+
+
+# The remaining suites and commands, one or two sizes each.
+OTHER_COMMANDS = [
+    "check adjoint --q 2 --radius 3 --k 1",
+    "check adjoint --q 3 --radius 2 --k 0 --seed 5 --samples 7",
+    "check radon-d --q 2 --radius 3 --k 1 --seed 7",
+    "check radon-d --q 2 --radius 2 --k 4 --samples 3",
+    "check equivariance --q 2 --radius 2 --k 1",
+    "check equivariance --q 3 --radius 2 --k 0 --seed 3 --samples 4",
+    "check padic --p 2 --radius 3",
+    "check padic --p 3 --radius 2",
+    "check stabilizer --p 2 --n 1",
+    "check stabilizer --p 3 --n 0 --samples 20 --seed 4 --modulus 4",
+    "check transitivity --p 2",
+    "check transitivity --p 2 --seed 5",
+    "check span --q 2 --radius 2",
+    "check span --q 2 --radius 3",
+    "check gamma0 --p 2 --n 1 --matrix 1,0;2,1",
+    "check gamma0 --p 2 --n 2 --matrix 1,0;2,1",
+    "check gamma0 --p 2 --n 0 --matrix 1/3,0;0,1/3",
+    "check gamma0 --matrix 1,2;4,3 --n 1 --p 2",
+    "check euler --q 2 --radius 2 --k 1 --output report.json",
+    "ball --q 2 --radius 2",
+    "ball --q 3 --radius 2 --format dot",
+    "ball --q 2 --radius 1 --output ball.json",
+    "export --what ball --q 2 --radius 2 --outdir .",
+    "export --what ball --q 2 --radius 2 --format dot --outdir .",
+    "export --what ball --q 2 --radius 2 --k 99 --outdir .",
+    "export --what tower --q 2 --radius 2 --k 1 --outdir .",
+    "export --what tower --q 3 --radius 2 --k 2 --format dot --outdir .",
+    "export --what apartments --q 2 --radius 2 --k 1 --outdir .",
+    "export --what apartments --q 3 --radius 2 --k 0 --outdir .",
+]
+
+# Refused input: exit 2 (bad argument) or 3 (I/O), with the message pinned.
+BAD_INPUT = [
+    "check gamma0 --matrix 1,2;4,3 --n 1 --p 1",
+    "check gamma0 --matrix 1,2;4,3 --n 1 --p 0",
+    "check gamma0 --matrix 1,2;4,3 --n 1 --p 4",
+    "check gamma0 --matrix 1/0,0;0,1",
+    "check gamma0 --p 2 --n 0 --matrix 1,2,3",
+    "check gamma0 --p 2 --n 0 --matrix 1;2;3",
+    "check gamma0 --p 2 --n 0 --matrix x,0;0,1",
+    "check gamma0 --p 2 --n 0",
+    "check gamma0 --p 2 --n 0 --matrix 1,2;2,4",
+    "check padic --p 4",
+    "check padic --radius 0",
+    "check stabilizer --p 4 --n 1",
+    "check euler --q 2 --radius 2 --k 9",
+    "check euler --q 1 --radius 2",
+    "check euler --q 2 --radius 0",
+    "check stabilizer --p 2 --n 1 --samples 0",
+    "check adjoint --q 2 --radius 3 --k 1 --samples -3",
+    "check radon-d --q 2 --radius 3 --k 1 --samples 0",
+    "check loops --q 2 --radius 3 --k 0 --samples 0",
+    "check equivariance --q 2 --radius 2 --k 0 --samples 0",
+    "check euler --samples 0",
+    "check stabilizer --p 2 --n -1",
+    "check gamma0 --p 2 --n -1 --matrix 1,0;2,1",
+    "check exactness --margin -1",
+    "check loops --margin -1",
+    "check primitive --margin -1",
+    "check stabilizer --n 5",
+    "check stabilizer --p 3 --n 2 --modulus 3",
+    "check span --q 1",
+    "check span --radius 0",
+    "check nonsense",
+    "ball --q 1 --radius 2",
+    "ball --q 2 --radius 1 --output /nonexistent-dir/x.json",
+    "tower --q 2 --radius 1 --k 5",
+    "tower --q 2 --radius 1 --k -1",
+    "export --what ball --q 2 --radius 1 --outdir /no/such/dir",
+    "export --what tower --q 2 --radius 1 --k 5 --outdir .",
+    "export --what harmonic-basis --q 1 --radius 1 --outdir .",
+]
+
+# Two faults in one call: which error wins is part of the output.
+TWO_FAULTS = [
+    "export --what ball --q 1 --radius 1 --outdir /no/such",
+    "export --what tower --q 2 --radius 1 --k 9 --outdir /no/such",
+    "export --what tower --q 1 --radius 1 --k 9 --outdir .",
+    "check stabilizer --p 4 --n -1",
+    "check stabilizer --p 4 --n 5",
+    "check stabilizer --n -1 --samples 0",
+    "check loops --margin -1 --samples 0",
+    "check exactness --k 9 --margin -1",
+    "check euler --q 1 --radius 0 --k 9",
+    "check gamma0 --p 4",
+    "check gamma0 --n -1",
+    "check padic --p 4 --radius 0",
+    "check span --q 1 --radius 0",
+    "tower --q 1 --radius 1 --k 9",
+]
 
 
 CASES = _cases()
@@ -88,6 +184,11 @@ def golden() -> dict:
 
 def test_golden_grid_is_the_pinned_one(golden):
     assert sorted(golden) == sorted(_key(argv) for argv in CASES)
+
+
+def test_every_suite_is_pinned():
+    pinned = {argv[1] for argv in CASES if argv[0] == "check"}
+    assert set(cli.SUITES) <= pinned
 
 
 @pytest.mark.parametrize("argv", CASES, ids=_key)
