@@ -21,17 +21,17 @@ from fractions import Fraction
 from . import _linalg
 from .cochains import (Cochain, adjoint, coboundary, h1c_dimension,
                        harmonic_space, incidence_rows, pairing)
-from .padic import (_extension_orbit, _path_stabilizer, embed_ball,
-                    fixes_path_pointwise, sample_gamma0,
+from .padic import (GroupElement, _extension_orbit, _path_stabilizer, embed_ball,
+                    fixes_path_pointwise, in_gamma0, sample_gamma0,
                     sample_with_exact_lower_valuation, standard_path,
                     tree_distance)
-from .radon import (MarginError, PathDependenceError, enlarged_support,
+from .radon import (ApartmentFamily, MarginError, PathDependenceError, enlarged_support,
                     exactness_check, fundamental_loops, induced_apartments,
                     interior_edges, interior_vertices, minimal_exact_margin,
                     path_integral, primitive, radon_kernel_interior,
                     radon_transform, random_loops, span_check)
-from .tower import (apply_automorphism, build_path_graph, component_roots,
-                    num_components)
+from .tower import (PathGraph, apply_automorphism, build_path_graph,
+                    component_roots, num_components)
 from .tree import (TreeParams, build_ball, enumerate_oriented_diameters,
                    random_automorphism)
 
@@ -46,9 +46,19 @@ def _random_sparse(rng: random.Random, level: int, ids, size: int) -> Cochain:
     return Cochain(level, data)
 
 
+def _tower(q: int, radius: int, k: int, *,
+           apartments: bool) -> tuple[PathGraph, ApartmentFamily | None]:
+    """The level-k path graph over the radius-R ball of the (q+1)-tree (the
+    ball is ``pg.ball``) and, when asked, the apartments of every oriented
+    diameter."""
+    pg = build_path_graph(build_ball(TreeParams(q, radius)), k)
+    if not apartments:
+        return pg, None
+    return pg, induced_apartments(pg, enumerate_oriented_diameters(pg.ball))
+
+
 def check_euler(q: int, radius: int, k: int) -> tuple[bool, dict]:
-    ball = build_ball(TreeParams(q, radius))
-    pg = build_path_graph(ball, k)
+    pg, _ = _tower(q, radius, k, apartments=False)
     basis = harmonic_space(pg)
     ncomp = num_components(pg)
     euler = pg.num_edges - pg.num_vertices + ncomp
@@ -64,8 +74,7 @@ def check_euler(q: int, radius: int, k: int) -> tuple[bool, dict]:
 
 
 def check_adjoint(q: int, radius: int, k: int, seed: int, samples: int = 100) -> tuple[bool, dict]:
-    ball = build_ball(TreeParams(q, radius))
-    pg = build_path_graph(ball, k)
+    pg, _ = _tower(q, radius, k, apartments=False)
     rng = random.Random(seed)
     counterexample = None
     for _ in range(samples):
@@ -85,9 +94,7 @@ def check_radon_d(q: int, radius: int, k: int, seed: int, samples: int = 100) ->
     """Transform of a coboundary: exhaustively zero on leaf-avoiding vertex
     indicators, and equal to the telescoped end-window difference on all
     other indicators; zero on random leaf-avoiding 0-cochains."""
-    ball = build_ball(TreeParams(q, radius))
-    pg = build_path_graph(ball, k)
-    aps = induced_apartments(pg, enumerate_oriented_diameters(ball))
+    pg, aps = _tower(q, radius, k, apartments=True)
     inner = set(interior_vertices(pg, 0))
 
     failures = []
@@ -126,9 +133,7 @@ def check_radon_d(q: int, radius: int, k: int, seed: int, samples: int = 100) ->
 
 
 def check_exactness(q: int, radius: int, k: int, margin: int, scan: bool = False) -> tuple[bool, dict]:
-    ball = build_ball(TreeParams(q, radius))
-    pg = build_path_graph(ball, k)
-    aps = induced_apartments(pg, enumerate_oriented_diameters(ball))
+    pg, aps = _tower(q, radius, k, apartments=True)
     rep = exactness_check(pg, aps, margin)
     out = {"suite": "exactness", "q": q, "R": radius, "k": k, "margin": margin,
            "kernel_dim": rep.kernel_dim, "image_dim": rep.image_dim,
@@ -142,9 +147,7 @@ def check_exactness(q: int, radius: int, k: int, margin: int, scan: bool = False
 
 def check_loops(q: int, radius: int, k: int, margin: int, seed: int,
                 samples: int = 200) -> tuple[bool, dict]:
-    ball = build_ball(TreeParams(q, radius))
-    pg = build_path_graph(ball, k)
-    aps = induced_apartments(pg, enumerate_oriented_diameters(ball))
+    pg, aps = _tower(q, radius, k, apartments=True)
     inner = interior_edges(pg, margin)
     if not inner:
         return True, {"suite": "loops", "q": q, "R": radius, "k": k, "margin": margin,
@@ -175,9 +178,7 @@ def check_primitive(q: int, radius: int, k: int, margin: int) -> tuple[bool, dic
     """Primitive reconstruction for every kernel-basis element, compared
     against an exact linear solve of df = omega up to one constant per
     component."""
-    ball = build_ball(TreeParams(q, radius))
-    pg = build_path_graph(ball, k)
-    aps = induced_apartments(pg, enumerate_oriented_diameters(ball))
+    pg, aps = _tower(q, radius, k, apartments=True)
     inner = interior_edges(pg, margin)
     if not inner:
         return True, {"suite": "primitive", "q": q, "R": radius, "k": k,
@@ -225,14 +226,12 @@ def check_equivariance(q: int, radius: int, k: int, seed: int,
                        automorphisms: int = 20) -> tuple[bool, dict]:
     """d, d*, and the transform commute with seeded ball automorphisms;
     head/tail maps (hence all incidence numbers) are preserved."""
-    ball = build_ball(TreeParams(q, radius))
-    pg = build_path_graph(ball, k)
-    aps = induced_apartments(pg, enumerate_oriented_diameters(ball))
+    pg, aps = _tower(q, radius, k, apartments=True)
     base_of = {ap.base: ap.id for ap in aps}
     rng = random.Random(seed)
     failures = []
     for i in range(automorphisms):
-        g = random_automorphism(ball, seed + 7 * i)
+        g = random_automorphism(pg.ball, seed + 7 * i)
         vmap, emap = apply_automorphism(pg, g)
         for a in range(pg.num_edges):
             if pg.head[emap[a]] != vmap[pg.head[a]] or pg.tail[emap[a]] != vmap[pg.tail[a]]:
@@ -281,7 +280,7 @@ def check_padic(p: int, radius: int) -> tuple[bool, dict]:
                     "distance_mismatches": mismatches, "passed": passed}
 
 
-def check_stabilizer(p: int, n: int, samples: int, seed: int,
+def check_stabilizer(p: int, n: int, samples: int = 200, seed: int = 0,
                      modulus_exp: int = 6) -> tuple[bool, dict]:
     """Sampled congruence-subgroup elements of level n+1 fix the standard
     (n+1)-path pointwise; elements with lower-left valuation exactly n
@@ -306,7 +305,7 @@ def _both_sides(emb, pg, s: int, modulus_exp: int):
     return [_extension_orbit(emb, pg, s, side, stabilizer) for side in "+-"]
 
 
-def check_transitivity(p: int, seed: int = 0) -> tuple[bool, dict]:
+def check_transitivity(p: int) -> tuple[bool, dict]:
     """Stabilizer orbit coverage on the root 0-path and the standard
     interior 1-path (positive certificates via unit-lift enumeration)."""
     emb2 = embed_ball(p, 2)
@@ -337,3 +336,11 @@ def check_span(q: int, radius: int) -> tuple[bool, dict]:
     return passed, {"suite": "span", "q": q, "R": radius, "K": kmax,
                     "spans_at_K": full, "spans_at_0": only0,
                     "diameters": len(diams), "passed": passed}
+
+
+def check_gamma0(matrix: GroupElement, n: int, p: int) -> tuple[bool, dict]:
+    """Membership of one matrix in the level-n congruence subgroup."""
+    passed = in_gamma0(matrix, n, p)
+    return passed, {"check": "gamma0",
+                    "params": {"matrix": matrix.to_json_dict(), "n": n, "p": p},
+                    "samples": 1, "passed": passed}

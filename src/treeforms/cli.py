@@ -6,8 +6,10 @@ of the arguments and seed; rationals are printed exactly, never as
 floats.
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
-2 invalid arguments, 3 I/O error, 4 internal error (an unexpected
-exception, reported as one stderr line without a traceback).
+2 invalid arguments (refused before anything is built), 3 I/O error,
+4 internal error (any exception once the arguments are accepted, a
+ValueError inside a suite included, reported as one stderr line without
+a traceback).
 TREEFORMS_OUTDIR sets the default output directory for exports.
 """
 
@@ -17,59 +19,39 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 
 from . import checks
 from .cochains import basis_manifest, cochain_to_csv, harmonic_space
-from .padic import in_gamma0, is_prime
+from .padic import GroupElement, is_prime
 from .radon import induced_apartments
 from .tower import build_path_graph, num_components
 from .tree import TreeParams, build_ball, enumerate_oriented_diameters
 
-# suite -> call(args, margin, samples) -> (passed, report)
-SUITE_CALLS = {
-    "euler": lambda a, margin, samples: checks.check_euler(a.q, a.radius, a.k),
-    "adjoint": lambda a, margin, samples: checks.check_adjoint(a.q, a.radius, a.k,
-                                                               a.seed, samples),
-    "radon-d": lambda a, margin, samples: checks.check_radon_d(a.q, a.radius, a.k,
-                                                               a.seed, samples),
-    "exactness": lambda a, margin, samples: checks.check_exactness(a.q, a.radius, a.k,
-                                                                   margin, scan=a.scan),
-    "loops": lambda a, margin, samples: checks.check_loops(a.q, a.radius, a.k, margin,
-                                                           a.seed, samples),
-    "primitive": lambda a, margin, samples: checks.check_primitive(a.q, a.radius, a.k,
-                                                                   margin),
-    "equivariance": lambda a, margin, samples: checks.check_equivariance(
-        a.q, a.radius, a.k, a.seed, samples),
-    "padic": lambda a, margin, samples: checks.check_padic(a.p, a.radius),
-    "stabilizer": lambda a, margin, samples: checks.check_stabilizer(a.p, a.n, samples,
-                                                                     a.seed, a.modulus),
-    "transitivity": lambda a, margin, samples: checks.check_transitivity(a.p, a.seed),
-    "span": lambda a, margin, samples: checks.check_span(a.q, a.radius),
-    "gamma0": lambda a, margin, samples: _check_gamma0(a),
+# suite -> the run parameters its checks.check_<suite> takes, by keyword.
+# Each is read from the flag of the same name, or the one _FLAG names; a
+# flag left unset (--samples omitted) is not passed, so the suite's own
+# default applies.  The pre-flight checks the flags a suite reads.
+SUITES = {
+    "euler": ("q", "radius", "k"),
+    "adjoint": ("q", "radius", "k", "seed", "samples"),
+    "radon-d": ("q", "radius", "k", "seed", "samples"),
+    "exactness": ("q", "radius", "k", "margin", "scan"),
+    "loops": ("q", "radius", "k", "margin", "seed", "samples"),
+    "primitive": ("q", "radius", "k", "margin"),
+    "equivariance": ("q", "radius", "k", "seed", "automorphisms"),
+    "padic": ("p", "radius"),
+    "stabilizer": ("p", "n", "samples", "seed", "modulus_exp"),
+    "transitivity": ("p",),
+    "span": ("q", "radius"),
+    "gamma0": ("matrix", "n", "p"),
 }
-SUITES = tuple(SUITE_CALLS)
-K_SUITES = ("euler", "adjoint", "radon-d", "exactness", "loops", "primitive",
-            "equivariance")
-P_SUITES = ("padic", "stabilizer", "transitivity", "gamma0")
-N_SUITES = ("stabilizer", "gamma0")
-# --samples when the flag is omitted.
-DEFAULT_SAMPLES = {"adjoint": 100, "radon-d": 100, "loops": 200, "equivariance": 20,
-                   "stabilizer": 200}
+_FLAG = {"automorphisms": "samples", "modulus_exp": "modulus"}
 
 
-def _check_k(k: int, radius: int) -> None:
-    """The one k-range rule: a radius-R ball has k-paths for 0 <= k <= 2R."""
-    if not 0 <= k <= 2 * radius:
-        raise ValueError(f"no {k}-paths in a radius-{radius} ball "
-                         f"(need 0 <= k <= {2 * radius})")
-
-
-def parse_matrix(text: str):
+def parse_matrix(text: str) -> GroupElement:
     """Inline 2x2 matrix: entries are integers or num/den rationals,
     comma-separated within rows, rows separated by a semicolon."""
-    from fractions import Fraction
-
-    from .padic import GroupElement
     rows = text.split(";")
     if len(rows) != 2:
         raise ValueError("matrix must have two rows separated by ';'")
@@ -142,11 +124,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        _write_file(output, text)
+def _render(obj, fmt: str) -> str:
+    """A ball or path graph in the chosen export format."""
+    return obj.to_json() if fmt == "json" else obj.to_dot()
 
 
 def _write_file(path: str, text: str) -> None:
@@ -158,58 +138,74 @@ def _write_file(path: str, text: str) -> None:
         raise SystemExit(3)
 
 
+def _preflight(args) -> None:
+    """Every argument check of every command, before anything is built.
+
+    The checks run in one fixed order, so that of two faults the same one
+    is reported: a missing export directory (exit 3) first, then bad
+    input as a ValueError (exit 2).  Fills in the default margin (k+2)
+    and replaces --matrix by the matrix it parses to.
+    """
+    if args.command == "export":
+        args.outdir = args.outdir or os.environ.get("TREEFORMS_OUTDIR") or "."
+        if not os.path.isdir(args.outdir):
+            print(f"treeforms: output directory {args.outdir!r} does not exist",
+                  file=sys.stderr)
+            raise SystemExit(3)
+    if args.command == "check":
+        params = SUITES[args.suite]
+    elif args.command == "tower" or (args.command == "export" and args.what != "ball"):
+        params = ("q", "radius", "k")
+    else:
+        params = ("q", "radius")
+    samples = getattr(args, "samples", None)
+    if samples is not None and samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {samples}")
+    if "n" in params and args.n < 0:
+        raise ValueError(f"--n must be >= 0, got {args.n}")
+    if "p" in params and not is_prime(args.p):
+        raise ValueError(f"p must be a prime, got {args.p}")
+    if "radius" in params:  # padic's ball is the (p+1)-tree's
+        TreeParams(args.q if "q" in params else args.p, args.radius)
+    # The one k-range rule: a radius-R ball has k-paths for 0 <= k <= 2R.
+    if "k" in params and not 0 <= args.k <= 2 * args.radius:
+        raise ValueError(f"no {args.k}-paths in a radius-{args.radius} ball "
+                         f"(need 0 <= k <= {2 * args.radius})")
+    if "margin" in params:
+        if args.margin is None:
+            args.margin = args.k + 2
+        if args.margin < 0:
+            raise ValueError("margin must be >= 0")
+    if "modulus_exp" in params and args.modulus <= args.n + 1:
+        raise ValueError(f"--modulus must be > --n + 1 = {args.n + 1}, got {args.modulus}")
+    if "matrix" in params:
+        if not args.matrix:
+            raise ValueError("gamma0 requires --matrix")
+        args.matrix = parse_matrix(args.matrix)
+
+
 def _cmd_ball(args) -> int:
-    try:
-        ball = build_ball(TreeParams(args.q, args.radius))
-    except ValueError as exc:
-        print(f"treeforms: {exc}", file=sys.stderr)
-        return 2
-    _emit(ball.to_json() if args.format == "json" else ball.to_dot(), args.output)
+    text = _render(build_ball(TreeParams(args.q, args.radius)), args.format)
+    if args.output is None:
+        sys.stdout.write(text)
+    else:
+        _write_file(args.output, text)
     return 0
 
 
 def _cmd_tower(args) -> int:
-    try:
-        params = TreeParams(args.q, args.radius)
-        _check_k(args.k, args.radius)
-    except ValueError as exc:
-        print(f"treeforms: {exc}", file=sys.stderr)
-        return 2
-    ball = build_ball(params)
-    pg = build_path_graph(ball, args.k)
+    pg = build_path_graph(build_ball(TreeParams(args.q, args.radius)), args.k)
     print(f"V={pg.num_vertices} E={pg.num_edges} C={num_components(pg)}")
     if args.output:
-        _write_file(args.output, pg.to_json() if args.format == "json" else pg.to_dot())
+        _write_file(args.output, _render(pg, args.format))
     return 0
 
 
-def _check_gamma0(args) -> tuple[bool, dict]:
-    if not args.matrix:
-        raise ValueError("gamma0 requires --matrix")
-    g = parse_matrix(args.matrix)
-    passed = in_gamma0(g, args.n, args.p)
-    return passed, {"check": "gamma0",
-                    "params": {"matrix": g.to_json_dict(), "n": args.n, "p": args.p},
-                    "samples": 1, "passed": passed}
-
-
 def _cmd_check(args) -> int:
-    margin = args.margin if args.margin is not None else args.k + 2
-    samples = args.samples if args.samples is not None else DEFAULT_SAMPLES.get(args.suite)
-    try:
-        if args.samples is not None and args.samples < 1:
-            raise ValueError(f"--samples must be >= 1, got {args.samples}")
-        if args.suite in N_SUITES and args.n < 0:
-            raise ValueError(f"--n must be >= 0, got {args.n}")
-        if args.suite in K_SUITES:
-            TreeParams(args.q, args.radius)
-            _check_k(args.k, args.radius)
-        if args.suite in P_SUITES and not is_prime(args.p):
-            raise ValueError(f"p must be a prime, got {args.p}")
-        passed, report = SUITE_CALLS[args.suite](args, margin, samples)
-    except ValueError as exc:
-        print(f"treeforms: {exc}", file=sys.stderr)
-        return 2
+    # Looked up per call, so that a replaced suite function is the one run.
+    suite = getattr(checks, "check_" + args.suite.replace("-", "_"))
+    run = {kw: getattr(args, _FLAG.get(kw, kw)) for kw in SUITES[args.suite]}
+    passed, report = suite(**{kw: value for kw, value in run.items() if value is not None})
     text = json.dumps(report, sort_keys=True) + "\n"
     sys.stdout.write(text)
     if args.output:
@@ -218,63 +214,45 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    outdir = args.outdir or os.environ.get("TREEFORMS_OUTDIR") or "."
-    if not os.path.isdir(outdir):
-        print(f"treeforms: output directory {outdir!r} does not exist", file=sys.stderr)
-        return 3
-    try:
-        ball = build_ball(TreeParams(args.q, args.radius))
-    except ValueError as exc:
-        print(f"treeforms: {exc}", file=sys.stderr)
-        return 2
+    ball = build_ball(TreeParams(args.q, args.radius))
     tag = f"q{args.q}r{args.radius}"
     if args.what == "ball":
-        ext = args.format
-        path = os.path.join(outdir, f"ball_{tag}.{ext}")
-        _write_file(path, ball.to_json() if args.format == "json" else ball.to_dot())
-        print(path)
-        return 0
-    try:
-        _check_k(args.k, args.radius)
-    except ValueError as exc:
-        print(f"treeforms: {exc}", file=sys.stderr)
-        return 2
-    pg = build_path_graph(ball, args.k)
-    if args.what == "tower":
-        ext = args.format
-        path = os.path.join(outdir, f"tower_{tag}k{args.k}.{ext}")
-        _write_file(path, pg.to_json() if args.format == "json" else pg.to_dot())
-        print(path)
-        return 0
-    if args.what == "harmonic-basis":
-        basis = harmonic_space(pg)
-        files = []
-        for i, vec in enumerate(basis):
-            name = f"harmonic_{tag}k{args.k}_{i:04d}.csv"
-            _write_file(os.path.join(outdir, name), cochain_to_csv(vec))
-            files.append(name)
-        manifest = os.path.join(outdir, f"harmonic_{tag}k{args.k}_manifest.json")
-        _write_file(manifest, basis_manifest(pg, basis, files))
-        print(manifest)
-        return 0
-    aps = induced_apartments(pg, enumerate_oriented_diameters(ball))
-    path = os.path.join(outdir, f"apartments_{tag}k{args.k}.json")
-    _write_file(path, aps.to_manifest_json())
+        name, text = f"ball_{tag}.{args.format}", _render(ball, args.format)
+    else:
+        pg = build_path_graph(ball, args.k)
+        tag += f"k{args.k}"
+        if args.what == "tower":
+            name, text = f"tower_{tag}.{args.format}", _render(pg, args.format)
+        elif args.what == "apartments":
+            aps = induced_apartments(pg, enumerate_oriented_diameters(ball))
+            name, text = f"apartments_{tag}.json", aps.to_manifest_json()
+        else:
+            basis = harmonic_space(pg)
+            files = [f"harmonic_{tag}_{i:04d}.csv" for i in range(len(basis))]
+            for file, vec in zip(files, basis):
+                _write_file(os.path.join(args.outdir, file), cochain_to_csv(vec))
+            name, text = f"harmonic_{tag}_manifest.json", basis_manifest(pg, basis, files)
+    # args.outdir was resolved and checked by the pre-flight.
+    path = os.path.join(args.outdir, name)
+    _write_file(path, text)
     print(path)
     return 0
+
+
+COMMANDS = {"ball": _cmd_ball, "tower": _cmd_tower, "check": _cmd_check,
+            "export": _cmd_export}
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "ball":
-            return _cmd_ball(args)
-        if args.command == "tower":
-            return _cmd_tower(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        return _cmd_export(args)
+        try:
+            _preflight(args)
+        except ValueError as exc:
+            print(f"treeforms: {exc}", file=sys.stderr)
+            return 2
+        return COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except Exception as exc:

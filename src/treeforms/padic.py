@@ -428,7 +428,6 @@ def _extension_orbit(emb: BallEmbedding, pg, s: int, side: str,
     # Every stabilizer element fixes the path, so it maps an edge at s on
     # this side to another one: the orbit is a subset of the targets, and
     # only the base edge's vertices off the path need to be moved.
-    edge_index = {e: i for i, e in enumerate(pg.edges)}
     on_path = set(pg.verts[s])
     base = pg.edges[targets[0]]
     orbit = set()
@@ -440,7 +439,7 @@ def _extension_orbit(emb: BallEmbedding, pg, s: int, side: str,
                 if v is None:
                     raise ValueError("group element does not preserve the ball window")
             image_seq.append(v)
-        image = edge_index.get(tuple(image_seq))
+        image = pg.edge_index.get(tuple(image_seq))
         if image is not None:
             orbit.add(image)
             if len(orbit) == len(targets):

@@ -100,8 +100,7 @@ class ApartmentFamily:
 
 def induced_apartments(pg: PathGraph, diameters: list[GeodesicSegment]) -> ApartmentFamily:
     """One apartment per diameter that is long enough to carry a window."""
-    k = pg.k
-    edge_index = {e: i for i, e in enumerate(pg.edges)}
+    k, edge_index = pg.k, pg.edge_index
     apartments = []
     for seg in diameters:
         seq = seg.vertices

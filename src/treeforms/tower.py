@@ -34,6 +34,7 @@ class PathGraph:
         self.verts = _enumerate_paths(ball, k + 1)
         self.edges = _enumerate_paths(ball, k + 2)
         self.vert_index = {p: i for i, p in enumerate(self.verts)}
+        self.edge_index = {e: a for a, e in enumerate(self.edges)}
         self.head = [self.vert_index[e[1:]] for e in self.edges]
         self.tail = [self.vert_index[e[:-1]] for e in self.edges]
         # A_s^+ = edges with head s, A_s^- = edges with tail s.
@@ -130,9 +131,8 @@ def apply_automorphism(pg: PathGraph, g: BallAutomorphism) -> tuple[list[int], l
     """
     if g.ball is not pg.ball:
         raise ValueError("automorphism belongs to a different ball")
-    edge_index = {e: i for i, e in enumerate(pg.edges)}
     vmap = [pg.vert_index[tuple(g.perm[v] for v in p)] for p in pg.verts]
-    emap = [edge_index[tuple(g.perm[v] for v in e)] for e in pg.edges]
+    emap = [pg.edge_index[tuple(g.perm[v] for v in e)] for e in pg.edges]
     return vmap, emap
 
 

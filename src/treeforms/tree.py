@@ -190,14 +190,19 @@ def enumerate_oriented_diameters(ball: TreeBall) -> list[GeodesicSegment]:
 
 
 def convex_hull(ball: TreeBall, vertex_ids) -> set[int]:
-    """Minimal subtree containing the given vertices (union of pairwise geodesics)."""
-    vs = sorted(set(vertex_ids))
+    """Minimal subtree containing the given vertices.
+
+    In a tree this is the union of the geodesics from any one of them to
+    all the others: the geodesic between two of them runs inside the two
+    geodesics that join them to the chosen one.
+    """
+    vs = set(vertex_ids)
     if not vs:
         raise ValueError("convex hull of an empty set")
-    hull: set[int] = {vs[0]}
-    for i, u in enumerate(vs):
-        for v in vs[i + 1:]:
-            hull.update(geodesic_between(ball, u, v).vertices)
+    base = min(vs)
+    hull: set[int] = set()
+    for v in vs:
+        hull.update(geodesic_between(ball, base, v).vertices)
     return hull
 
 

@@ -255,3 +255,16 @@ class TestInternalError:
         assert code == 4
         assert out == ""
         assert err == "treeforms: internal error: RuntimeError: lattice table corrupted\n"
+
+    def test_value_error_inside_a_suite_exits_4(self, capsys, monkeypatch):
+        # Valid arguments pass the pre-flight; a ValueError raised by the
+        # suite afterwards is a defect, not bad input.
+        def broken(q, radius, k, margin):
+            raise ValueError("interior rows out of range")
+
+        monkeypatch.setattr(checks, "check_primitive", broken)
+        code, out, err = run(capsys, "check", "primitive", "--q", "2", "--radius", "2")
+        assert code == 4
+        assert out == ""
+        assert err == ("treeforms: internal error: ValueError: "
+                       "interior rows out of range\n")

@@ -152,6 +152,15 @@ class TestOrientedDiameters:
         assert len(seen) == 30
 
 
+def pairwise_hull(b, vertex_ids):
+    """Independent oracle: the union of the geodesics between all pairs."""
+    hull = set()
+    for u in vertex_ids:
+        for v in vertex_ids:
+            hull.update(geodesic_between(b, u, v).vertices)
+    return hull
+
+
 class TestConvexHull:
     def test_singleton(self, ball22):
         assert convex_hull(ball22, [7]) == {7}
@@ -170,11 +179,16 @@ class TestConvexHull:
         b = ball(2, 3)
         sets = [[0, 12], [5, 6, 7], list(b.leaves)[:4]]
         for s in sets:
-            expected = set()
-            for u in s:
-                for v in s:
-                    expected.update(geodesic_between(b, u, v).vertices)
-            assert convex_hull(b, s) == expected
+            assert convex_hull(b, s) == pairwise_hull(b, s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.sampled_from([(2, 2), (2, 3), (2, 5), (3, 3), (3, 4)]),
+           data=st.data())
+    def test_matches_pairwise_hull(self, size, data):
+        b = ball(*size)
+        s = data.draw(st.lists(st.integers(0, b.num_vertices - 1), min_size=1,
+                               max_size=12))
+        assert convex_hull(b, s) == pairwise_hull(b, s)
 
 
 class TestAutomorphisms:
