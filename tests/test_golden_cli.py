@@ -68,6 +68,7 @@ OTHER_COMMANDS = [
     "check stabilizer --p 3 --n 0 --samples 20 --seed 4 --modulus 4",
     "check transitivity --p 2",
     "check transitivity --p 2 --seed 5",
+    "check transitivity --p 3",
     "check span --q 2 --radius 2",
     "check span --q 2 --radius 3",
     "check gamma0 --p 2 --n 1 --matrix 1,0;2,1",
