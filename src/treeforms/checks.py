@@ -301,8 +301,8 @@ def check_stabilizer(p: int, n: int, samples: int = 200, seed: int = 0,
 def _both_sides(emb, pg, s: int, modulus_exp: int):
     """Transitivity on the + and - sides of path-graph vertex s, from one
     enumeration of the path's stabilizer."""
-    stabilizer = _path_stabilizer(emb, pg.verts[s], modulus_exp)
-    return [_extension_orbit(emb, pg, s, side, stabilizer) for side in "+-"]
+    stabilizer, size = _path_stabilizer(emb, pg, s, modulus_exp)
+    return [_extension_orbit(emb, pg, s, side, stabilizer, size) for side in "+-"]
 
 
 def check_transitivity(p: int) -> tuple[bool, dict]:

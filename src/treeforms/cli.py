@@ -142,9 +142,10 @@ def _preflight(args) -> None:
     """Every argument check of every command, before anything is built.
 
     The checks run in one fixed order, so that of two faults the same one
-    is reported: a missing export directory (exit 3) first, then bad
-    input as a ValueError (exit 2).  Fills in the default margin (k+2)
-    and replaces --matrix by the matrix it parses to.
+    is reported: a missing export directory (exit 3) first, then an
+    export --format that the --what does not have, then other bad input,
+    both as a ValueError (exit 2).  Fills in the default margin (k+2) and
+    replaces --matrix by the matrix it parses to.
     """
     if args.command == "export":
         args.outdir = args.outdir or os.environ.get("TREEFORMS_OUTDIR") or "."
@@ -152,6 +153,9 @@ def _preflight(args) -> None:
             print(f"treeforms: output directory {args.outdir!r} does not exist",
                   file=sys.stderr)
             raise SystemExit(3)
+        if args.format != "json" and args.what not in ("ball", "tower"):
+            raise ValueError(f"--format {args.format} applies only to --what ball or tower, "
+                             f"not --what {args.what}")
     if args.command == "check":
         params = SUITES[args.suite]
     elif args.command == "tower" or (args.command == "export" and args.what != "ball"):

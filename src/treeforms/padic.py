@@ -296,16 +296,34 @@ def fixes_vertex(g: GroupElement, lv: LatticeClassVertex, p: int) -> bool:
     congruence subgroup.  For g = [[a, b], [c, d]],
 
         M^-1 g M = [[a - c u, (b + (a - d) u - c u^2) / p^n],
-                    [c p^n,   c u + d]].
+                    [c p^n,   c u + d]],
+
+    whose determinant is det g; so the test is
+    v_p(det g) == 2 min(v(a - cu), v(b + (a-d)u - cu^2) - n, v(c) + n,
+    v(cu + d)), over the nonzero entries.
     """
+    return valuation(g.det, p) == 2 * _conjugate_min_valuation(g, lv, p)
+
+
+def _conjugate_min_valuation(g: GroupElement, lv: LatticeClassVertex, p: int) -> int:
+    """The least entry valuation of matrix(lv)^-1 g matrix(lv)."""
     a, b, c, d = g.entries
-    u, pn = lv.u, Fraction(p) ** lv.n
-    conj = GroupElement(a - c * u, (b + (a - d) * u - c * u * u) / pn, c * pn, c * u + d)
-    return in_gamma0(conj, 0, p)
+    u, n = lv.u, lv.n
+    cu = c * u
+    least = None
+    for x, shift in ((a - cu, 0), (b + (a - d) * u - cu * u, -n), (c, n), (cu + d, 0)):
+        if x:
+            v = valuation(x, p) + shift
+            if least is None or v < least:
+                least = v
+    return least
 
 
 def fixes_path_pointwise(g: GroupElement, emb: BallEmbedding, path: tuple[int, ...]) -> bool:
-    return all(fixes_vertex(g, emb.to_lattice[v], emb.p) for v in path)
+    """Every vertex of the path is fixed by g; v_p(det g) is taken once."""
+    p = emb.p
+    vdet = valuation(g.det, p)
+    return all(vdet == 2 * _conjugate_min_valuation(g, emb.to_lattice[v], p) for v in path)
 
 
 def sample_gamma0(p: int, n: int, modulus_exp: int, count: int, seed: int) -> list[GroupElement]:
@@ -390,16 +408,27 @@ def stabilizer_transitivity_check(emb: BallEmbedding, pg, s: int, side: str,
     """Does the pointwise path stabilizer act transitively on the edge
     extensions of a path-graph vertex?
 
-    Enumerates unit lifts modulo p^modulus_exp, keeps those fixing the
-    k-path s pointwise, and checks whether the orbit of one extension
-    covers the whole side.  Coverage is a positive certificate; a miss
-    only means the sampling window was too small, reported as
-    inconclusive rather than false.
+    Takes the unit lifts modulo p^modulus_exp that fix the k-path s
+    pointwise, and checks whether the orbit of one extension covers the
+    whole side.  Coverage is a positive certificate; a miss only means
+    the sampling window was too small, reported as inconclusive rather
+    than false.
+
+    The lifts are enumerated modulo p^d only, for d the radius of the
+    ball about the root class that holds the path and its extensions
+    (see ``_path_stabilizer``): two lifts that agree modulo p^d differ
+    by an element of the principal congruence subgroup
+    K(p^d) = 1 + p^d M_2(Z_p), which fixes that ball pointwise (Serre,
+    *Trees*, II.1).  So whether a lift fixes the path, and where it
+    sends an extension, depend on its residue modulo p^d alone; the
+    orbit is the same, and ``stabilizer_size`` is the count modulo p^d
+    times p^(4(m-d)), the order of the kernel of
+    GL(2, Z/p^m) -> GL(2, Z/p^d).
     """
-    stabilizer = []
+    stabilizer, size = [], 0
     if len(_side_targets(pg, s, side)) > 1:
-        stabilizer = _path_stabilizer(emb, pg.verts[s], modulus_exp)
-    return _extension_orbit(emb, pg, s, side, stabilizer)
+        stabilizer, size = _path_stabilizer(emb, pg, s, modulus_exp)
+    return _extension_orbit(emb, pg, s, side, stabilizer, size)
 
 
 def _side_targets(pg, s: int, side: str) -> list[int]:
@@ -410,18 +439,35 @@ def _side_targets(pg, s: int, side: str) -> list[int]:
     return pg.edges_into[s] if side == "+" else pg.edges_out_of[s]
 
 
-def _path_stabilizer(emb: BallEmbedding, path: tuple[int, ...],
-                     modulus_exp: int) -> list[GroupElement]:
-    """The unit lifts modulo p^modulus_exp that fix the path pointwise."""
-    return [g for g in enumerate_unit_lifts(emb.p, modulus_exp)
-            if fixes_path_pointwise(g, emb, path)]
+def _path_stabilizer(emb: BallEmbedding, pg, s: int,
+                     modulus_exp: int) -> tuple[list[GroupElement], int]:
+    """The pointwise stabilizer of the path s among the unit lifts modulo
+    p^m, m = modulus_exp: its residues modulo p^d, and its size.
+
+    d is the largest root distance of a vertex of the path or of an
+    extension edge on either side, capped at m and floored at 1 (the
+    order |GL(2, Z/p^m)| = p^(4(m-1)) (p^2 - 1)(p^2 - p) needs m >= 1).
+    K(p^d) fixes every such vertex, so each residue modulo p^d that
+    fixes the path stands for the p^(4(m-d)) lifts modulo p^m above it,
+    and they all act alike on the path's extensions.  At d = m this is
+    the full enumeration.
+    """
+    if modulus_exp < 1:
+        raise ValueError(f"modulus exponent must be >= 1, got {modulus_exp}")
+    path = pg.verts[s]
+    reach = set(path).union(*(pg.edges[t] for t in pg.edges_into[s] + pg.edges_out_of[s]))
+    d = min(modulus_exp, max(1, max(emb.ball.depths[v] for v in reach)))
+    residues = [g for g in enumerate_unit_lifts(emb.p, d)
+                if fixes_path_pointwise(g, emb, path)]
+    return residues, len(residues) * emb.p ** (4 * (modulus_exp - d))
 
 
 def _extension_orbit(emb: BallEmbedding, pg, s: int, side: str,
-                     stabilizer: list[GroupElement]) -> TransitivityResult:
+                     stabilizer: list[GroupElement], stabilizer_size: int) -> TransitivityResult:
     """Coverage of one side of s by the orbit of its first extension under
-    ``stabilizer``, the pointwise stabilizer of the path s (unused, and
-    reported as size 0, when the side has at most one extension)."""
+    ``stabilizer``, residues standing for the pointwise stabilizer of the
+    path s, whose order is ``stabilizer_size`` (unused, and reported as
+    size 0, when the side has at most one extension)."""
     targets = _side_targets(pg, s, side)
     if len(targets) <= 1:
         return TransitivityResult(True, True, len(targets), len(targets), 0)
@@ -445,4 +491,4 @@ def _extension_orbit(emb: BallEmbedding, pg, s: int, side: str,
             if len(orbit) == len(targets):
                 break
     covered = set(targets) <= orbit
-    return TransitivityResult(covered, covered, len(orbit), len(targets), len(stabilizer))
+    return TransitivityResult(covered, covered, len(orbit), len(targets), stabilizer_size)

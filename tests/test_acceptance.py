@@ -252,19 +252,21 @@ def test_criterion_10_congruence_stabilizer():
 
 def test_criterion_11_stabilizer_transitivity():
     from treeforms.tower import build_path_graph
-    emb2 = embed_ball(2, 2)
-    pg0 = build_path_graph(emb2.ball, 0)
-    root0 = pg0.vert_index[(0,)]
-    results = [stabilizer_transitivity_check(emb2, pg0, root0, side, 2)
-               for side in ("+", "-")]
-    emb3 = embed_ball(2, 3)
-    pg1 = build_path_graph(emb3.ball, 1)
-    s1 = pg1.vert_index[standard_path(emb3, 0)]
-    results += [stabilizer_transitivity_check(emb3, pg1, s1, side, 3)
-                for side in ("+", "-")]
+    results = []
+    for p in (2, 3):
+        emb2 = embed_ball(p, 2)
+        pg0 = build_path_graph(emb2.ball, 0)
+        root0 = pg0.vert_index[(0,)]
+        results += [stabilizer_transitivity_check(emb2, pg0, root0, side, 2)
+                    for side in ("+", "-")]
+        emb3 = embed_ball(p, 3)
+        pg1 = build_path_graph(emb3.ball, 1)
+        s1 = pg1.vert_index[standard_path(emb3, 0)]
+        results += [stabilizer_transitivity_check(emb3, pg1, s1, side, 3)
+                    for side in ("+", "-")]
     ok = all(r.covered and r.conclusive for r in results)
     announce(11, "path stabilizer transitive on extensions", ok,
-             "root 0-path mod 4, standard 1-path mod 8, both sides")
+             "p in {2,3}: root 0-path mod p^2, standard 1-path mod p^3, both sides")
     assert ok, results
 
 

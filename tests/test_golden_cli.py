@@ -128,6 +128,8 @@ BAD_INPUT = [
     "export --what ball --q 2 --radius 1 --outdir /no/such/dir",
     "export --what tower --q 2 --radius 1 --k 5 --outdir .",
     "export --what harmonic-basis --q 1 --radius 1 --outdir .",
+    "export --what apartments --q 2 --radius 2 --k 1 --format dot --outdir .",
+    "export --what harmonic-basis --q 2 --radius 1 --format dot --outdir .",
 ]
 
 # Two faults in one call: which error wins is part of the output.
@@ -135,6 +137,8 @@ TWO_FAULTS = [
     "export --what ball --q 1 --radius 1 --outdir /no/such",
     "export --what tower --q 2 --radius 1 --k 9 --outdir /no/such",
     "export --what tower --q 1 --radius 1 --k 9 --outdir .",
+    "export --what apartments --q 2 --radius 2 --format dot --outdir /no/such",
+    "export --what harmonic-basis --q 1 --radius 1 --format dot --outdir .",
     "check stabilizer --p 4 --n -1",
     "check stabilizer --p 4 --n 5",
     "check stabilizer --n -1 --samples 0",

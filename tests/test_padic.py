@@ -55,24 +55,26 @@ def fixes_vertex_oracle(g, lv, p):
     return act(g, lv, p) == lv
 
 
-def transitivity_oracle(emb, pg, s, modulus_exp):
-    """Both sides' results from every unit lift fixing the path, each
-    applied as a whole-ball automorphism to the base edge."""
-    path = pg.verts[s]
-    stabilizer = [g for g in enumerate_unit_lifts(emb.p, modulus_exp)
-                  if all(fixes_vertex_oracle(g, emb.to_lattice[v], emb.p) for v in path)]
-    perms = [emb.automorphism_from(g) for g in stabilizer]
-    edge_index = {e: i for i, e in enumerate(pg.edges)}
+def stabilizer_oracle(emb, path, modulus_exp):
+    """Every unit lift modulo p^modulus_exp whose action fixes each path vertex."""
+    return [g for g in enumerate_unit_lifts(emb.p, modulus_exp)
+            if all(fixes_vertex_oracle(g, emb.to_lattice[v], emb.p) for v in path)]
+
+
+def transitivity_oracle(emb, pg, s, stabilizer):
+    """Both sides' results from the full stabilizer, each element moving
+    every vertex of the base edge by act, with no early stop."""
     results = {}
     for side, targets in (("+", pg.edges_into[s]), ("-", pg.edges_out_of[s])):
         if len(targets) <= 1:
             results[side] = TransitivityResult(True, True, len(targets), len(targets), 0)
             continue
         orbit = set()
-        for perm in perms:
-            image = edge_index.get(tuple(perm(v) for v in pg.edges[targets[0]]))
-            if image is not None:
-                orbit.add(image)
+        for g in stabilizer:
+            image = tuple(emb.from_lattice[act(g, emb.to_lattice[v], emb.p)]
+                          for v in pg.edges[targets[0]])
+            if image in pg.edge_index:
+                orbit.add(pg.edge_index[image])
         covered = set(targets) <= orbit
         results[side] = TransitivityResult(covered, covered, len(orbit), len(targets),
                                            len(stabilizer))
@@ -391,9 +393,14 @@ class TestTransitivity:
         res = stabilizer_transitivity_check(emb, pg, leaf_path, "+", 2)
         assert res.covered and res.target_size == 1
 
-    @pytest.mark.parametrize("p,path,m", [(2, "root0", 2), (2, "root0", 3), (2, "std1", 2),
-                                          (2, "std1", 3), (3, "root0", 2)])
-    def test_matches_full_automorphism_route(self, p, path, m):
+    # (p, path, m, d): d is the reduced exponent, the root distance of the
+    # farthest vertex of the path and its extensions (d = m: full route).
+    DIFFERENTIAL = [(2, "root0", 2, 1), (2, "root0", 3, 1), (2, "root0", 4, 1),
+                    (2, "std1", 2, 2), (2, "std1", 3, 2), (2, "std1", 4, 2),
+                    (3, "root0", 2, 1), (3, "std1", 2, 2)]
+
+    @pytest.mark.parametrize("p,path,m,d", DIFFERENTIAL)
+    def test_matches_full_enumeration(self, p, path, m, d):
         if path == "root0":
             emb = embed_ball(p, 2)
             pg = build_path_graph(emb.ball, 0)
@@ -402,7 +409,15 @@ class TestTransitivity:
             emb = embed_ball(p, 3)
             pg = build_path_graph(emb.ball, 1)
             s = pg.vert_index[standard_path(emb, 0)]
-        expected = transitivity_oracle(emb, pg, s, m)
+        full = stabilizer_oracle(emb, pg.verts[s], m)
+        residues, size = padic._path_stabilizer(emb, pg, s, m)
+        pd = p ** d
+        reduced = [tuple(int(x) for x in g.entries) for g in residues]
+        assert all(0 <= x < pd for entries in reduced for x in entries)
+        assert len(set(reduced)) == len(reduced)
+        assert set(reduced) == {tuple(int(x) % pd for x in g.entries) for g in full}
+        assert size == len(residues) * p ** (4 * (m - d)) == len(full)
+        expected = transitivity_oracle(emb, pg, s, full)
         for side in ("+", "-"):
             assert stabilizer_transitivity_check(emb, pg, s, side, m) == expected[side]
         assert checks._both_sides(emb, pg, s, m) == [expected["+"], expected["-"]]
@@ -411,11 +426,17 @@ class TestTransitivity:
         emb = embed_ball(2, 2)
         pg = build_path_graph(emb.ball, 0)
         leaf = next(s for s, pth in enumerate(pg.verts) if emb.ball.is_leaf(pth[0]))
-        expected = transitivity_oracle(emb, pg, leaf, 2)
+        expected = transitivity_oracle(emb, pg, leaf, stabilizer_oracle(emb, pg.verts[leaf], 2))
         assert expected["+"].target_size == 1
         for side in ("+", "-"):
             assert stabilizer_transitivity_check(emb, pg, leaf, side, 2) == expected[side]
         assert checks._both_sides(emb, pg, leaf, 2) == [expected["+"], expected["-"]]
+
+    def test_modulus_exponent_below_one_is_refused(self):
+        emb = embed_ball(2, 2)
+        pg = build_path_graph(emb.ball, 0)
+        with pytest.raises(ValueError, match="modulus exponent"):
+            stabilizer_transitivity_check(emb, pg, pg.vert_index[(0,)], "+", 0)
 
     def test_check_enumerates_each_path_stabilizer_once(self, monkeypatch):
         moduli = []
@@ -427,7 +448,9 @@ class TestTransitivity:
         monkeypatch.setattr(padic, "enumerate_unit_lifts", spy)
         passed, report = checks.check_transitivity(2)
         assert passed and report["conclusive"]
-        assert moduli == [2, 3]
+        # One enumeration per path, at the reduced exponents: the root
+        # 0-path mod 4 at d = 1, the standard 1-path mod 8 at d = 2.
+        assert moduli == [1, 2]
 
     def test_unit_lift_enumeration_size(self):
         # |GL(2, Z/4)| = 96
