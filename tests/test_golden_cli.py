@@ -130,6 +130,14 @@ BAD_INPUT = [
     "export --what harmonic-basis --q 1 --radius 1 --outdir .",
     "export --what apartments --q 2 --radius 2 --k 1 --format dot --outdir .",
     "export --what harmonic-basis --q 2 --radius 1 --format dot --outdir .",
+    "check euler --q 2 --radius 2 --samples 5 --p 4 --margin -3 --matrix zz --modulus 0",
+    "check euler --seed 0",
+    "check padic --p 2 --radius 2 --q 3",
+    "check span --q 2 --radius 2 --k 1",
+    "check transitivity --p 2 --scan",
+    "check gamma0 --matrix 1,0;2,1 --radius 2",
+    "check exactness --q 2 --radius 3 --samples 4",
+    "check primitive --q 2 --radius 2 --seed 1",
 ]
 
 # Two faults in one call: which error wins is part of the output.
@@ -150,6 +158,10 @@ TWO_FAULTS = [
     "check padic --p 4 --radius 0",
     "check span --q 1 --radius 0",
     "tower --q 1 --radius 1 --k 9",
+    "check transitivity --p 4 --seed 5",
+    "check euler --k 9 --p 3",
+    "check span --q 2 --radius 2 --samples 0",
+    "check gamma0 --p 2 --n 0 --matrix x,0;0,1 --seed 1",
 ]
 
 
