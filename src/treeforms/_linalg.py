@@ -14,8 +14,7 @@ arithmetic.  The results of ``solve`` and ``nullspace`` are still
 
 Integer rows can also be ranked over GF(p) (``rank_mod_p``).  That rank
 is a lower bound on the rank over Q, so when it meets a proven upper
-bound it certifies the rational rank; ``certified_rank`` falls back to
-exact elimination whenever it does not.
+bound it certifies the rational rank.
 """
 
 from __future__ import annotations
@@ -125,18 +124,6 @@ def rank_mod_p(rows, p: int = MODULUS) -> int:
                 else:
                     del red[i]
     return len(pivots)
-
-
-def certified_rank(rows, upper: int) -> int:
-    """Rank over Q of integer rows, given a proven upper bound on it.
-
-    The GF(p) rank is a lower bound, so when it reaches ``upper`` the two
-    meet and ``upper`` is the rank.  Otherwise exact elimination decides.
-    """
-    rows = list(rows)
-    if rank_mod_p(rows) == upper:
-        return upper
-    return rank_of_rows(rows)
 
 
 def _reduced_pivots(elim: Eliminator) -> dict[int, Row]:

@@ -31,7 +31,8 @@ from .tree import TreeParams, build_ball, enumerate_oriented_diameters
 # suite -> the run parameters its checks.check_<suite> takes, by keyword.
 # Each is read from the flag of the same name, or the one _FLAG names; a
 # flag left unset (--samples omitted) is not passed, so the suite's own
-# default applies.  The pre-flight checks the flags a suite reads.
+# default applies.  The pre-flight checks the flags a suite reads and
+# refuses any other check flag but --output.
 SUITES = {
     "euler": ("q", "radius", "k"),
     "adjoint": ("q", "radius", "k", "seed", "samples"),
@@ -68,6 +69,15 @@ def parse_matrix(text: str) -> GroupElement:
     return GroupElement.of(*entries)
 
 
+class _Given(argparse.Action):
+    """Store a check flag and note it as given, so that the pre-flight can
+    refuse a flag the suite does not read."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
+        namespace.given = namespace.given | {self.dest}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -95,21 +105,23 @@ def _build_parser() -> _Parser:
 
     p_check = sub.add_parser("check", help="run a verification suite")
     p_check.add_argument("suite", choices=SUITES)
-    p_check.add_argument("--q", type=int, default=2)
-    p_check.add_argument("--radius", type=int, default=3)
-    p_check.add_argument("--k", type=int, default=0)
-    p_check.add_argument("--margin", type=int, default=None,
+    p_check.set_defaults(given=frozenset())
+    p_check.add_argument("--q", type=int, default=2, action=_Given)
+    p_check.add_argument("--radius", type=int, default=3, action=_Given)
+    p_check.add_argument("--k", type=int, default=0, action=_Given)
+    p_check.add_argument("--margin", type=int, default=None, action=_Given,
                          help="interior margin (default: k+2)")
-    p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--samples", type=int, default=None)
-    p_check.add_argument("--p", type=int, default=2)
-    p_check.add_argument("--n", type=int, default=0)
-    p_check.add_argument("--modulus", type=int, default=6,
+    p_check.add_argument("--seed", type=int, default=0, action=_Given)
+    p_check.add_argument("--samples", type=int, default=None, action=_Given)
+    p_check.add_argument("--p", type=int, default=2, action=_Given)
+    p_check.add_argument("--n", type=int, default=0, action=_Given)
+    p_check.add_argument("--modulus", type=int, default=6, action=_Given,
                          help="congruence sampling exponent m (entries mod p^m)")
-    p_check.add_argument("--scan", action="store_true",
+    p_check.add_argument("--scan", nargs=0, const=True, default=False, action=_Given,
                          help="exactness: also report the minimal passing margin")
-    p_check.add_argument("--matrix", help="gamma0: inline 2x2 matrix 'a,b;c,d' "
-                                          "with integer or num/den entries")
+    p_check.add_argument("--matrix", action=_Given,
+                         help="gamma0: inline 2x2 matrix 'a,b;c,d' "
+                              "with integer or num/den entries")
     p_check.add_argument("--output", help="write the JSON report here as well")
 
     p_export = sub.add_parser("export", help="write export files")
@@ -144,8 +156,9 @@ def _preflight(args) -> None:
     The checks run in one fixed order, so that of two faults the same one
     is reported: a missing export directory (exit 3) first, then an
     export --format that the --what does not have, then other bad input,
-    both as a ValueError (exit 2).  Fills in the default margin (k+2) and
-    replaces --matrix by the matrix it parses to.
+    and last a check flag (other than --output) that the suite does not
+    read, all three as a ValueError (exit 2).  Fills in the default
+    margin (k+2) and replaces --matrix by the matrix it parses to.
     """
     if args.command == "export":
         args.outdir = args.outdir or os.environ.get("TREEFORMS_OUTDIR") or "."
@@ -186,6 +199,11 @@ def _preflight(args) -> None:
         if not args.matrix:
             raise ValueError("gamma0 requires --matrix")
         args.matrix = parse_matrix(args.matrix)
+    if args.command == "check":
+        unread = sorted(args.given - {_FLAG.get(kw, kw) for kw in params})
+        if unread:
+            raise ValueError(f"check {args.suite} does not read "
+                             + ", ".join("--" + flag for flag in unread))
 
 
 def _cmd_ball(args) -> int:

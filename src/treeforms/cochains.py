@@ -133,21 +133,51 @@ def harmonic_space(pg: PathGraph) -> list[Cochain]:
     unit cycle per non-forest edge.  Its size |E| - |V| + #components is
     cross-checked against the rank oracle in the test suite.
     """
-    return [Cochain(1, vec) for _, vec in _fundamental_cycles(pg)]
+    return [Cochain(1, vec) for _, vec in _fundamental_cycles(SpanningForest(pg))]
 
 
-def _fundamental_cycles(pg: PathGraph) -> list[tuple[int, dict[int, Fraction]]]:
+def _fundamental_cycles(forest: SpanningForest) -> list[tuple[int, dict[int, int]]]:
     """(non-forest edge a, unit cycle through a) for each non-forest edge,
     by increasing a; a is the only non-forest edge of its cycle.  The
     cycle carries unit flow along its forest loop, so each edge's value is
     +1 where the loop runs tail to head and -1 where it runs back."""
-    forest = SpanningForest(pg)
+    pg = forest.pg
     cycles = []
     for a in forest.non_tree_edges:
         edges, verts = forest.loop(a)
-        cycles.append((a, {e: ONE if pg.tail[e] == x else -ONE
-                           for e, x in zip(edges, verts)}))
+        cycles.append((a, {e: 1 if pg.tail[e] == x else -1 for e, x in zip(edges, verts)}))
     return cycles
+
+
+def _forest_rank(forest: SpanningForest) -> int | None:
+    """rank(d) = V - #roots, when the forest's facts check out; else None.
+
+    The facts are checked, not trusted.  Walking ``order``, each parent
+    edge must join its vertex to one seen before, and the walk must see
+    every vertex.  Then the rows of d at the V - #roots parent edges are
+    triangular with +-1 pivots (each row's other vertex comes before its
+    own), so rank(d) >= V - #roots.  If both ends of every edge share a
+    root, the indicator of each root's vertices lies in ker d, so
+    rank(d) <= V - #distinct roots.  The bounds meet when the vertices
+    without a parent edge are as many as the distinct roots.
+    """
+    pg, parent_edge, root = forest.pg, forest.parent_edge, forest.root
+    seen = set()
+    for s in forest.order:
+        a = parent_edge[s]
+        if a is not None:
+            h, t = pg.head[a], pg.tail[a]
+            if s not in (h, t) or (t if h == s else h) not in seen:
+                return None
+        seen.add(s)
+    if len(seen) != pg.num_vertices:
+        return None
+    if any(root[h] != root[t] for h, t in zip(pg.head, pg.tail)):
+        return None
+    num_roots = parent_edge.count(None)
+    if num_roots != len(set(root)):
+        return None
+    return pg.num_vertices - num_roots
 
 
 def incidence_rows(pg: PathGraph):
@@ -157,15 +187,17 @@ def incidence_rows(pg: PathGraph):
 
 
 def coboundary_rank(pg: PathGraph) -> int:
-    """rank(d), certified over GF(p) with the exact Fraction rank as fallback.
+    """rank(d), certified by a spanning forest, with exact elimination as
+    the fallback.
 
-    The rows of d* at the vertices of one component sum to zero, so
-    V - #components is an upper bound on rank(d).  When the rank mod
-    2^31 - 1, a lower bound, reaches it, that is the rank; d is totally
-    unimodular, so it always does.  Otherwise exact elimination decides.
+    ``_forest_rank`` checks the breadth-first forest's facts and proves
+    rank(d) = V - #roots from them.  When a check fails, the exact rank
+    of the incidence rows decides.
     """
-    upper = pg.num_vertices - num_components(pg)
-    return _linalg.certified_rank(incidence_rows(pg), upper)
+    rank = _forest_rank(SpanningForest(pg))
+    if rank is None:
+        return _linalg.rank_of_rows(incidence_rows(pg))
+    return rank
 
 
 def h1c_dimension(pg: PathGraph) -> int:
@@ -173,35 +205,52 @@ def h1c_dimension(pg: PathGraph) -> int:
     return pg.num_edges - coboundary_rank(pg)
 
 
-def intersect_harmonic_exact(pg: PathGraph) -> int:
-    """dim(ker d* intersect im d), from a certified rank of A + B.
+def _unit_circulations(pg: PathGraph, cycles) -> bool:
+    """Whether each (a, c) has d* c = 0, c(a) = 1 and c(b) = 0 at every
+    other b among the cycles' own edges."""
+    own = {a for a, _ in cycles}
+    if len(own) != len(cycles):
+        return False
+    for a, vec in cycles:
+        if vec.get(a) != 1 or any(b in own for b in vec if b != a):
+            return False
+        net: dict[int, int] = {}
+        for e, x in vec.items():
+            h, t = pg.head[e], pg.tail[e]
+            net[h] = net.get(h, 0) + x
+            net[t] = net.get(t, 0) - x
+        if any(net.values()):
+            return False
+    return True
 
-    A is spanned by the fundamental cycles, independent since each is
-    the only one nonzero at its own non-forest edge, and B = im d by the
-    V rows of d*, whose rows over one component sum to zero.  So
-    #cycles + V - #components bounds dim(A + B), and ``certified_rank``
-    meets it exactly when the intersection is 0; otherwise the
-    intersection is #cycles + rank(d) - dim(A + B).  Positivity of the
-    rational pairing forces 0; the computation verifies it rather than
-    assuming it.
+
+def intersect_harmonic_exact(pg: PathGraph) -> int:
+    """dim(ker d* intersect im d), certified by the fundamental cycles.
+
+    The certificate checks each cycle of the spanning forest in exact
+    integers: d* c = 0, and c is 1 at its own non-forest edge and 0 at
+    every other one.  Then the cycles lie in ker d*, and they are
+    independent, since each is the only one nonzero at its own edge.
+    When they also number E - rank(d), with rank(d) proven by
+    ``_forest_rank``, they span ker d*.  For x = df in that span,
+    <x, x> = <f, d* x> = 0, so x = 0 and the answer is 0.
+
+    When a check fails, the forest is not used at all: exact elimination
+    gives a basis N of ker d* and the rank of N stacked on the V rows of
+    d*.  Since dim N + rank(d*) = E, the intersection has dimension
+    E - rank(N + d*).
     """
-    cycles = _fundamental_cycles(pg)
-    upper = len(cycles) + pg.num_vertices - num_components(pg)
-    # Cycle rows first, each led by its own non-forest edge: they form an
-    # identity block and the vertex rows reduce against it with little fill.
-    col = {a: i for i, (a, _) in enumerate(cycles)}
-    for a in range(pg.num_edges):
-        col.setdefault(a, len(col))
-    stacked = [{col[a]: x for a, x in vec.items()} for _, vec in cycles]
-    for s in range(pg.num_vertices):
-        # Row s of d* is [a:s] on the edges at s; no edge has head = tail.
-        row = {col[a]: 1 for a in pg.edges_into[s]}
-        row.update((col[a], -1) for a in pg.edges_out_of[s])
-        stacked.append(row)
-    dim_sum = _linalg.certified_rank(stacked, upper)
-    if dim_sum == upper:
-        return 0
-    return len(cycles) + coboundary_rank(pg) - dim_sum
+    forest = SpanningForest(pg)
+    rank = _forest_rank(forest)
+    if rank is not None:
+        cycles = _fundamental_cycles(forest)
+        if len(cycles) == pg.num_edges - rank and _unit_circulations(pg, cycles):
+            return 0
+    # Row s of d* is [a:s] on the edges at s; no edge has head = tail.
+    dstar = [{a: 1 for a in pg.edges_into[s]} | {a: -1 for a in pg.edges_out_of[s]}
+             for s in range(pg.num_vertices)]
+    basis = _linalg.nullspace(dstar, pg.num_edges)
+    return pg.num_edges - _linalg.rank_of_rows(basis + dstar)
 
 
 # -- export formats ---------------------------------------------------

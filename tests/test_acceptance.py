@@ -29,7 +29,7 @@ from treeforms.radon import (enlarged_support, exactness_check,
                              fundamental_loops, interior_edges, path_integral,
                              primitive, radon_kernel_interior, random_loops,
                              span_check)
-from treeforms.tower import components, num_components
+from treeforms.tower import SpanningForest, components, num_components
 
 from conftest import apartments, ball, tower
 
@@ -65,8 +65,10 @@ def test_criterion_01_euler_harmonic_identity():
         basis = harmonic_space(pg)
         euler = pg.num_edges - pg.num_vertices + num_components(pg)
         h1 = h1c_dimension(pg)
-        if not (len(basis) == euler == h1):
-            failures.append((q, radius, k, len(basis), euler, h1))
+        # rank(d) by elimination, independent of the forest behind the other three.
+        oracle = pg.num_edges - _linalg.rank_of_rows(incidence_rows(pg))
+        if not (len(basis) == euler == h1 == oracle):
+            failures.append((q, radius, k, len(basis), euler, h1, oracle))
         if any(not adjoint(pg, w).is_zero() for w in basis):
             failures.append((q, radius, k, "non-harmonic basis element"))
     elapsed = time.time() - t0
@@ -195,9 +197,26 @@ def test_criterion_06_primitive_reconstruction():
 def test_criterion_07_harmonic_meets_coboundaries_trivially():
     failures = []
     for (q, radius, k) in GRID:
-        dim = intersect_harmonic_exact(tower(q, radius, k))
-        if dim != 0:
-            failures.append((q, radius, k, dim))
+        pg = tower(q, radius, k)
+        dim = intersect_harmonic_exact(pg)
+        # The same dimension by exact rank.  B = im d is spanned by the rows
+        # of d*; the harmonic basis spans A, inside ker d* (criterion 1), so
+        # A = ker d* when dim A = E - dim B.  Then dim(A cap B) is
+        # dim A + dim B - the rank of the stacked rows.  Columns
+        # are permuted to put each cycle's own non-forest edge first, which
+        # leaves every rank as it is and keeps the elimination's fill low.
+        col = {a: i for i, a in enumerate(SpanningForest(pg).non_tree_edges)}
+        for a in range(pg.num_edges):
+            col.setdefault(a, len(col))
+        cycles = [{col[a]: x for a, x in w.data.items()} for w in harmonic_space(pg)]
+        dstar_rows = [{} for _ in range(pg.num_vertices)]
+        for a, row in enumerate(incidence_rows(pg)):
+            for s, x in row.items():
+                dstar_rows[s][col[a]] = x
+        dim_a, dim_b = _linalg.rank_of_rows(cycles), _linalg.rank_of_rows(dstar_rows)
+        by_rank = dim_a + dim_b - _linalg.rank_of_rows(cycles + dstar_rows)
+        if not (dim == by_rank == 0 and dim_a == pg.num_edges - dim_b):
+            failures.append((q, radius, k, dim, by_rank, dim_a, dim_b))
     ok = not failures
     announce(7, "ker d* intersect im d = 0", ok, f"{len(GRID)} instances by exact rank")
     assert not failures, failures

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from conftest import time_limit
-from treeforms import checks
+from treeforms import checks, cli
 from treeforms.cli import main
 
 
@@ -241,6 +241,35 @@ class TestSamplesAndN:
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert "--n" in err and "radius" not in err
+
+
+class TestUnreadFlags:
+    """A check flag that the suite does not read is refused: exit 2, one line."""
+
+    @pytest.mark.parametrize("argv,flags", [
+        (("check", "euler", "--seed", "0"), "--seed"),
+        (("check", "transitivity", "--p", "2", "--seed", "5"), "--seed"),
+        (("check", "padic", "--p", "2", "--radius", "2", "--q", "3"), "--q"),
+        (("check", "exactness", "--q", "2", "--radius", "3", "--samples", "4"), "--samples"),
+        (("check", "euler", "--q", "2", "--radius", "2", "--samples", "5", "--p", "4",
+          "--margin", "-3", "--matrix", "zz", "--modulus", "0"),
+         "--margin, --matrix, --modulus, --p, --samples"),
+    ])
+    def test_refused_with_one_line(self, capsys, argv, flags):
+        code, out, err = run_bounded(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"treeforms: check {argv[1]} does not read {flags}\n"
+
+    @pytest.mark.parametrize("suite", sorted(cli.SUITES))
+    def test_every_flag_a_suite_reads_is_accepted(self, suite):
+        values = {"q": "2", "radius": "2", "k": "0", "margin": "2", "seed": "1",
+                  "samples": "3", "p": "2", "n": "0", "modulus": "4", "matrix": "1,0;0,1"}
+        argv = ["check", suite, "--output", "report.json"]
+        for kw in cli.SUITES[suite]:
+            flag = cli._FLAG.get(kw, kw)
+            argv += [f"--{flag}"] + ([values[flag]] if flag in values else [])
+        cli._preflight(cli._build_parser().parse_args(argv))
 
 
 class TestInternalError:

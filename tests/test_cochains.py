@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treeforms import _linalg
+from treeforms import _linalg, cochains
 from treeforms.cochains import (Cochain, adjoint, basis_manifest, coboundary,
                                 coboundary_rank, cochain_to_csv, h1c_dimension,
                                 harmonic_space, incidence_rows,
                                 intersect_harmonic_exact, pairing)
-from treeforms.tower import apply_automorphism, num_components
+from treeforms.tower import SpanningForest, apply_automorphism, num_components
 from treeforms.tree import random_automorphism
 
 from conftest import ball, tower
@@ -76,7 +76,7 @@ class TestCoboundary:
 
     def test_kernel_dimension_is_component_count(self):
         pg = tower(2, 2, 2)
-        from treeforms import _linalg
+        from treeforms import _linalg, cochains
         rank = _linalg.rank_of_rows(incidence_rows(pg))
         assert pg.num_vertices - rank == num_components(pg)
 
@@ -166,7 +166,7 @@ class TestHarmonicSpace:
         basis = harmonic_space(pg)
         for w in basis:
             assert adjoint(pg, w).is_zero()
-        from treeforms import _linalg
+        from treeforms import _linalg, cochains
         assert _linalg.rank_of_rows([w.data for w in basis]) == len(basis)
 
     @pytest.mark.parametrize("q,radius,k", [(2, 1, 0), (2, 2, 1), (3, 1, 1), (2, 2, 2)])
@@ -198,28 +198,155 @@ class TestDimensionIdentities:
         assert intersect_harmonic_exact(tower(q, radius, k)) == 0
 
 
-class TestCertifiedRanks:
-    """The GF(p) certificates agree with the Fraction elimination they skip."""
+def exact_answers(pg):
+    """rank(d) and dim(ker d* cap im d) by Fraction elimination alone."""
+    d_rows = list(incidence_rows(pg))
+    dstar_rows = [{} for _ in range(pg.num_vertices)]
+    for a, row in enumerate(d_rows):
+        for s, x in row.items():
+            dstar_rows[s][a] = x
+    cycles = [w.data for w in harmonic_space(pg)]
+    rank_d = _linalg.rank_of_rows(d_rows)
+    assert _linalg.rank_of_rows(dstar_rows) == rank_d
+    # The cycles span ker d*: they lie in it and are E - rank(d) independent rows.
+    assert all(adjoint(pg, Cochain(1, c)).is_zero() for c in cycles)
+    dim_a = _linalg.rank_of_rows(cycles)
+    assert dim_a == pg.num_edges - rank_d
+    return rank_d, dim_a + rank_d - _linalg.rank_of_rows(cycles + dstar_rows)
 
-    @pytest.mark.parametrize("q,radius,k", [(2, 2, 0), (2, 3, 1), (2, 2, 2),
-                                            (2, 3, 4), (3, 2, 2)])
-    def test_agree_with_fraction_elimination(self, q, radius, k, monkeypatch):
+
+def forward_parent(forest):
+    """The first tree vertex now comes before its parent in ``order``."""
+    forest.order[0], forest.order[1] = forest.order[1], forest.order[0]
+
+
+def wrong_root(forest):
+    """A vertex with a parent edge claims to be its own root."""
+    s = forest.order[1]
+    forest.root[s] = s
+
+
+def orphan(forest):
+    """A vertex loses its parent edge but keeps its root."""
+    forest.parent_edge[forest.order[1]] = None
+
+
+def false_root(forest):
+    """A vertex loses its parent edge and claims to be a root."""
+    s = forest.order[1]
+    forest.parent_edge[s] = None
+    forest.root[s] = s
+
+
+def stray_parent(forest):
+    """The last vertex takes the parent edge of the first tree vertex."""
+    forest.parent_edge[forest.order[-1]] = forest.parent_edge[forest.order[1]]
+
+
+def short_order(forest):
+    """The last vertex is missing from ``order``."""
+    forest.order.pop()
+
+
+def flipped_sign(cycles):
+    """One forest edge of the first cycle runs the wrong way."""
+    a, vec = cycles[0]
+    b = next(e for e in vec if e != a)
+    vec[b] = -vec[b]
+    return cycles
+
+
+def doubled(cycles):
+    """The first cycle carries flow 2."""
+    a, vec = cycles[0]
+    cycles[0] = (a, {e: 2 * x for e, x in vec.items()})
+    return cycles
+
+
+def merged(cycles):
+    """The second cycle is added to the first, which is then nonzero at
+    the second's own edge."""
+    (a, vec), (_, other) = cycles[0], cycles[1]
+    total = {e: vec.get(e, 0) + other.get(e, 0) for e in vec.keys() | other.keys()}
+    cycles[0] = (a, {e: x for e, x in total.items() if x})
+    return cycles
+
+
+def dropped(cycles):
+    """The last cycle is missing."""
+    return cycles[:-1]
+
+
+def repeated(cycles):
+    """The first cycle also stands in for the last."""
+    return cycles[:-1] + [cycles[0]]
+
+
+def spy_elimination(monkeypatch) -> list[str]:
+    """Record, by name, each exact elimination the certificates fall back to."""
+    calls = []
+    for name in ("rank_of_rows", "nullspace"):
+        real = getattr(_linalg, name)
+
+        def spy(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(_linalg, name, spy)
+    return calls
+
+
+class TestCertifiedRanks:
+    """The forest certificates agree with Fraction elimination, and a
+    doctored forest or cycle is rejected and sent to the exact route."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(size=st.sampled_from([(q, radius, k) for q in (2, 3) for radius in (1, 2, 3)
+                                 for k in range(2 * radius + 1)]))
+    def test_agree_with_fraction_elimination(self, size):
+        pg = tower(*size)
+        rank_d, dim = exact_answers(pg)
+        assert coboundary_rank(pg) == rank_d
+        assert intersect_harmonic_exact(pg) == dim == 0
+
+    @pytest.mark.parametrize("q,radius,k", [(2, 2, 0), (2, 3, 1), (3, 2, 2)])
+    def test_genuine_forest_skips_elimination(self, q, radius, k, monkeypatch):
         pg = tower(q, radius, k)
-        d_rows = list(incidence_rows(pg))
-        dstar_rows = [{} for _ in range(pg.num_vertices)]
-        for a, row in enumerate(d_rows):
-            for s, x in row.items():
-                dstar_rows[s][a] = x
-        cycles = [w.data for w in harmonic_space(pg)]
-        dim_a = _linalg.rank_of_rows(cycles)
-        dim_b = _linalg.rank_of_rows(dstar_rows)
-        oracle = dim_a + dim_b - _linalg.rank_of_rows(cycles + dstar_rows)
-        assert coboundary_rank(pg) == _linalg.rank_of_rows(d_rows) == dim_b
-        assert intersect_harmonic_exact(pg) == oracle == 0
-        # A certificate that is never met sends both through the Fraction route.
-        monkeypatch.setattr(_linalg, "rank_mod_p", lambda rows, p=_linalg.MODULUS: -1)
-        assert coboundary_rank(pg) == dim_b
-        assert intersect_harmonic_exact(pg) == oracle
+        rank_d, dim = exact_answers(pg)
+        calls = spy_elimination(monkeypatch)
+        assert coboundary_rank(pg) == rank_d
+        assert intersect_harmonic_exact(pg) == dim
+        assert calls == []
+
+    @pytest.mark.parametrize("doctor", [forward_parent, wrong_root, orphan, false_root,
+                                        stray_parent, short_order])
+    @pytest.mark.parametrize("q,radius,k", [(2, 2, 0), (2, 3, 1), (3, 2, 2)])
+    def test_doctored_forest_takes_exact_route(self, q, radius, k, doctor, monkeypatch):
+        pg = tower(q, radius, k)
+        rank_d, dim = exact_answers(pg)
+
+        def doctored(graph):
+            f = SpanningForest(graph)
+            doctor(f)
+            return f
+
+        monkeypatch.setattr(cochains, "SpanningForest", doctored)
+        calls = spy_elimination(monkeypatch)
+        assert coboundary_rank(pg) == rank_d
+        assert calls == ["rank_of_rows"]
+        assert intersect_harmonic_exact(pg) == dim
+        assert calls == ["rank_of_rows", "nullspace", "rank_of_rows"]
+
+    @pytest.mark.parametrize("doctor", [flipped_sign, doubled, merged, dropped, repeated])
+    @pytest.mark.parametrize("q,radius,k", [(2, 2, 0), (2, 3, 1), (3, 2, 2)])
+    def test_doctored_cycles_take_exact_route(self, q, radius, k, doctor, monkeypatch):
+        pg = tower(q, radius, k)
+        _, dim = exact_answers(pg)
+        real = cochains._fundamental_cycles
+        monkeypatch.setattr(cochains, "_fundamental_cycles", lambda f: doctor(real(f)))
+        calls = spy_elimination(monkeypatch)
+        assert intersect_harmonic_exact(pg) == dim
+        assert calls == ["nullspace", "rank_of_rows"]
 
 
 class TestEquivariance:

@@ -137,28 +137,19 @@ class TestModularRank:
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10 ** 6))
-    def test_certified_rank_is_rational_rank(self, seed):
+    def test_lower_bound_on_rank_of_fraction_rows(self, seed):
         rng = random.Random(seed)
         nrows, ncols = rng.randrange(1, 8), rng.randrange(1, 8)
         rows = random_integer_rows(rng, nrows, ncols, [-3, -1, 1, 2, 5, P])
         rows = [{j: Fraction(v) for j, v in row.items()} for row in rows]
         exact = _linalg.rank_of_rows(rows)
-        assert _linalg.certified_rank(rows, min(nrows, ncols)) == exact
-        assert _linalg.certified_rank(iter(rows), exact) == exact
+        assert _linalg.rank_mod_p(rows) <= exact <= min(nrows, ncols)
+        assert _linalg.rank_mod_p(iter(rows)) <= exact
 
-    def test_fallback_when_rank_drops_mod_p(self, monkeypatch):
-        exact = _linalg.rank_of_rows
-        calls = []
-
-        def spy(rows):
-            calls.append(rows)
-            return exact(rows)
-
-        monkeypatch.setattr(_linalg, "rank_of_rows", spy)
+    def test_rank_drops_mod_p(self):
         rows = [{0: Fraction(P)}]
         assert _linalg.rank_mod_p(rows) == 0
-        assert _linalg.certified_rank(rows, 1) == 1
-        assert len(calls) == 1
+        assert _linalg.rank_of_rows(rows) == 1
 
     def test_non_integer_entry_rejected(self):
         with pytest.raises(ValueError):
