@@ -69,6 +69,7 @@ OTHER_COMMANDS = [
     "check transitivity --p 2",
     "check transitivity --p 2 --seed 5",
     "check transitivity --p 3",
+    "check transitivity --p 5",
     "check span --q 2 --radius 2",
     "check span --q 2 --radius 3",
     "check gamma0 --p 2 --n 1 --matrix 1,0;2,1",
