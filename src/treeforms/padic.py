@@ -8,15 +8,25 @@ rational matrices modulo nonzero scalars, acting by left multiplication
 followed by column reduction.  Everything is exact: rationals carry
 their p-adic valuations, no truncated expansions anywhere.
 
+A number is held as an int when it is integral and as a Fraction
+otherwise, in matrix entries and in the u of a class alike (an int and
+an equal Fraction compare and hash alike).  The canonical form and the
+fix test are computed from integer valuations: a class comes from
+v_p(det g) and v_p of one entry, and a fix test clears g's denominators
+and scales the conjugate by u's.  Path stabilizers modulo p^d are
+lifted one p-adic digit at a time.
+
 Only F = Q_p for a prime p is modeled (residue cardinality q = p);
 general local fields would need ring extensions and are out of scope.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .tree import BallAutomorphism, TreeBall, TreeParams, build_ball
 
@@ -77,28 +87,43 @@ def _vge(v, bound: int) -> bool:
     return v is None or v >= bound
 
 
+def _exact(x) -> int | Fraction:
+    """The rational x as an int when it is integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 @dataclass(frozen=True)
 class GroupElement:
-    """2x2 rational matrix of nonzero determinant, modulo scalars."""
+    """2x2 rational matrix of nonzero determinant, modulo scalars; each
+    entry is held as an int when integral, else as a Fraction."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+    a: int | Fraction
+    b: int | Fraction
+    c: int | Fraction
+    d: int | Fraction
+
+    def __post_init__(self):
+        if not (type(self.a) is type(self.b) is type(self.c) is type(self.d) is int):
+            for name in "abcd":
+                object.__setattr__(self, name, _exact(getattr(self, name)))
 
     @classmethod
     def of(cls, a, b, c, d) -> "GroupElement":
-        g = cls(Fraction(a), Fraction(b), Fraction(c), Fraction(d))
+        g = cls(a, b, c, d)
         if g.det == 0:
             raise ValueError("matrix is singular")
         return g
 
     @property
-    def det(self) -> Fraction:
+    def det(self) -> int | Fraction:
         return self.a * self.d - self.b * self.c
 
     @property
-    def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    def entries(self) -> tuple[int | Fraction, ...]:
         return (self.a, self.b, self.c, self.d)
 
     def mul(self, other: "GroupElement") -> "GroupElement":
@@ -114,67 +139,76 @@ class GroupElement:
         return GroupElement(self.d, -self.b, -self.c, self.a)
 
     def to_json_dict(self) -> list[list[str]]:
-        def fmt(x: Fraction) -> str:
+        def fmt(x: int | Fraction) -> str:
             return f"{x.numerator}/{x.denominator}"
         return [[fmt(self.a), fmt(self.b)], [fmt(self.c), fmt(self.d)]]
 
 
-IDENTITY = GroupElement(Fraction(1), Fraction(0), Fraction(0), Fraction(1))
+IDENTITY = GroupElement(1, 0, 0, 1)
 
 
-def residue_mod(u, n: int, p: int) -> Fraction:
+def _power(p: int, n: int) -> int | Fraction:
+    """p^n, an int for n >= 0 and a Fraction below."""
+    return p ** n if n >= 0 else Fraction(1, p ** -n)
+
+
+def residue_mod(u, n: int, p: int) -> int | Fraction:
     """Canonical representative of u modulo p^n Z_p.
 
     The result is p^v * r with v = v_p(u) and r the unit part reduced
     modulo p^(n-v), an integer in [1, p^(n-v)); zero when v >= n.  For
-    negative v the representative is an honest non-integral rational.
+    v >= 0 it is the int u mod p^n, in [0, p^n); for negative v it is
+    the honest non-integral rational r / p^-v.
     """
-    u = Fraction(u)
+    u = _exact(u)
     v = valuation(u, p)
     if v is None or v >= n:
-        return Fraction(0)
-    unit = u / Fraction(p) ** v
-    modulus = p ** (n - v)
-    r = (unit.numerator * pow(unit.denominator, -1, modulus)) % modulus
-    return Fraction(p) ** v * r
+        return 0
+    k = max(0, -v)  # u = U / (D' p^k) with D' prime to p
+    modulus = p ** (n + k)
+    r = u.numerator * pow(u.denominator // p ** k, -1, modulus) % modulus
+    return r if k == 0 else Fraction(r, p ** k)
 
 
 @dataclass(frozen=True)
 class LatticeClassVertex:
-    """Homothety class of lattices: column-reduced form [[p^n, u], [0, 1]]."""
+    """Homothety class of lattices: column-reduced form [[p^n, u], [0, 1]],
+    u held as an int when integral, else as a Fraction."""
 
     n: int
-    u: Fraction
+    u: int | Fraction
+
+    def __post_init__(self):
+        if type(self.u) is not int:
+            object.__setattr__(self, "u", _exact(self.u))
 
     def matrix(self, p: int) -> GroupElement:
-        return GroupElement(Fraction(p) ** self.n, self.u, Fraction(0), Fraction(1))
+        return GroupElement(_power(p, self.n), self.u, 0, 1)
 
 
-ROOT = LatticeClassVertex(0, Fraction(0))
+ROOT = LatticeClassVertex(0, 0)
 
 
 def canonicalize(g: GroupElement, p: int) -> LatticeClassVertex:
-    """Column-reduce over Z_p modulo scalars to the unique (n, u mod p^n).
+    """The unique (n, u mod p^n) of g's class, from valuations alone.
 
-    Right multiplication by GL(2, Z_p) realizes the column operations:
-    swap, and adding a Z_p-multiple of one column to the other.
+    Right multiplication by GL(2, Z_p) realizes the column operations
+    (swap, and adding a Z_p-multiple of one column to the other), and
+    neither they nor scalars change the class.  Swap the columns so that
+    d != 0 and v_p(c) >= v_p(d); then clearing c and dividing by d gives
+
+        [[det g / d^2, b / d], [0, 1]]   (up to the sign of det),
+
+    so n = v_p(det g) - 2 v_p(d) and u = b / d mod p^n.
     """
-    if g.det == 0:
+    det = g.det
+    if det == 0:
         raise ValueError("matrix is singular")
     a, b, c, d = g.entries
-    vc, vd = valuation(c, p), valuation(d, p)
-    if d == 0 or (c != 0 and vc < vd):
-        a, b = b, a
-        c, d = d, c
-    # Now v(c) >= v(d), d != 0: clear the lower-left entry.
-    if c != 0:
-        a = a - (c / d) * b
-        c = Fraction(0)
-    # Scale the class so the lower-right entry is 1.
-    alpha = a / d
-    u0 = b / d
-    n = valuation(alpha, p)
-    return LatticeClassVertex(n, residue_mod(u0, n, p))
+    if d == 0 or (c != 0 and valuation(c, p) < valuation(d, p)):
+        b, d = a, c
+    n = valuation(det, p) - 2 * valuation(d, p)
+    return LatticeClassVertex(n, residue_mod(Fraction(b, d), n, p))
 
 
 def act(g: GroupElement, v: LatticeClassVertex, p: int) -> LatticeClassVertex:
@@ -206,7 +240,7 @@ def tree_distance(v: LatticeClassVertex, w: LatticeClassVertex, p: int) -> int:
 def lattice_neighbors(v: LatticeClassVertex, p: int) -> list[LatticeClassVertex]:
     """The p+1 classes at distance 1: p sublattices of index p and one
     superlattice."""
-    pn = Fraction(p) ** v.n
+    pn = _power(p, v.n)
     down = [LatticeClassVertex(v.n + 1, residue_mod(v.u + t * pn, v.n + 1, p))
             for t in range(p)]
     up = LatticeClassVertex(v.n - 1, residue_mod(v.u, v.n - 1, p))
@@ -283,13 +317,13 @@ def standard_path(emb: BallEmbedding, n: int) -> tuple[int, ...]:
         raise ValueError(f"ball radius {emb.ball.params.radius} too small for level {n}")
     path = []
     for j in range(n + 2):
-        lv = LatticeClassVertex(-j, Fraction(0))
+        lv = LatticeClassVertex(-j, 0)
         path.append(emb.from_lattice[lv])
     return tuple(path)
 
 
 def fixes_vertex(g: GroupElement, lv: LatticeClassVertex, p: int) -> bool:
-    """act(g, lv, p) == lv, without column reduction.
+    """act(g, lv, p) == lv, without column reduction, in integers.
 
     With M = matrix(lv) = [[p^n, u], [0, 1]], g fixes the class [M]
     exactly when M^-1 g M lies in Q_p^* GL(2, Z_p), the level-0
@@ -300,30 +334,54 @@ def fixes_vertex(g: GroupElement, lv: LatticeClassVertex, p: int) -> bool:
 
     whose determinant is det g; so the test is
     v_p(det g) == 2 min(v(a - cu), v(b + (a-d)u - cu^2) - n, v(c) + n,
-    v(cu + d)), over the nonzero entries.
+    v(cu + d)), over the nonzero entries.  Both sides are taken after
+    clearing g's denominators (``_fixes_all``).
     """
-    return valuation(g.det, p) == 2 * _conjugate_min_valuation(g, lv, p)
+    return _fixes_all(g, (lv,), p)
 
 
-def _conjugate_min_valuation(g: GroupElement, lv: LatticeClassVertex, p: int) -> int:
-    """The least entry valuation of matrix(lv)^-1 g matrix(lv)."""
+def fixes_path_pointwise(g: GroupElement, emb: BallEmbedding, path: tuple[int, ...]) -> bool:
+    """Every vertex of the path is fixed by g; v_p(det g) is taken once."""
+    return _fixes_all(g, [emb.to_lattice[v] for v in path], emb.p)
+
+
+def _fixes_all(g: GroupElement, classes, p: int) -> bool:
+    """g fixes every class, by the valuation test of ``fixes_vertex``.
+
+    g is first scaled by the lcm of its entries' denominators.  That is
+    the same element of PGL(2), and it moves v_p(det) and twice the least
+    conjugate valuation by the same 2 v_p(lcm), so the test is unchanged
+    while every entry is an int.
+    """
     a, b, c, d = g.entries
-    u, n = lv.u, lv.n
-    cu = c * u
+    den = lcm(a.denominator, b.denominator, c.denominator, d.denominator)
+    if den != 1:
+        a, b, c, d = (x.numerator * (den // x.denominator) for x in g.entries)
+    vdet = valuation(a * d - b * c, p)
+    return all(vdet == 2 * _conjugate_min_valuation(a, b, c, d, lv, p) for lv in classes)
+
+
+def _conjugate_min_valuation(a: int, b: int, c: int, d: int,
+                             lv: LatticeClassVertex, p: int) -> int:
+    """The least entry valuation of matrix(lv)^-1 g matrix(lv), for the
+    integer matrix g = [[a, b], [c, d]].
+
+    With u = U / D, the entries a - cu, b + (a - d)u - cu^2 and cu + d
+    times D, D^2 and D are the integers below; their valuations less
+    v_p(D), 2 v_p(D) and v_p(D) are those of the entries.
+    """
+    U, D = lv.u.numerator, lv.u.denominator
+    n = lv.n
+    k = valuation(D, p)
+    cU = c * U
     least = None
-    for x, shift in ((a - cu, 0), (b + (a - d) * u - cu * u, -n), (c, n), (cu + d, 0)):
+    for x, shift in ((a * D - cU, -k), ((b * D + (a - d) * U) * D - cU * U, -2 * k - n),
+                     (c, n), (cU + d * D, -k)):
         if x:
             v = valuation(x, p) + shift
             if least is None or v < least:
                 least = v
     return least
-
-
-def fixes_path_pointwise(g: GroupElement, emb: BallEmbedding, path: tuple[int, ...]) -> bool:
-    """Every vertex of the path is fixed by g; v_p(det g) is taken once."""
-    p = emb.p
-    vdet = valuation(g.det, p)
-    return all(vdet == 2 * _conjugate_min_valuation(g, emb.to_lattice[v], p) for v in path)
 
 
 def sample_gamma0(p: int, n: int, modulus_exp: int, count: int, seed: int) -> list[GroupElement]:
@@ -333,8 +391,7 @@ def sample_gamma0(p: int, n: int, modulus_exp: int, count: int, seed: int) -> li
     At level 0 the subgroup is the full maximal compact, so the sample is
     any integral matrix with unit determinant.
     """
-    if n >= modulus_exp:
-        raise ValueError("modulus exponent must exceed the congruence level")
+    _check_level(n, modulus_exp)
     rng = random.Random(seed)
     pm = p ** modulus_exp
     out = []
@@ -360,6 +417,7 @@ def sample_with_exact_lower_valuation(p: int, n: int, modulus_exp: int,
                                       count: int, seed: int) -> list[GroupElement]:
     """Elements of the level-n subgroup whose lower-left valuation is
     exactly n (so they sit outside level n+1)."""
+    _check_level(n, modulus_exp)
     rng = random.Random(seed)
     pm = p ** modulus_exp
     out = []
@@ -379,19 +437,21 @@ def sample_with_exact_lower_valuation(p: int, n: int, modulus_exp: int,
     return out
 
 
+def _check_level(n: int, modulus_exp: int) -> None:
+    """The samplers need a congruence level 0 <= n < modulus_exp."""
+    if not 0 <= n < modulus_exp:
+        raise ValueError(f"congruence level n = {n} must satisfy "
+                         f"0 <= n < modulus exponent {modulus_exp}")
+
+
 def enumerate_unit_lifts(p: int, modulus_exp: int) -> list[GroupElement]:
     """Integer lifts of GL(2, Z/p^m): one representative per residue class
-    with unit determinant.  All lie in GL(2, Z_p), so each fixes the root
-    class and induces an automorphism of any embedded ball."""
-    pm = p ** modulus_exp
-    out = []
-    for a in range(pm):
-        for b in range(pm):
-            for c in range(pm):
-                for d in range(pm):
-                    if (a * d - b * c) % p != 0:
-                        out.append(GroupElement.of(a, b, c, d))
-    return out
+    with unit determinant, entries in [0, p^m).  All lie in GL(2, Z_p), so
+    each fixes the root class and induces an automorphism of any embedded
+    ball."""
+    return [GroupElement(a, b, c, d)
+            for a, b, c, d in itertools.product(range(p ** modulus_exp), repeat=4)
+            if (a * d - b * c) % p != 0]
 
 
 @dataclass(frozen=True)
@@ -414,10 +474,10 @@ def stabilizer_transitivity_check(emb: BallEmbedding, pg, s: int, side: str,
     the sampling window was too small, reported as inconclusive rather
     than false.
 
-    The lifts are enumerated modulo p^d only, for d the radius of the
-    ball about the root class that holds the path and its extensions
-    (see ``_path_stabilizer``): two lifts that agree modulo p^d differ
-    by an element of the principal congruence subgroup
+    The lifts are found modulo p^d only, digit by digit, for d the
+    radius of the ball about the root class that holds the path and its
+    extensions (see ``_path_stabilizer``): two lifts that agree modulo
+    p^d differ by an element of the principal congruence subgroup
     K(p^d) = 1 + p^d M_2(Z_p), which fixes that ball pointwise (Serre,
     *Trees*, II.1).  So whether a lift fixes the path, and where it
     sends an extension, depend on its residue modulo p^d alone; the
@@ -449,17 +509,37 @@ def _path_stabilizer(emb: BallEmbedding, pg, s: int,
     order |GL(2, Z/p^m)| = p^(4(m-1)) (p^2 - 1)(p^2 - p) needs m >= 1).
     K(p^d) fixes every such vertex, so each residue modulo p^d that
     fixes the path stands for the p^(4(m-d)) lifts modulo p^m above it,
-    and they all act alike on the path's extensions.  At d = m this is
-    the full enumeration.
+    and they all act alike on the path's extensions.
+
+    The residues are found one p-adic digit at a time: first those
+    modulo p that fix the path's vertices at depth <= 1, then, for
+    j = 2..d, the lifts g + p^(j-1) X, X in [0, p)^4, of the survivors
+    that fix the path's vertices at depth j.  Whether a residue modulo
+    p^j fixes a vertex at depth <= j does not depend on its lift, since
+    K(p^j) fixes the radius-j ball; so every lift of a survivor still
+    fixes the shallower vertices, and every residue modulo p^d that
+    fixes the path reduces to a survivor at each digit.  Path vertices
+    deeper than d (d capped at m) are tested at the last digit, on the
+    representatives in [0, p^d), as a full enumeration modulo p^d would.
     """
     if modulus_exp < 1:
         raise ValueError(f"modulus exponent must be >= 1, got {modulus_exp}")
+    p, depths = emb.p, emb.ball.depths
     path = pg.verts[s]
     reach = set(path).union(*(pg.edges[t] for t in pg.edges_into[s] + pg.edges_out_of[s]))
-    d = min(modulus_exp, max(1, max(emb.ball.depths[v] for v in reach)))
-    residues = [g for g in enumerate_unit_lifts(emb.p, d)
-                if fixes_path_pointwise(g, emb, path)]
-    return residues, len(residues) * emb.p ** (4 * (modulus_exp - d))
+    d = min(modulus_exp, max(1, max(depths[v] for v in reach)))
+    due: list[list[LatticeClassVertex]] = [[] for _ in range(d + 1)]
+    for v in path:
+        due[min(d, max(1, depths[v]))].append(emb.to_lattice[v])
+    residues = [g for g in enumerate_unit_lifts(p, 1) if _fixes_all(g, due[1], p)]
+    digits = list(itertools.product(range(p), repeat=4))
+    for j in range(2, d + 1):
+        step = p ** (j - 1)
+        residues = [GroupElement(g.a + step * x, g.b + step * y, g.c + step * z, g.d + step * w)
+                    for g in residues for x, y, z, w in digits]
+        if due[j]:
+            residues = [g for g in residues if _fixes_all(g, due[j], p)]
+    return residues, len(residues) * p ** (4 * (modulus_exp - d))
 
 
 def _extension_orbit(emb: BallEmbedding, pg, s: int, side: str,

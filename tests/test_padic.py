@@ -21,9 +21,9 @@ from treeforms.tower import build_path_graph
 F = Fraction
 
 
-def rand_invertible(rng, span=8):
+def rand_invertible(rng, span=8, den=5):
     while True:
-        entries = [F(rng.randrange(-span, span + 1), rng.randrange(1, 5)) for _ in range(4)]
+        entries = [F(rng.randrange(-span, span + 1), rng.randrange(1, den)) for _ in range(4)]
         if entries[0] * entries[3] - entries[1] * entries[2] != 0:
             return GroupElement(*entries)
 
@@ -41,8 +41,25 @@ def scaled(g, lam):
     return GroupElement(g.a * lam, g.b * lam, g.c * lam, g.d * lam)
 
 
-# Reference routines: the matrix and full-automorphism forms that the
-# closed forms in treeforms.padic replace.
+# Reference routines: the matrix, column-reduction and full-automorphism
+# forms that the closed forms and integer routes in treeforms.padic replace.
+
+def canonicalize_oracle(g, p):
+    """Column reduction over Z_p in Fraction arithmetic: swap, clear the
+    lower-left entry, scale the lower-right entry to 1."""
+    if g.det == 0:
+        raise ValueError("matrix is singular")
+    a, b, c, d = (F(x) for x in g.entries)
+    vc, vd = valuation(c, p), valuation(d, p)
+    if d == 0 or (c != 0 and vc < vd):
+        a, b = b, a
+        c, d = d, c
+    # Now v(c) >= v(d), d != 0: clear the lower-left entry.
+    if c != 0:
+        a = a - (c / d) * b
+    n = valuation(a / d, p)
+    return LatticeClassVertex(n, residue_mod(b / d, n, p))
+
 
 def tree_distance_oracle(v, w, p):
     """|e1 - e2| from the elementary divisors of matrix(v)^-1 matrix(w)."""
@@ -52,7 +69,7 @@ def tree_distance_oracle(v, w, p):
 
 
 def fixes_vertex_oracle(g, lv, p):
-    return act(g, lv, p) == lv
+    return canonicalize_oracle(g.mul(lv.matrix(p)), p) == lv
 
 
 def stabilizer_oracle(emb, path, modulus_exp):
@@ -448,16 +465,125 @@ class TestTransitivity:
         monkeypatch.setattr(padic, "enumerate_unit_lifts", spy)
         passed, report = checks.check_transitivity(2)
         assert passed and report["conclusive"]
-        # One enumeration per path, at the reduced exponents: the root
-        # 0-path mod 4 at d = 1, the standard 1-path mod 8 at d = 2.
-        assert moduli == [1, 2]
+        # One enumeration per path, modulo p: the root 0-path (d = 1) and
+        # the standard 1-path (d = 2, lifted to the second digit from there).
+        assert moduli == [1, 1]
 
     def test_unit_lift_enumeration_size(self):
         # |GL(2, Z/4)| = 96
         assert len(enumerate_unit_lifts(2, 2)) == 96
+
+    @pytest.mark.parametrize("p,radius", [(2, 3), (3, 2)])
+    def test_lifting_matches_oracle_on_every_short_path(self, p, radius):
+        """Digit-by-digit residues against the full enumeration modulo
+        p^m, m = radius, on every k-path with k <= 1 of the ball."""
+        emb = embed_ball(p, radius)
+        m = radius
+        depths = emb.ball.depths
+        # Which ball vertices each unit lift fixes, by the Fraction oracle,
+        # so that `full` below is stabilizer_oracle(emb, path, m) from one table.
+        fixed = [(g, {v for v, lv in enumerate(emb.to_lattice) if fixes_vertex_oracle(g, lv, p)})
+                 for g in enumerate_unit_lifts(p, m)]
+        for k in (0, 1):
+            pg = build_path_graph(emb.ball, k)
+            for s, path in enumerate(pg.verts):
+                full = [g for g, fixes in fixed if fixes.issuperset(path)]
+                reach = set(path).union(*(pg.edges[t] for t in pg.edges_into[s] + pg.edges_out_of[s]))
+                pd = p ** min(m, max(1, max(depths[v] for v in reach)))
+                residues, size = padic._path_stabilizer(emb, pg, s, m)
+                reduced = [g.entries for g in residues]
+                assert all(0 <= x < pd for entries in reduced for x in entries)
+                assert len(set(reduced)) == len(reduced)
+                assert set(reduced) == {tuple(x % pd for x in g.entries) for g in full}
+                assert size == len(full)
 
 
 class TestJson:
     def test_matrix_entries_as_fraction_strings(self):
         g = GroupElement.of(1, F(1, 2), 0, 1)
         assert g.to_json_dict() == [["1/1", "1/2"], ["0/1", "1/1"]]
+
+
+class TestSamplerLevels:
+    @pytest.mark.parametrize("sampler", [sample_gamma0, sample_with_exact_lower_valuation])
+    @pytest.mark.parametrize("n,m", [(-1, 6), (-2, 0), (6, 6), (7, 6)])
+    def test_level_outside_range_refused(self, sampler, n, m):
+        with pytest.raises(ValueError, match=f"congruence level n = {n} must satisfy"):
+            sampler(2, n, m, 5, 0)
+
+    @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 5)])
+    def test_exact_lower_valuation(self, p, n):
+        for g in sample_with_exact_lower_valuation(p, n, 6, 20, seed=n):
+            assert valuation(g.c, p) == n
+            assert in_gamma0(g, n, p) and not in_gamma0(g, n + 1, p)
+
+
+def path_in_ball(rng, emb):
+    """A random geodesic of the ball: a vertex and up to two steps away."""
+    path = [rng.randrange(emb.ball.num_vertices)]
+    for _ in range(rng.randrange(3)):
+        nxt = [w for w in emb.ball.adjacency[path[-1]] if w not in path]
+        if nxt:
+            path.append(rng.choice(nxt))
+    return tuple(path)
+
+
+class TestIntegerRoute:
+    """Entries held as ints where integral, and the integer-valuation
+    routes, against the Fraction oracles."""
+
+    def test_integral_entries_are_ints(self):
+        g = GroupElement.of(1, 2, 4, 3)
+        assert all(type(x) is int for x in g.entries)
+        assert g == GroupElement.of(F(1), F(2), F(4), F(3)) == GroupElement(F(2, 2), 2, 4, 3)
+        assert g.to_json_dict() == GroupElement.of(F(1), F(2), F(4), F(3)).to_json_dict() \
+            == [["1/1", "2/1"], ["4/1", "3/1"]]
+        h = GroupElement.of(F(1, 2), F(4, 2), 0, 1)
+        assert [type(x) for x in h.entries] == [F, int, int, int]
+        assert h.to_json_dict() == [["1/2", "2/1"], ["0/1", "1/1"]]
+        assert all(type(x) is int for x in h.mul(GroupElement.of(2, 0, 0, 1)).entries)
+
+    def test_classes_hold_ints_where_integral(self):
+        assert type(ROOT.u) is int and type(LatticeClassVertex(1, F(1)).u) is int
+        assert LatticeClassVertex(1, F(1)) == LatticeClassVertex(1, 1)
+        assert {ROOT: 0}[LatticeClassVertex(0, F(0))] == 0
+        assert type(residue_mod(F(7, 3), 2, 2)) is int
+        assert type(residue_mod(F(7, 3), 2, 3)) is F
+        emb = embed_ball(3, 2)
+        for lv in emb.to_lattice:
+            assert (type(lv.u) is int) == (lv.u.denominator == 1)
+        for g in (enumerate_unit_lifts(2, 1) + sample_gamma0(3, 1, 4, 5, 0)
+                  + sample_with_exact_lower_valuation(3, 1, 4, 5, 0)):
+            assert all(type(x) is int for x in g.entries)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), p=st.sampled_from([2, 3, 5]))
+    def test_matches_fraction_oracles(self, seed, p):
+        rng = random.Random(seed)
+        emb = embed_ball(p, 2)
+        for _ in range(5):
+            v, w = rand_class(rng, p), rand_class(rng, p)
+            path = path_in_ball(rng, emb)
+            # Integral elements: unit lifts and level-n congruence samples,
+            # which fix the standard path up to depth n, so both outcomes
+            # of the fix tests occur.
+            unit = sample_gamma0(p, rng.randrange(3), 3, 1, rng.randrange(10 ** 6))[0]
+            integral = rand_invertible(rng, span=30, den=2) if rng.random() < 0.3 else unit
+            m = v.matrix(p)
+            conjugate = m.mul(unit).mul(m.inverse())
+            # Conjugates that move v, their least conjugate valuation taken
+            # at one diagonal entry alone.
+            movers = [m.mul(h).mul(m.inverse()) for h in (GroupElement.of(2 * p * p, p, p, 1),
+                                                          GroupElement.of(1, p, p, 2 * p * p))]
+            lam = F(p) ** rng.randrange(-2, 3) * F(rng.choice([1, -1, p + 1]), rng.choice([1, p - 1, 7]))
+            for g in (integral, rand_invertible(rng), conjugate, *movers):
+                for h in (g, scaled(g, lam)):
+                    if h.det == 0:
+                        continue
+                    assert canonicalize(h, p) == canonicalize_oracle(h, p)
+                    assert fixes_vertex(h, v, p) == fixes_vertex_oracle(h, v, p)
+                    assert fixes_path_pointwise(h, emb, path) == \
+                        all(fixes_vertex_oracle(h, emb.to_lattice[x], p) for x in path)
+            assert fixes_vertex(conjugate, v, p)
+            assert not any(fixes_vertex(g, v, p) for g in movers)
+            assert tree_distance(v, w, p) == tree_distance_oracle(v, w, p)
