@@ -511,12 +511,6 @@ class TestSamplerLevels:
         with pytest.raises(ValueError, match=f"congruence level n = {n} must satisfy"):
             sampler(2, n, m, 5, 0)
 
-    @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 5)])
-    def test_exact_lower_valuation(self, p, n):
-        for g in sample_with_exact_lower_valuation(p, n, 6, 20, seed=n):
-            assert valuation(g.c, p) == n
-            assert in_gamma0(g, n, p) and not in_gamma0(g, n + 1, p)
-
 
 def path_in_ball(rng, emb):
     """A random geodesic of the ball: a vertex and up to two steps away."""
