@@ -42,6 +42,11 @@ def _cases() -> list[list[str]]:
             for suite in ("loops", "primitive"):
                 cases.append(["check", suite, "--q", "2", "--radius", "3", "--k", str(k),
                               "--margin", str(margin)])
+    for q, radius in ((3, 3), (2, 4)):
+        for k in range(3):
+            size = ["--q", str(q), "--radius", str(radius), "--k", str(k)]
+            cases.append(["check", "primitive", *size])
+            cases.append(["check", "primitive", *size, "--margin", "0"])
     for q in (2, 3):
         for k in range(3):
             for margin in range(4):
