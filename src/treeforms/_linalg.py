@@ -190,12 +190,3 @@ def solve(rows, rhs, ncols: int) -> Row | None:
         if c:
             sol[j] = Fraction(-c, scale)
     return sol
-
-
-def spans_same_space(basis_a: list[Row], basis_b: list[Row]) -> bool:
-    """Exact subspace equality via stacked ranks."""
-    ra = rank_of_rows(basis_a)
-    rb = rank_of_rows(basis_b)
-    if ra != rb:
-        return False
-    return rank_of_rows(list(basis_a) + list(basis_b)) == ra

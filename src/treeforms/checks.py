@@ -18,9 +18,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from . import _linalg
+from ._linalg import rank_mod_p
 from .cochains import (Cochain, adjoint, coboundary, h1c_dimension,
-                       harmonic_space, incidence_rows, pairing)
+                       harmonic_space, incidence_rows, integrate, pairing)
 from .padic import (GroupElement, _extension_orbit, _path_stabilizer, embed_ball,
                     fixes_path_pointwise, in_gamma0, sample_gamma0,
                     sample_with_exact_lower_valuation, standard_path,
@@ -30,8 +30,7 @@ from .radon import (ApartmentFamily, MarginError, PathDependenceError, enlarged_
                     interior_edges, interior_vertices, minimal_exact_margin,
                     path_integral, primitive, radon_kernel_interior,
                     radon_transform, random_loops, span_check)
-from .tower import (PathGraph, apply_automorphism, build_path_graph,
-                    component_roots, num_components)
+from .tower import PathGraph, apply_automorphism, build_path_graph, component_roots
 from .tree import (TreeParams, build_ball, enumerate_oriented_diameters,
                    random_automorphism)
 
@@ -58,17 +57,26 @@ def _tower(q: int, radius: int, k: int, *,
 
 
 def check_euler(q: int, radius: int, k: int) -> tuple[bool, dict]:
+    """dim ker d* = E - V + C = dim C^1 - rank d, with rank d = V - C also
+    witnessed without the forest's tree rows: the GF(p) rank of the
+    incidence rows bounds rank d below, and the component indicators,
+    checked to lie in ker d, bound it above by V - C."""
     pg, _ = _tower(q, radius, k, apartments=False)
     basis = harmonic_space(pg)
-    ncomp = num_components(pg)
+    comp_of = component_roots(pg)
+    ncomp = len(set(comp_of))
     euler = pg.num_edges - pg.num_vertices + ncomp
     h1 = h1c_dimension(pg)
     not_harmonic = sum(1 for w in basis if not adjoint(pg, w).is_zero())
-    passed = len(basis) == euler == h1 and not_harmonic == 0
+    in_ker_d = all(comp_of[h] == comp_of[t] for h, t in zip(pg.head, pg.tail))
+    witness = rank_mod_p(incidence_rows(pg)) if in_ker_d else None
+    passed = (len(basis) == euler == h1 and not_harmonic == 0
+              and witness == pg.num_vertices - ncomp)
     return passed, {
         "suite": "euler", "q": q, "R": radius, "k": k,
         "vertices": pg.num_vertices, "edges": pg.num_edges, "components": ncomp,
         "harmonic_dim": len(basis), "euler_dim": euler, "h1c_dim": h1,
+        "rank_d_witness": witness,
         "non_harmonic_basis_elements": not_harmonic, "passed": passed,
     }
 
@@ -168,16 +176,10 @@ def check_loops(q: int, radius: int, k: int, margin: int, seed: int,
                     "counterexample": bad, "passed": passed}
 
 
-def _solve_df_equals(pg, omega: Cochain):
-    rows = list(incidence_rows(pg))
-    rhs = [omega.data.get(a, ZERO) for a in range(pg.num_edges)]
-    return _linalg.solve(rows, rhs, pg.num_vertices)
-
-
 def check_primitive(q: int, radius: int, k: int, margin: int) -> tuple[bool, dict]:
     """Primitive reconstruction for every kernel-basis element, compared
-    against an exact linear solve of df = omega up to one constant per
-    component."""
+    with ``cochains.integrate`` along the whole graph's spanning forest up
+    to one constant per component."""
     pg, aps = _tower(q, radius, k, apartments=True)
     inner = interior_edges(pg, margin)
     if not inner:
@@ -203,13 +205,13 @@ def check_primitive(q: int, radius: int, k: int, margin: int) -> tuple[bool, dic
                 failures.append({"basis": idx, "reason": f"df mismatch at edge {a}"})
                 break
         else:
-            sol = _solve_df_equals(pg, w)
-            if sol is None:
+            ref, bad = integrate(pg, w)
+            if bad is not None:
                 failures.append({"basis": idx, "reason": "oracle solve inconsistent"})
                 continue
             per_comp: dict[int, Fraction] = {}
             for s in range(pg.num_vertices):
-                delta = f(s) - sol.get(s, ZERO)
+                delta = f(s) - ref(s)
                 comp = comp_of[s]
                 if comp not in per_comp:
                     per_comp[comp] = delta

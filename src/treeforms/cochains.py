@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import _linalg
 from .tower import PathGraph, SpanningForest, num_components
@@ -136,17 +137,18 @@ def harmonic_space(pg: PathGraph) -> list[Cochain]:
     return [Cochain(1, vec) for _, vec in _fundamental_cycles(SpanningForest(pg))]
 
 
+def _unit_cycle(forest: SpanningForest, a: int) -> dict[int, int]:
+    """Unit flow along the forest loop of edge a: each edge's value is +1
+    where the loop runs tail to head and -1 where it runs back."""
+    tail = forest.pg.tail
+    edges, verts = forest.loop(a)
+    return {e: 1 if tail[e] == x else -1 for e, x in zip(edges, verts)}
+
+
 def _fundamental_cycles(forest: SpanningForest) -> list[tuple[int, dict[int, int]]]:
     """(non-forest edge a, unit cycle through a) for each non-forest edge,
-    by increasing a; a is the only non-forest edge of its cycle.  The
-    cycle carries unit flow along its forest loop, so each edge's value is
-    +1 where the loop runs tail to head and -1 where it runs back."""
-    pg = forest.pg
-    cycles = []
-    for a in forest.non_tree_edges:
-        edges, verts = forest.loop(a)
-        cycles.append((a, {e: 1 if pg.tail[e] == x else -1 for e, x in zip(edges, verts)}))
-    return cycles
+    by increasing a; a is the only non-forest edge of its cycle."""
+    return [(a, _unit_cycle(forest, a)) for a in forest.non_tree_edges]
 
 
 def _forest_rank(forest: SpanningForest) -> int | None:
@@ -251,6 +253,65 @@ def intersect_harmonic_exact(pg: PathGraph) -> int:
              for s in range(pg.num_vertices)]
     basis = _linalg.nullspace(dstar, pg.num_edges)
     return pg.num_edges - _linalg.rank_of_rows(basis + dstar)
+
+
+def integrate(pg: PathGraph, w: Cochain,
+              forest: SpanningForest | None = None) -> tuple[Cochain, int | None]:
+    """Solve df = w along a spanning forest (default: of the whole graph).
+
+    Returns (f, None) with df = w on every edge, or (f, a) when w is not
+    in im d, with f the forest walk and a the first edge where df != w.
+    The walk follows ``forest.order``: f is 0 at each root and
+    f(s) = f(u) +- w(a) across the parent edge a from its other end u.
+    Vertices the forest does not reach keep f = 0.
+
+    Nothing about the forest is trusted.  df = w is checked on every
+    edge, forest edges included.  At the first edge a where it fails, the
+    unit cycle c of a's forest loop is checked exactly: d* c = 0,
+    c(a) = 1 and <c, w> != 0.  Since <c, df> = <d* c, f> = 0 for every
+    f, that proves w is not in im d.  The loop is built only when the
+    walk has also checked the facts ``forest.loop`` climbs by: each
+    parent edge joins its vertex to one walked before, one level up and
+    with the same root, each root is its own root at depth 0, and both
+    ends of a were walked with one root.  When those facts or the
+    witness fail, an exact solve of the incidence rows decides.
+    """
+    if w.level != 1:
+        raise ValueError("integrate applies to 1-cochains")
+    _check_support(pg, w)
+    if forest is None:
+        forest = SpanningForest(pg)
+    head, tail = pg.head, pg.tail
+    depth, root = forest.depth, forest.root
+    # The walk runs in ints: w and f are put over the lcm of w's denominators.
+    den = lcm(*(x.denominator for x in w.data.values()))
+    wn = {a: x.numerator * (den // x.denominator) for a, x in w.data.items()}
+    values: dict[int, int] = {}
+    trusted = True
+    for s in forest.order:
+        a = forest.parent_edge[s]
+        if a is None:
+            values[s] = 0
+            trusted = trusted and depth[s] == 0 and root[s] == s
+            continue
+        u = tail[a] if head[a] == s else head[a]
+        trusted = (trusted and s in (head[a], tail[a]) and u in values
+                   and depth[s] == depth[u] + 1 and root[s] == root[u])
+        x = wn.get(a, 0)
+        values[s] = values.get(u, 0) + (x if head[a] == s else -x)
+    f = Cochain(0, {s: Fraction(v, den) for s, v in values.items() if v})
+    bad = next((a for a in range(pg.num_edges)
+                if values.get(head[a], 0) - values.get(tail[a], 0) != wn.get(a, 0)), None)
+    if bad is None:
+        return f, None
+    h, t = head[bad], tail[bad]
+    if trusted and h in values and t in values and root[h] == root[t]:
+        cycle = _unit_cycle(forest, bad)
+        if _unit_circulations(pg, [(bad, cycle)]) and pairing(Cochain(1, cycle), w):
+            return f, bad
+    sol = _linalg.solve(incidence_rows(pg), [w(a) for a in range(pg.num_edges)],
+                        pg.num_vertices)
+    return (f, bad) if sol is None else (Cochain(0, sol), None)
 
 
 # -- export formats ---------------------------------------------------

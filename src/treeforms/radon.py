@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import _linalg
-from .cochains import Cochain, coboundary
+from .cochains import Cochain, coboundary, integrate
 from .tower import PathGraph, SpanningForest, component_roots
 from .tree import GeodesicSegment, convex_hull
 
@@ -142,14 +142,6 @@ def radon_transform(pg: PathGraph, aps: ApartmentFamily, omega: Cochain) -> dict
                 v = shared[n] = Fraction(n, den)
             out[i] = v
     return out
-
-
-def radon_image_csv(image: dict[int, Fraction]) -> str:
-    lines = ["apartment_id,numerator,denominator"]
-    for i in sorted(image):
-        v = image[i]
-        lines.append(f"{i},{v.numerator},{v.denominator}")
-    return "\n".join(lines) + "\n"
 
 
 # -- interior (truncation margin) --------------------------------------
@@ -431,11 +423,12 @@ def enlarged_support(pg: PathGraph, omega: Cochain) -> set[int]:
 def primitive(pg: PathGraph, aps: ApartmentFamily, omega: Cochain, base: int) -> Cochain:
     """Integrate a transform-kernel cochain to f with df = omega.
 
-    f is built along a breadth-first spanning forest from the base (and
-    from canonical bases in other components meeting the support); every
-    non-forest edge is then verified, so a cochain outside the kernel is
-    reported through the offending loop rather than silently integrated.
-    The result vanishes outside the enlarged support region.
+    f is ``cochains.integrate`` along a breadth-first spanning forest from
+    the base (and from canonical bases in other components meeting the
+    support), so df = omega is verified on every edge, and a cochain
+    outside the kernel is reported through the offending loop rather than
+    silently integrated.  The result vanishes outside the enlarged support
+    region.
     """
     if omega.level != 1:
         raise ValueError("primitive applies to 1-cochains")
@@ -459,28 +452,15 @@ def primitive(pg: PathGraph, aps: ApartmentFamily, omega: Cochain, base: int) ->
         roots[comp] = min(candidates)
 
     forest = SpanningForest(pg, roots=[roots[comp] for comp in sorted(roots)])
-    values: dict[int, Fraction] = {}
-    for s in forest.order:
-        a = forest.parent_edge[s]
-        if a is None:
-            values[s] = ZERO
-        elif pg.head[a] == s:
-            values[s] = values[pg.tail[a]] + omega.data.get(a, ZERO)
-        else:
-            values[s] = values[pg.head[a]] - omega.data.get(a, ZERO)
+    f, a = integrate(pg, omega, forest)
+    if a is not None:
+        # The forest loop through a has a nonzero integral.
+        got, want = f(pg.head[a]) - f(pg.tail[a]), omega(a)
+        loop = WalkWithSigns.from_itinerary(pg, *forest.loop(a))
+        raise PathDependenceError(
+            f"edge {a}: df = {got} but cochain value is {want}; "
+            "the cochain is not in the transform kernel", loop)
 
-    # df = omega holds on forest edges by construction; a non-forest edge
-    # where it fails closes a loop with nonzero integral.
-    for a in forest.non_tree_edges:
-        got = values[pg.head[a]] - values[pg.tail[a]]
-        want = omega.data.get(a, ZERO)
-        if got != want:
-            loop = WalkWithSigns.from_itinerary(pg, *forest.loop(a))
-            raise PathDependenceError(
-                f"edge {a}: df = {got} but cochain value is {want}; "
-                "the cochain is not in the transform kernel", loop)
-
-    f = Cochain(0, values)
     for s in f.support:
         if s not in enlarged:
             raise MarginError(

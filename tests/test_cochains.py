@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from treeforms import _linalg, cochains
 from treeforms.cochains import (Cochain, adjoint, basis_manifest, coboundary,
                                 coboundary_rank, cochain_to_csv, h1c_dimension,
-                                harmonic_space, incidence_rows,
+                                harmonic_space, incidence_rows, integrate,
                                 intersect_harmonic_exact, pairing)
-from treeforms.tower import SpanningForest, apply_automorphism, num_components
+from treeforms.tower import (SpanningForest, apply_automorphism, component_roots,
+                             num_components)
 from treeforms.tree import random_automorphism
 
 from conftest import ball, tower
@@ -347,6 +348,135 @@ class TestCertifiedRanks:
         calls = spy_elimination(monkeypatch)
         assert intersect_harmonic_exact(pg) == dim
         assert calls == ["nullspace", "rank_of_rows"]
+
+
+# The harmonic-grid benchmark's instances.
+HARMONIC_GRID = [(q, radius, k) for q, radius in ((2, 3), (2, 4), (2, 5), (3, 3))
+                 for k in range(4)]
+
+
+def solve_df(pg, w):
+    """Independent oracle: exact elimination of the incidence rows."""
+    return _linalg.solve(list(incidence_rows(pg)), [w(a) for a in range(pg.num_edges)],
+                         pg.num_vertices)
+
+
+def constant_per_component(pg, f, g) -> bool:
+    """Whether 0-cochain f minus the solution dict g is constant on each component."""
+    deltas = {}
+    for s, root in enumerate(component_roots(pg)):
+        deltas.setdefault(root, set()).add(f(s) - g.get(s, ZERO))
+    return all(len(vals) == 1 for vals in deltas.values())
+
+
+def spy_solve(monkeypatch) -> list:
+    """Record each exact solve that ``integrate`` falls back to."""
+    calls = []
+    real = _linalg.solve
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(_linalg, "solve", spy)
+    return calls
+
+
+def perturbed(pg, rng, forest):
+    """A coboundary plus a nonzero multiple of a non-forest edge's
+    indicator: that edge's fundamental cycle pairs to the multiple, so the
+    sum is not a coboundary."""
+    w = coboundary(pg, rand_cochain(rng, 0, pg.num_vertices, 6))
+    e = rng.choice(forest.non_tree_edges)
+    return w + Cochain(1, {e: Fraction(rng.choice([-3, -1, 1, 2]), rng.randrange(1, 5))})
+
+
+class TestIntegrate:
+    """``integrate`` against the exact solve of the incidence rows, with the
+    genuine forest and with doctored ones."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(size=st.sampled_from(HARMONIC_GRID), seed=st.integers(0, 10 ** 6))
+    def test_coboundary_is_integrated_without_elimination(self, size, seed):
+        pg = tower(*size)
+        w = coboundary(pg, rand_cochain(random.Random(seed), 0, pg.num_vertices, 6))
+        with pytest.MonkeyPatch.context() as mp:
+            calls = spy_solve(mp)
+            f, bad = integrate(pg, w)
+        assert bad is None and calls == []
+        assert coboundary(pg, f) == w
+        sol = solve_df(pg, w)
+        assert sol is not None and constant_per_component(pg, f, sol)
+
+    @settings(max_examples=20, deadline=None)
+    @given(size=st.sampled_from(HARMONIC_GRID), seed=st.integers(0, 10 ** 6))
+    def test_non_coboundary_has_a_checked_witness(self, size, seed):
+        pg = tower(*size)
+        forest = SpanningForest(pg)
+        w = perturbed(pg, random.Random(seed), forest)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = spy_solve(mp)
+            f, bad = integrate(pg, w)
+        assert bad is not None and calls == []
+        assert f(pg.head[bad]) - f(pg.tail[bad]) != w(bad)
+        cycle = cochains._unit_cycle(forest, bad)
+        assert cochains._unit_circulations(pg, [(bad, cycle)])
+        assert cycle[bad] == 1 and adjoint(pg, Cochain(1, cycle)).is_zero()
+        assert pairing(Cochain(1, cycle), w) != 0
+        assert solve_df(pg, w) is None
+
+    @pytest.mark.parametrize("doctor", [forward_parent, wrong_root, orphan, false_root,
+                                        stray_parent, short_order])
+    @pytest.mark.parametrize("q,radius,k", [(2, 3, 0), (2, 3, 3), (3, 3, 2)])
+    def test_doctored_forest_keeps_answers_exact(self, q, radius, k, doctor, monkeypatch):
+        pg = tower(q, radius, k)
+        rng = random.Random(q * 100 + radius * 10 + k)
+        forest = SpanningForest(pg)
+        last = forest.order[-1]
+        bad_w = perturbed(pg, rng, forest)
+        doctor(forest)
+        calls = spy_solve(monkeypatch)
+        w = coboundary(pg, Cochain.indicator(0, last) + rand_cochain(rng, 0, pg.num_vertices))
+        f, bad = integrate(pg, w, forest)
+        assert bad is None and coboundary(pg, f) == w
+        f, bad = integrate(pg, bad_w, forest)
+        assert bad is not None and solve_df(pg, bad_w) is None
+
+    @pytest.mark.parametrize("q,radius,k", [(2, 3, 0), (2, 4, 1), (3, 3, 1)])
+    def test_wrong_parent_edge_leaves_the_answer_to_elimination(self, q, radius, k,
+                                                                monkeypatch):
+        """The last vertex takes a parent edge that does not touch it: the walk
+        gets its value wrong, and the exact solve decides both ways."""
+        pg = tower(q, radius, k)
+        forest = SpanningForest(pg)
+        bad_w = perturbed(pg, random.Random(k), forest)
+        last = forest.order[-1]
+        stray_parent(forest)
+        calls = spy_solve(monkeypatch)
+        w = coboundary(pg, Cochain.indicator(0, last))
+        f, bad = integrate(pg, w, forest)
+        assert bad is None and coboundary(pg, f) == w and len(calls) == 1
+        f, bad = integrate(pg, bad_w, forest)
+        assert bad is not None and len(calls) == 2 and solve_df(pg, bad_w) is None
+
+    def test_forest_of_some_components_leaves_the_rest_zero(self):
+        """A forest rooted in one component integrates a cochain supported
+        there and leaves f = 0 on every other component."""
+        pg = tower(2, 3, 2)
+        roots = component_roots(pg)
+        r = roots[pg.tail[0]]
+        inside = [s for s in range(pg.num_vertices) if roots[s] == r]
+        g = Cochain(0, {s: Fraction(s + 1, 3) for s in inside})
+        f, bad = integrate(pg, coboundary(pg, g), SpanningForest(pg, roots=[r]))
+        assert bad is None and coboundary(pg, f) == coboundary(pg, g)
+        assert set(f.support) <= set(inside)
+
+    def test_rejects_a_0_cochain_and_foreign_support(self):
+        pg = tower(2, 2, 1)
+        with pytest.raises(ValueError):
+            integrate(pg, Cochain.zero(0))
+        with pytest.raises(ValueError):
+            integrate(pg, Cochain.indicator(1, pg.num_edges))
 
 
 class TestEquivariance:

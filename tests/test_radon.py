@@ -14,7 +14,7 @@ from treeforms.radon import (ApartmentFamily, MarginError, PathDependenceError,
                              exactness_check, fundamental_loops,
                              induced_apartments, interior_edges,
                              interior_vertices, minimal_exact_margin,
-                             path_integral, primitive, radon_image_csv,
+                             path_integral, primitive,
                              radon_kernel_interior, radon_transform,
                              random_loops, span_check, _kernel_rows,
                              _subspace_dims)
@@ -22,6 +22,7 @@ from treeforms.tower import build_path_graph
 from treeforms.tree import enumerate_oriented_diameters
 
 from conftest import apartments, ball, tower
+from test_linalg import spans_same_space
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -136,11 +137,6 @@ class TestRadonTransform:
             if v:
                 expected[ap.id] = Fraction(v)
         assert image == expected
-
-    def test_csv_format(self):
-        csv = radon_image_csv({3: Fraction(1, 2), 1: Fraction(-2)})
-        assert csv.splitlines() == ["apartment_id,numerator,denominator",
-                                    "1,-2,1", "3,1,2"]
 
 
 def _fraction_transform(aps, omega):
@@ -318,7 +314,7 @@ class TestExactness:
         kernel = [w.data for w in radon_kernel_interior(pg, aps, 2)]
         image = [coboundary(pg, Cochain.indicator(0, s)).data
                  for s in interior_vertices(pg, 2)]
-        assert _linalg.spans_same_space(kernel, image)
+        assert spans_same_space(kernel, image)
 
     def test_larger_ball_nonvacuous_level1(self):
         """At radius 5 the level-1 check has genuine content (dim 6)."""

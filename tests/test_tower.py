@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from treeforms.cochains import Cochain
 from treeforms.radon import PathDependenceError, fundamental_loops, path_integral, primitive
-from treeforms.tower import (SpanningForest, apply_automorphism, build_path_graph,
-                             component_roots, components, incidence,
-                             monotone_path_check, num_components)
-from treeforms.tree import random_automorphism
+from treeforms.tower import (PathGraph, SpanningForest, apply_automorphism,
+                             build_path_graph, component_roots, components, incidence,
+                             num_components)
+from treeforms.tree import GeodesicSegment, random_automorphism
 
 from conftest import apartments, ball, tower
 
@@ -301,6 +301,48 @@ class TestSpanningForest:
         assert loop.is_loop() and path_integral(bad, loop) != 0
         roots = component_roots(pg)
         assert {roots[s] for s in loop.vertices} == {roots[pg.tail[4]]} != {roots[base]}
+
+
+def monotone_path_check(pg: PathGraph, walk: list[int]) -> GeodesicSegment:
+    """Certify a constant-sign edge walk and return its supporting geodesic.
+
+    A walk a_0, ..., a_{l-1} is monotone when consecutive edges chain
+    head-to-tail (all incidence signs +1) or tail-to-head (all -1); the
+    underlying tree windows then slide along a single geodesic, which is
+    returned.  At level 0 an edge followed by its reversal also has
+    constant sign but folds back on itself; that degenerate case is
+    rejected along with genuine sign changes.
+    """
+    if not walk:
+        raise ValueError("empty walk")
+    for a in walk:
+        pg.check_edge(a)
+    if len(walk) == 1:
+        return GeodesicSegment(pg.edges[walk[0]])
+
+    first, second = pg.edges[walk[0]], pg.edges[walk[1]]
+    if second[:-1] == first[1:]:
+        forward = True
+    elif second[1:] == first[:-1]:
+        forward = False
+    else:
+        raise ValueError("incidence signs are not constant along the walk")
+
+    for prev, cur in zip(walk, walk[1:]):
+        e_prev, e_cur = pg.edges[prev], pg.edges[cur]
+        if forward and e_cur[:-1] != e_prev[1:]:
+            raise ValueError("incidence signs are not constant along the walk")
+        if not forward and e_cur[1:] != e_prev[:-1]:
+            raise ValueError("incidence signs are not constant along the walk")
+    if forward:
+        # Each edge extends the previous window by one vertex at the end.
+        seq = list(pg.edges[walk[0]]) + [pg.edges[a][-1] for a in walk[1:]]
+    else:
+        # Windows slide toward the start; read them from the last edge back.
+        seq = list(pg.edges[walk[-1]]) + [pg.edges[a][-1] for a in reversed(walk[:-1])]
+    if len(set(seq)) != len(seq):
+        raise ValueError("walk folds back on itself (level-0 reversal)")
+    return GeodesicSegment(tuple(seq))
 
 
 class TestMonotoneWalks:
