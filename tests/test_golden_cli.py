@@ -47,6 +47,7 @@ def _cases() -> list[list[str]]:
             size = ["--q", str(q), "--radius", str(radius), "--k", str(k)]
             cases.append(["check", "primitive", *size])
             cases.append(["check", "primitive", *size, "--margin", "0"])
+            cases.append(["export", "--what", "apartments", *size, "--outdir", "."])
     for q in (2, 3):
         for k in range(3):
             for margin in range(4):
@@ -77,6 +78,7 @@ OTHER_COMMANDS = [
     "check transitivity --p 5",
     "check span --q 2 --radius 2",
     "check span --q 2 --radius 3",
+    "check span --q 3 --radius 2",
     "check gamma0 --p 2 --n 1 --matrix 1,0;2,1",
     "check gamma0 --p 2 --n 2 --matrix 1,0;2,1",
     "check gamma0 --p 2 --n 0 --matrix 1/3,0;0,1/3",
