@@ -154,32 +154,34 @@ def _fundamental_cycles(forest: SpanningForest) -> list[tuple[int, dict[int, int
 def _forest_rank(forest: SpanningForest) -> int | None:
     """rank(d) = V - #roots, when the forest's facts check out; else None.
 
-    The facts are checked, not trusted.  Walking ``order``, each parent
-    edge must join its vertex to one seen before, and the walk must see
-    every vertex.  Then the rows of d at the V - #roots parent edges are
-    triangular with +-1 pivots (each row's other vertex comes before its
-    own), so rank(d) >= V - #roots.  If both ends of every edge share a
-    root, the indicator of each root's vertices lies in ker d, so
-    rank(d) <= V - #distinct roots.  The bounds meet when the vertices
-    without a parent edge are as many as the distinct roots.
+    The facts are checked, not trusted.  Walking ``order``, each root
+    must be its own root at depth 0, each parent edge must join its
+    vertex to one seen before, one level up and with the same root (the
+    facts ``forest.loop`` climbs by), and the walk must see every vertex.
+    Then the rows of d at the V - #roots parent edges are triangular with
+    +-1 pivots (each row's other vertex comes before its own), so
+    rank(d) >= V - #roots.  If both ends of every edge share a root, the
+    indicator of each root's vertices lies in ker d, so rank(d) <= V - #roots.
     """
-    pg, parent_edge, root = forest.pg, forest.parent_edge, forest.root
+    pg, parent_edge, depth, root = forest.pg, forest.parent_edge, forest.depth, forest.root
     seen = set()
     for s in forest.order:
         a = parent_edge[s]
-        if a is not None:
+        if a is None:
+            if depth[s] != 0 or root[s] != s:
+                return None
+        else:
             h, t = pg.head[a], pg.tail[a]
-            if s not in (h, t) or (t if h == s else h) not in seen:
+            u = t if h == s else h
+            if (s not in (h, t) or u not in seen or depth[s] != depth[u] + 1
+                    or root[s] != root[u]):
                 return None
         seen.add(s)
     if len(seen) != pg.num_vertices:
         return None
     if any(root[h] != root[t] for h, t in zip(pg.head, pg.tail)):
         return None
-    num_roots = parent_edge.count(None)
-    if num_roots != len(set(root)):
-        return None
-    return pg.num_vertices - num_roots
+    return pg.num_vertices - parent_edge.count(None)
 
 
 def incidence_rows(pg: PathGraph):

@@ -23,6 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from . import _linalg
 from .cochains import Cochain, coboundary, integrate
@@ -45,8 +46,7 @@ class PathDependenceError(ValueError):
         self.loop = loop
 
 
-@dataclass(frozen=True)
-class OrientedApartment:
+class OrientedApartment(NamedTuple):
     """Oriented leaf-to-leaf geodesic with its induced level-k edges."""
 
     id: int
@@ -68,10 +68,11 @@ class ApartmentFamily:
     def __init__(self, pg: PathGraph, apartments: list[OrientedApartment]):
         self.pg = pg
         self.apartments = apartments
-        through: dict[int, list[int]] = {}
-        for ap in apartments:
-            for a in ap.edges:
-                through.setdefault(a, []).append(ap.id)
+        # _through[a]: ids of the apartments through edge a, in id order.
+        through: list[list[int]] = [[] for _ in range(pg.num_edges)]
+        for i, _, edges in apartments:
+            for a in edges:
+                through[a].append(i)
         self._through = through
 
     def __len__(self) -> int:
@@ -83,7 +84,7 @@ class ApartmentFamily:
     def through(self, a: int) -> list[int]:
         """Ids of the apartments whose induced edge list contains a."""
         self.pg.check_edge(a)
-        return list(self._through.get(a, []))
+        return list(self._through[a])
 
     def to_manifest_json(self) -> str:
         payload = [
@@ -99,16 +100,57 @@ class ApartmentFamily:
 
 
 def induced_apartments(pg: PathGraph, diameters: list[GeodesicSegment]) -> ApartmentFamily:
-    """One apartment per diameter that is long enough to carry a window."""
-    k, edge_index = pg.k, pg.edge_index
+    """One apartment per diameter that is long enough to carry a window.
+
+    A geodesic from x to y climbs x's root chain (``TreeBall.chains``) to
+    the meet at depth dm and descends y's, so its n vertices number
+    |x| + |y| - 2 dm + 1, which gives dm and the apex position h = |x| - dm.
+    Each end's chain windows are looked up once, and a sequence that
+    matches both chain slices takes its windows from them, looking up only
+    the at most k windows around the apex.  Any other sequence has every
+    window looked up, so it gets the same windows, or the same KeyError.
+    """
+    k, edge_index, chains = pg.k, pg.edge_index, pg.ball.chains
+    width = k + 2
+
+    def windows(c):
+        return tuple(map(edge_index.__getitem__, zip(*[c[i:] for i in range(width)])))
+
+    ends: dict = {}
+
+    def end(v) -> tuple:
+        """(up chain, its windows, down chain, its windows), or () off the ball."""
+        up = chains[v] if isinstance(v, int) and 0 <= v < len(chains) else None
+        ends[v] = () if up is None else (up, windows(up), up[::-1], windows(up[::-1]))
+        return ends[v]
+
     apartments = []
     for seg in diameters:
         seq = seg.vertices
-        nwin = len(seq) - (k + 2) + 1
-        if nwin <= 0:
+        n = len(seq)
+        if n < width:
             continue
-        windows = tuple(edge_index[seq[i:i + k + 2]] for i in range(nwin))
-        apartments.append(OrientedApartment(len(apartments), seq, windows))
+        x = ends.get(seq[0]) or end(seq[0])
+        y = ends.get(seq[-1]) or end(seq[-1])
+        ids = None
+        if x and y:
+            up, up_ids, _, _ = x
+            _, _, down, down_ids = y
+            # For an odd total the down slice below has the wrong length.
+            dm = (len(up) + len(down) - 1 - n) // 2
+            h = len(up) - 1 - dm
+            if (0 <= dm < len(up) and dm < len(down)
+                    and seq[:h + 1] == up[:h + 1] and seq[h:] == down[dm:]):
+                lo = h - k if h > k else 0
+                ids = up_ids[:lo]
+                # The windows with the apex strictly inside.
+                if lo < h and lo < n - width + 1:
+                    ids += tuple([edge_index[seq[i:i + width]]
+                                  for i in range(lo, min(h, n - width + 1))])
+                ids += down_ids[dm:]
+        if ids is None:
+            ids = tuple(edge_index[seq[i:i + width]] for i in range(n - width + 1))
+        apartments.append(OrientedApartment(len(apartments), seq, ids))
     return ApartmentFamily(pg, apartments)
 
 
@@ -131,7 +173,7 @@ def radon_transform(pg: PathGraph, aps: ApartmentFamily, omega: Cochain) -> dict
     for a, x in data.items():
         aps.pg.check_edge(a)
         n = x.numerator * (den // x.denominator)
-        for i in through.get(a, ()):
+        for i in through[a]:
             sums[i] = sums.get(i, 0) + n
     shared: dict[int, Fraction] = {}
     out: dict[int, Fraction] = {}

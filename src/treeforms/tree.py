@@ -69,6 +69,7 @@ class TreeBall:
 
         vertices: list[TreeVertex] = [TreeVertex(0, ())]
         parent: list[int] = [-1]
+        chains: list[tuple[int, ...]] = [(0,)]
         by_address: dict[tuple[int, ...], int] = {(): 0}
         frontier = [0]
         for depth in range(radius):
@@ -81,12 +82,15 @@ class TreeBall:
                     child = TreeVertex(vid, addr + (lab,))
                     vertices.append(child)
                     parent.append(v)
+                    chains.append((vid,) + chains[v])
                     by_address[child.address] = vid
                     nxt.append(vid)
             frontier = nxt
 
         self.vertices = vertices
         self.parent = parent
+        # Root chain of v: (v, parent(v), ..., root); entry i has depth |v| - i.
+        self.chains = chains
         self._by_address = by_address
         self.depths = [v.depth for v in vertices]
         self.edges = [(parent[v], v) if parent[v] < v else (v, parent[v])
@@ -157,22 +161,18 @@ def build_ball(params: TreeParams) -> TreeBall:
     return TreeBall(params)
 
 
+def _up_down(up: tuple[int, ...], down: tuple[int, ...], meet_depth: int) -> tuple[int, ...]:
+    """Geodesic that climbs the root chain ``up`` to its vertex at depth
+    meet_depth, then descends ``down``, a root chain read root first."""
+    return up[:len(up) - meet_depth] + down[meet_depth + 1:]
+
+
 def geodesic_between(ball: TreeBall, u: int, v: int) -> GeodesicSegment:
     """The unique injective path from u to v."""
     ball.check_vertex(u)
     ball.check_vertex(v)
-    m = ball.meet(u, v)
-    up = []
-    w = u
-    while w != m:
-        up.append(w)
-        w = ball.parent[w]
-    down = []
-    w = v
-    while w != m:
-        down.append(w)
-        w = ball.parent[w]
-    return GeodesicSegment(tuple(up) + (m,) + tuple(reversed(down)))
+    dm = ball.depths[ball.meet(u, v)]
+    return GeodesicSegment(_up_down(ball.chains[u], ball.chains[v][::-1], dm))
 
 
 def enumerate_oriented_diameters(ball: TreeBall) -> list[GeodesicSegment]:
@@ -180,12 +180,23 @@ def enumerate_oriented_diameters(ball: TreeBall) -> list[GeodesicSegment]:
 
     These are the visible windows of the oriented apartments of the
     infinite tree; every ordered pair of distinct leaves contributes one.
+    Breadth-first numbering puts the leaves below a vertex at depth
+    d >= 1 in one run of q^(R-d) consecutive leaves, so the meet depths
+    of a leaf with all others are filled in block by block.
     """
+    q, radius, leaves = ball.params.q, ball.params.radius, ball.leaves
+    downs = [ball.chains[v][::-1] for v in leaves]
     out = []
-    for u in ball.leaves:
-        for v in ball.leaves:
-            if u != v:
-                out.append(geodesic_between(ball, u, v))
+    for i, u in enumerate(leaves):
+        meet = [0] * len(leaves)
+        for d in range(1, radius + 1):
+            run = q ** (radius - d)
+            start = i - i % run
+            meet[start:start + run] = [d] * run
+        up = ball.chains[u]
+        for v, down, dm in zip(leaves, downs, meet):
+            if v != u:
+                out.append(GeodesicSegment(_up_down(up, down, dm)))
     return out
 
 

@@ -239,6 +239,16 @@ def false_root(forest):
     forest.root[s] = s
 
 
+def deep_root(forest):
+    """The first root claims depth 99."""
+    forest.depth[forest.order[0]] = 99
+
+
+def skipped_level(forest):
+    """The last vertex claims to lie two levels below its parent."""
+    forest.depth[forest.order[-1]] += 1
+
+
 def stray_parent(forest):
     """The last vertex takes the parent edge of the first tree vertex."""
     forest.parent_edge[forest.order[-1]] = forest.parent_edge[forest.order[1]]
@@ -320,7 +330,7 @@ class TestCertifiedRanks:
         assert calls == []
 
     @pytest.mark.parametrize("doctor", [forward_parent, wrong_root, orphan, false_root,
-                                        stray_parent, short_order])
+                                        deep_root, skipped_level, stray_parent, short_order])
     @pytest.mark.parametrize("q,radius,k", [(2, 2, 0), (2, 3, 1), (3, 2, 2)])
     def test_doctored_forest_takes_exact_route(self, q, radius, k, doctor, monkeypatch):
         pg = tower(q, radius, k)
@@ -426,7 +436,7 @@ class TestIntegrate:
         assert solve_df(pg, w) is None
 
     @pytest.mark.parametrize("doctor", [forward_parent, wrong_root, orphan, false_root,
-                                        stray_parent, short_order])
+                                        deep_root, skipped_level, stray_parent, short_order])
     @pytest.mark.parametrize("q,radius,k", [(2, 3, 0), (2, 3, 3), (3, 3, 2)])
     def test_doctored_forest_keeps_answers_exact(self, q, radius, k, doctor, monkeypatch):
         pg = tower(q, radius, k)

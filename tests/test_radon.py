@@ -19,7 +19,7 @@ from treeforms.radon import (ApartmentFamily, MarginError, PathDependenceError,
                              random_loops, span_check, _kernel_rows,
                              _subspace_dims)
 from treeforms.tower import build_path_graph
-from treeforms.tree import enumerate_oriented_diameters
+from treeforms.tree import GeodesicSegment, enumerate_oriented_diameters, geodesic_between
 
 from conftest import apartments, ball, tower
 from test_linalg import spans_same_space
@@ -100,6 +100,115 @@ class TestApartmentsThrough:
         aps = apartments(2, 1, 0)
         with pytest.raises(ValueError):
             aps.through(999)
+
+
+def per_window_apartments(pg, diameters):
+    """Oracle: slice every window of every sequence and look it up.
+
+    Returns the (id, base, edges) triples and the edge -> ids index, or the
+    type of the exception the lookups raise."""
+    width, edge_index = pg.k + 2, pg.edge_index
+    triples, through = [], {}
+    try:
+        for seg in diameters:
+            seq = seg.vertices
+            if len(seq) >= width:
+                edges = tuple(edge_index[seq[i:i + width]] for i in range(len(seq) - width + 1))
+                triples.append((len(triples), seq, edges))
+    except Exception as err:  # noqa: BLE001 - the type is the answer
+        return type(err)
+    for i, _, edges in triples:
+        for a in edges:
+            through.setdefault(a, []).append(i)
+    return triples, through
+
+
+def chain_apartments(pg, diameters):
+    """induced_apartments in the oracle's terms."""
+    try:
+        aps = induced_apartments(pg, diameters)
+    except Exception as err:  # noqa: BLE001 - the type is the answer
+        return type(err)
+    triples = [(ap.id, ap.base, ap.edges) for ap in aps]
+    assert all((ap.leaf_from, ap.leaf_to) == (ap.base[0], ap.base[-1]) for ap in aps)
+    return triples, {a: aps.through(a) for a in range(pg.num_edges) if aps.through(a)}
+
+
+SMALL_BALLS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)]
+
+
+class TestRootChainWindows:
+    """induced_apartments against the per-window oracle: ids, bases,
+    windows and ``through`` for every edge, or the same exception type."""
+
+    @pytest.mark.parametrize("q,radius", SMALL_BALLS + [(2, 4), (3, 3)])
+    def test_diameters_match_oracle(self, q, radius):
+        diams = enumerate_oriented_diameters(ball(q, radius))
+        for k in range(2 * radius + 1):
+            pg = tower(q, radius, k)
+            assert chain_apartments(pg, diams) == per_window_apartments(pg, diams)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_geodesic_families_match_oracle(self, data):
+        """Segments between arbitrary vertices, some reversed, some repeated,
+        some too short for a window, in any order."""
+        q, radius = data.draw(st.sampled_from(SMALL_BALLS))
+        b = ball(q, radius)
+        pg = tower(q, radius, data.draw(st.integers(0, 2 * radius)))
+        vertex = st.integers(0, b.num_vertices - 1)
+        segs = [geodesic_between(b, u, v)
+                for u, v in data.draw(st.lists(st.tuples(vertex, vertex), max_size=10))]
+        segs += [GeodesicSegment(seg.vertices[::-1]) for seg in segs[::2]] + segs[:3]
+        family = data.draw(st.permutations(segs))
+        assert chain_apartments(pg, family) == per_window_apartments(pg, family)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_other_sequences_match_oracle(self, data):
+        """Geodesics with one entry replaced, two geodesics joined end to end
+        (a walk that may backtrack), and arbitrary ids, some outside the
+        ball; one at a time and as one family."""
+        q, radius = data.draw(st.sampled_from(SMALL_BALLS))
+        b = ball(q, radius)
+        pg = tower(q, radius, data.draw(st.integers(0, 2)))
+        vertex = st.integers(0, b.num_vertices - 1)
+        anything = st.integers(-2, b.num_vertices + 1)
+        family = []
+        for u, v, w, i, z in data.draw(st.lists(
+                st.tuples(vertex, vertex, vertex, st.integers(0, 99), anything),
+                min_size=1, max_size=4)):
+            first = geodesic_between(b, u, v).vertices
+            changed = list(first)
+            changed[i % len(first)] = z
+            family += [GeodesicSegment(tuple(changed)),
+                       GeodesicSegment(first + geodesic_between(b, v, w).vertices[1:])]
+        family += [GeodesicSegment(tuple(seq))
+                   for seq in data.draw(st.lists(st.lists(anything, max_size=8), max_size=2))]
+        for seg in family:
+            assert chain_apartments(pg, [seg]) == per_window_apartments(pg, [seg])
+        family = data.draw(st.permutations(family))
+        assert chain_apartments(pg, family) == per_window_apartments(pg, family)
+
+    @pytest.mark.parametrize("q,radius", [(2, 2), (2, 3), (3, 2)])
+    def test_backtracking_walk(self, q, radius):
+        """Up from a leaf and back down the same branch: both slice checks
+        pass, so the apex windows decide, as the oracle's lookups do."""
+        b = ball(q, radius)
+        leaf = b.leaves[-1]
+        for climb in range(1, radius + 1):
+            up = b.chains[leaf][:climb + 1]
+            walk = GeodesicSegment(up + up[-2::-1])
+            for k in range(2 * climb):
+                pg = tower(q, radius, k)
+                if k == 0:
+                    aps = induced_apartments(pg, [walk])
+                    assert ([(ap.id, ap.base, ap.edges) for ap in aps]
+                            == per_window_apartments(pg, [walk])[0])
+                else:
+                    with pytest.raises(KeyError):
+                        induced_apartments(pg, [walk])
+                    assert per_window_apartments(pg, [walk]) is KeyError
 
 
 class TestRadonTransform:
