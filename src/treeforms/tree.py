@@ -68,7 +68,6 @@ class TreeBall:
         q, radius = params.q, params.radius
 
         vertices: list[TreeVertex] = [TreeVertex(0, ())]
-        parent: list[int] = [-1]
         chains: list[tuple[int, ...]] = [(0,)]
         by_address: dict[tuple[int, ...], int] = {(): 0}
         frontier = [0]
@@ -81,21 +80,17 @@ class TreeBall:
                     vid = len(vertices)
                     child = TreeVertex(vid, addr + (lab,))
                     vertices.append(child)
-                    parent.append(v)
                     chains.append((vid,) + chains[v])
                     by_address[child.address] = vid
                     nxt.append(vid)
             frontier = nxt
 
         self.vertices = vertices
-        self.parent = parent
         # Root chain of v: (v, parent(v), ..., root); entry i has depth |v| - i.
         self.chains = chains
         self._by_address = by_address
         self.depths = [v.depth for v in vertices]
-        self.edges = [(parent[v], v) if parent[v] < v else (v, parent[v])
-                      for v in range(1, len(vertices))]
-        self.edges.sort()
+        self.edges = sorted((c[1], c[0]) for c in chains[1:])  # a parent precedes its child
         self.leaves = [v for v in range(len(vertices)) if self.depths[v] == radius]
 
         adj: list[list[int]] = [[] for _ in vertices]
