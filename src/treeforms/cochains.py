@@ -129,12 +129,12 @@ def harmonic_space(pg: PathGraph) -> list[Cochain]:
     """Basis of ker d*, the space of harmonic forms.
 
     A 1-cochain is harmonic iff it is a circulation: at every vertex the
-    signed sum of incident edge values vanishes.  The basis consists of
-    the fundamental circulations of a breadth-first spanning forest: one
-    unit cycle per non-forest edge.  Its size |E| - |V| + #components is
-    cross-checked against the rank oracle in the test suite.
+    signed sum of incident edge values vanishes.  The basis is
+    ``_harmonic_basis``: the fundamental circulations of a breadth-first
+    spanning forest, one unit cycle per non-forest edge, when they are
+    certified, and an exact ``ker d*`` basis otherwise.
     """
-    return [Cochain(1, vec) for _, vec in _fundamental_cycles(SpanningForest(pg))]
+    return [Cochain(1, vec) for vec in _harmonic_basis(pg)[0]]
 
 
 def _unit_cycle(forest: SpanningForest, a: int) -> dict[int, int]:
@@ -154,34 +154,19 @@ def _fundamental_cycles(forest: SpanningForest) -> list[tuple[int, dict[int, int
 def _forest_rank(forest: SpanningForest) -> int | None:
     """rank(d) = V - #roots, when the forest's facts check out; else None.
 
-    The facts are checked, not trusted.  Walking ``order``, each root
-    must be its own root at depth 0, each parent edge must join its
-    vertex to one seen before, one level up and with the same root (the
-    facts ``forest.loop`` climbs by), and the walk must see every vertex.
-    Then the rows of d at the V - #roots parent edges are triangular with
-    +-1 pivots (each row's other vertex comes before its own), so
-    rank(d) >= V - #roots.  If both ends of every edge share a root, the
-    indicator of each root's vertices lies in ker d, so rank(d) <= V - #roots.
+    The facts are checked, not trusted: ``forest.checked()`` must hold,
+    every vertex must have a root, and both ends of every edge must share
+    one.  Then the rows of d at the V - #roots parent edges are triangular
+    with +-1 pivots (each row's other vertex is walked before its own), so
+    rank(d) >= V - #roots, and the indicator of each root's vertices lies
+    in ker d, so rank(d) <= V - #roots.
     """
-    pg, parent_edge, depth, root = forest.pg, forest.parent_edge, forest.depth, forest.root
-    seen = set()
-    for s in forest.order:
-        a = parent_edge[s]
-        if a is None:
-            if depth[s] != 0 or root[s] != s:
-                return None
-        else:
-            h, t = pg.head[a], pg.tail[a]
-            u = t if h == s else h
-            if (s not in (h, t) or u not in seen or depth[s] != depth[u] + 1
-                    or root[s] != root[u]):
-                return None
-        seen.add(s)
-    if len(seen) != pg.num_vertices:
+    pg, root = forest.pg, forest.root
+    if not forest.checked() or None in root:
         return None
     if any(root[h] != root[t] for h, t in zip(pg.head, pg.tail)):
         return None
-    return pg.num_vertices - parent_edge.count(None)
+    return pg.num_vertices - forest.parent_edge.count(None)
 
 
 def incidence_rows(pg: PathGraph):
@@ -228,33 +213,44 @@ def _unit_circulations(pg: PathGraph, cycles) -> bool:
     return True
 
 
-def intersect_harmonic_exact(pg: PathGraph) -> int:
-    """dim(ker d* intersect im d), certified by the fundamental cycles.
+def _adjoint_rows(pg: PathGraph) -> list[dict[int, int]]:
+    """Rows of d*: row s is [a:s] on the edges at s (no edge has head = tail)."""
+    return [{a: 1 for a in pg.edges_into[s]} | {a: -1 for a in pg.edges_out_of[s]}
+            for s in range(pg.num_vertices)]
 
-    The certificate checks each cycle of the spanning forest in exact
-    integers: d* c = 0, and c is 1 at its own non-forest edge and 0 at
-    every other one.  Then the cycles lie in ker d*, and they are
+
+def _harmonic_basis(pg: PathGraph) -> tuple[list[dict], bool]:
+    """(basis of ker d*, whether the forest certified it).
+
+    The certificate checks each fundamental cycle of the spanning forest
+    in exact integers: d* c = 0, and c is 1 at its own non-forest edge and
+    0 at every other one.  Then the cycles lie in ker d*, and they are
     independent, since each is the only one nonzero at its own edge.
     When they also number E - rank(d), with rank(d) proven by
-    ``_forest_rank``, they span ker d*.  For x = df in that span,
-    <x, x> = <f, d* x> = 0, so x = 0 and the answer is 0.
-
-    When a check fails, the forest is not used at all: exact elimination
-    gives a basis N of ker d* and the rank of N stacked on the V rows of
-    d*.  Since dim N + rank(d*) = E, the intersection has dimension
-    E - rank(N + d*).
+    ``_forest_rank``, they span ker d*.  When a check fails, the forest is
+    not used at all: the basis is the exact nullspace of d*.
     """
     forest = SpanningForest(pg)
     rank = _forest_rank(forest)
     if rank is not None:
         cycles = _fundamental_cycles(forest)
         if len(cycles) == pg.num_edges - rank and _unit_circulations(pg, cycles):
-            return 0
-    # Row s of d* is [a:s] on the edges at s; no edge has head = tail.
-    dstar = [{a: 1 for a in pg.edges_into[s]} | {a: -1 for a in pg.edges_out_of[s]}
-             for s in range(pg.num_vertices)]
-    basis = _linalg.nullspace(dstar, pg.num_edges)
-    return pg.num_edges - _linalg.rank_of_rows(basis + dstar)
+            return [vec for _, vec in cycles], True
+    return _linalg.nullspace(_adjoint_rows(pg), pg.num_edges), False
+
+
+def intersect_harmonic_exact(pg: PathGraph) -> int:
+    """dim(ker d* intersect im d), 0 when ``_harmonic_basis`` is certified.
+
+    For x = df in the span of the certified cycles, which is ker d*,
+    <x, x> = <f, d* x> = 0, so x = 0.  Otherwise the exact basis N of
+    ker d* is stacked on the V rows of d*; since dim N + rank(d*) = E,
+    the intersection has dimension E - rank(N + d*).
+    """
+    basis, certified = _harmonic_basis(pg)
+    if certified:
+        return 0
+    return pg.num_edges - _linalg.rank_of_rows(basis + _adjoint_rows(pg))
 
 
 def integrate(pg: PathGraph, w: Cochain,
@@ -271,34 +267,28 @@ def integrate(pg: PathGraph, w: Cochain,
     edge, forest edges included.  At the first edge a where it fails, the
     unit cycle c of a's forest loop is checked exactly: d* c = 0,
     c(a) = 1 and <c, w> != 0.  Since <c, df> = <d* c, f> = 0 for every
-    f, that proves w is not in im d.  The loop is built only when the
-    walk has also checked the facts ``forest.loop`` climbs by: each
-    parent edge joins its vertex to one walked before, one level up and
-    with the same root, each root is its own root at depth 0, and both
-    ends of a were walked with one root.  When those facts or the
-    witness fail, an exact solve of the incidence rows decides.
+    f, that proves w is not in im d.  The loop is built only when both
+    ends of a were walked with one root and ``forest.checked()`` holds,
+    so a success does no check of the forest beyond df = w.  When those
+    facts or the witness fail, an exact solve of the incidence rows
+    decides.
     """
     if w.level != 1:
         raise ValueError("integrate applies to 1-cochains")
     _check_support(pg, w)
     if forest is None:
         forest = SpanningForest(pg)
-    head, tail = pg.head, pg.tail
-    depth, root = forest.depth, forest.root
+    head, tail, root = pg.head, pg.tail, forest.root
     # The walk runs in ints: w and f are put over the lcm of w's denominators.
     den = lcm(*(x.denominator for x in w.data.values()))
     wn = {a: x.numerator * (den // x.denominator) for a, x in w.data.items()}
     values: dict[int, int] = {}
-    trusted = True
     for s in forest.order:
         a = forest.parent_edge[s]
         if a is None:
             values[s] = 0
-            trusted = trusted and depth[s] == 0 and root[s] == s
             continue
         u = tail[a] if head[a] == s else head[a]
-        trusted = (trusted and s in (head[a], tail[a]) and u in values
-                   and depth[s] == depth[u] + 1 and root[s] == root[u])
         x = wn.get(a, 0)
         values[s] = values.get(u, 0) + (x if head[a] == s else -x)
     f = Cochain(0, {s: Fraction(v, den) for s, v in values.items() if v})
@@ -307,7 +297,7 @@ def integrate(pg: PathGraph, w: Cochain,
     if bad is None:
         return f, None
     h, t = head[bad], tail[bad]
-    if trusted and h in values and t in values and root[h] == root[t]:
+    if h in values and t in values and root[h] == root[t] and forest.checked():
         cycle = _unit_cycle(forest, bad)
         if _unit_circulations(pg, [(bad, cycle)]) and pairing(Cochain(1, cycle), w):
             return f, bad

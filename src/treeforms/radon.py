@@ -250,27 +250,11 @@ def radon_kernel_interior(pg: PathGraph, aps: ApartmentFamily, margin: int) -> l
 
 @dataclass(frozen=True)
 class ExactnessReport:
-    q: int
-    radius: int
-    k: int
-    margin: int
     kernel_dim: int
     image_dim: int
     equal: bool
     interior_edge_count: int
     interior_vertex_count: int
-
-    def to_json(self) -> str:
-        payload = {
-            "q": self.q,
-            "R": self.radius,
-            "k": self.k,
-            "margin": self.margin,
-            "kernel_dim": self.kernel_dim,
-            "image_dim": self.image_dim,
-            "equal": self.equal,
-        }
-        return json.dumps(payload, sort_keys=True) + "\n"
 
 
 def _subspace_dims(rows, image, ncols: int) -> tuple[int, int, bool]:
@@ -317,11 +301,9 @@ def exactness_check(pg: PathGraph, aps: ApartmentFamily, margin: int) -> Exactne
     """
     interior = interior_edges(pg, margin)
     int_verts = interior_vertices(pg, margin)
-    params = pg.ball.params
 
     def report(kernel_dim: int, image_dim: int, equal: bool) -> ExactnessReport:
-        return ExactnessReport(params.q, params.radius, pg.k, margin, kernel_dim,
-                               image_dim, equal, len(interior), len(int_verts))
+        return ExactnessReport(kernel_dim, image_dim, equal, len(interior), len(int_verts))
 
     if not interior:
         return report(0, 0, True)
@@ -397,9 +379,12 @@ def fundamental_loops(pg: PathGraph, edge_ids: list[int]) -> list[WalkWithSigns]
     """Cycle-basis loops of the subgraph spanned by the given edges.
 
     One loop per non-forest edge: the edge followed by the forest path
-    back from its head to its tail.
+    back from its head to its tail.  Raises ValueError when the forest
+    fails ``SpanningForest.checked``.
     """
     forest = SpanningForest(pg, edge_ids)
+    if not forest.checked():
+        raise ValueError("spanning forest failed its check")
     return [WalkWithSigns.from_itinerary(pg, *forest.loop(a)) for a in forest.non_tree_edges]
 
 

@@ -181,10 +181,36 @@ class SpanningForest:
         self.non_tree_edges = [a for a in (range(pg.num_edges) if used is None else sorted(used))
                                if a not in tree and self.root[pg.tail[a]] is not None]
 
+    def checked(self) -> bool:
+        """Whether the facts ``loop`` climbs by hold, checked by one walk of
+        ``order``: each root is its own root at depth 0, each parent edge
+        joins its vertex to one walked before, one level up and with the
+        same root, and the walk sees every vertex that has a root.  Every
+        consumer of the forest's loops or tree rows asks this rather than
+        trusting the forest.
+        """
+        pg, parent_edge, depth, root = self.pg, self.parent_edge, self.depth, self.root
+        seen = set()
+        for s in self.order:
+            a = parent_edge[s]
+            if a is None:
+                if depth[s] != 0 or root[s] != s:
+                    return False
+            else:
+                h, t = pg.head[a], pg.tail[a]
+                u = t if h == s else h
+                if (s not in (h, t) or u not in seen or depth[s] != depth[u] + 1
+                        or root[s] != root[u]):
+                    return False
+            seen.add(s)
+        return len(seen) == len(root) - root.count(None)
+
     def loop(self, a: int) -> tuple[list[int], list[int]]:
         """(edges, vertices) itinerary of edge a, tail to head, followed by
         the forest path from its head back to its tail.  The two ends meet
-        by climbing from the deeper one, so the cost is the loop's length."""
+        by climbing from the deeper one, so the cost is the loop's length.
+        When ``checked`` holds and both ends share a root, the climb is
+        well defined."""
         pg, parent_edge, depth = self.pg, self.parent_edge, self.depth
         t, h = pg.tail[a], pg.head[a]
         up_edges, up_verts = [], []  # from h toward the meeting vertex

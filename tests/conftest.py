@@ -3,8 +3,9 @@ import signal
 
 import pytest
 
+from treeforms import _linalg
 from treeforms.radon import induced_apartments
-from treeforms.tower import build_path_graph
+from treeforms.tower import SpanningForest, build_path_graph
 from treeforms.tree import TreeParams, build_ball, enumerate_oriented_diameters
 
 @contextlib.contextmanager
@@ -64,3 +65,78 @@ def ball22():
 @pytest.fixture
 def ball24():
     return ball(2, 4)
+
+
+# Forest doctors: each breaks one fact that ``SpanningForest.checked``
+# walks, in place.
+
+
+def forward_parent(forest):
+    """The first tree vertex now comes before its parent in ``order``."""
+    forest.order[0], forest.order[1] = forest.order[1], forest.order[0]
+
+
+def wrong_root(forest):
+    """A vertex with a parent edge claims to be its own root."""
+    s = forest.order[1]
+    forest.root[s] = s
+
+
+def orphan(forest):
+    """A vertex loses its parent edge but keeps its root."""
+    forest.parent_edge[forest.order[1]] = None
+
+
+def false_root(forest):
+    """A vertex loses its parent edge and claims to be a root."""
+    s = forest.order[1]
+    forest.parent_edge[s] = None
+    forest.root[s] = s
+
+
+def deep_root(forest):
+    """The first root claims depth 99."""
+    forest.depth[forest.order[0]] = 99
+
+
+def skipped_level(forest):
+    """The last vertex claims to lie two levels below its parent."""
+    forest.depth[forest.order[-1]] += 1
+
+
+def stray_parent(forest):
+    """The last vertex takes the parent edge of the first tree vertex."""
+    forest.parent_edge[forest.order[-1]] = forest.parent_edge[forest.order[1]]
+
+
+def short_order(forest):
+    """The last vertex is missing from ``order``."""
+    forest.order.pop()
+
+
+FOREST_DOCTORS = [forward_parent, wrong_root, orphan, false_root,
+                  deep_root, skipped_level, stray_parent, short_order]
+
+
+def doctoring(doctor):
+    """A ``SpanningForest`` constructor that applies ``doctor`` to each
+    forest it builds."""
+    def build(*args, **kwargs):
+        forest = SpanningForest(*args, **kwargs)
+        doctor(forest)
+        return forest
+    return build
+
+
+def spy_elimination(monkeypatch) -> list[str]:
+    """Record, by name, each exact elimination the certificates fall back to."""
+    calls = []
+    for name in ("rank_of_rows", "nullspace"):
+        real = getattr(_linalg, name)
+
+        def spy(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(_linalg, name, spy)
+    return calls

@@ -15,7 +15,8 @@ from treeforms.tower import (SpanningForest, apply_automorphism, component_roots
                              num_components)
 from treeforms.tree import random_automorphism
 
-from conftest import ball, tower
+from conftest import (FOREST_DOCTORS, ball, doctoring, spy_elimination, stray_parent,
+                      tower)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -216,47 +217,11 @@ def exact_answers(pg):
     return rank_d, dim_a + rank_d - _linalg.rank_of_rows(cycles + dstar_rows)
 
 
-def forward_parent(forest):
-    """The first tree vertex now comes before its parent in ``order``."""
-    forest.order[0], forest.order[1] = forest.order[1], forest.order[0]
-
-
-def wrong_root(forest):
-    """A vertex with a parent edge claims to be its own root."""
-    s = forest.order[1]
-    forest.root[s] = s
-
-
-def orphan(forest):
-    """A vertex loses its parent edge but keeps its root."""
-    forest.parent_edge[forest.order[1]] = None
-
-
-def false_root(forest):
-    """A vertex loses its parent edge and claims to be a root."""
-    s = forest.order[1]
-    forest.parent_edge[s] = None
-    forest.root[s] = s
-
-
-def deep_root(forest):
-    """The first root claims depth 99."""
-    forest.depth[forest.order[0]] = 99
-
-
-def skipped_level(forest):
-    """The last vertex claims to lie two levels below its parent."""
-    forest.depth[forest.order[-1]] += 1
-
-
-def stray_parent(forest):
-    """The last vertex takes the parent edge of the first tree vertex."""
-    forest.parent_edge[forest.order[-1]] = forest.parent_edge[forest.order[1]]
-
-
-def short_order(forest):
-    """The last vertex is missing from ``order``."""
-    forest.order.pop()
+def assert_spans_ker_dstar(pg, basis, rank_d):
+    """The basis has E - rank(d) elements, all in ker d*, and that rank."""
+    assert len(basis) == pg.num_edges - rank_d
+    assert all(adjoint(pg, w).is_zero() for w in basis)
+    assert _linalg.rank_of_rows([w.data for w in basis]) == len(basis)
 
 
 def flipped_sign(cycles):
@@ -293,20 +258,6 @@ def repeated(cycles):
     return cycles[:-1] + [cycles[0]]
 
 
-def spy_elimination(monkeypatch) -> list[str]:
-    """Record, by name, each exact elimination the certificates fall back to."""
-    calls = []
-    for name in ("rank_of_rows", "nullspace"):
-        real = getattr(_linalg, name)
-
-        def spy(*args, _name=name, _real=real):
-            calls.append(_name)
-            return _real(*args)
-
-        monkeypatch.setattr(_linalg, name, spy)
-    return calls
-
-
 class TestCertifiedRanks:
     """The forest certificates agree with Fraction elimination, and a
     doctored forest or cycle is rejected and sent to the exact route."""
@@ -324,40 +275,43 @@ class TestCertifiedRanks:
     def test_genuine_forest_skips_elimination(self, q, radius, k, monkeypatch):
         pg = tower(q, radius, k)
         rank_d, dim = exact_answers(pg)
+        cycles = cochains._fundamental_cycles(SpanningForest(pg))
         calls = spy_elimination(monkeypatch)
         assert coboundary_rank(pg) == rank_d
         assert intersect_harmonic_exact(pg) == dim
+        basis = harmonic_space(pg)
         assert calls == []
+        assert basis == [Cochain(1, vec) for _, vec in cycles]
+        assert_spans_ker_dstar(pg, basis, rank_d)
 
-    @pytest.mark.parametrize("doctor", [forward_parent, wrong_root, orphan, false_root,
-                                        deep_root, skipped_level, stray_parent, short_order])
+    @pytest.mark.parametrize("doctor", FOREST_DOCTORS)
     @pytest.mark.parametrize("q,radius,k", [(2, 2, 0), (2, 3, 1), (3, 2, 2)])
     def test_doctored_forest_takes_exact_route(self, q, radius, k, doctor, monkeypatch):
         pg = tower(q, radius, k)
         rank_d, dim = exact_answers(pg)
-
-        def doctored(graph):
-            f = SpanningForest(graph)
-            doctor(f)
-            return f
-
-        monkeypatch.setattr(cochains, "SpanningForest", doctored)
+        monkeypatch.setattr(cochains, "SpanningForest", doctoring(doctor))
         calls = spy_elimination(monkeypatch)
         assert coboundary_rank(pg) == rank_d
         assert calls == ["rank_of_rows"]
         assert intersect_harmonic_exact(pg) == dim
         assert calls == ["rank_of_rows", "nullspace", "rank_of_rows"]
+        basis = harmonic_space(pg)
+        assert calls == ["rank_of_rows", "nullspace", "rank_of_rows", "nullspace"]
+        assert_spans_ker_dstar(pg, basis, rank_d)
 
     @pytest.mark.parametrize("doctor", [flipped_sign, doubled, merged, dropped, repeated])
     @pytest.mark.parametrize("q,radius,k", [(2, 2, 0), (2, 3, 1), (3, 2, 2)])
     def test_doctored_cycles_take_exact_route(self, q, radius, k, doctor, monkeypatch):
         pg = tower(q, radius, k)
-        _, dim = exact_answers(pg)
+        rank_d, dim = exact_answers(pg)
         real = cochains._fundamental_cycles
         monkeypatch.setattr(cochains, "_fundamental_cycles", lambda f: doctor(real(f)))
         calls = spy_elimination(monkeypatch)
         assert intersect_harmonic_exact(pg) == dim
         assert calls == ["nullspace", "rank_of_rows"]
+        basis = harmonic_space(pg)
+        assert calls == ["nullspace", "rank_of_rows", "nullspace"]
+        assert_spans_ker_dstar(pg, basis, rank_d)
 
 
 # The harmonic-grid benchmark's instances.
@@ -435,8 +389,7 @@ class TestIntegrate:
         assert pairing(Cochain(1, cycle), w) != 0
         assert solve_df(pg, w) is None
 
-    @pytest.mark.parametrize("doctor", [forward_parent, wrong_root, orphan, false_root,
-                                        deep_root, skipped_level, stray_parent, short_order])
+    @pytest.mark.parametrize("doctor", FOREST_DOCTORS)
     @pytest.mark.parametrize("q,radius,k", [(2, 3, 0), (2, 3, 3), (3, 3, 2)])
     def test_doctored_forest_keeps_answers_exact(self, q, radius, k, doctor, monkeypatch):
         pg = tower(q, radius, k)

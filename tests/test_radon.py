@@ -437,11 +437,6 @@ class TestExactness:
         aps = apartments(2, 4, 0)
         assert minimal_exact_margin(pg, aps, 2) == 0
 
-    def test_report_json_fields(self):
-        rep = exactness_check(tower(2, 3, 0), apartments(2, 3, 0), 2)
-        payload = json.loads(rep.to_json())
-        assert set(payload) == {"q", "R", "k", "margin", "kernel_dim", "image_dim", "equal"}
-
 
 def _fallback_only(monkeypatch):
     """Make every GF(p) rank one short, so no certificate can hold."""

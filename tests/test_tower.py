@@ -7,14 +7,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from treeforms import radon
 from treeforms.cochains import Cochain
-from treeforms.radon import PathDependenceError, fundamental_loops, path_integral, primitive
+from treeforms.radon import (PathDependenceError, fundamental_loops, interior_edges,
+                             path_integral, primitive)
 from treeforms.tower import (PathGraph, SpanningForest, apply_automorphism,
                              build_path_graph, component_roots, components, incidence,
                              num_components)
 from treeforms.tree import GeodesicSegment, random_automorphism
 
-from conftest import apartments, ball, tower
+from conftest import (FOREST_DOCTORS, apartments, ball, deep_root, doctoring, false_root,
+                      orphan, tower)
 
 
 def enumerate_paths_oracle(b, nverts):
@@ -272,6 +275,28 @@ class TestSpanningForest:
         edge_ids = random_edge_subset(pg, seed, percent)
         touched, ncomp = union_find_components(pg, edge_ids)
         assert len(fundamental_loops(pg, edge_ids)) == len(edge_ids) - touched + ncomp
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from(FOREST_TOWERS), seed=st.integers(0, 10 ** 6),
+           percent=st.integers(0, 100))
+    def test_checked(self, case, seed, percent):
+        """``checked`` holds on genuine forests and fails under each doctor,
+        and ``fundamental_loops`` refuses a forest that fails it."""
+        pg = tower(*case)
+        assert SpanningForest(pg).checked()
+        assert SpanningForest(pg, random_edge_subset(pg, seed, percent)).checked()
+        chosen = tower(2, 3, 3)
+        assert SpanningForest(chosen, roots=[chosen.num_vertices - 1, 5]).checked()
+        for doctored in (2, 2, 0), (2, 3, 1), (3, 2, 2):
+            for doctor in FOREST_DOCTORS:
+                assert not doctoring(doctor)(tower(*doctored)).checked()
+        pg = tower(2, 3, 1)
+        inner = interior_edges(pg, 0)
+        for doctor in (orphan, false_root, deep_root):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(radon, "SpanningForest", doctoring(doctor))
+                with pytest.raises(ValueError, match="spanning forest failed its check"):
+                    fundamental_loops(pg, inner)
 
     def test_roots_grow_only_their_components(self):
         pg = tower(2, 3, 3)
