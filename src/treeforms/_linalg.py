@@ -127,16 +127,24 @@ def rank_mod_p(rows, p: int = MODULUS) -> int:
 
 
 def _reduced_pivots(elim: Eliminator) -> dict[int, Row]:
-    """The eliminator's pivot rows back-substituted to reduced echelon form."""
+    """The eliminator's pivot rows back-substituted to reduced echelon form.
+
+    Pivot columns are cleared from the last to the first.  When column j
+    is cleared, row j holds only j and free columns, so subtracting it
+    from a row never adds or removes another pivot entry: the rows that
+    hold j off their lead are known before any subtraction, and each
+    clear touches only those rows.
+    """
     pivots = dict(elim.pivots)
-    order = sorted(pivots)
-    for j in reversed(order):
+    holders: dict[int, list[int]] = {}
+    for i, row in pivots.items():
+        for j in row:
+            if j != i and j in pivots:
+                holders.setdefault(j, []).append(i)
+    for j in sorted(holders, reverse=True):
         row = pivots[j]
-        for i in order:
-            if i >= j:
-                break
-            if j in pivots[i]:
-                pivots[i] = row_axpy(pivots[i], -pivots[i][j], row)
+        for i in holders[j]:
+            pivots[i] = row_axpy(pivots[i], -pivots[i][j], row)
     return pivots
 
 

@@ -5,6 +5,15 @@ matrices, so exact rationals carry the full content of the complex-
 coefficient theory at finite level; there is no floating-point mode.
 On a finite graph every cochain has finite support and every form is
 smooth, so the smooth/arbitrary-support distinction collapses.
+
+The operators hold their arithmetic in Python ints, as the elimination
+in ``_linalg`` and ``radon.radon_transform`` do: ``coboundary``,
+``adjoint`` and ``integrate`` put their input over the lcm of its
+denominators and sum integer numerators, and ``pairing`` sums products
+of numerators over the lcm of the products' denominators.
+``shared_fractions`` turns the nonzero sums back into ``Fraction``s, so
+every value a cochain stores or an operator returns is still a
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -35,7 +44,8 @@ class Cochain:
     def __post_init__(self):
         if self.level not in (0, 1):
             raise ValueError(f"cochain level must be 0 or 1, got {self.level}")
-        cleaned = {i: Fraction(x) for i, x in self.data.items() if x}
+        cleaned = {i: x if type(x) is Fraction else Fraction(x)
+                   for i, x in self.data.items() if x}
         object.__setattr__(self, "data", cleaned)
 
     @classmethod
@@ -90,39 +100,67 @@ def _check_support(pg: PathGraph, c: Cochain) -> None:
             raise ValueError(f"cochain support {i} outside the path graph")
 
 
+def shared_fractions(nums: dict[int, int], den: int) -> dict[int, Fraction]:
+    """{i: n / den} for the nonzero integer numerators n, in nums' key
+    order, with one shared Fraction object per distinct value."""
+    shared: dict[int, Fraction] = {}
+    out: dict[int, Fraction] = {}
+    for i, n in nums.items():
+        if n:
+            v = shared.get(n)
+            if v is None:
+                v = shared[n] = Fraction(n, den)
+            out[i] = v
+    return out
+
+
 def coboundary(pg: PathGraph, f: Cochain) -> Cochain:
-    """df(a) = f(head a) - f(tail a)."""
+    """df(a) = f(head a) - f(tail a), summed in ints over the lcm of f's
+    denominators."""
     if f.level != 0:
         raise ValueError("coboundary applies to 0-cochains")
     _check_support(pg, f)
-    out: dict[int, Fraction] = {}
+    den = lcm(*(x.denominator for x in f.data.values()))
+    into, out_of = pg.edges_into, pg.edges_out_of
+    sums: dict[int, int] = {}
     for s, x in f.data.items():
-        for a in pg.edges_into[s]:
-            out[a] = out.get(a, ZERO) + x
-        for a in pg.edges_out_of[s]:
-            out[a] = out.get(a, ZERO) - x
-    return Cochain(1, out)
+        n = x.numerator * (den // x.denominator)
+        for a in into[s]:
+            sums[a] = sums.get(a, 0) + n
+        for a in out_of[s]:
+            sums[a] = sums.get(a, 0) - n
+    return Cochain(1, shared_fractions(sums, den))
 
 
 def adjoint(pg: PathGraph, omega: Cochain) -> Cochain:
-    """d*w(s) = sum over edges a incident to s of [a:s] w(a)."""
+    """d*w(s) = sum over edges a incident to s of [a:s] w(a), summed in
+    ints over the lcm of w's denominators."""
     if omega.level != 1:
         raise ValueError("adjoint applies to 1-cochains")
     _check_support(pg, omega)
-    out: dict[int, Fraction] = {}
+    den = lcm(*(x.denominator for x in omega.data.values()))
+    head, tail = pg.head, pg.tail
+    sums: dict[int, int] = {}
     for a, x in omega.data.items():
-        h, t = pg.head[a], pg.tail[a]
-        out[h] = out.get(h, ZERO) + x
-        out[t] = out.get(t, ZERO) - x
-    return Cochain(0, out)
+        n = x.numerator * (den // x.denominator)
+        h, t = head[a], tail[a]
+        sums[h] = sums.get(h, 0) + n
+        sums[t] = sums.get(t, 0) - n
+    return Cochain(0, shared_fractions(sums, den))
 
 
 def pairing(x: Cochain, y: Cochain) -> Fraction:
-    """<x, y> = sum over the common support of x(i) y(i)."""
+    """<x, y> = sum over the common support of x(i) y(i), summed in ints
+    over the lcm of the products' denominators."""
     if x.level != y.level:
         raise ValueError("pairing requires cochains of the same level")
     small, large = (x.data, y.data) if len(x.data) <= len(y.data) else (y.data, x.data)
-    return sum((v * large[i] for i, v in small.items() if i in large), ZERO)
+    terms = [(u.numerator * v.numerator, u.denominator * v.denominator)
+             for i, u in small.items() if (v := large.get(i)) is not None]
+    if not terms:
+        return ZERO
+    den = lcm(*(d for _, d in terms))
+    return Fraction(sum(n * (den // d) for n, d in terms), den)
 
 
 def harmonic_space(pg: PathGraph) -> list[Cochain]:
@@ -134,7 +172,10 @@ def harmonic_space(pg: PathGraph) -> list[Cochain]:
     spanning forest, one unit cycle per non-forest edge, when they are
     certified, and an exact ``ker d*`` basis otherwise.
     """
-    return [Cochain(1, vec) for vec in _harmonic_basis(pg)[0]]
+    basis, certified = _harmonic_basis(pg)
+    if certified:
+        return [Cochain(1, shared_fractions(vec, 1)) for vec in basis]
+    return [Cochain(1, vec) for vec in basis]
 
 
 def _unit_cycle(forest: SpanningForest, a: int) -> dict[int, int]:
@@ -291,7 +332,7 @@ def integrate(pg: PathGraph, w: Cochain,
         u = tail[a] if head[a] == s else head[a]
         x = wn.get(a, 0)
         values[s] = values.get(u, 0) + (x if head[a] == s else -x)
-    f = Cochain(0, {s: Fraction(v, den) for s, v in values.items() if v})
+    f = Cochain(0, shared_fractions(values, den))
     bad = next((a for a in range(pg.num_edges)
                 if values.get(head[a], 0) - values.get(tail[a], 0) != wn.get(a, 0)), None)
     if bad is None:

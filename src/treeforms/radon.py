@@ -26,7 +26,7 @@ from math import lcm
 from typing import NamedTuple
 
 from . import _linalg
-from .cochains import Cochain, coboundary, integrate
+from .cochains import Cochain, coboundary, integrate, shared_fractions
 from .tower import PathGraph, SpanningForest, component_roots
 from .tree import GeodesicSegment, convex_hull
 
@@ -175,15 +175,7 @@ def radon_transform(pg: PathGraph, aps: ApartmentFamily, omega: Cochain) -> dict
         n = x.numerator * (den // x.denominator)
         for i in through[a]:
             sums[i] = sums.get(i, 0) + n
-    shared: dict[int, Fraction] = {}
-    out: dict[int, Fraction] = {}
-    for i, n in sums.items():
-        if n:
-            v = shared.get(n)
-            if v is None:
-                v = shared[n] = Fraction(n, den)
-            out[i] = v
-    return out
+    return shared_fractions(sums, den)
 
 
 # -- interior (truncation margin) --------------------------------------

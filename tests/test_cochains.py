@@ -12,7 +12,7 @@ from treeforms.cochains import (Cochain, adjoint, basis_manifest, coboundary,
                                 harmonic_space, incidence_rows, integrate,
                                 intersect_harmonic_exact, pairing)
 from treeforms.tower import (SpanningForest, apply_automorphism, component_roots,
-                             num_components)
+                             components, num_components)
 from treeforms.tree import random_automorphism
 
 from conftest import (FOREST_DOCTORS, ball, doctoring, spy_elimination, stray_parent,
@@ -440,6 +440,151 @@ class TestIntegrate:
             integrate(pg, Cochain.zero(0))
         with pytest.raises(ValueError):
             integrate(pg, Cochain.indicator(1, pg.num_edges))
+
+
+def oracle_coboundary(pg, f):
+    """The per-entry Fraction coboundary the int one replaced."""
+    out = {}
+    for s, x in f.data.items():
+        for a in pg.edges_into[s]:
+            out[a] = out.get(a, ZERO) + x
+        for a in pg.edges_out_of[s]:
+            out[a] = out.get(a, ZERO) - x
+    return {a: x for a, x in out.items() if x}
+
+
+def oracle_adjoint(pg, omega):
+    """The per-entry Fraction adjoint the int one replaced."""
+    out = {}
+    for a, x in omega.data.items():
+        h, t = pg.head[a], pg.tail[a]
+        out[h] = out.get(h, ZERO) + x
+        out[t] = out.get(t, ZERO) - x
+    return {s: x for s, x in out.items() if x}
+
+
+def oracle_pairing(x, y):
+    """The per-entry Fraction pairing the int one replaced."""
+    small, large = (x.data, y.data) if len(x.data) <= len(y.data) else (y.data, x.data)
+    return sum((v * large[i] for i, v in small.items() if i in large), ZERO)
+
+
+def same_cochain(got, want):
+    """Equal values in the same key order, every value a plain Fraction."""
+    assert list(got.data.items()) == list(want.items())
+    assert all(type(x) is Fraction for x in got.data.values())
+
+
+class FractionSub(Fraction):
+    pass
+
+
+# Mixed denominators; a few values recur so that sums cancel.
+VALUES = st.one_of(st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3),
+                                    Fraction(-1, 6), ONE, -ONE]),
+                   st.fractions(min_value=-4, max_value=4, max_denominator=12),
+                   st.integers(-3, 3))
+
+
+@st.composite
+def vertex_cochains(draw, pg):
+    """A 0-cochain with random entries plus both ends of some edges set
+    to one value, so d cancels on those edges."""
+    data = draw(st.dictionaries(st.integers(0, pg.num_vertices - 1), VALUES, max_size=8))
+    for a in draw(st.lists(st.integers(0, pg.num_edges - 1), max_size=3)):
+        data[pg.head[a]] = data[pg.tail[a]] = draw(VALUES)
+    return Cochain(0, data)
+
+
+@st.composite
+def edge_cochains(draw, pg):
+    """A 1-cochain with random entries plus opposite values on two edges
+    into one vertex, so d* cancels there."""
+    data = draw(st.dictionaries(st.integers(0, pg.num_edges - 1), VALUES, max_size=8))
+    for s in draw(st.lists(st.integers(0, pg.num_vertices - 1), max_size=3)):
+        into = pg.edges_into[s]
+        if len(into) >= 2:
+            x = draw(VALUES)
+            data[into[0]], data[into[1]] = x, -x
+    return Cochain(1, data)
+
+
+class TestIntOperatorsAgainstFractionOracle:
+    """coboundary, adjoint and pairing, summed in ints, against the
+    per-entry Fraction loops they replaced, on the harmonic-grid sizes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(inst=st.sampled_from(HARMONIC_GRID), data=st.data())
+    def test_coboundary_and_adjoint(self, inst, data):
+        pg = tower(*inst)
+        f = data.draw(vertex_cochains(pg))
+        same_cochain(coboundary(pg, f), oracle_coboundary(pg, f))
+        w = data.draw(edge_cochains(pg))
+        same_cochain(adjoint(pg, w), oracle_adjoint(pg, w))
+
+    @settings(max_examples=150, deadline=None)
+    @given(inst=st.sampled_from(HARMONIC_GRID), data=st.data())
+    def test_pairing(self, inst, data):
+        pg = tower(*inst)
+        f, g = data.draw(vertex_cochains(pg)), data.draw(vertex_cochains(pg))
+        w = data.draw(edge_cochains(pg))
+        for x, y in ((f, g), (g, f), (f, f), (w, coboundary(pg, f)),
+                     (adjoint(pg, w), f), (w, Cochain.zero(1))):
+            got = pairing(x, y)
+            assert got == oracle_pairing(x, y)
+            assert type(got) is Fraction
+
+    def test_disjoint_supports_pair_to_zero(self):
+        assert pairing(Cochain(1, {0: ONE}), Cochain(1, {1: ONE})) is cochains.ZERO
+        assert pairing(Cochain.zero(0), Cochain.zero(0)) is cochains.ZERO
+
+    def test_cancelling_sums_dropped(self):
+        pg = tower(2, 3, 1)
+        comp = max(components(pg), key=len)
+        assert coboundary(pg, Cochain(0, {s: Fraction(5, 7) for s in comp})).is_zero()
+        for w in harmonic_space(pg):
+            assert adjoint(pg, w.scale(Fraction(-3, 4))).is_zero()
+        assert pairing(Cochain(1, {0: Fraction(1, 2), 1: Fraction(1, 3)}),
+                       Cochain(1, {0: Fraction(2, 3), 1: -1})) == 0
+
+    @pytest.mark.parametrize("inst", HARMONIC_GRID)
+    def test_empty_and_out_of_range(self, inst):
+        pg = tower(*inst)
+        assert coboundary(pg, Cochain.zero(0)).data == {}
+        assert adjoint(pg, Cochain.zero(1)).data == {}
+        for bad in (-1, pg.num_vertices):
+            with pytest.raises(ValueError):
+                coboundary(pg, Cochain(0, {bad: ONE}))
+        for bad in (-1, pg.num_edges):
+            with pytest.raises(ValueError):
+                adjoint(pg, Cochain(1, {bad: Fraction(1, 3)}))
+
+    @pytest.mark.parametrize("inst", HARMONIC_GRID)
+    def test_harmonic_space_shares_unit_values(self, inst):
+        pg = tower(*inst)
+        basis = harmonic_space(pg)
+        vecs, certified = cochains._harmonic_basis(pg)
+        assert certified
+        assert [list(w.data.items()) for w in basis] == [list(v.items()) for v in vecs]
+        for w in basis:
+            assert all(type(x) is Fraction for x in w.data.values())
+            assert len({id(x) for x in w.data.values()}) == len(set(w.data.values()))
+
+    def test_shared_fractions(self):
+        got = cochains.shared_fractions({4: 3, 1: 0, 2: -6, 7: 3, 0: 6}, 6)
+        assert list(got.items()) == [(4, Fraction(1, 2)), (2, -ONE), (7, Fraction(1, 2)),
+                                     (0, ONE)]
+        assert got[4] is got[7]
+        assert all(type(x) is Fraction for x in got.values())
+
+    def test_cochain_keeps_fractions_and_converts_the_rest(self):
+        half = Fraction(1, 2)
+        c = Cochain(0, {3: half, 1: 2, 0: FractionSub(-1, 3), 5: 0, 6: ZERO,
+                        2: FractionSub(0), 4: True})
+        assert list(c.data.items()) == [(3, half), (1, Fraction(2)), (0, Fraction(-1, 3)),
+                                        (4, ONE)]
+        assert c.data[3] is half
+        assert all(type(x) is Fraction for x in c.data.values())
 
 
 class TestEquivariance:

@@ -279,6 +279,35 @@ def apply(rows, x):
     return [sum((v * x.get(j, 0) for j, v in row.items()), Fraction(0)) for row in rows]
 
 
+def same_rref(rows):
+    """``_reduced_pivots`` of the rows equals the oracle RREF, pivot by
+    pivot, with the same key order in every row."""
+    elim = _linalg.Eliminator()
+    for row in rows:
+        elim.insert(row)
+    got, want = _linalg._reduced_pivots(elim), oracle_rref(rows)
+    assert list(got) == list(want)
+    for j, row in want.items():
+        assert list(got[j].items()) == list(row.items())
+
+
+class TestReducedPivots:
+    @settings(max_examples=150, deadline=None)
+    @given(system=systems())
+    def test_matches_oracle(self, system):
+        same_rref(system[0])
+
+    @pytest.mark.parametrize("q,radius", [(2, 3), (2, 4), (3, 3), (3, 4)])
+    def test_incidence_grid(self, q, radius):
+        rng = random.Random(q * 10 + radius)
+        for k in range(4):
+            pg = tower(q, radius, k)
+            # Half the rows carry a column after the last vertex, as in solve.
+            rows = [row | {pg.num_vertices: Fraction(rng.choice([-3, -1, 1, 2]))}
+                    if rng.random() < 0.5 else row for row in incidence_rows(pg)]
+            same_rref(rows)
+
+
 class TestAgainstFractionOracle:
     @settings(max_examples=150, deadline=None)
     @given(system=systems())
