@@ -72,6 +72,8 @@ OTHER_COMMANDS = [
     "check padic --p 3 --radius 2",
     "check stabilizer --p 2 --n 1",
     "check stabilizer --p 3 --n 0 --samples 20 --seed 4 --modulus 4",
+    "check stabilizer --p 2 --n 0",
+    "check stabilizer --p 5 --n 0 --seed 3",
     "check transitivity --p 2",
     "check transitivity --p 2 --seed 5",
     "check transitivity --p 3",
@@ -84,6 +86,10 @@ OTHER_COMMANDS = [
     "check gamma0 --p 2 --n 0 --matrix 1/3,0;0,1/3",
     "check gamma0 --matrix 1,2;4,3 --n 1 --p 2",
     "check euler --q 2 --radius 2 --k 1 --output report.json",
+    "check euler --q 2 --radius 5 --k 1",
+    "check exactness --q 3 --radius 4 --k 0 --margin 0 --scan",
+    "tower --q 2 --radius 2 --k 4 --output tower.json",
+    "tower --q 3 --radius 1 --k 2 --output tower.json",
     "ball --q 2 --radius 2",
     "ball --q 3 --radius 2 --format dot",
     "ball --q 2 --radius 1 --output ball.json",
