@@ -11,10 +11,6 @@ divided by its lead only when that lead is not +-1.  On unimodular rows
 (incidence rows, characteristic functions) every step is then integer
 arithmetic.  The results of ``solve`` and ``nullspace`` are still
 ``Fraction`` values.
-
-Integer rows can also be ranked over GF(p) (``rank_mod_p``).  That rank
-is a lower bound on the rank over Q, so when it meets a proven upper
-bound it certifies the rational rank.
 """
 
 from __future__ import annotations
@@ -89,41 +85,6 @@ def rank_of_rows(rows) -> int:
     for row in rows:
         elim.insert(row)
     return elim.rank
-
-
-MODULUS = 2 ** 31 - 1
-
-
-def rank_mod_p(rows, p: int = MODULUS) -> int:
-    """Rank over GF(p) of sparse rows with integer entries, p prime.
-
-    Reducing an integer matrix mod p can only lose rank, so the result is
-    a lower bound on the rank over Q.  A non-integer entry is a ValueError.
-    """
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        red: dict[int, int] = {}
-        for j, x in row.items():
-            if getattr(x, "denominator", None) != 1:
-                raise ValueError(f"rank_mod_p needs integer entries, got {x!r}")
-            x = x.numerator % p
-            if x:
-                red[j] = x
-        while red:
-            j = min(red)
-            piv = pivots.get(j)
-            if piv is None:
-                inv = pow(red[j], -1, p)
-                pivots[j] = {i: x * inv % p for i, x in red.items()}
-                break
-            c = red[j]
-            for i, x in piv.items():
-                y = (red.get(i, 0) - c * x) % p
-                if y:
-                    red[i] = y
-                else:
-                    del red[i]
-    return len(pivots)
 
 
 def _reduced_pivots(elim: Eliminator) -> dict[int, Row]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from ._linalg import rank_mod_p
+from ._linalg import rank_of_rows
 from .cochains import (Cochain, adjoint, coboundary, h1c_dimension,
                        harmonic_space, incidence_rows, integrate, pairing)
 from .padic import (GroupElement, _extension_orbit, _path_stabilizer, embed_ball,
@@ -58,9 +58,9 @@ def _tower(q: int, radius: int, k: int, *,
 
 def check_euler(q: int, radius: int, k: int) -> tuple[bool, dict]:
     """dim ker d* = E - V + C = dim C^1 - rank d, with rank d = V - C also
-    witnessed without the forest's tree rows: the GF(p) rank of the
-    incidence rows bounds rank d below, and the component indicators,
-    checked to lie in ker d, bound it above by V - C."""
+    witnessed without the forest's tree rows: the exact rank of the
+    incidence rows, reported once the component indicators are checked to
+    lie in ker d, where they bound it above by V - C."""
     pg, _ = _tower(q, radius, k, apartments=False)
     basis = harmonic_space(pg)
     comp_of = component_roots(pg)
@@ -69,7 +69,7 @@ def check_euler(q: int, radius: int, k: int) -> tuple[bool, dict]:
     h1 = h1c_dimension(pg)
     not_harmonic = sum(1 for w in basis if not adjoint(pg, w).is_zero())
     in_ker_d = all(comp_of[h] == comp_of[t] for h, t in zip(pg.head, pg.tail))
-    witness = rank_mod_p(incidence_rows(pg)) if in_ker_d else None
+    witness = rank_of_rows(incidence_rows(pg)) if in_ker_d else None
     passed = (len(basis) == euler == h1 and not_harmonic == 0
               and witness == pg.num_vertices - ncomp)
     return passed, {

@@ -431,7 +431,7 @@ def sample_with_exact_lower_valuation(p: int, n: int, modulus_exp: int,
         if unit % p == 0:
             continue
         c = (p ** n) * unit
-        if a * d - b * c == 0:
+        if (a * d - b * c) % p == 0:
             continue
         out.append(GroupElement.of(a, b, c, d))
     return out

@@ -31,7 +31,6 @@ from .tower import PathGraph, SpanningForest, component_roots
 from .tree import GeodesicSegment, convex_hull
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class MarginError(ValueError):
@@ -253,12 +252,9 @@ def _subspace_dims(rows, image, ncols: int) -> tuple[int, int, bool]:
     """(dim K, dim im d, im d = K) for K the kernel of the integer rows on
     ncols columns and image the integer coboundaries d1_s in those columns.
 
-    Containment is checked first, exactly: every row must annihilate every
-    d1_s.  Then im d lies in K, so rank(rows) + rank(image) <= ncols, with
-    equality exactly when im d = K; GF(p) ranks, lower bounds, that reach
-    ncols settle it, and otherwise the exact ranks of the same rows decide.
-    Without containment the spaces differ and the exact ranks give both
-    dimensions.
+    Both dimensions are exact ranks (``_linalg.rank_of_rows``).  Equal
+    dimensions are not enough: the spaces are equal only when, besides,
+    every row annihilates every d1_s, which is checked exactly.
     """
     by_col: dict[int, list[tuple[int, int]]] = {}
     for r, row in enumerate(rows):
@@ -272,20 +268,16 @@ def _subspace_dims(rows, image, ncols: int) -> tuple[int, int, bool]:
                 dots[r] = dots.get(r, 0) + c * v
         return not any(dots.values())
 
-    contained = all(map(annihilated, image))
-    if contained:
-        r_img = _linalg.rank_mod_p(image)
-        if _linalg.rank_mod_p(rows) + r_img == ncols:
-            return r_img, r_img, True
     kernel_dim = ncols - _linalg.rank_of_rows(rows)
     image_dim = _linalg.rank_of_rows(image)
-    return kernel_dim, image_dim, contained and kernel_dim == image_dim
+    return kernel_dim, image_dim, kernel_dim == image_dim and all(map(annihilated, image))
 
 
 def exactness_check(pg: PathGraph, aps: ApartmentFamily, margin: int) -> ExactnessReport:
     """Compare ker(transform) on interior cochains with d of interior
-    0-cochains, as subspaces, through ``_subspace_dims``.  Each d1_s of an
-    interior vertex s lies on interior edges (``interior_vertices``).
+    0-cochains, as subspaces, by exact ranks and an exact containment
+    check (``_subspace_dims``).  Each d1_s of an interior vertex s lies on
+    interior edges (``interior_vertices``).
 
     An empty interior makes both spaces trivial and the report says so
     (kernel_dim = image_dim = 0, equal); it is not an error, since the
@@ -497,17 +489,13 @@ def span_check(pgs: list[PathGraph], diameters: list[GeodesicSegment]) -> bool:
     ndiam = len(diameters)
     key_to_index = {seg.vertices: i for i, seg in enumerate(diameters)}
     elim = _linalg.Eliminator()
-    rank = 0
     for pg in pgs:
-        aps = induced_apartments(pg, diameters)
-        diam_ids = [key_to_index[ap.base] for ap in aps]
-        rows_by_edge: dict[int, dict[int, Fraction]] = {}
-        for ap, di in zip(aps, diam_ids):
+        rows_by_edge: dict[int, dict[int, int]] = {}
+        for ap in induced_apartments(pg, diameters):
+            di = key_to_index[ap.base]
             for a in ap.edges:
-                rows_by_edge.setdefault(a, {})[di] = ONE
+                rows_by_edge.setdefault(a, {})[di] = 1
         for a in sorted(rows_by_edge):
-            if elim.insert(rows_by_edge[a]):
-                rank += 1
-                if rank == ndiam:
-                    return True
-    return rank == ndiam
+            if elim.insert(rows_by_edge[a]) and elim.rank == ndiam:
+                return True
+    return elim.rank == ndiam

@@ -31,8 +31,11 @@ class PathGraph:
             raise ValueError(f"level k must be >= 0, got {k}")
         self.ball = ball
         self.k = k
-        self.verts = _enumerate_paths(ball, k + 1)
-        self.edges = _enumerate_paths(ball, k + 2)
+        verts = [(v,) for v in range(ball.num_vertices)]
+        for _ in range(k):
+            verts = _extend(ball, verts)
+        self.verts = verts
+        self.edges = _extend(ball, verts)
         self.vert_index = {p: i for i, p in enumerate(self.verts)}
         self.edge_index = {e: a for a, e in enumerate(self.edges)}
         self.head = [self.vert_index[e[1:]] for e in self.edges]
@@ -83,28 +86,16 @@ class PathGraph:
         return "\n".join(lines) + "\n"
 
 
-def _enumerate_paths(ball: TreeBall, nverts: int) -> list[tuple[int, ...]]:
-    """All injective paths with `nverts` vertices, lexicographically ordered.
+def _extend(ball: TreeBall, paths: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Each path extended by one vertex at its end, in the given order.
 
     In a tree a walk is injective iff it never immediately backtracks, so
-    the enumeration extends each path by neighbors of its endpoint other
-    than the previous vertex.
+    a path extends by the neighbors of its endpoint other than the
+    previous vertex.  Adjacency lists are sorted, so a lexicographically
+    ordered list stays ordered.
     """
-    if nverts == 1:
-        return [(v,) for v in range(ball.num_vertices)]
-    paths: list[tuple[int, ...]] = []
-    for start in range(ball.num_vertices):
-        stack = [(start, w) for w in reversed(ball.adjacency[start])]
-        while stack:
-            path = stack.pop()
-            if len(path) == nverts:
-                paths.append(path)
-                continue
-            prev, last = path[-2], path[-1]
-            for w in reversed(ball.adjacency[last]):
-                if w != prev:
-                    stack.append(path + (w,))
-    return paths
+    adj = ball.adjacency
+    return [p + (w,) for p in paths for w in adj[p[-1]] if len(p) < 2 or w != p[-2]]
 
 
 def build_path_graph(ball: TreeBall, k: int) -> PathGraph:

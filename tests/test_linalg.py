@@ -125,47 +125,6 @@ class TestSpansSameSpace:
         assert not spans_same_space([{0: one}], [{1: one}])
 
 
-P = _linalg.MODULUS
-
-
-def random_integer_rows(rng, nrows, ncols, entries):
-    """Sparse rows with non-zero entries drawn from `entries`."""
-    return [{j: rng.choice(entries) for j in range(ncols) if rng.random() < 0.5}
-            for _ in range(nrows)]
-
-
-class TestModularRank:
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 10 ** 6), p=st.sampled_from([2, 3, 5, P]))
-    def test_lower_bound_on_rational_rank(self, seed, p):
-        rng = random.Random(seed)
-        rows = random_integer_rows(rng, rng.randrange(1, 8), rng.randrange(1, 8),
-                                   [-3, -2, -1, 1, 2, 3, P, 2 * P])
-        assert _linalg.rank_mod_p(rows, p) <= _linalg.rank_of_rows(rows)
-
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 10 ** 6))
-    def test_lower_bound_on_rank_of_fraction_rows(self, seed):
-        rng = random.Random(seed)
-        nrows, ncols = rng.randrange(1, 8), rng.randrange(1, 8)
-        rows = random_integer_rows(rng, nrows, ncols, [-3, -1, 1, 2, 5, P])
-        rows = [{j: Fraction(v) for j, v in row.items()} for row in rows]
-        exact = _linalg.rank_of_rows(rows)
-        assert _linalg.rank_mod_p(rows) <= exact <= min(nrows, ncols)
-        assert _linalg.rank_mod_p(iter(rows)) <= exact
-
-    def test_rank_drops_mod_p(self):
-        rows = [{0: Fraction(P)}]
-        assert _linalg.rank_mod_p(rows) == 0
-        assert _linalg.rank_of_rows(rows) == 1
-
-    def test_non_integer_entry_rejected(self):
-        with pytest.raises(ValueError):
-            _linalg.rank_mod_p([{0: Fraction(1, 2)}])
-        with pytest.raises(ValueError):
-            _linalg.rank_mod_p([{0: 1.0}])
-
-
 # -- the all-Fraction eliminator, kept as the oracle ---------------------
 
 ZERO = Fraction(0)

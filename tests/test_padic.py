@@ -511,6 +511,13 @@ class TestSamplerLevels:
         with pytest.raises(ValueError, match=f"congruence level n = {n} must satisfy"):
             sampler(2, n, m, 5, 0)
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_movers_are_level_n_with_exact_valuation(self, p, n):
+        for g in sample_with_exact_lower_valuation(p, n, 6, 20, 0):
+            assert in_gamma0(g, n, p)
+            assert valuation(g.c, p) == n
+
 
 def path_in_ball(rng, emb):
     """A random geodesic of the ball: a vertex and up to two steps away."""

@@ -22,7 +22,7 @@ from treeforms.tower import build_path_graph
 from treeforms.tree import GeodesicSegment, enumerate_oriented_diameters, geodesic_between
 
 from conftest import apartments, ball, tower
-from test_linalg import spans_same_space
+from test_linalg import FractionEliminator, oracle_nullspace, spans_same_space
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -438,14 +438,30 @@ class TestExactness:
         assert minimal_exact_margin(pg, aps, 2) == 0
 
 
-def _fallback_only(monkeypatch):
-    """Make every GF(p) rank one short, so no certificate can hold."""
-    real = _linalg.rank_mod_p
-    monkeypatch.setattr(_linalg, "rank_mod_p", lambda rows, p=_linalg.MODULUS: real(rows, p) - 1)
+def oracle_exactness(pg, aps, margin):
+    """(kernel_dim, image_dim, equal) from the all-Fraction eliminator: K
+    is the oracle nullspace of the kernel rows, and the spaces are equal
+    when K, im d and their sum all have the same rank."""
+    interior = interior_edges(pg, margin)
+    if not interior:
+        return 0, 0, True
+    col = {a: j for j, a in enumerate(interior)}
+    kernel = oracle_nullspace(_kernel_rows(aps, interior), len(interior))
+    image = [{col[a]: v for a, v in coboundary(pg, Cochain.indicator(0, s)).data.items()}
+             for s in interior_vertices(pg, margin)]
+
+    def rank(rows):
+        elim = FractionEliminator()
+        for row in rows:
+            elim.insert(row)
+        return len(elim.pivots)
+
+    image_dim = rank(image)
+    return len(kernel), image_dim, len(kernel) == image_dim == rank(kernel + image)
 
 
-class TestExactnessCertificate:
-    """The GF(p) certificate against the Fraction route it short-cuts."""
+class TestExactnessAgainstOracle:
+    """``exactness_check`` against the all-Fraction eliminator."""
 
     GRID = TestExactness.GRID
 
@@ -456,36 +472,23 @@ class TestExactnessCertificate:
         assert _subspace_dims([{0: ONE}], [{1: ONE}], 2) == (1, 1, True)
         assert _subspace_dims([{0: ONE, 1: ONE}], [{0: ONE, 1: -ONE}], 2) == (1, 1, True)
 
-    def test_certificate_decides_default_margin(self, monkeypatch):
-        def refuse(rows):
-            raise AssertionError("Fraction elimination ran")
-
-        monkeypatch.setattr(_linalg, "rank_of_rows", refuse)
-        for q, radius, k in self.GRID:
-            rep = exactness_check(tower(q, radius, k), apartments(q, radius, k), k + 2)
-            assert rep.equal and rep.kernel_dim == rep.image_dim
-
+    @pytest.mark.parametrize("half", [False, True], ids=["full", "half"])
     @pytest.mark.parametrize("q,radius,k", GRID)
-    def test_fallback_gives_identical_reports(self, monkeypatch, q, radius, k):
+    def test_matches_oracle(self, q, radius, k, half):
+        """At every margin 0..k+2, for the whole family and for every other
+        apartment; half the apartments leave a kernel larger than im d at
+        margin 0."""
         pg = tower(q, radius, k)
         aps = apartments(q, radius, k)
-        margins = range(k + 3)
-        certified = [exactness_check(pg, aps, m) for m in margins]
-        _fallback_only(monkeypatch)
-        assert [exactness_check(pg, aps, m) for m in margins] == certified
-
-    @pytest.mark.parametrize("q,radius,k", GRID)
-    def test_half_family_routes_agree(self, monkeypatch, q, radius, k):
-        """Half of the apartments leave a kernel larger than im d at margin 0."""
-        pg = tower(q, radius, k)
-        half = ApartmentFamily(pg, apartments(q, radius, k).apartments[::2])
-        margins = range(k + 3)
-        certified = [exactness_check(pg, half, m) for m in margins]
-        if k >= 1:
-            assert not certified[0].equal
-            assert certified[0].kernel_dim > certified[0].image_dim
-        _fallback_only(monkeypatch)
-        assert [exactness_check(pg, half, m) for m in margins] == certified
+        if half:
+            aps = ApartmentFamily(pg, aps.apartments[::2])
+        reports = [exactness_check(pg, aps, m) for m in range(k + 3)]
+        for m, rep in enumerate(reports):
+            got = (rep.kernel_dim, rep.image_dim, rep.equal)
+            assert got == oracle_exactness(pg, aps, m)
+        if half and k >= 1:
+            assert not reports[0].equal
+            assert reports[0].kernel_dim > reports[0].image_dim
 
 
 class TestWalksAndIntegrals:

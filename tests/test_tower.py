@@ -53,8 +53,9 @@ class TestEnumeration:
                        for m in range(b.num_vertices))
         assert pg.num_edges == expected
 
-    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
     def test_against_brute_force(self, k):
+        """Up to k = 2R, where the top level has no edges."""
         b = ball(2, 2)
         pg = tower(2, 2, k)
         assert pg.verts == enumerate_paths_oracle(b, k + 1)
