@@ -252,9 +252,9 @@ def _subspace_dims(rows, image, ncols: int) -> tuple[int, int, bool]:
     """(dim K, dim im d, im d = K) for K the kernel of the integer rows on
     ncols columns and image the integer coboundaries d1_s in those columns.
 
-    Both dimensions are exact ranks (``_linalg.rank_of_rows``).  Equal
-    dimensions are not enough: the spaces are equal only when, besides,
-    every row annihilates every d1_s, which is checked exactly.
+    Both dimensions are exact ranks (``_linalg.rank_of_rows``).  The
+    spaces are equal when the dimensions are and im d lies in K, that is,
+    when every row annihilates every d1_s, which is checked exactly.
     """
     by_col: dict[int, list[tuple[int, int]]] = {}
     for r, row in enumerate(rows):

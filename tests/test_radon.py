@@ -22,7 +22,7 @@ from treeforms.tower import build_path_graph
 from treeforms.tree import GeodesicSegment, enumerate_oriented_diameters, geodesic_between
 
 from conftest import apartments, ball, tower
-from test_linalg import FractionEliminator, oracle_nullspace, spans_same_space
+from test_linalg import oracle_nullspace, oracle_rref, spans_same_space
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -449,15 +449,8 @@ def oracle_exactness(pg, aps, margin):
     kernel = oracle_nullspace(_kernel_rows(aps, interior), len(interior))
     image = [{col[a]: v for a, v in coboundary(pg, Cochain.indicator(0, s)).data.items()}
              for s in interior_vertices(pg, margin)]
-
-    def rank(rows):
-        elim = FractionEliminator()
-        for row in rows:
-            elim.insert(row)
-        return len(elim.pivots)
-
-    image_dim = rank(image)
-    return len(kernel), image_dim, len(kernel) == image_dim == rank(kernel + image)
+    image_dim = len(oracle_rref(image))
+    return len(kernel), image_dim, len(kernel) == image_dim == len(oracle_rref(kernel + image))
 
 
 class TestExactnessAgainstOracle:
