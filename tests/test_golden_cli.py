@@ -88,6 +88,14 @@ OTHER_COMMANDS = [
     "check euler --q 2 --radius 2 --k 1 --output report.json",
     "check euler --q 2 --radius 5 --k 1",
     "check exactness --q 3 --radius 4 --k 0 --margin 0 --scan",
+    "check exactness --q 2 --radius 5 --k 1 --margin 3",
+    "check exactness --q 3 --radius 4 --k 0 --margin 2",
+    "check exactness --q 2 --radius 5 --k 1 --scan",
+    "check loops --q 2 --radius 5 --k 0",
+    "check loops --q 2 --radius 6 --k 1",
+    "check loops --q 4 --radius 3 --k 1 --margin 1",
+    "check primitive --q 2 --radius 5 --k 1",
+    "check primitive --q 3 --radius 4 --k 0 --margin 1",
     "tower --q 2 --radius 2 --k 4 --output tower.json",
     "tower --q 3 --radius 1 --k 2 --output tower.json",
     "ball --q 2 --radius 2",
