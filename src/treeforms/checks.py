@@ -27,9 +27,9 @@ from .padic import (GroupElement, _extension_orbit, _path_stabilizer, embed_ball
                     tree_distance)
 from .radon import (ApartmentFamily, MarginError, PathDependenceError, enlarged_support,
                     exactness_check, fundamental_loops, induced_apartments,
-                    interior_edges, interior_vertices, minimal_exact_margin,
-                    path_integral, primitive, radon_kernel_interior,
-                    radon_transform, random_loops, span_check)
+                    interior_edges, interior_family, interior_vertices,
+                    minimal_exact_margin, path_integral, primitive,
+                    radon_kernel_interior, radon_transform, random_loops, span_check)
 from .tower import PathGraph, apply_automorphism, build_path_graph, component_roots
 from .tree import (TreeParams, build_ball, enumerate_oriented_diameters,
                    random_automorphism)
@@ -141,7 +141,9 @@ def check_radon_d(q: int, radius: int, k: int, seed: int, samples: int = 100) ->
 
 
 def check_exactness(q: int, radius: int, k: int, margin: int, scan: bool = False) -> tuple[bool, dict]:
-    pg, aps = _tower(q, radius, k, apartments=True)
+    pg, _ = _tower(q, radius, k, apartments=False)
+    # The scan probes every margin up to this one, so it takes the whole family.
+    aps = interior_family(pg, 0 if scan else margin)
     rep = exactness_check(pg, aps, margin)
     out = {"suite": "exactness", "q": q, "R": radius, "k": k, "margin": margin,
            "kernel_dim": rep.kernel_dim, "image_dim": rep.image_dim,
@@ -155,12 +157,12 @@ def check_exactness(q: int, radius: int, k: int, margin: int, scan: bool = False
 
 def check_loops(q: int, radius: int, k: int, margin: int, seed: int,
                 samples: int = 200) -> tuple[bool, dict]:
-    pg, aps = _tower(q, radius, k, apartments=True)
+    pg, _ = _tower(q, radius, k, apartments=False)
     inner = interior_edges(pg, margin)
     if not inner:
         return True, {"suite": "loops", "q": q, "R": radius, "k": k, "margin": margin,
                       "kernel_dim": 0, "loops": 0, "interior_edges": 0, "passed": True}
-    basis = radon_kernel_interior(pg, aps, margin)
+    basis = radon_kernel_interior(pg, interior_family(pg, margin), margin)
     loops = fundamental_loops(pg, inner) + random_loops(pg, inner, samples, seed)
     bad = None
     for w in basis:
@@ -180,11 +182,12 @@ def check_primitive(q: int, radius: int, k: int, margin: int) -> tuple[bool, dic
     """Primitive reconstruction for every kernel-basis element, compared
     with ``cochains.integrate`` along the whole graph's spanning forest up
     to one constant per component."""
-    pg, aps = _tower(q, radius, k, apartments=True)
+    pg, _ = _tower(q, radius, k, apartments=False)
     inner = interior_edges(pg, margin)
     if not inner:
         return True, {"suite": "primitive", "q": q, "R": radius, "k": k,
                       "margin": margin, "kernel_dim": 0, "passed": True}
+    aps = interior_family(pg, margin)
     basis = radon_kernel_interior(pg, aps, margin)
 
     comp_of = component_roots(pg)

@@ -14,6 +14,19 @@ graph is interior when its hull keeps distance >= margin + 1.  With
 this pairing d maps interior 0-cochains into interior-supported
 1-cochains killed by the transform, and the exactness check measures
 whether the converse inclusion holds.
+
+Kernel rows: an edge is interior at margin m when its window lies at
+depth <= R - m.  Along a leaf-to-leaf geodesic depth falls to the meet
+and rises again, so the vertices at depth <= R - m form one stretch, the
+geodesic between the depth-(R - m) ancestors x', y' of its ends (a single
+vertex when the meet is deeper), and its interior windows are that
+stretch's windows.  Breadth-first ids keep the order of (x', y'), so the
+distinct interior rows of the whole family first occur in the order of
+``interior_family(pg, m)``, the apartments of the geodesics between
+depth-(R - m) vertices.  ``exactness_check`` and
+``radon_kernel_interior`` read that family at m >= 1 in place of a family
+that ``induced_apartments`` certified complete, and read the family they
+are given otherwise.
 """
 
 from __future__ import annotations
@@ -28,7 +41,7 @@ from typing import NamedTuple
 from . import _linalg
 from .cochains import Cochain, coboundary, integrate, shared_fractions
 from .tower import PathGraph, SpanningForest, component_roots
-from .tree import GeodesicSegment, convex_hull
+from .tree import GeodesicSegment, convex_hull, enumerate_oriented_diameters
 
 ZERO = Fraction(0)
 
@@ -62,11 +75,18 @@ class OrientedApartment(NamedTuple):
 
 
 class ApartmentFamily:
-    """All oriented apartments of a path graph, with an edge index."""
+    """Oriented apartments of a path graph, with an edge index.
 
-    def __init__(self, pg: PathGraph, apartments: list[OrientedApartment]):
+    ``complete`` is set by ``induced_apartments`` when it certifies that
+    the family holds the apartment of every ordered pair of distinct
+    leaves of ``pg.ball``, in (from, to) order; it is False by default.
+    """
+
+    def __init__(self, pg: PathGraph, apartments: list[OrientedApartment],
+                 complete: bool = False):
         self.pg = pg
         self.apartments = apartments
+        self.complete = complete
         # _through[a]: ids of the apartments through edge a, in id order.
         through: list[list[int]] = [[] for _ in range(pg.num_edges)]
         for i, _, edges in apartments:
@@ -108,8 +128,16 @@ def induced_apartments(pg: PathGraph, diameters: list[GeodesicSegment]) -> Apart
     matches both chain slices takes its windows from them, looking up only
     the at most k windows around the apex.  Any other sequence has every
     window looked up, so it gets the same windows, or the same KeyError.
+
+    The family is certified complete, with no window lookup, when the
+    diameters are the L(L - 1) ordered pairs of distinct leaves in
+    increasing (from, to) order and every one of them, kept or too short
+    to keep, matches both chain slices and does not backtrack at its apex
+    (the slices alone also match a walk that climbs past the meet and
+    comes back down).  Those are the geodesics that
+    ``enumerate_oriented_diameters(pg.ball)`` lists.
     """
-    k, edge_index, chains = pg.k, pg.edge_index, pg.ball.chains
+    k, edge_index, chains, leaves = pg.k, pg.edge_index, pg.ball.chains, pg.ball.leaves
     width = k + 2
 
     def windows(c):
@@ -123,34 +151,58 @@ def induced_apartments(pg: PathGraph, diameters: list[GeodesicSegment]) -> Apart
         ends[v] = () if up is None else (up, windows(up), up[::-1], windows(up[::-1]))
         return ends[v]
 
+    others = len(leaves) - 1
+    complete = len(diameters) == len(leaves) * others
     apartments = []
-    for seg in diameters:
+    for t, seg in enumerate(diameters):
         seq = seg.vertices
         n = len(seq)
-        if n < width:
+        if complete:
+            # The t-th ordered pair of distinct leaves.
+            i, j = divmod(t, others)
+            complete = n > 0 and seq[0] == leaves[i] and seq[-1] == leaves[j + (j >= i)]
+        if n < width and not complete:
             continue
         x = ends.get(seq[0]) or end(seq[0])
         y = ends.get(seq[-1]) or end(seq[-1])
-        ids = None
+        h = None
         if x and y:
             up, up_ids, _, _ = x
             _, _, down, down_ids = y
             # For an odd total the down slice below has the wrong length.
             dm = (len(up) + len(down) - 1 - n) // 2
             h = len(up) - 1 - dm
-            if (0 <= dm < len(up) and dm < len(down)
+            if not (0 <= dm < len(up) and dm < len(down)
                     and seq[:h + 1] == up[:h + 1] and seq[h:] == down[dm:]):
-                lo = h - k if h > k else 0
-                ids = up_ids[:lo]
-                # The windows with the apex strictly inside.
-                if lo < h and lo < n - width + 1:
-                    ids += tuple([edge_index[seq[i:i + width]]
-                                  for i in range(lo, min(h, n - width + 1))])
-                ids += down_ids[dm:]
-        if ids is None:
+                h = None
+        if complete:
+            # Distinct leaves put the apex strictly inside the sequence.
+            complete = h is not None and seq[h - 1] != seq[h + 1]
+        if n < width:
+            continue
+        if h is None:
             ids = tuple(edge_index[seq[i:i + width]] for i in range(n - width + 1))
+        else:
+            lo = h - k if h > k else 0
+            ids = up_ids[:lo]
+            # The windows with the apex strictly inside.
+            if lo < h and lo < n - width + 1:
+                ids += tuple([edge_index[seq[i:i + width]]
+                              for i in range(lo, min(h, n - width + 1))])
+            ids += down_ids[dm:]
         apartments.append(OrientedApartment(len(apartments), seq, ids))
-    return ApartmentFamily(pg, apartments)
+    return ApartmentFamily(pg, apartments, complete)
+
+
+def interior_family(pg: PathGraph, margin: int) -> ApartmentFamily:
+    """Apartments of the geodesics between distinct vertices at depth
+    R - margin (none at margin >= R): at margin >= 1, the part of the
+    whole family that reaches interior edges, in its row order
+    (``_kernel_rows``).  At margin 0 it is the whole family."""
+    if margin < 0:
+        raise ValueError("margin must be >= 0")
+    depth = max(pg.ball.params.radius - margin, 0)
+    return induced_apartments(pg, enumerate_oriented_diameters(pg.ball, depth))
 
 
 def radon_transform(pg: PathGraph, aps: ApartmentFamily, omega: Cochain) -> dict[int, Fraction]:
@@ -210,6 +262,8 @@ def _kernel_rows(aps: ApartmentFamily, interior: list[int]):
     Apartments are deduplicated on the sorted tuple of their interior
     column ids, and a {column: int count} row is built only for the first
     apartment of each distinct tuple, so rows keep first-occurrence order.
+    Fed ``interior_family(pg, margin)`` in place of a complete family
+    (``_row_family``), it returns the same rows in the same order.
     """
     col = {a: j for j, a in enumerate(interior)}.get
     seen = set()
@@ -229,12 +283,20 @@ def _kernel_rows(aps: ApartmentFamily, interior: list[int]):
     return rows
 
 
+def _row_family(pg: PathGraph, aps: ApartmentFamily, margin: int) -> ApartmentFamily:
+    """The family whose kernel rows are read: ``interior_family(pg, margin)``
+    for a certified complete family of pg at margin >= 1, else aps."""
+    if margin >= 1 and aps.complete and aps.pg is pg:
+        return interior_family(pg, margin)
+    return aps
+
+
 def radon_kernel_interior(pg: PathGraph, aps: ApartmentFamily, margin: int) -> list[Cochain]:
     """Exact basis of the interior-supported kernel of the transform."""
     interior = interior_edges(pg, margin)
     if not interior:
         raise MarginError(f"no interior edges at margin {margin}")
-    rows = _kernel_rows(aps, interior)
+    rows = _kernel_rows(_row_family(pg, aps, margin), interior)
     basis = _linalg.nullspace(rows, len(interior))
     return [Cochain(1, {interior[j]: v for j, v in vec.items()}) for vec in basis]
 
@@ -292,7 +354,7 @@ def exactness_check(pg: PathGraph, aps: ApartmentFamily, margin: int) -> Exactne
     if not interior:
         return report(0, 0, True)
 
-    rows = _kernel_rows(aps, interior)
+    rows = _kernel_rows(_row_family(pg, aps, margin), interior)
     col = {a: j for j, a in enumerate(interior)}
     image = []
     for s in int_verts:

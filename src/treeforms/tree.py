@@ -170,26 +170,34 @@ def geodesic_between(ball: TreeBall, u: int, v: int) -> GeodesicSegment:
     return GeodesicSegment(_up_down(ball.chains[u], ball.chains[v][::-1], dm))
 
 
-def enumerate_oriented_diameters(ball: TreeBall) -> list[GeodesicSegment]:
-    """All oriented leaf-to-leaf geodesics, ordered by (from, to) leaf ids.
+def enumerate_oriented_diameters(ball: TreeBall,
+                                 depth: int | None = None) -> list[GeodesicSegment]:
+    """All oriented geodesics between distinct vertices at the given depth
+    (default: the radius, so leaf to leaf), ordered by (from, to) ids.
 
-    These are the visible windows of the oriented apartments of the
-    infinite tree; every ordered pair of distinct leaves contributes one.
-    Breadth-first numbering puts the leaves below a vertex at depth
-    d >= 1 in one run of q^(R-d) consecutive leaves, so the meet depths
-    of a leaf with all others are filled in block by block.
+    The leaf-to-leaf ones are the visible windows of the oriented
+    apartments of the infinite tree; every ordered pair of distinct leaves
+    contributes one.  Breadth-first numbering puts the depth-D vertices
+    below a vertex at depth d >= 1 in one run of q^(D-d) consecutive ids,
+    so the meet depths of one end with all others are filled in block by
+    block.
     """
-    q, radius, leaves = ball.params.q, ball.params.radius, ball.leaves
-    downs = [ball.chains[v][::-1] for v in leaves]
+    q, radius = ball.params.q, ball.params.radius
+    if depth is None:
+        depth = radius
+    if not 0 <= depth <= radius:
+        raise ValueError(f"depth must be in 0..{radius}, got {depth}")
+    ends = [v for v, d in enumerate(ball.depths) if d == depth]
+    downs = [ball.chains[v][::-1] for v in ends]
     out = []
-    for i, u in enumerate(leaves):
-        meet = [0] * len(leaves)
-        for d in range(1, radius + 1):
-            run = q ** (radius - d)
+    for i, u in enumerate(ends):
+        meet = [0] * len(ends)
+        for d in range(1, depth + 1):
+            run = q ** (depth - d)
             start = i - i % run
             meet[start:start + run] = [d] * run
         up = ball.chains[u]
-        for v, down, dm in zip(leaves, downs, meet):
+        for v, down, dm in zip(ends, downs, meet):
             if v != u:
                 out.append(GeodesicSegment(_up_down(up, down, dm)))
     return out

@@ -7,12 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treeforms import _linalg
+from treeforms import _linalg, radon
 from treeforms.cochains import Cochain, coboundary
 from treeforms.radon import (ApartmentFamily, MarginError, PathDependenceError,
                              WalkWithSigns, enlarged_support,
                              exactness_check, fundamental_loops,
-                             induced_apartments, interior_edges,
+                             induced_apartments, interior_edges, interior_family,
                              interior_vertices, minimal_exact_margin,
                              path_integral, primitive,
                              radon_kernel_interior, radon_transform,
@@ -482,6 +482,117 @@ class TestExactnessAgainstOracle:
         if half and k >= 1:
             assert not reports[0].equal
             assert reports[0].kernel_dim > reports[0].image_dim
+
+
+ROW_GRID = [(q, radius, k) for q, radius in ((2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (4, 3))
+            for k in range(3)]
+
+
+def family_route(pg, aps, margin):
+    """What exactness_check and radon_kernel_interior give from aps's own
+    kernel rows: (kernel_dim, image_dim, equal) from the all-Fraction
+    oracle, and the basis vectors as (edge, value) item lists."""
+    interior = interior_edges(pg, margin)
+    if not interior:
+        return (0, 0, True), None
+    basis = _linalg.nullspace(_kernel_rows(aps, interior), len(interior))
+    return (oracle_exactness(pg, aps, margin),
+            [[(interior[j], v) for j, v in vec.items()] for vec in basis])
+
+
+class TestInteriorRoute:
+    """A certified complete family has its kernel rows read from
+    ``interior_family`` at margin >= 1; every other family, and margin 0,
+    reads its own.  Both routes give the same rows, so the same answers."""
+
+    @pytest.mark.parametrize("q,radius,k", ROW_GRID)
+    def test_rows_match_full_family(self, q, radius, k):
+        pg = tower(q, radius, k)
+        full = apartments(q, radius, k)
+        assert full.complete
+        for margin in range(radius + 1):
+            inner = interior_edges(pg, margin)
+            got = _kernel_rows(interior_family(pg, margin), inner)
+            want = _kernel_rows(full, inner)
+            assert [list(r.items()) for r in got] == [list(r.items()) for r in want]
+
+    def test_interior_family_ends(self):
+        pg = tower(2, 3, 0)
+        assert interior_family(pg, 0).apartments == apartments(2, 3, 0).apartments
+        assert interior_family(pg, 0).complete
+        for margin in (1, 2):
+            assert not interior_family(pg, margin).complete
+        for margin in (3, 4):
+            assert len(interior_family(pg, margin)) == 0
+        with pytest.raises(ValueError):
+            interior_family(pg, -1)
+
+    @staticmethod
+    def library_route(monkeypatch, pg, aps, margin):
+        """exactness_check's and radon_kernel_interior's answers in
+        family_route's terms, with the families their rows were read from."""
+        seen = []
+
+        def spy(family, interior):
+            seen.append(family)
+            return _kernel_rows(family, interior)
+
+        monkeypatch.setattr(radon, "_kernel_rows", spy)
+        rep = exactness_check(pg, aps, margin)
+        basis = None
+        if rep.interior_edge_count:
+            basis = [list(w.data.items()) for w in radon_kernel_interior(pg, aps, margin)]
+        monkeypatch.undo()
+        return ((rep.kernel_dim, rep.image_dim, rep.equal), basis), seen
+
+    @staticmethod
+    def other_families(q, radius, k):
+        """Families that must keep the family route, by name."""
+        pg, b = tower(q, radius, k), ball(q, radius)
+        full, diams = apartments(q, radius, k), enumerate_oriented_diameters(b)
+        shuffled = diams[:]
+        random.Random(q * 100 + radius * 10 + k).shuffle(shuffled)
+        families = {
+            "half": induced_apartments(pg, diams[::2]),
+            "half by hand": ApartmentFamily(pg, full.apartments[::2]),
+            "whole by hand": ApartmentFamily(pg, full.apartments),
+            "permuted": induced_apartments(pg, shuffled),
+            "one dropped": induced_apartments(pg, diams[:5] + diams[6:]),
+            "duplicates": induced_apartments(pg, diams + diams[:3]),
+        }
+        x, y = b.leaves[0], b.leaves[1]
+        t = next(t for t, seg in enumerate(diams) if seg.vertices[::len(seg) - 1] == (x, y))
+        if k == 0:
+            # One step up past the meet of two sibling leaves and back down:
+            # both chain slices match, the apex backtracks.
+            walk = GeodesicSegment(b.chains[x][:3] + b.chains[y][1::-1])
+            families["backtracking"] = induced_apartments(pg, diams[:t] + [walk] + diams[t + 1:])
+        else:
+            # Too short to keep, unlike the geodesic it stands in for.
+            families["short stand-in"] = induced_apartments(
+                pg, diams[:t] + [GeodesicSegment((x, y))] + diams[t + 1:])
+        return families
+
+    @pytest.mark.parametrize("q,radius,k", [(2, 3, 0), (2, 4, 0), (2, 4, 1), (2, 4, 2),
+                                            (3, 3, 0), (3, 3, 1)])
+    def test_routes(self, monkeypatch, q, radius, k):
+        pg = tower(q, radius, k)
+        full = apartments(q, radius, k)
+        for margin in range(radius + 1):
+            interior = bool(interior_edges(pg, margin))
+            got, seen = self.library_route(monkeypatch, pg, full, margin)
+            assert got == family_route(pg, full, margin)
+            if margin == 0:
+                assert seen == [full, full]
+            elif interior:
+                want = [ap.base for ap in interior_family(pg, margin)]
+                assert len(seen) == 2
+                assert all(fam is not full and [ap.base for ap in fam] == want for fam in seen)
+            for name, fam in self.other_families(q, radius, k).items():
+                assert not fam.complete, name
+                got, seen = self.library_route(monkeypatch, pg, fam, margin)
+                assert got == family_route(pg, fam, margin), name
+                assert seen == [fam, fam] if interior else seen == [], name
 
 
 class TestWalksAndIntegrals:

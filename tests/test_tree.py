@@ -151,6 +151,23 @@ class TestOrientedDiameters:
             seen.add((seg.vertices[0], seg.vertices[-1]))
         assert len(seen) == 30
 
+    @pytest.mark.parametrize("q,radius", [(2, 4), (3, 3), (4, 2)])
+    def test_end_depth_against_geodesics(self, q, radius):
+        """Geodesics between ordered pairs of distinct depth-D vertices in id
+        order; the radius is the default end depth."""
+        b = ball(q, radius)
+        for depth in range(1, radius + 1):
+            ends = [v for v in range(b.num_vertices) if b.depths[v] == depth]
+            want = [geodesic_between(b, u, v) for u in ends for v in ends if u != v]
+            assert enumerate_oriented_diameters(b, depth) == want
+        assert enumerate_oriented_diameters(b) == want
+
+    def test_end_depth_range(self, ball22):
+        assert enumerate_oriented_diameters(ball22, 0) == []
+        for depth in (-1, 3):
+            with pytest.raises(ValueError):
+                enumerate_oriented_diameters(ball22, depth)
+
 
 def pairwise_hull(b, vertex_ids):
     """Independent oracle: the union of the geodesics between all pairs."""
