@@ -154,13 +154,11 @@ def induced_apartments(pg: PathGraph, diameters: list[GeodesicSegment]) -> Apart
     others = len(leaves) - 1
     complete = len(diameters) == len(leaves) * others
     apartments = []
-    for t, seg in enumerate(diameters):
+    for seg in diameters:
         seq = seg.vertices
         n = len(seq)
-        if complete:
-            # The t-th ordered pair of distinct leaves.
-            i, j = divmod(t, others)
-            complete = n > 0 and seq[0] == leaves[i] and seq[-1] == leaves[j + (j >= i)]
+        if not n:
+            complete = False
         if n < width and not complete:
             continue
         x = ends.get(seq[0]) or end(seq[0])
@@ -176,8 +174,7 @@ def induced_apartments(pg: PathGraph, diameters: list[GeodesicSegment]) -> Apart
                     and seq[:h + 1] == up[:h + 1] and seq[h:] == down[dm:]):
                 h = None
         if complete:
-            # Distinct leaves put the apex strictly inside the sequence.
-            complete = h is not None and seq[h - 1] != seq[h + 1]
+            complete = h is not None and 0 < h < n - 1 and seq[h - 1] != seq[h + 1]
         if n < width:
             continue
         if h is None:
@@ -191,6 +188,13 @@ def induced_apartments(pg: PathGraph, diameters: list[GeodesicSegment]) -> Apart
                               for i in range(lo, min(h, n - width + 1))])
             ids += down_ids[dm:]
         apartments.append(OrientedApartment(len(apartments), seq, ids))
+    if complete:
+        # The ends are the ordered pairs of distinct leaves, in order.
+        firsts = [seg.vertices[0] for seg in diameters]
+        lasts = [seg.vertices[-1] for seg in diameters]
+        complete = all(firsts[i * others:(i + 1) * others] == [u] * others
+                       and lasts[i * others:(i + 1) * others] == leaves[:i] + leaves[i + 1:]
+                       for i, u in enumerate(leaves))
     return ApartmentFamily(pg, apartments, complete)
 
 

@@ -550,6 +550,7 @@ class TestInteriorRoute:
         """Families that must keep the family route, by name."""
         pg, b = tower(q, radius, k), ball(q, radius)
         full, diams = apartments(q, radius, k), enumerate_oriented_diameters(b)
+        others = len(b.leaves) - 1
         shuffled = diams[:]
         random.Random(q * 100 + radius * 10 + k).shuffle(shuffled)
         families = {
@@ -557,6 +558,10 @@ class TestInteriorRoute:
             "half by hand": ApartmentFamily(pg, full.apartments[::2]),
             "whole by hand": ApartmentFamily(pg, full.apartments),
             "permuted": induced_apartments(pg, shuffled),
+            # Same first ends, the last ends of each block reversed.
+            "blocks reversed": induced_apartments(
+                pg, [seg for i in range(0, len(diams), others)
+                     for seg in diams[i:i + others][::-1]]),
             "one dropped": induced_apartments(pg, diams[:5] + diams[6:]),
             "duplicates": induced_apartments(pg, diams + diams[:3]),
         }
