@@ -583,6 +583,7 @@ class TestInteriorRoute:
     def test_routes(self, monkeypatch, q, radius, k):
         pg = tower(q, radius, k)
         full = apartments(q, radius, k)
+        families = self.other_families(q, radius, k)
         for margin in range(radius + 1):
             interior = bool(interior_edges(pg, margin))
             got, seen = self.library_route(monkeypatch, pg, full, margin)
@@ -593,11 +594,11 @@ class TestInteriorRoute:
                 want = [ap.base for ap in interior_family(pg, margin)]
                 assert len(seen) == 2
                 assert all(fam is not full and [ap.base for ap in fam] == want for fam in seen)
-            for name, fam in self.other_families(q, radius, k).items():
+            for name, fam in families.items():
                 assert not fam.complete, name
                 got, seen = self.library_route(monkeypatch, pg, fam, margin)
                 assert got == family_route(pg, fam, margin), name
-                assert seen == [fam, fam] if interior else seen == [], name
+                assert seen == ([fam, fam] if interior else []), name
 
 
 class TestWalksAndIntegrals:
