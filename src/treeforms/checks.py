@@ -20,14 +20,13 @@ from fractions import Fraction
 
 from ._linalg import rank_of_rows
 from .cochains import (Cochain, adjoint, coboundary, h1c_dimension,
-                       harmonic_space, incidence_rows, integrate, pairing)
+                       harmonic_space, incidence_rows, pairing)
 from .padic import (GroupElement, _extension_orbit, _path_stabilizer, embed_ball,
                     fixes_path_pointwise, in_gamma0, sample_gamma0,
                     sample_with_exact_lower_valuation, standard_path,
                     tree_distance)
-from .radon import (ApartmentFamily, MarginError, PathDependenceError, enlarged_support,
-                    exactness_check, fundamental_loops, induced_apartments,
-                    interior_edges, interior_family, interior_vertices,
+from .radon import (MarginError, PathDependenceError, enlarged_support, exactness_check,
+                    fundamental_loops, interior_edges, interior_family, interior_vertices,
                     minimal_exact_margin, path_integral, primitive,
                     radon_kernel_interior, radon_transform, random_loops, span_check)
 from .tower import PathGraph, apply_automorphism, build_path_graph, component_roots
@@ -45,15 +44,10 @@ def _random_sparse(rng: random.Random, level: int, ids, size: int) -> Cochain:
     return Cochain(level, data)
 
 
-def _tower(q: int, radius: int, k: int, *,
-           apartments: bool) -> tuple[PathGraph, ApartmentFamily | None]:
+def _tower(q: int, radius: int, k: int) -> PathGraph:
     """The level-k path graph over the radius-R ball of the (q+1)-tree (the
-    ball is ``pg.ball``) and, when asked, the apartments of every oriented
-    diameter."""
-    pg = build_path_graph(build_ball(TreeParams(q, radius)), k)
-    if not apartments:
-        return pg, None
-    return pg, induced_apartments(pg, enumerate_oriented_diameters(pg.ball))
+    ball is ``pg.ball``)."""
+    return build_path_graph(build_ball(TreeParams(q, radius)), k)
 
 
 def check_euler(q: int, radius: int, k: int) -> tuple[bool, dict]:
@@ -61,7 +55,7 @@ def check_euler(q: int, radius: int, k: int) -> tuple[bool, dict]:
     witnessed without the forest's tree rows: the exact rank of the
     incidence rows, reported once the component indicators are checked to
     lie in ker d, where they bound it above by V - C."""
-    pg, _ = _tower(q, radius, k, apartments=False)
+    pg = _tower(q, radius, k)
     basis = harmonic_space(pg)
     comp_of = component_roots(pg)
     ncomp = len(set(comp_of))
@@ -82,7 +76,7 @@ def check_euler(q: int, radius: int, k: int) -> tuple[bool, dict]:
 
 
 def check_adjoint(q: int, radius: int, k: int, seed: int, samples: int = 100) -> tuple[bool, dict]:
-    pg, _ = _tower(q, radius, k, apartments=False)
+    pg = _tower(q, radius, k)
     rng = random.Random(seed)
     counterexample = None
     for _ in range(samples):
@@ -102,7 +96,8 @@ def check_radon_d(q: int, radius: int, k: int, seed: int, samples: int = 100) ->
     """Transform of a coboundary: exhaustively zero on leaf-avoiding vertex
     indicators, and equal to the telescoped end-window difference on all
     other indicators; zero on random leaf-avoiding 0-cochains."""
-    pg, aps = _tower(q, radius, k, apartments=True)
+    pg = _tower(q, radius, k)
+    aps = interior_family(pg, 0)
     inner = set(interior_vertices(pg, 0))
 
     failures = []
@@ -141,7 +136,7 @@ def check_radon_d(q: int, radius: int, k: int, seed: int, samples: int = 100) ->
 
 
 def check_exactness(q: int, radius: int, k: int, margin: int, scan: bool = False) -> tuple[bool, dict]:
-    pg, _ = _tower(q, radius, k, apartments=False)
+    pg = _tower(q, radius, k)
     # The scan probes every margin up to this one, so it takes the whole family.
     aps = interior_family(pg, 0 if scan else margin)
     rep = exactness_check(pg, aps, margin)
@@ -157,7 +152,7 @@ def check_exactness(q: int, radius: int, k: int, margin: int, scan: bool = False
 
 def check_loops(q: int, radius: int, k: int, margin: int, seed: int,
                 samples: int = 200) -> tuple[bool, dict]:
-    pg, _ = _tower(q, radius, k, apartments=False)
+    pg = _tower(q, radius, k)
     inner = interior_edges(pg, margin)
     if not inner:
         return True, {"suite": "loops", "q": q, "R": radius, "k": k, "margin": margin,
@@ -179,10 +174,10 @@ def check_loops(q: int, radius: int, k: int, margin: int, seed: int,
 
 
 def check_primitive(q: int, radius: int, k: int, margin: int) -> tuple[bool, dict]:
-    """Primitive reconstruction for every kernel-basis element, compared
-    with ``cochains.integrate`` along the whole graph's spanning forest up
-    to one constant per component."""
-    pg, _ = _tower(q, radius, k, apartments=False)
+    """Primitive reconstruction for every kernel-basis element, with
+    df = w checked on every edge of the path graph, which fixes the
+    primitive up to one constant per component."""
+    pg = _tower(q, radius, k)
     inner = interior_edges(pg, margin)
     if not inner:
         return True, {"suite": "primitive", "q": q, "R": radius, "k": k,
@@ -190,7 +185,6 @@ def check_primitive(q: int, radius: int, k: int, margin: int) -> tuple[bool, dic
     aps = interior_family(pg, margin)
     basis = radon_kernel_interior(pg, aps, margin)
 
-    comp_of = component_roots(pg)
     failures = []
     for idx, w in enumerate(basis):
         enlarged = enlarged_support(pg, w)
@@ -207,21 +201,6 @@ def check_primitive(q: int, radius: int, k: int, margin: int) -> tuple[bool, dic
             if f(pg.head[a]) - f(pg.tail[a]) != w(a):
                 failures.append({"basis": idx, "reason": f"df mismatch at edge {a}"})
                 break
-        else:
-            ref, bad = integrate(pg, w)
-            if bad is not None:
-                failures.append({"basis": idx, "reason": "oracle solve inconsistent"})
-                continue
-            per_comp: dict[int, Fraction] = {}
-            for s in range(pg.num_vertices):
-                delta = f(s) - ref(s)
-                comp = comp_of[s]
-                if comp not in per_comp:
-                    per_comp[comp] = delta
-                elif per_comp[comp] != delta:
-                    failures.append({"basis": idx,
-                                     "reason": f"oracle differs non-constantly at {s}"})
-                    break
     passed = not failures
     return passed, {"suite": "primitive", "q": q, "R": radius, "k": k, "margin": margin,
                     "kernel_dim": len(basis), "failures": failures[:5], "passed": passed}
@@ -231,7 +210,8 @@ def check_equivariance(q: int, radius: int, k: int, seed: int,
                        automorphisms: int = 20) -> tuple[bool, dict]:
     """d, d*, and the transform commute with seeded ball automorphisms;
     head/tail maps (hence all incidence numbers) are preserved."""
-    pg, aps = _tower(q, radius, k, apartments=True)
+    pg = _tower(q, radius, k)
+    aps = interior_family(pg, 0)
     base_of = {ap.base: ap.id for ap in aps}
     rng = random.Random(seed)
     failures = []

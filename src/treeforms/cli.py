@@ -24,9 +24,9 @@ from fractions import Fraction
 from . import checks
 from .cochains import basis_manifest, cochain_to_csv, harmonic_space
 from .padic import GroupElement, is_prime
-from .radon import induced_apartments
+from .radon import interior_family
 from .tower import build_path_graph, num_components
-from .tree import TreeParams, build_ball, enumerate_oriented_diameters
+from .tree import TreeParams, build_ball
 
 # suite -> the run parameters its checks.check_<suite> takes, by keyword.
 # Each is read from the flag of the same name, or the one _FLAG names; a
@@ -246,8 +246,7 @@ def _cmd_export(args) -> int:
         if args.what == "tower":
             name, text = f"tower_{tag}.{args.format}", _render(pg, args.format)
         elif args.what == "apartments":
-            aps = induced_apartments(pg, enumerate_oriented_diameters(ball))
-            name, text = f"apartments_{tag}.json", aps.to_manifest_json()
+            name, text = f"apartments_{tag}.json", interior_family(pg, 0).to_manifest_json()
         else:
             basis = harmonic_space(pg)
             files = [f"harmonic_{tag}_{i:04d}.csv" for i in range(len(basis))]

@@ -24,9 +24,9 @@ stretch's windows.  Breadth-first ids keep the order of (x', y'), so the
 distinct interior rows of the whole family first occur in the order of
 ``interior_family(pg, m)``, the apartments of the geodesics between
 depth-(R - m) vertices.  ``exactness_check`` and
-``radon_kernel_interior`` read that family at m >= 1 in place of a family
-that ``induced_apartments`` certified complete, and read the family they
-are given otherwise.
+``radon_kernel_interior`` read that family at m >= 1 in place of a
+complete family, one built from the ball's own oriented diameters, and
+read the family they are given otherwise.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ from .tower import PathGraph, SpanningForest, component_roots
 from .tree import GeodesicSegment, convex_hull, enumerate_oriented_diameters
 
 ZERO = Fraction(0)
+# Steps a walk of ``random_loops`` may take to return to its start.
+_LOOP_STEPS = 60
 
 
 class MarginError(ValueError):
@@ -77,9 +79,11 @@ class OrientedApartment(NamedTuple):
 class ApartmentFamily:
     """Oriented apartments of a path graph, with an edge index.
 
-    ``complete`` is set by ``induced_apartments`` when it certifies that
-    the family holds the apartment of every ordered pair of distinct
-    leaves of ``pg.ball``, in (from, to) order; it is False by default.
+    ``complete`` is set when the family is built from the ball's own
+    oriented diameters (``enumerate_oriented_diameters(pg.ball)``, given
+    to ``induced_apartments`` or read by ``interior_family(pg, 0)``), so
+    that it holds the apartment of every ordered pair of distinct leaves
+    of ``pg.ball``, in (from, to) order; it is False by default.
     """
 
     def __init__(self, pg: PathGraph, apartments: list[OrientedApartment],
@@ -118,84 +122,65 @@ class ApartmentFamily:
         return json.dumps(payload, sort_keys=True) + "\n"
 
 
-def induced_apartments(pg: PathGraph, diameters: list[GeodesicSegment]) -> ApartmentFamily:
-    """One apartment per diameter that is long enough to carry a window.
+def _diameter_family(pg: PathGraph, depth: int) -> ApartmentFamily:
+    """Apartments of ``enumerate_oriented_diameters(pg.ball, depth)``, built
+    from their structure with no validation.
 
-    A geodesic from x to y climbs x's root chain (``TreeBall.chains``) to
-    the meet at depth dm and descends y's, so its n vertices number
-    |x| + |y| - 2 dm + 1, which gives dm and the apex position h = |x| - dm.
-    Each end's chain windows are looked up once, and a sequence that
-    matches both chain slices takes its windows from them, looking up only
-    the at most k windows around the apex.  Any other sequence has every
-    window looked up, so it gets the same windows, or the same KeyError.
-
-    The family is certified complete, with no window lookup, when the
-    diameters are the L(L - 1) ordered pairs of distinct leaves in
-    increasing (from, to) order and every one of them, kept or too short
-    to keep, matches both chain slices and does not backtrack at its apex
-    (the slices alone also match a walk that climbs past the meet and
-    comes back down).  Those are the geodesics that
-    ``enumerate_oriented_diameters(pg.ball)`` lists.
+    A geodesic between depth-D vertices x and y climbs x's root chain
+    (``TreeBall.chains``) to the meet and descends y's, so its n vertices
+    put the apex at h = (n - 1) // 2 and the meet at depth D - h.  Its
+    windows are x's chain windows below the apex, the at most k windows
+    with the apex strictly inside, and y's reversed chain windows from the
+    meet on.  The family is complete exactly when D is the radius.
     """
-    k, edge_index, chains, leaves = pg.k, pg.edge_index, pg.ball.chains, pg.ball.leaves
+    ball, k, edge_index = pg.ball, pg.k, pg.edge_index
     width = k + 2
 
     def windows(c):
         return tuple(map(edge_index.__getitem__, zip(*[c[i:] for i in range(width)])))
 
-    ends: dict = {}
+    ends = [v for v, d in enumerate(ball.depths) if d == depth]
+    ups = {v: windows(ball.chains[v]) for v in ends}
+    downs = {v: windows(ball.chains[v][::-1]) for v in ends}
+    apartments = []
+    for seg in enumerate_oriented_diameters(ball, depth):
+        seq = seg.vertices
+        n = len(seq)
+        if n < width:
+            continue
+        h = (n - 1) // 2
+        lo = h - k if h > k else 0
+        ids = ups[seq[0]][:lo]
+        if lo < h:
+            ids += tuple([edge_index[seq[i:i + width]] for i in range(lo, min(h, n - width + 1))])
+        ids += downs[seq[-1]][depth - h:]
+        apartments.append(OrientedApartment(len(apartments), seq, ids))
+    return ApartmentFamily(pg, apartments, depth == ball.params.radius)
 
-    def end(v) -> tuple:
-        """(up chain, its windows, down chain, its windows), or () off the ball."""
-        up = chains[v] if isinstance(v, int) and 0 <= v < len(chains) else None
-        ends[v] = () if up is None else (up, windows(up), up[::-1], windows(up[::-1]))
-        return ends[v]
 
-    others = len(leaves) - 1
-    complete = len(diameters) == len(leaves) * others
+def induced_apartments(pg: PathGraph, diameters: list[GeodesicSegment]) -> ApartmentFamily:
+    """One apartment per diameter that is long enough to carry a window.
+
+    When the diameters are the ball's own, ``enumerate_oriented_diameters
+    (pg.ball)`` in content and order, the family is ``_diameter_family``
+    at the radius, certified complete.  Any other list has every window
+    looked up in ``pg.edge_index``, so a window that is not a path of the
+    ball is a KeyError.
+    """
+    ball = pg.ball
+    leaves = len(ball.leaves)
+    if (len(diameters) == leaves * (leaves - 1)
+            and [seg.vertices for seg in diameters]
+            == [seg.vertices for seg in enumerate_oriented_diameters(ball)]):
+        return _diameter_family(pg, ball.params.radius)
+    width, edge_index = pg.k + 2, pg.edge_index
     apartments = []
     for seg in diameters:
         seq = seg.vertices
-        n = len(seq)
-        if not n:
-            complete = False
-        if n < width and not complete:
-            continue
-        x = ends.get(seq[0]) or end(seq[0])
-        y = ends.get(seq[-1]) or end(seq[-1])
-        h = None
-        if x and y:
-            up, up_ids, _, _ = x
-            _, _, down, down_ids = y
-            # For an odd total the down slice below has the wrong length.
-            dm = (len(up) + len(down) - 1 - n) // 2
-            h = len(up) - 1 - dm
-            if not (0 <= dm < len(up) and dm < len(down)
-                    and seq[:h + 1] == up[:h + 1] and seq[h:] == down[dm:]):
-                h = None
-        if complete:
-            complete = h is not None and 0 < h < n - 1 and seq[h - 1] != seq[h + 1]
-        if n < width:
-            continue
-        if h is None:
-            ids = tuple(edge_index[seq[i:i + width]] for i in range(n - width + 1))
-        else:
-            lo = h - k if h > k else 0
-            ids = up_ids[:lo]
-            # The windows with the apex strictly inside.
-            if lo < h and lo < n - width + 1:
-                ids += tuple([edge_index[seq[i:i + width]]
-                              for i in range(lo, min(h, n - width + 1))])
-            ids += down_ids[dm:]
-        apartments.append(OrientedApartment(len(apartments), seq, ids))
-    if complete:
-        # The ends are the ordered pairs of distinct leaves, in order.
-        firsts = [seg.vertices[0] for seg in diameters]
-        lasts = [seg.vertices[-1] for seg in diameters]
-        complete = all(firsts[i * others:(i + 1) * others] == [u] * others
-                       and lasts[i * others:(i + 1) * others] == leaves[:i] + leaves[i + 1:]
-                       for i, u in enumerate(leaves))
-    return ApartmentFamily(pg, apartments, complete)
+        if len(seq) >= width:
+            ids = tuple([edge_index[seq[i:i + width]] for i in range(len(seq) - width + 1)])
+            apartments.append(OrientedApartment(len(apartments), seq, ids))
+    return ApartmentFamily(pg, apartments)
 
 
 def interior_family(pg: PathGraph, margin: int) -> ApartmentFamily:
@@ -205,8 +190,7 @@ def interior_family(pg: PathGraph, margin: int) -> ApartmentFamily:
     (``_kernel_rows``).  At margin 0 it is the whole family."""
     if margin < 0:
         raise ValueError("margin must be >= 0")
-    depth = max(pg.ball.params.radius - margin, 0)
-    return induced_apartments(pg, enumerate_oriented_diameters(pg.ball, depth))
+    return _diameter_family(pg, max(pg.ball.params.radius - margin, 0))
 
 
 def radon_transform(pg: PathGraph, aps: ApartmentFamily, omega: Cochain) -> dict[int, Fraction]:
@@ -438,9 +422,10 @@ def fundamental_loops(pg: PathGraph, edge_ids: list[int]) -> list[WalkWithSigns]
     return [WalkWithSigns.from_itinerary(pg, *forest.loop(a)) for a in forest.non_tree_edges]
 
 
-def random_loops(pg: PathGraph, edge_ids: list[int], count: int, seed: int,
-                 max_steps: int = 60) -> list[WalkWithSigns]:
-    """Seeded closed walks inside the subgraph spanned by the given edges."""
+def random_loops(pg: PathGraph, edge_ids: list[int], count: int,
+                 seed: int) -> list[WalkWithSigns]:
+    """Seeded closed walks inside the subgraph spanned by the given edges,
+    each given up after ``_LOOP_STEPS`` steps."""
     rng = random.Random(seed)
     adj: dict[int, list[tuple[int, int]]] = {}
     for a in sorted(edge_ids):
@@ -454,7 +439,7 @@ def random_loops(pg: PathGraph, edge_ids: list[int], count: int, seed: int,
         start = rng.choice(starts)
         vertices = [start]
         edges: list[int] = []
-        for _ in range(max_steps):
+        for _ in range(_LOOP_STEPS):
             options = adj[vertices[-1]]
             a, nxt = options[rng.randrange(len(options))]
             edges.append(a)

@@ -42,9 +42,11 @@ class TreeVertex:
         return len(self.address)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeodesicSegment:
-    """Injective path of vertex ids; consecutive entries are adjacent."""
+    """Injective path of vertex ids; consecutive entries are adjacent.
+
+    Slotted, since a ball keeps every segment it enumerates."""
 
     vertices: tuple[int, ...]
 
@@ -60,7 +62,9 @@ class GeodesicSegment:
 class TreeBall:
     """Radius-R truncation of the (q+1)-homogeneous tree.
 
-    Immutable after construction; all queries are pure functions.
+    Immutable after construction; all queries are pure functions.  The
+    only state added later is a private memo of the oriented diameters
+    per end depth (``enumerate_oriented_diameters``).
     """
 
     def __init__(self, params: TreeParams):
@@ -98,6 +102,7 @@ class TreeBall:
             adj[u].append(v)
             adj[v].append(u)
         self.adjacency = [sorted(ns) for ns in adj]
+        self._diameters: dict[int, tuple[GeodesicSegment, ...]] = {}
 
         expected = 1 + (q + 1) * (q ** radius - 1) // (q - 1)
         assert len(vertices) == expected
@@ -180,13 +185,16 @@ def enumerate_oriented_diameters(ball: TreeBall,
     contributes one.  Breadth-first numbering puts the depth-D vertices
     below a vertex at depth d >= 1 in one run of q^(D-d) consecutive ids,
     so the meet depths of one end with all others are filled in block by
-    block.
+    block.  The ball keeps each depth's segments, which are frozen, and
+    every call returns a fresh list of them.
     """
     q, radius = ball.params.q, ball.params.radius
     if depth is None:
         depth = radius
     if not 0 <= depth <= radius:
         raise ValueError(f"depth must be in 0..{radius}, got {depth}")
+    if depth in ball._diameters:
+        return list(ball._diameters[depth])
     ends = [v for v, d in enumerate(ball.depths) if d == depth]
     downs = [ball.chains[v][::-1] for v in ends]
     out = []
@@ -200,6 +208,7 @@ def enumerate_oriented_diameters(ball: TreeBall,
         for v, down, dm in zip(ends, downs, meet):
             if v != u:
                 out.append(GeodesicSegment(_up_down(up, down, dm)))
+    ball._diameters[depth] = tuple(out)
     return out
 
 

@@ -19,7 +19,8 @@ from treeforms.radon import (ApartmentFamily, MarginError, PathDependenceError,
                              random_loops, span_check, _kernel_rows,
                              _subspace_dims)
 from treeforms.tower import build_path_graph
-from treeforms.tree import GeodesicSegment, enumerate_oriented_diameters, geodesic_between
+from treeforms.tree import (GeodesicSegment, TreeParams, build_ball,
+                            enumerate_oriented_diameters, geodesic_between)
 
 from conftest import apartments, ball, tower
 from test_linalg import oracle_nullspace, oracle_rref, spans_same_space
@@ -192,8 +193,9 @@ class TestRootChainWindows:
 
     @pytest.mark.parametrize("q,radius", [(2, 2), (2, 3), (3, 2)])
     def test_backtracking_walk(self, q, radius):
-        """Up from a leaf and back down the same branch: both slice checks
-        pass, so the apex windows decide, as the oracle's lookups do."""
+        """Up from a leaf and back down the same branch: at k >= 1 the
+        windows at the turn are no paths of the ball, a KeyError as in the
+        oracle; at k = 0 every window is an edge."""
         b = ball(q, radius)
         leaf = b.leaves[-1]
         for climb in range(1, radius + 1):
@@ -501,7 +503,7 @@ def family_route(pg, aps, margin):
 
 
 class TestInteriorRoute:
-    """A certified complete family has its kernel rows read from
+    """A complete family has its kernel rows read from
     ``interior_family`` at margin >= 1; every other family, and margin 0,
     reads its own.  Both routes give the same rows, so the same answers."""
 
@@ -569,7 +571,7 @@ class TestInteriorRoute:
         t = next(t for t, seg in enumerate(diams) if seg.vertices[::len(seg) - 1] == (x, y))
         if k == 0:
             # One step up past the meet of two sibling leaves and back down:
-            # both chain slices match, the apex backtracks.
+            # a walk that backtracks at its apex.
             walk = GeodesicSegment(b.chains[x][:3] + b.chains[y][1::-1])
             families["backtracking"] = induced_apartments(pg, diams[:t] + [walk] + diams[t + 1:])
         else:
@@ -584,6 +586,11 @@ class TestInteriorRoute:
         pg = tower(q, radius, k)
         full = apartments(q, radius, k)
         families = self.other_families(q, radius, k)
+        # The ball's diameters again, as new segments of a second ball.
+        rebuilt = induced_apartments(pg, [
+            GeodesicSegment(seg.vertices)
+            for seg in enumerate_oriented_diameters(build_ball(TreeParams(q, radius)))])
+        assert rebuilt.complete
         for margin in range(radius + 1):
             interior = bool(interior_edges(pg, margin))
             got, seen = self.library_route(monkeypatch, pg, full, margin)
@@ -594,6 +601,11 @@ class TestInteriorRoute:
                 want = [ap.base for ap in interior_family(pg, margin)]
                 assert len(seen) == 2
                 assert all(fam is not full and [ap.base for ap in fam] == want for fam in seen)
+            again, seen_again = self.library_route(monkeypatch, pg, rebuilt, margin)
+            assert again == got
+            assert ([[ap.base for ap in fam] for fam in seen_again]
+                    == [[ap.base for ap in fam] for fam in seen])
+            assert (rebuilt in seen_again) == (margin == 0)
             for name, fam in families.items():
                 assert not fam.complete, name
                 got, seen = self.library_route(monkeypatch, pg, fam, margin)

@@ -162,6 +162,19 @@ class TestOrientedDiameters:
             assert enumerate_oriented_diameters(b, depth) == want
         assert enumerate_oriented_diameters(b) == want
 
+    @pytest.mark.parametrize("q,radius", [(2, 3), (3, 2)])
+    def test_fresh_list_per_call(self, q, radius):
+        """The ball keeps each depth's segments; a caller's list is its own."""
+        b = build_ball(TreeParams(q, radius))
+        for depth in range(radius + 1):
+            first = enumerate_oriented_diameters(b, depth)
+            second = enumerate_oriented_diameters(b, depth)
+            assert first == second and first is not second
+            want = list(second)
+            second.reverse()
+            second.append(None)
+            assert enumerate_oriented_diameters(b, depth) == want
+
     def test_end_depth_range(self, ball22):
         assert enumerate_oriented_diameters(ball22, 0) == []
         for depth in (-1, 3):
