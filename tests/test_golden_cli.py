@@ -78,6 +78,7 @@ OTHER_COMMANDS = [
     "check transitivity --p 2 --seed 5",
     "check transitivity --p 3",
     "check transitivity --p 5",
+    "check transitivity --p 7",
     "check span --q 2 --radius 2",
     "check span --q 2 --radius 3",
     "check span --q 3 --radius 2",
