@@ -21,10 +21,9 @@ from fractions import Fraction
 from ._linalg import rank_of_rows
 from .cochains import (Cochain, adjoint, coboundary, h1c_dimension,
                        harmonic_space, incidence_rows, pairing)
-from .padic import (GroupElement, _extension_orbit, _path_stabilizer, embed_ball,
-                    fixes_path_pointwise, in_gamma0, sample_gamma0,
-                    sample_with_exact_lower_valuation, standard_path,
-                    tree_distance)
+from .padic import (GroupElement, embed_ball, fixes_path_pointwise, in_gamma0,
+                    sample_gamma0, sample_with_exact_lower_valuation,
+                    stabilizer_transitivity_check, standard_path, tree_distance)
 from .radon import (MarginError, PathDependenceError, enlarged_support, exactness_check,
                     fundamental_loops, interior_edges, interior_family, interior_vertices,
                     minimal_exact_margin, path_integral, primitive,
@@ -283,23 +282,18 @@ def check_stabilizer(p: int, n: int, samples: int = 200, seed: int = 0,
                     "boundary_mover_found": somebody_moved, "passed": passed}
 
 
-def _both_sides(emb, pg, s: int, modulus_exp: int):
-    """Transitivity on the + and - sides of path-graph vertex s, from one
-    enumeration of the path's stabilizer."""
-    stabilizer, size = _path_stabilizer(emb, pg, s, modulus_exp)
-    return [_extension_orbit(emb, pg, s, side, stabilizer, size) for side in "+-"]
-
-
 def check_transitivity(p: int) -> tuple[bool, dict]:
     """Stabilizer orbit coverage on the root 0-path and the standard
     interior 1-path (positive certificates via unit-lift enumeration)."""
     emb2 = embed_ball(p, 2)
     pg0 = build_path_graph(emb2.ball, 0)
-    r_plus, r_minus = _both_sides(emb2, pg0, pg0.vert_index[(0,)], 2)
+    s0 = pg0.vert_index[(0,)]
+    r_plus, r_minus = (stabilizer_transitivity_check(emb2, pg0, s0, side, 2) for side in "+-")
 
     emb3 = embed_ball(p, 3)
     pg1 = build_path_graph(emb3.ball, 1)
-    t_plus, t_minus = _both_sides(emb3, pg1, pg1.vert_index[standard_path(emb3, 0)], 3)
+    s1 = pg1.vert_index[standard_path(emb3, 0)]
+    t_plus, t_minus = (stabilizer_transitivity_check(emb3, pg1, s1, side, 3) for side in "+-")
 
     results = [r_plus, r_minus, t_plus, t_minus]
     passed = all(r.covered for r in results)

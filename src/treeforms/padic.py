@@ -13,8 +13,8 @@ otherwise, in matrix entries and in the u of a class alike (an int and
 an equal Fraction compare and hash alike).  The canonical form and the
 fix test are computed from integer valuations: a class comes from
 v_p(det g) and v_p of one entry, and a fix test clears g's denominators
-and scales the conjugate by u's.  Path stabilizers modulo p^d are
-lifted one p-adic digit at a time.
+and scales the conjugate by u's.  Path stabilizers modulo p^d, d the
+depth of the path, are lifted one p-adic digit at a time.
 
 Only F = Q_p for a prime p is modeled (residue cardinality q = p);
 general local fields would need ring extensions and are out of scope.
@@ -295,10 +295,9 @@ def in_gamma0(g: GroupElement, n: int, p: int) -> bool:
     n = 0 means the maximal compact subgroup, image of GL(2, Z_p)."""
     if n < 0:
         raise ValueError("congruence level must be >= 0")
-    va, vb, vc, vd = (valuation(x, p) for x in g.entries)
     if n == 0:
-        m = min(v for v in (va, vb, vc, vd) if v is not None)
-        return valuation(g.det, p) == 2 * m
+        return _fixes_all(g, (ROOT,), p)
+    va, vb, vc, vd = (valuation(x, p) for x in g.entries)
     if va is None or vd is None or va != vd:
         return False
     m = va
@@ -474,101 +473,92 @@ def stabilizer_transitivity_check(emb: BallEmbedding, pg, s: int, side: str,
     the sampling window was too small, reported as inconclusive rather
     than false.
 
-    The lifts are found modulo p^d only, digit by digit, for d the
-    radius of the ball about the root class that holds the path and its
-    extensions (see ``_path_stabilizer``): two lifts that agree modulo
-    p^d differ by an element of the principal congruence subgroup
-    K(p^d) = 1 + p^d M_2(Z_p), which fixes that ball pointwise (Serre,
-    *Trees*, II.1).  So whether a lift fixes the path, and where it
-    sends an extension, depend on its residue modulo p^d alone; the
-    orbit is the same, and ``stabilizer_size`` is the count modulo p^d
-    times p^(4(m-d)), the order of the kernel of
-    GL(2, Z/p^m) -> GL(2, Z/p^d).
+    Two lifts that agree modulo p^j differ by an element of the principal
+    congruence subgroup K(p^j) = 1 + p^j M_2(Z_p), which fixes the
+    radius-j ball about the root class pointwise (Serre, *Trees*, II.1).
+    So the stabilizer is found modulo p^d, d the depth of the path (see
+    ``_path_stabilizer``), and ``stabilizer_size`` is that count times
+    p^(4(m-d)), the order of the kernel of GL(2, Z/p^m) -> GL(2, Z/p^d).
+    The base extension's new vertex is adjacent to an end of the path, so
+    where a lift sends it is decided at most one digit deeper; that digit
+    is lifted inside the orbit loop, which stops once every target is
+    covered.
     """
-    stabilizer, size = [], 0
-    if len(_side_targets(pg, s, side)) > 1:
-        stabilizer, size = _path_stabilizer(emb, pg, s, modulus_exp)
-    return _extension_orbit(emb, pg, s, side, stabilizer, size)
-
-
-def _side_targets(pg, s: int, side: str) -> list[int]:
-    """The edges extending path-graph vertex s on the given side."""
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
     pg.check_vertex(s)
-    return pg.edges_into[s] if side == "+" else pg.edges_out_of[s]
+    if modulus_exp < 1:
+        raise ValueError(f"modulus exponent must be >= 1, got {modulus_exp}")
+    targets = pg.edges_into[s] if side == "+" else pg.edges_out_of[s]
+    if len(targets) <= 1:
+        return TransitivityResult(True, True, len(targets), len(targets), 0)
+    p, path = emb.p, pg.verts[s]
+    stabilizer, size = _path_stabilizer(emb, path, modulus_exp)
+    # Every stabilizer element fixes the path (and the root class, so it
+    # preserves the ball), so it maps an edge at s on this side to another
+    # one: the orbit is a subset of the targets, and only the base edge's
+    # vertex off the path needs to be moved.  An edge into s starts with
+    # that vertex, an edge out of s ends with it.
+    w = pg.edges[targets[0]][0 if side == "+" else -1]
+    d = _digits(emb, path, modulus_exp)
+    if _digits(emb, (w,), modulus_exp) > d:
+        stabilizer = _lifts(stabilizer, d, p)
+    orbit = set()
+    for g in stabilizer:
+        v = emb.from_lattice[act(g, emb.to_lattice[w], p)]
+        orbit.add(pg.edge_index[(v,) + path if side == "+" else path + (v,)])
+        if len(orbit) == len(targets):
+            break
+    covered = set(targets) <= orbit
+    return TransitivityResult(covered, covered, len(orbit), len(targets), size)
 
 
-def _path_stabilizer(emb: BallEmbedding, pg, s: int,
+def _digits(emb: BallEmbedding, vertices: tuple[int, ...], modulus_exp: int) -> int:
+    """The number of p-adic digits that decide how a unit lift modulo
+    p^m acts on the given ball vertices: their largest root distance,
+    capped at m and floored at 1 (the order
+    |GL(2, Z/p^m)| = p^(4(m-1)) (p^2 - 1)(p^2 - p) needs m >= 1)."""
+    return min(modulus_exp, max(1, *(emb.ball.depths[v] for v in vertices)))
+
+
+def _lifts(residues, j: int, p: int):
+    """Every lift g + p^j X, X in [0, p)^4, of each residue g modulo p^j,
+    one at a time."""
+    step = range(0, p ** (j + 1), p ** j)
+    for g in residues:
+        for x, y, z, w in itertools.product(step, repeat=4):
+            yield GroupElement(g.a + x, g.b + y, g.c + z, g.d + w)
+
+
+def _path_stabilizer(emb: BallEmbedding, path: tuple[int, ...],
                      modulus_exp: int) -> tuple[list[GroupElement], int]:
-    """The pointwise stabilizer of the path s among the unit lifts modulo
-    p^m, m = modulus_exp: its residues modulo p^d, and its size.
+    """The pointwise stabilizer of a path of ball vertices among the unit
+    lifts modulo p^m, m = modulus_exp: its residues modulo p^d, and its
+    size.
 
-    d is the largest root distance of a vertex of the path or of an
-    extension edge on either side, capped at m and floored at 1 (the
-    order |GL(2, Z/p^m)| = p^(4(m-1)) (p^2 - 1)(p^2 - p) needs m >= 1).
-    K(p^d) fixes every such vertex, so each residue modulo p^d that
-    fixes the path stands for the p^(4(m-d)) lifts modulo p^m above it,
-    and they all act alike on the path's extensions.
+    d is the largest root distance of a path vertex, capped at m and
+    floored at 1 (``_digits``).  K(p^d) fixes every path vertex at depth
+    <= d, so each residue modulo p^d that fixes the path stands for the
+    p^(4(m-d)) lifts modulo p^m above it; no path vertex is due past d.
 
     The residues are found one p-adic digit at a time: first those
     modulo p that fix the path's vertices at depth <= 1, then, for
-    j = 2..d, the lifts g + p^(j-1) X, X in [0, p)^4, of the survivors
-    that fix the path's vertices at depth j.  Whether a residue modulo
-    p^j fixes a vertex at depth <= j does not depend on its lift, since
-    K(p^j) fixes the radius-j ball; so every lift of a survivor still
-    fixes the shallower vertices, and every residue modulo p^d that
-    fixes the path reduces to a survivor at each digit.  Path vertices
-    deeper than d (d capped at m) are tested at the last digit, on the
-    representatives in [0, p^d), as a full enumeration modulo p^d would.
+    j = 2..d, the lifts of the survivors that fix the path's vertices at
+    depth j.  Whether a residue modulo p^j fixes a vertex at depth <= j
+    does not depend on its lift, since K(p^j) fixes the radius-j ball; so
+    every lift of a survivor still fixes the shallower vertices, and
+    every residue modulo p^d that fixes the path reduces to a survivor at
+    each digit.  Path vertices deeper than d (d capped at m) are tested
+    at the last digit, on the representatives in [0, p^d), as a full
+    enumeration modulo p^d would.
     """
-    if modulus_exp < 1:
-        raise ValueError(f"modulus exponent must be >= 1, got {modulus_exp}")
     p, depths = emb.p, emb.ball.depths
-    path = pg.verts[s]
-    reach = set(path).union(*(pg.edges[t] for t in pg.edges_into[s] + pg.edges_out_of[s]))
-    d = min(modulus_exp, max(1, max(depths[v] for v in reach)))
+    d = _digits(emb, path, modulus_exp)
     due: list[list[LatticeClassVertex]] = [[] for _ in range(d + 1)]
     for v in path:
         due[min(d, max(1, depths[v]))].append(emb.to_lattice[v])
     residues = [g for g in enumerate_unit_lifts(p, 1) if _fixes_all(g, due[1], p)]
-    digits = list(itertools.product(range(p), repeat=4))
     for j in range(2, d + 1):
-        step = p ** (j - 1)
-        residues = [GroupElement(g.a + step * x, g.b + step * y, g.c + step * z, g.d + step * w)
-                    for g in residues for x, y, z, w in digits]
-        if due[j]:
-            residues = [g for g in residues if _fixes_all(g, due[j], p)]
+        residues = [g for g in _lifts(residues, j - 1, p)
+                    if not due[j] or _fixes_all(g, due[j], p)]
     return residues, len(residues) * p ** (4 * (modulus_exp - d))
-
-
-def _extension_orbit(emb: BallEmbedding, pg, s: int, side: str,
-                     stabilizer: list[GroupElement], stabilizer_size: int) -> TransitivityResult:
-    """Coverage of one side of s by the orbit of its first extension under
-    ``stabilizer``, residues standing for the pointwise stabilizer of the
-    path s, whose order is ``stabilizer_size`` (unused, and reported as
-    size 0, when the side has at most one extension)."""
-    targets = _side_targets(pg, s, side)
-    if len(targets) <= 1:
-        return TransitivityResult(True, True, len(targets), len(targets), 0)
-    # Every stabilizer element fixes the path, so it maps an edge at s on
-    # this side to another one: the orbit is a subset of the targets, and
-    # only the base edge's vertices off the path need to be moved.
-    on_path = set(pg.verts[s])
-    base = pg.edges[targets[0]]
-    orbit = set()
-    for g in stabilizer:
-        image_seq = []
-        for v in base:
-            if v not in on_path:
-                v = emb.from_lattice.get(act(g, emb.to_lattice[v], emb.p))
-                if v is None:
-                    raise ValueError("group element does not preserve the ball window")
-            image_seq.append(v)
-        image = pg.edge_index.get(tuple(image_seq))
-        if image is not None:
-            orbit.add(image)
-            if len(orbit) == len(targets):
-                break
-    covered = set(targets) <= orbit
-    return TransitivityResult(covered, covered, len(orbit), len(targets), stabilizer_size)

@@ -88,6 +88,16 @@ class TestCheck:
         payload = json.loads(out)
         assert payload["passed"] is True and payload["fixers_that_moved"] == 0
 
+    def test_transitivity_p11(self, capsys):
+        # The paths lie in the radius-1 ball, so their stabilizers are
+        # enumerated modulo 11 and the extension digit is lifted lazily.
+        code, out, _ = run_bounded(capsys, "check", "transitivity", "--p", "11", seconds=10)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["root_0path"] == {"plus": True, "minus": True}
+        assert payload["standard_1path"] == {"plus": True, "minus": True}
+        assert payload["conclusive"] is True and payload["passed"] is True
+
     def test_gamma0_membership(self, capsys):
         code, out, _ = run(capsys, "check", "gamma0", "--p", "2", "--n", "1",
                            "--matrix", "1,0;2,1")

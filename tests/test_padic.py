@@ -319,6 +319,17 @@ class TestGamma0:
                 for g in sample_gamma0(p, n, 6, 30, seed=n):
                     assert in_gamma0(g, n, p)
 
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), p=st.sampled_from([2, 3, 5, 7]))
+    def test_level_zero_is_the_min_valuation_rule(self, seed, p):
+        # g lies in Q_p^* GL(2, Z_p) exactly when v_p(det g) is twice the
+        # least entry valuation.
+        rng = random.Random(seed)
+        for _ in range(20):
+            g = rand_invertible(rng, span=2 * p ** 2, den=p ** 2)
+            least = min(v for v in (valuation(x, p) for x in g.entries) if v is not None)
+            assert in_gamma0(g, 0, p) == (valuation(g.det, p) == 2 * least)
+
 
 class TestFixesVertex:
     @settings(max_examples=100, deadline=None)
@@ -411,10 +422,10 @@ class TestTransitivity:
         assert res.covered and res.target_size == 1
 
     # (p, path, m, d): d is the reduced exponent, the root distance of the
-    # farthest vertex of the path and its extensions (d = m: full route).
+    # farthest vertex of the path, floored at 1 (d = m: full route).
     DIFFERENTIAL = [(2, "root0", 2, 1), (2, "root0", 3, 1), (2, "root0", 4, 1),
-                    (2, "std1", 2, 2), (2, "std1", 3, 2), (2, "std1", 4, 2),
-                    (3, "root0", 2, 1), (3, "std1", 2, 2)]
+                    (2, "std1", 2, 1), (2, "std1", 3, 1), (2, "std1", 4, 1),
+                    (3, "root0", 2, 1), (3, "std1", 2, 1)]
 
     @pytest.mark.parametrize("p,path,m,d", DIFFERENTIAL)
     def test_matches_full_enumeration(self, p, path, m, d):
@@ -427,7 +438,7 @@ class TestTransitivity:
             pg = build_path_graph(emb.ball, 1)
             s = pg.vert_index[standard_path(emb, 0)]
         full = stabilizer_oracle(emb, pg.verts[s], m)
-        residues, size = padic._path_stabilizer(emb, pg, s, m)
+        residues, size = padic._path_stabilizer(emb, pg.verts[s], m)
         pd = p ** d
         reduced = [tuple(int(x) for x in g.entries) for g in residues]
         assert all(0 <= x < pd for entries in reduced for x in entries)
@@ -437,7 +448,6 @@ class TestTransitivity:
         expected = transitivity_oracle(emb, pg, s, full)
         for side in ("+", "-"):
             assert stabilizer_transitivity_check(emb, pg, s, side, m) == expected[side]
-        assert checks._both_sides(emb, pg, s, m) == [expected["+"], expected["-"]]
 
     def test_singleton_side_matches_oracle(self):
         emb = embed_ball(2, 2)
@@ -447,15 +457,20 @@ class TestTransitivity:
         assert expected["+"].target_size == 1
         for side in ("+", "-"):
             assert stabilizer_transitivity_check(emb, pg, leaf, side, 2) == expected[side]
-        assert checks._both_sides(emb, pg, leaf, 2) == [expected["+"], expected["-"]]
 
     def test_modulus_exponent_below_one_is_refused(self):
         emb = embed_ball(2, 2)
         pg = build_path_graph(emb.ball, 0)
-        with pytest.raises(ValueError, match="modulus exponent"):
-            stabilizer_transitivity_check(emb, pg, pg.vert_index[(0,)], "+", 0)
+        # A leaf's + side has one extension, so it needs no stabilizer; the
+        # modulus is refused there all the same.
+        leaf = next(s for s, pth in enumerate(pg.verts) if emb.ball.is_leaf(pth[0]))
+        assert len(pg.edges_into[leaf]) == 1
+        for s in (pg.vert_index[(0,)], leaf):
+            for m in (0, -3):
+                with pytest.raises(ValueError, match="modulus exponent"):
+                    stabilizer_transitivity_check(emb, pg, s, "+", m)
 
-    def test_check_enumerates_each_path_stabilizer_once(self, monkeypatch):
+    def test_check_enumerates_modulo_p(self, monkeypatch):
         moduli = []
 
         def spy(p, modulus_exp):
@@ -465,9 +480,9 @@ class TestTransitivity:
         monkeypatch.setattr(padic, "enumerate_unit_lifts", spy)
         passed, report = checks.check_transitivity(2)
         assert passed and report["conclusive"]
-        # One enumeration per path, modulo p: the root 0-path (d = 1) and
-        # the standard 1-path (d = 2, lifted to the second digit from there).
-        assert moduli == [1, 1]
+        # One enumeration per path and side, each modulo p: the root 0-path
+        # and the standard 1-path both lie in the radius-1 ball (d = 1).
+        assert moduli == [1, 1, 1, 1]
 
     def test_unit_lift_enumeration_size(self):
         # |GL(2, Z/4)| = 96
@@ -475,27 +490,33 @@ class TestTransitivity:
 
     @pytest.mark.parametrize("p,radius", [(2, 3), (3, 2)])
     def test_lifting_matches_oracle_on_every_short_path(self, p, radius):
-        """Digit-by-digit residues against the full enumeration modulo
-        p^m, m = radius, on every k-path with k <= 1 of the ball."""
+        """Digit-by-digit residues, and both sides' transitivity results,
+        against the full enumeration modulo p^m with no early stop, on
+        every k-path with k <= 2 of the ball, for every m <= radius."""
         emb = embed_ball(p, radius)
-        m = radius
         depths = emb.ball.depths
-        # Which ball vertices each unit lift fixes, by the Fraction oracle,
-        # so that `full` below is stabilizer_oracle(emb, path, m) from one table.
-        fixed = [(g, {v for v, lv in enumerate(emb.to_lattice) if fixes_vertex_oracle(g, lv, p)})
-                 for g in enumerate_unit_lifts(p, m)]
-        for k in (0, 1):
-            pg = build_path_graph(emb.ball, k)
-            for s, path in enumerate(pg.verts):
-                full = [g for g, fixes in fixed if fixes.issuperset(path)]
-                reach = set(path).union(*(pg.edges[t] for t in pg.edges_into[s] + pg.edges_out_of[s]))
-                pd = p ** min(m, max(1, max(depths[v] for v in reach)))
-                residues, size = padic._path_stabilizer(emb, pg, s, m)
-                reduced = [g.entries for g in residues]
-                assert all(0 <= x < pd for entries in reduced for x in entries)
-                assert len(set(reduced)) == len(reduced)
-                assert set(reduced) == {tuple(x % pd for x in g.entries) for g in full}
-                assert size == len(full)
+        pgs = [build_path_graph(emb.ball, k) for k in range(3)]
+        for m in range(1, radius + 1):
+            # Which ball vertices each unit lift fixes, by the Fraction
+            # oracle, so that `full` below is stabilizer_oracle(emb, path, m)
+            # from one table.
+            fixed = [(g, {v for v, lv in enumerate(emb.to_lattice)
+                          if fixes_vertex_oracle(g, lv, p)})
+                     for g in enumerate_unit_lifts(p, m)]
+            for pg in pgs:
+                for s, path in enumerate(pg.verts):
+                    full = [g for g, fixes in fixed if fixes.issuperset(path)]
+                    pd = p ** min(m, max(1, max(depths[v] for v in path)))
+                    residues, size = padic._path_stabilizer(emb, path, m)
+                    reduced = [g.entries for g in residues]
+                    assert all(0 <= x < pd for entries in reduced for x in entries)
+                    assert len(set(reduced)) == len(reduced)
+                    assert set(reduced) == {tuple(x % pd for x in g.entries) for g in full}
+                    assert size == len(full)
+                    expected = transitivity_oracle(emb, pg, s, full)
+                    for side in ("+", "-"):
+                        got = stabilizer_transitivity_check(emb, pg, s, side, m)
+                        assert got == expected[side], (m, pg.k, path, side)
 
 
 class TestJson:
