@@ -1,11 +1,13 @@
 """Tree ball construction, geodesics, hulls, and seeded automorphisms."""
 
 import collections
+import hashlib
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from treeforms.padic import BallEmbedding
 from treeforms.tree import (BallAutomorphism, TreeParams, build_ball,
                             convex_hull, enumerate_oriented_diameters,
                             geodesic_between, random_automorphism)
@@ -276,3 +278,74 @@ class TestAutomorphisms:
             assert gh(v) == g(h(v))
         ginv = g.inverse()
         assert g.compose(ginv).perm == tuple(range(b.num_vertices))
+
+
+# -- pins: every tree-layer value, recorded as plain data ----------------
+
+PIN_BALLS = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6),
+             (3, 1), (3, 2), (3, 3), (3, 4), (4, 3), (5, 2)]
+PIN_EMBEDDINGS = [(2, 4), (3, 3), (5, 2)]
+
+
+def _seq(geodesic):
+    """A geodesic's vertex ids as a tuple, whether it is a plain tuple or a
+    record holding one in ``vertices``."""
+    return tuple(getattr(geodesic, "vertices", geodesic))
+
+
+def tree_layer_digest():
+    """sha256 over each pinned ball's export, root chains, depths, edges,
+    leaves, adjacency, 30 seeded automorphisms, oriented diameters at every
+    end depth, and all-pairs meets, geodesics and hulls; then over each
+    pinned embedding's lattice classes."""
+    h = hashlib.sha256()
+
+    def put(label, value):
+        h.update(f"{label}={value!r};".encode())
+
+    for q, radius in PIN_BALLS:
+        b = ball(q, radius)
+        n = b.num_vertices
+        put("ball", (q, radius))
+        put("json", b.to_json())
+        put("chains", b.chains)
+        put("depths", b.depths)
+        put("edges", b.edges)
+        put("leaves", b.leaves)
+        put("adjacency", b.adjacency)
+        put("automorphisms", [random_automorphism(b, s).perm for s in range(30)])
+        for depth in range(radius + 1):
+            put("diameters", [_seq(g) for g in enumerate_oriented_diameters(b, depth)])
+        put("meet", [[b.meet(u, v) for v in range(n)] for u in range(n)])
+        put("geodesics", [[_seq(geodesic_between(b, u, v)) for v in range(n)]
+                          for u in range(n)])
+        put("hulls", [[sorted(convex_hull(b, (u, v))) for v in range(n)] for u in range(n)])
+    for p, radius in PIN_EMBEDDINGS:
+        emb = BallEmbedding(p, radius)
+        put("embedding", (p, radius))
+        put("to_lattice", [(lv.n, lv.u) for lv in emb.to_lattice])
+    return h.hexdigest()
+
+
+class TestPins:
+    """Values recorded from the record-class tree layer; the plain-data one
+    must reproduce them exactly."""
+
+    AUTOMORPHISMS = {
+        (2, 2): [[0, 1, 3, 2, 4, 5, 8, 9, 7, 6], [0, 2, 3, 1, 6, 7, 9, 8, 4, 5],
+                 [0, 2, 3, 1, 7, 6, 8, 9, 5, 4], [0, 2, 3, 1, 7, 6, 8, 9, 4, 5],
+                 [0, 3, 2, 1, 8, 9, 6, 7, 5, 4]],
+        (3, 1): [[0, 3, 1, 2, 4], [0, 4, 1, 3, 2], [0, 2, 3, 4, 1], [0, 4, 1, 3, 2],
+                 [0, 3, 1, 4, 2]],
+    }
+
+    DIGEST = "ac2525a34408ae118dd4ec2fa006b6cbfd5a1bd77d3733ecf768e946f3c14964"
+
+    @pytest.mark.parametrize("q,radius", [(2, 2), (3, 1)])
+    def test_automorphism_permutations(self, q, radius):
+        b = ball(q, radius)
+        assert [list(random_automorphism(b, s).perm) for s in range(5)] == \
+            self.AUTOMORPHISMS[q, radius]
+
+    def test_tree_layer_digest(self):
+        assert tree_layer_digest() == self.DIGEST
