@@ -257,12 +257,10 @@ class BallEmbedding:
         to_lattice: list[LatticeClassVertex | None] = [None] * self.ball.num_vertices
         to_lattice[0] = ROOT
         seen = {ROOT}
-        for v in range(self.ball.num_vertices):
-            lv = to_lattice[v]
-            depth = self.ball.depths[v]
-            if depth == radius:
+        for v, children in enumerate(self.ball.children):
+            if not children:
                 continue
-            children = [w for w in self.ball.adjacency[v] if self.ball.depths[w] == depth + 1]
+            lv = to_lattice[v]
             fresh = sorted((x for x in lattice_neighbors(lv, p) if x not in seen),
                            key=lambda x: (x.n, x.u))
             if len(children) != len(fresh):

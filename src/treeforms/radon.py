@@ -41,7 +41,7 @@ from typing import NamedTuple
 from . import _linalg
 from .cochains import Cochain, coboundary, integrate, shared_fractions
 from .tower import PathGraph, SpanningForest, component_roots
-from .tree import GeodesicSegment, convex_hull, enumerate_oriented_diameters
+from .tree import convex_hull, enumerate_oriented_diameters
 
 ZERO = Fraction(0)
 # Steps a walk of ``random_loops`` may take to return to its start.
@@ -143,8 +143,7 @@ def _diameter_family(pg: PathGraph, depth: int) -> ApartmentFamily:
     ups = {v: windows(ball.chains[v]) for v in ends}
     downs = {v: windows(ball.chains[v][::-1]) for v in ends}
     apartments = []
-    for seg in enumerate_oriented_diameters(ball, depth):
-        seq = seg.vertices
+    for seq in enumerate_oriented_diameters(ball, depth):
         n = len(seq)
         if n < width:
             continue
@@ -158,7 +157,7 @@ def _diameter_family(pg: PathGraph, depth: int) -> ApartmentFamily:
     return ApartmentFamily(pg, apartments, depth == ball.params.radius)
 
 
-def induced_apartments(pg: PathGraph, diameters: list[GeodesicSegment]) -> ApartmentFamily:
+def induced_apartments(pg: PathGraph, diameters: list[tuple[int, ...]]) -> ApartmentFamily:
     """One apartment per diameter that is long enough to carry a window.
 
     When the diameters are the ball's own, ``enumerate_oriented_diameters
@@ -167,16 +166,11 @@ def induced_apartments(pg: PathGraph, diameters: list[GeodesicSegment]) -> Apart
     looked up in ``pg.edge_index``, so a window that is not a path of the
     ball is a KeyError.
     """
-    ball = pg.ball
-    leaves = len(ball.leaves)
-    if (len(diameters) == leaves * (leaves - 1)
-            and [seg.vertices for seg in diameters]
-            == [seg.vertices for seg in enumerate_oriented_diameters(ball)]):
-        return _diameter_family(pg, ball.params.radius)
+    if list(diameters) == enumerate_oriented_diameters(pg.ball):
+        return _diameter_family(pg, pg.ball.params.radius)
     width, edge_index = pg.k + 2, pg.edge_index
     apartments = []
-    for seg in diameters:
-        seq = seg.vertices
+    for seq in diameters:
         if len(seq) >= width:
             ids = tuple([edge_index[seq[i:i + width]] for i in range(len(seq) - width + 1)])
             apartments.append(OrientedApartment(len(apartments), seq, ids))
@@ -431,6 +425,8 @@ def random_loops(pg: PathGraph, edge_ids: list[int], count: int,
     for a in sorted(edge_ids):
         adj.setdefault(pg.tail[a], []).append((a, pg.head[a]))
         adj.setdefault(pg.head[a], []).append((a, pg.tail[a]))
+    if not adj:
+        return []
     starts = sorted(adj)
     loops: list[WalkWithSigns] = []
     attempts = 0
@@ -534,19 +530,19 @@ def primitive(pg: PathGraph, aps: ApartmentFamily, omega: Cochain, base: int) ->
 # -- span of characteristic functions -----------------------------------
 
 
-def span_check(pgs: list[PathGraph], diameters: list[GeodesicSegment]) -> bool:
+def span_check(pgs: list[PathGraph], diameters: list[tuple[int, ...]]) -> bool:
     """Do the apartment-set characteristic functions of all edges up to the
-    given levels span all functions on the oriented-diameter set?"""
+    given levels span all functions on the oriented-diameter set?
+
+    Edge a's row is the indicator of the diameters whose apartments pass
+    through a, read off the family's edge index in edge id order."""
     ndiam = len(diameters)
-    key_to_index = {seg.vertices: i for i, seg in enumerate(diameters)}
+    key_to_index = {seq: i for i, seq in enumerate(diameters)}
     elim = _linalg.Eliminator()
     for pg in pgs:
-        rows_by_edge: dict[int, dict[int, int]] = {}
-        for ap in induced_apartments(pg, diameters):
-            di = key_to_index[ap.base]
-            for a in ap.edges:
-                rows_by_edge.setdefault(a, {})[di] = 1
-        for a in sorted(rows_by_edge):
-            if elim.insert(rows_by_edge[a]) and elim.rank == ndiam:
+        aps = induced_apartments(pg, diameters)
+        index = [key_to_index[ap.base] for ap in aps]
+        for ids in aps._through:
+            if ids and elim.insert({index[i]: 1 for i in ids}) and elim.rank == ndiam:
                 return True
     return elim.rank == ndiam

@@ -32,105 +32,69 @@ class TreeParams:
             raise ValueError(f"radius must be >= 1, got {self.radius}")
 
 
-@dataclass(frozen=True)
-class TreeVertex:
-    id: int
-    address: tuple[int, ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.address)
-
-
-@dataclass(frozen=True, slots=True)
-class GeodesicSegment:
-    """Injective path of vertex ids; consecutive entries are adjacent.
-
-    Slotted, since a ball keeps every segment it enumerates."""
-
-    vertices: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def length(self) -> int:
-        """Number of edges."""
-        return len(self.vertices) - 1
-
-
 class TreeBall:
     """Radius-R truncation of the (q+1)-homogeneous tree.
 
-    Immutable after construction; all queries are pure functions.  The
-    only state added later is a private memo of the oriented diameters
-    per end depth (``enumerate_oriented_diameters``).
+    Vertices are the ids 0..n-1; ``addresses[v]`` is v's tuple of branch
+    labels and ``children[v]`` the run of consecutive ids one level deeper,
+    in label order (empty at a leaf).  Immutable after construction; all
+    queries are pure functions.  The only state added later is a private
+    memo of the oriented diameters per end depth
+    (``enumerate_oriented_diameters``).
     """
 
     def __init__(self, params: TreeParams):
         self.params = params
         q, radius = params.q, params.radius
 
-        vertices: list[TreeVertex] = [TreeVertex(0, ())]
-        chains: list[tuple[int, ...]] = [(0,)]
-        by_address: dict[tuple[int, ...], int] = {(): 0}
-        frontier = [0]
-        for depth in range(radius):
-            nxt: list[int] = []
-            labels = range(q + 1) if depth == 0 else range(q)
-            for v in frontier:
-                addr = vertices[v].address
-                for lab in labels:
-                    vid = len(vertices)
-                    child = TreeVertex(vid, addr + (lab,))
-                    vertices.append(child)
-                    chains.append((vid,) + chains[v])
-                    by_address[child.address] = vid
-                    nxt.append(vid)
-            frontier = nxt
-
-        self.vertices = vertices
+        addresses: list[tuple[int, ...]] = [()]
         # Root chain of v: (v, parent(v), ..., root); entry i has depth |v| - i.
-        self.chains = chains
-        self._by_address = by_address
-        self.depths = [v.depth for v in vertices]
-        self.edges = sorted((c[1], c[0]) for c in chains[1:])  # a parent precedes its child
-        self.leaves = [v for v in range(len(vertices)) if self.depths[v] == radius]
+        chains: list[tuple[int, ...]] = [(0,)]
+        children: list[range] = []
+        # Breadth-first ids put each parent before its children, so the
+        # internal vertices are the ids below the first leaf, in order.
+        v = 0
+        while len(addresses[v]) < radius:
+            start = len(addresses)
+            addresses += [addresses[v] + (lab,) for lab in range(q + 1 if v == 0 else q)]
+            children.append(range(start, len(addresses)))
+            chains += [(c,) + chains[v] for c in children[v]]
+            v += 1
+        children += [range(0)] * (len(addresses) - v)
 
-        adj: list[list[int]] = [[] for _ in vertices]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self.adjacency = [sorted(ns) for ns in adj]
-        self._diameters: dict[int, tuple[GeodesicSegment, ...]] = {}
+        self.addresses = addresses
+        self.chains = chains
+        self.children = children
+        self.depths = [len(a) for a in addresses]
+        self.edges = [(c[1], c[0]) for c in chains[1:]]  # sorted; a parent precedes its child
+        self.leaves = list(range(v, len(addresses)))
+        self.adjacency = [list(cs) if u == 0 else [chains[u][1], *cs]
+                          for u, cs in enumerate(children)]
+        self._diameters: dict[int, tuple[tuple[int, ...], ...]] = {}
 
         expected = 1 + (q + 1) * (q ** radius - 1) // (q - 1)
-        assert len(vertices) == expected
-        assert len(self.edges) == len(vertices) - 1
+        assert len(addresses) == expected
 
     # -- basic queries -------------------------------------------------
 
     @property
     def num_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self.addresses)
 
     def is_leaf(self, v: int) -> bool:
         return self.depths[v] == self.params.radius
 
     def check_vertex(self, v: int) -> None:
-        if not (0 <= v < len(self.vertices)):
+        if not (0 <= v < len(self.addresses)):
             raise ValueError(f"unknown vertex id {v}")
-
-    def vertex_by_address(self, address: tuple[int, ...]) -> int:
-        return self._by_address[address]
 
     def meet(self, u: int, v: int) -> int:
         """Deepest common ancestor (the median of u, v and the root)."""
-        a, b = self.vertices[u].address, self.vertices[v].address
+        a, b = self.addresses[u], self.addresses[v]
         k = 0
         while k < len(a) and k < len(b) and a[k] == b[k]:
             k += 1
-        return self._by_address[a[:k]]
+        return self.chains[u][len(a) - k]
 
     def distance(self, u: int, v: int) -> int:
         m = self.meet(u, v)
@@ -140,7 +104,7 @@ class TreeBall:
         return {
             "q": self.params.q,
             "radius": self.params.radius,
-            "vertices": [{"id": v.id, "address": list(v.address)} for v in self.vertices],
+            "vertices": [{"id": v, "address": list(a)} for v, a in enumerate(self.addresses)],
             "edges": [[u, v] for u, v in self.edges],
             "leaves": list(self.leaves),
         }
@@ -167,16 +131,16 @@ def _up_down(up: tuple[int, ...], down: tuple[int, ...], meet_depth: int) -> tup
     return up[:len(up) - meet_depth] + down[meet_depth + 1:]
 
 
-def geodesic_between(ball: TreeBall, u: int, v: int) -> GeodesicSegment:
-    """The unique injective path from u to v."""
+def geodesic_between(ball: TreeBall, u: int, v: int) -> tuple[int, ...]:
+    """The unique injective path from u to v, as its tuple of vertex ids."""
     ball.check_vertex(u)
     ball.check_vertex(v)
     dm = ball.depths[ball.meet(u, v)]
-    return GeodesicSegment(_up_down(ball.chains[u], ball.chains[v][::-1], dm))
+    return _up_down(ball.chains[u], ball.chains[v][::-1], dm)
 
 
 def enumerate_oriented_diameters(ball: TreeBall,
-                                 depth: int | None = None) -> list[GeodesicSegment]:
+                                 depth: int | None = None) -> list[tuple[int, ...]]:
     """All oriented geodesics between distinct vertices at the given depth
     (default: the radius, so leaf to leaf), ordered by (from, to) ids.
 
@@ -185,8 +149,8 @@ def enumerate_oriented_diameters(ball: TreeBall,
     contributes one.  Breadth-first numbering puts the depth-D vertices
     below a vertex at depth d >= 1 in one run of q^(D-d) consecutive ids,
     so the meet depths of one end with all others are filled in block by
-    block.  The ball keeps each depth's segments, which are frozen, and
-    every call returns a fresh list of them.
+    block.  The ball keeps each depth's vertex tuples, and every call
+    returns a fresh list of the same tuples.
     """
     q, radius = ball.params.q, ball.params.radius
     if depth is None:
@@ -207,7 +171,7 @@ def enumerate_oriented_diameters(ball: TreeBall,
         up = ball.chains[u]
         for v, down, dm in zip(ends, downs, meet):
             if v != u:
-                out.append(GeodesicSegment(_up_down(up, down, dm)))
+                out.append(_up_down(up, down, dm))
     ball._diameters[depth] = tuple(out)
     return out
 
@@ -225,7 +189,7 @@ def convex_hull(ball: TreeBall, vertex_ids) -> set[int]:
     base = min(vs)
     hull: set[int] = set()
     for v in vs:
-        hull.update(geodesic_between(ball, base, v).vertices)
+        hull.update(geodesic_between(ball, base, v))
     return hull
 
 
@@ -268,23 +232,14 @@ def random_automorphism(ball: TreeBall, seed: int) -> BallAutomorphism:
     Every output preserves the edge set and the leaf set by construction.
     """
     rng = random.Random(seed)
-    q, radius = ball.params.q, ball.params.radius
+    children = ball.children
     perm = [0] * ball.num_vertices
-    # BFS pairs (original vertex, image vertex); children permuted per vertex.
+    # Pairs (original vertex, image vertex); each image's children shuffled.
     stack = [(0, 0)]
     while stack:
         orig, image = stack.pop()
         perm[orig] = image
-        depth = ball.depths[orig]
-        if depth == radius:
-            continue
-        labels = list(range(q + 1) if depth == 0 else range(q))
-        shuffled = labels[:]
+        shuffled = list(children[image])
         rng.shuffle(shuffled)
-        oaddr = ball.vertices[orig].address
-        iaddr = ball.vertices[image].address
-        for lab, ilab in zip(labels, shuffled):
-            child = ball.vertex_by_address(oaddr + (lab,))
-            ichild = ball.vertex_by_address(iaddr + (ilab,))
-            stack.append((child, ichild))
+        stack += zip(children[orig], shuffled)
     return BallAutomorphism(ball, perm)

@@ -19,7 +19,7 @@ from treeforms.radon import (ApartmentFamily, MarginError, PathDependenceError,
                              random_loops, span_check, _kernel_rows,
                              _subspace_dims)
 from treeforms.tower import build_path_graph
-from treeforms.tree import (GeodesicSegment, TreeParams, build_ball,
+from treeforms.tree import (TreeParams, build_ball,
                             enumerate_oriented_diameters, geodesic_between)
 
 from conftest import apartments, ball, tower
@@ -111,8 +111,7 @@ def per_window_apartments(pg, diameters):
     width, edge_index = pg.k + 2, pg.edge_index
     triples, through = [], {}
     try:
-        for seg in diameters:
-            seq = seg.vertices
+        for seq in diameters:
             if len(seq) >= width:
                 edges = tuple(edge_index[seq[i:i + width]] for i in range(len(seq) - width + 1))
                 triples.append((len(triples), seq, edges))
@@ -160,7 +159,7 @@ class TestRootChainWindows:
         vertex = st.integers(0, b.num_vertices - 1)
         segs = [geodesic_between(b, u, v)
                 for u, v in data.draw(st.lists(st.tuples(vertex, vertex), max_size=10))]
-        segs += [GeodesicSegment(seg.vertices[::-1]) for seg in segs[::2]] + segs[:3]
+        segs += [tuple(seg[::-1]) for seg in segs[::2]] + segs[:3]
         family = data.draw(st.permutations(segs))
         assert chain_apartments(pg, family) == per_window_apartments(pg, family)
 
@@ -179,12 +178,12 @@ class TestRootChainWindows:
         for u, v, w, i, z in data.draw(st.lists(
                 st.tuples(vertex, vertex, vertex, st.integers(0, 99), anything),
                 min_size=1, max_size=4)):
-            first = geodesic_between(b, u, v).vertices
+            first = geodesic_between(b, u, v)
             changed = list(first)
             changed[i % len(first)] = z
-            family += [GeodesicSegment(tuple(changed)),
-                       GeodesicSegment(first + geodesic_between(b, v, w).vertices[1:])]
-        family += [GeodesicSegment(tuple(seq))
+            family += [tuple(changed),
+                       tuple(first + geodesic_between(b, v, w)[1:])]
+        family += [tuple(seq)
                    for seq in data.draw(st.lists(st.lists(anything, max_size=8), max_size=2))]
         for seg in family:
             assert chain_apartments(pg, [seg]) == per_window_apartments(pg, [seg])
@@ -200,7 +199,7 @@ class TestRootChainWindows:
         leaf = b.leaves[-1]
         for climb in range(1, radius + 1):
             up = b.chains[leaf][:climb + 1]
-            walk = GeodesicSegment(up + up[-2::-1])
+            walk = tuple(up + up[-2::-1])
             for k in range(2 * climb):
                 pg = tower(q, radius, k)
                 if k == 0:
@@ -568,16 +567,16 @@ class TestInteriorRoute:
             "duplicates": induced_apartments(pg, diams + diams[:3]),
         }
         x, y = b.leaves[0], b.leaves[1]
-        t = next(t for t, seg in enumerate(diams) if seg.vertices[::len(seg) - 1] == (x, y))
+        t = next(t for t, seg in enumerate(diams) if seg[::len(seg) - 1] == (x, y))
         if k == 0:
             # One step up past the meet of two sibling leaves and back down:
             # a walk that backtracks at its apex.
-            walk = GeodesicSegment(b.chains[x][:3] + b.chains[y][1::-1])
+            walk = tuple(b.chains[x][:3] + b.chains[y][1::-1])
             families["backtracking"] = induced_apartments(pg, diams[:t] + [walk] + diams[t + 1:])
         else:
             # Too short to keep, unlike the geodesic it stands in for.
             families["short stand-in"] = induced_apartments(
-                pg, diams[:t] + [GeodesicSegment((x, y))] + diams[t + 1:])
+                pg, diams[:t] + [(x, y)] + diams[t + 1:])
         return families
 
     @pytest.mark.parametrize("q,radius,k", [(2, 3, 0), (2, 4, 0), (2, 4, 1), (2, 4, 2),
@@ -588,7 +587,7 @@ class TestInteriorRoute:
         families = self.other_families(q, radius, k)
         # The ball's diameters again, as new segments of a second ball.
         rebuilt = induced_apartments(pg, [
-            GeodesicSegment(seg.vertices)
+            tuple(seg)
             for seg in enumerate_oriented_diameters(build_ball(TreeParams(q, radius)))])
         assert rebuilt.complete
         for margin in range(radius + 1):
@@ -661,6 +660,11 @@ class TestWalksAndIntegrals:
         # cycle count = E - V + C for the whole doubled tree
         from treeforms.tower import num_components
         assert len(loops) == pg.num_edges - pg.num_vertices + num_components(pg)
+
+    def test_empty_edge_set_has_no_loops(self):
+        pg = tower(2, 2, 1)
+        assert fundamental_loops(pg, []) == []
+        assert random_loops(pg, [], 3, 1) == []
 
 
 class TestPrimitive:

@@ -14,7 +14,7 @@ from treeforms.radon import (PathDependenceError, fundamental_loops, interior_ed
 from treeforms.tower import (PathGraph, SpanningForest, apply_automorphism,
                              build_path_graph, component_roots, components, incidence,
                              num_components)
-from treeforms.tree import GeodesicSegment, random_automorphism
+from treeforms.tree import random_automorphism
 
 from conftest import (FOREST_DOCTORS, apartments, ball, deep_root, doctoring, false_root,
                       orphan, tower)
@@ -329,7 +329,7 @@ class TestSpanningForest:
         assert {roots[s] for s in loop.vertices} == {roots[pg.tail[4]]} != {roots[base]}
 
 
-def monotone_path_check(pg: PathGraph, walk: list[int]) -> GeodesicSegment:
+def monotone_path_check(pg: PathGraph, walk: list[int]) -> tuple[int, ...]:
     """Certify a constant-sign edge walk and return its supporting geodesic.
 
     A walk a_0, ..., a_{l-1} is monotone when consecutive edges chain
@@ -344,7 +344,7 @@ def monotone_path_check(pg: PathGraph, walk: list[int]) -> GeodesicSegment:
     for a in walk:
         pg.check_edge(a)
     if len(walk) == 1:
-        return GeodesicSegment(pg.edges[walk[0]])
+        return tuple(pg.edges[walk[0]])
 
     first, second = pg.edges[walk[0]], pg.edges[walk[1]]
     if second[:-1] == first[1:]:
@@ -368,26 +368,25 @@ def monotone_path_check(pg: PathGraph, walk: list[int]) -> GeodesicSegment:
         seq = list(pg.edges[walk[-1]]) + [pg.edges[a][-1] for a in reversed(walk[:-1])]
     if len(set(seq)) != len(seq):
         raise ValueError("walk folds back on itself (level-0 reversal)")
-    return GeodesicSegment(tuple(seq))
+    return tuple(seq)
 
 
 class TestMonotoneWalks:
     def test_single_edge(self):
         pg = tower(2, 2, 1)
         seg = monotone_path_check(pg, [0])
-        assert seg.vertices == pg.edges[0]
+        assert seg == pg.edges[0]
 
     def test_diameter_window_sequence(self):
         from treeforms.tree import enumerate_oriented_diameters
         b = ball(2, 2)
         pg = tower(2, 2, 1)
         edge_index = {e: i for i, e in enumerate(pg.edges)}
-        for seg in enumerate_oriented_diameters(b):
-            seq = seg.vertices
+        for seq in enumerate_oriented_diameters(b):
             windows = [edge_index[seq[i:i + 3]] for i in range(len(seq) - 2)]
             if windows:
                 out = monotone_path_check(pg, windows)
-                assert out.vertices == seq
+                assert out == seq
 
     def test_sign_change_rejected(self):
         pg = tower(2, 1, 0)
@@ -410,7 +409,7 @@ class TestMonotoneWalks:
         2R-k-1) passes the check and lands inside an oriented diameter."""
         from treeforms.tree import enumerate_oriented_diameters
         pg = tower(2, radius, k)
-        diam_seqs = {seg.vertices for seg in enumerate_oriented_diameters(ball(2, radius))}
+        diam_seqs = {seg for seg in enumerate_oriented_diameters(ball(2, radius))}
 
         def contained(seq):
             n = len(seq)
@@ -429,7 +428,7 @@ class TestMonotoneWalks:
             chains = new_chains
             for chain in chains:
                 seg = monotone_path_check(pg, chain)
-                assert contained(seg.vertices)
+                assert contained(seg)
                 checked += 1
             if not chains:
                 break

@@ -83,7 +83,7 @@ class TestBuildBall:
     def test_breadth_first_numbering_deterministic(self):
         a = build_ball(TreeParams(2, 3))
         b = build_ball(TreeParams(2, 3))
-        assert [v.address for v in a.vertices] == [v.address for v in b.vertices]
+        assert a.addresses == b.addresses
         assert a.to_json() == b.to_json()
 
     def test_json_round_trip_fields(self):
@@ -101,17 +101,17 @@ class TestBuildBall:
 class TestGeodesics:
     def test_degenerate(self, ball22):
         seg = geodesic_between(ball22, 3, 3)
-        assert seg.vertices == (3,)
-        assert seg.length == 0
+        assert seg == (3,)
+        assert len(seg) - 1 == 0
 
     def test_root_to_leaf_depth(self, ball22):
         for leaf in ball22.leaves:
-            assert geodesic_between(ball22, 0, leaf).length == 2
+            assert len(geodesic_between(ball22, 0, leaf)) - 1 == 2
 
     def test_sibling_leaves_through_parent(self, ball22):
         # leaves 4 and 5 share parent 1
         seg = geodesic_between(ball22, 4, 5)
-        assert seg.vertices == (4, 1, 5)
+        assert seg == (4, 1, 5)
 
     def test_unknown_vertex(self, ball22):
         with pytest.raises(ValueError):
@@ -124,11 +124,29 @@ class TestGeodesics:
             dist = bfs_distances(b, u)
             for v in range(b.num_vertices):
                 seg = geodesic_between(b, u, v)
-                assert seg.length == dist[v] == b.distance(u, v)
+                assert len(seg) - 1 == dist[v] == b.distance(u, v)
                 # injective, consecutive entries adjacent
-                assert len(set(seg.vertices)) == len(seg.vertices)
-                for x, y in zip(seg.vertices, seg.vertices[1:]):
+                assert len(set(seg)) == len(seg)
+                for x, y in zip(seg, seg[1:]):
                     assert (min(x, y), max(x, y)) in set(b.edges)
+
+    @pytest.mark.parametrize("q,radius", [(2, 4), (3, 3)])
+    def test_meet_matches_ancestor_oracle(self, q, radius):
+        """The deepest common ancestor found by walking v's parents up to the
+        first ancestor of u, with parents read off the edge list."""
+        b = ball(q, radius)
+        parent = {c: p for p, c in b.edges}
+
+        def ancestors(x):
+            out = [x]
+            while out[-1] in parent:
+                out.append(parent[out[-1]])
+            return out
+
+        for u in range(b.num_vertices):
+            above_u = set(ancestors(u))
+            for v in range(b.num_vertices):
+                assert b.meet(u, v) == next(x for x in ancestors(v) if x in above_u)
 
     def test_meet_depth_identity(self):
         b = ball(2, 3)
@@ -149,8 +167,8 @@ class TestOrientedDiameters:
         leaves = set(ball22.leaves)
         seen = set()
         for seg in enumerate_oriented_diameters(ball22):
-            assert seg.vertices[0] in leaves and seg.vertices[-1] in leaves
-            seen.add((seg.vertices[0], seg.vertices[-1]))
+            assert seg[0] in leaves and seg[-1] in leaves
+            seen.add((seg[0], seg[-1]))
         assert len(seen) == 30
 
     @pytest.mark.parametrize("q,radius", [(2, 4), (3, 3), (4, 2)])
@@ -189,7 +207,7 @@ def pairwise_hull(b, vertex_ids):
     hull = set()
     for u in vertex_ids:
         for v in vertex_ids:
-            hull.update(geodesic_between(b, u, v).vertices)
+            hull.update(geodesic_between(b, u, v))
     return hull
 
 
@@ -349,3 +367,22 @@ class TestPins:
 
     def test_tree_layer_digest(self):
         assert tree_layer_digest() == self.DIGEST
+
+
+class TestChildrenTable:
+    @pytest.mark.parametrize("q,radius", PIN_BALLS)
+    def test_runs_of_deeper_neighbours(self, q, radius):
+        """children[v] is one run of consecutive ids, the neighbours of v one
+        level deeper in increasing order, and its i-th entry has v's
+        address extended by label i."""
+        b = ball(q, radius)
+        assert len(b.children) == b.num_vertices
+        for v, children in enumerate(b.children):
+            deeper = [w for w in b.adjacency[v] if b.depths[w] == b.depths[v] + 1]
+            assert list(children) == deeper == sorted(deeper)
+            if children:
+                assert list(children) == list(range(children[0], children[-1] + 1))
+            else:
+                assert b.is_leaf(v)
+            for i, c in enumerate(children):
+                assert b.addresses[c] == b.addresses[v] + (i,)
