@@ -88,6 +88,9 @@ OTHER_COMMANDS = [
     "check gamma0 --matrix 1,2;4,3 --n 1 --p 2",
     "check euler --q 2 --radius 2 --k 1 --output report.json",
     "check euler --q 2 --radius 5 --k 1",
+    "check euler --q 3 --radius 4 --k 2",
+    "check euler --q 2 --radius 6 --k 1",
+    "check euler --q 2 --radius 7 --k 1",
     "check exactness --q 3 --radius 4 --k 0 --margin 0 --scan",
     "check exactness --q 2 --radius 5 --k 1 --margin 3",
     "check exactness --q 3 --radius 4 --k 0 --margin 2",
