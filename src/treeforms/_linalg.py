@@ -3,7 +3,13 @@
 Rows are dicts {column: value} with no stored zeros; a value is an
 ``int`` or a ``Fraction``.  Everything here is deterministic: pivots are
 chosen as the smallest column index of each reduced row, and input order
-fixes the elimination order.
+fixes the elimination order.  The reduced echelon form, and so every
+answer, does not depend on that order; only the work does.  Incidence
+rows taken in edge-id order are each reduced along a chain of two-entry
+pivot rows, and ``deepest_first`` (rows by descending largest column)
+keeps those chains short.  ``solve`` eliminates its equations
+deepest-first and returns its solution keyed in increasing column
+order; the callers that rank graph-local rows pass them in that order.
 
 During elimination integral entries are held as Python ints: an
 integral ``Fraction`` is taken in as its numerator, and a pivot row is
@@ -79,6 +85,12 @@ class Eliminator:
         return len(self.pivots)
 
 
+def deepest_first(rows: list[Row]) -> list[int]:
+    """Indices of the rows by descending largest column, ties in input
+    order (an empty row counts as the shallowest)."""
+    return sorted(range(len(rows)), key=lambda i: -max(rows[i], default=-1))
+
+
 def rank_of_rows(rows) -> int:
     """Rank of the span of the given sparse rows."""
     elim = Eliminator()
@@ -137,16 +149,19 @@ def solve(rows, rhs, ncols: int) -> Row | None:
     Works on the homogenized system (x, 1): each equation row.x = b is
     stored as row.x - L b = 0 with the constant in an extra last column,
     where L is the lcm of the denominators of rhs, so that column is
-    integral.  Free variables are set to zero.
+    integral.  Free variables are set to zero.  The equations are
+    eliminated in ``deepest_first`` order of their rows, and the solution
+    is keyed in increasing column order, so neither depends on the order
+    of the input.
     """
-    rhs = list(rhs)
+    rows, rhs = list(rows), list(rhs)
     scale = lcm(*(b.denominator for b in rhs))
     aug_col = ncols
     elim = Eliminator()
-    for row, b in zip(rows, rhs):
-        r = dict(row)
+    for i in deepest_first(rows):
+        r, b = dict(rows[i]), rhs[i]
         if b:
-            r[aug_col] = -b * scale
+            r[aug_col] = -b.numerator * (scale // b.denominator)
         elim.insert(r)
     if aug_col in elim.pivots:
         return None
@@ -154,8 +169,8 @@ def solve(rows, rhs, ncols: int) -> Row | None:
     # Pivot row now reads x_j + (free terms) + c / L = 0; with free vars at
     # zero the solution is x_j = -c / L.
     sol: Row = {}
-    for j, row in pivots.items():
-        c = row.get(aug_col)
+    for j in sorted(pivots):
+        c = pivots[j].get(aug_col)
         if c:
             sol[j] = Fraction(-c, scale)
     return sol

@@ -18,9 +18,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from ._linalg import rank_of_rows
 from .cochains import (Cochain, adjoint, coboundary, h1c_dimension,
-                       harmonic_space, incidence_rows, pairing)
+                       harmonic_space, incidence_rank, pairing)
 from .padic import (GroupElement, embed_ball, fixes_path_pointwise, in_gamma0,
                     sample_gamma0, sample_with_exact_lower_valuation,
                     stabilizer_transitivity_check, standard_path, tree_distance)
@@ -62,7 +61,7 @@ def check_euler(q: int, radius: int, k: int) -> tuple[bool, dict]:
     h1 = h1c_dimension(pg)
     not_harmonic = sum(1 for w in basis if not adjoint(pg, w).is_zero())
     in_ker_d = all(comp_of[h] == comp_of[t] for h, t in zip(pg.head, pg.tail))
-    witness = rank_of_rows(incidence_rows(pg)) if in_ker_d else None
+    witness = incidence_rank(pg) if in_ker_d else None
     passed = (len(basis) == euler == h1 and not_harmonic == 0
               and witness == pg.num_vertices - ncomp)
     return passed, {

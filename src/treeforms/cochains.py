@@ -216,17 +216,24 @@ def incidence_rows(pg: PathGraph):
         yield {pg.head[a]: ONE, pg.tail[a]: -ONE}
 
 
+def incidence_rank(pg: PathGraph) -> int:
+    """rank(d) by exact elimination of the incidence rows, taken
+    deepest-first (``_linalg.deepest_first``); no forest is used."""
+    rows = list(incidence_rows(pg))
+    return _linalg.rank_of_rows(rows[i] for i in _linalg.deepest_first(rows))
+
+
 def coboundary_rank(pg: PathGraph) -> int:
     """rank(d), certified by a spanning forest, with exact elimination as
     the fallback.
 
     ``_forest_rank`` checks the breadth-first forest's facts and proves
-    rank(d) = V - #roots from them.  When a check fails, the exact rank
-    of the incidence rows decides.
+    rank(d) = V - #roots from them.  When a check fails,
+    ``incidence_rank`` decides.
     """
     rank = _forest_rank(SpanningForest(pg))
     if rank is None:
-        return _linalg.rank_of_rows(incidence_rows(pg))
+        return incidence_rank(pg)
     return rank
 
 

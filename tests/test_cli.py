@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -307,3 +311,14 @@ class TestInternalError:
         assert out == ""
         assert err == ("treeforms: internal error: ValueError: "
                        "interior rows out of range\n")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "treeforms", "check", "gamma0",
+                           "--matrix", "1,2;4,3", "--n", "1", "--p", "2"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["passed"] is True

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import tower
 from treeforms import _linalg
-from treeforms.cochains import incidence_rows
+from treeforms.cochains import incidence_rank, incidence_rows
+from treeforms.tower import num_components
 
 
 def dense_rref_rank(matrix):
@@ -220,6 +221,15 @@ def same(got, want):
     assert all(type(x) is Fraction for x in got.values())
 
 
+def same_solution(got, want):
+    """Equal values, every value a Fraction, keys in increasing column
+    order (``solve`` eliminates deepest-first, so the oracle's pivot
+    creation order is not its key order)."""
+    assert got == want
+    assert all(type(x) is Fraction for x in got.values())
+    assert list(got) == sorted(got)
+
+
 # Unit and non-unit pivots, held both as int and as Fraction.
 ENTRIES = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-1), Fraction(3),
                            Fraction(-2, 3), Fraction(4, 1)])
@@ -288,7 +298,7 @@ class TestAgainstFractionOracle:
         want = oracle_solve(rows, rhs, ncols)
         assert (got is None) == (want is None)
         if want is not None:
-            same(got, want)
+            same_solution(got, want)
             assert apply(rows, got) == rhs
 
     @settings(max_examples=100, deadline=None)
@@ -299,7 +309,7 @@ class TestAgainstFractionOracle:
         rhs = apply(rows, x)
         got = _linalg.solve(rows, rhs, ncols)
         assert got is not None
-        same(got, oracle_solve(rows, rhs, ncols))
+        same_solution(got, oracle_solve(rows, rhs, ncols))
         # Repeating an equation with its right-hand side moved by 1/2
         # makes the system inconsistent.
         rows = rows + [rows[0] if rows else {}]
@@ -330,5 +340,42 @@ class TestAgainstFractionOracle:
                 want = oracle_solve(rows, rhs, pg.num_vertices)
                 assert (got is None) == (want is None)
                 if want is not None:
-                    same(got, want)
+                    same_solution(got, want)
             assert _linalg.solve(rows, consistent, pg.num_vertices) is not None
+
+
+class TestDeepestFirst:
+    def test_order(self):
+        rows = [{0: 1}, {}, {1: 1, 4: 2}, {3: 1}, {4: -1}]
+        assert _linalg.deepest_first(rows) == [2, 4, 3, 0, 1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(system=systems(), data=st.data())
+    def test_solve_ignores_equation_order(self, system, data):
+        rows, ncols = system
+        if data.draw(st.booleans()):
+            rhs = apply(rows, data.draw(st.dictionaries(st.integers(0, ncols - 1), RHS)))
+        else:
+            rhs = data.draw(st.lists(RHS, min_size=len(rows), max_size=len(rows)))
+        perm = data.draw(st.permutations(range(len(rows))))
+        got = _linalg.solve(rows, rhs, ncols)
+        shuffled = _linalg.solve([rows[i] for i in perm], [rhs[i] for i in perm], ncols)
+        assert (got is None) == (shuffled is None)
+        if got is not None:
+            assert list(shuffled.items()) == list(got.items())
+
+    @settings(max_examples=150, deadline=None)
+    @given(system=systems())
+    def test_rank_of_deepest_first_rows(self, system):
+        rows = system[0]
+        deep = [rows[i] for i in _linalg.deepest_first(rows)]
+        assert _linalg.rank_of_rows(deep) == _linalg.rank_of_rows(rows) == len(oracle_rref(rows))
+
+    @pytest.mark.parametrize("q,radius", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
+                                          (3, 1), (3, 2), (3, 3)])
+    def test_incidence_rank(self, q, radius):
+        for k in range(4):
+            pg = tower(q, radius, k)
+            rank = incidence_rank(pg)
+            assert rank == pg.num_vertices - num_components(pg)
+            assert rank == len(oracle_rref(incidence_rows(pg)))
