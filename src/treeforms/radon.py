@@ -296,8 +296,8 @@ def _subspace_dims(rows, image, ncols: int) -> tuple[int, int, bool]:
     """(dim K, dim im d, im d = K) for K the kernel of the integer rows on
     ncols columns and image the integer coboundaries d1_s in those columns.
 
-    Both dimensions are exact ranks (``_linalg.rank_of_rows``); the
-    graph-local image rows are taken ``_linalg.deepest_first``.  The
+    Both dimensions are exact ranks (``_linalg.rank_of_rows``), with the
+    graph-local image rows in ``_linalg.deepest_first`` order.  The
     spaces are equal when the dimensions are and im d lies in K, that is,
     when every row annihilates every d1_s, which is checked exactly.
     """
