@@ -82,6 +82,12 @@ OTHER_COMMANDS = [
     "check span --q 2 --radius 2",
     "check span --q 2 --radius 3",
     "check span --q 3 --radius 2",
+    "check span --q 2 --radius 1",
+    "check span --q 3 --radius 1",
+    "check span --q 4 --radius 2",
+    "check span --q 2 --radius 4",
+    "check span --q 3 --radius 3",
+    "check span --q 2 --radius 5",
     "check gamma0 --p 2 --n 1 --matrix 1,0;2,1",
     "check gamma0 --p 2 --n 2 --matrix 1,0;2,1",
     "check gamma0 --p 2 --n 0 --matrix 1/3,0;0,1/3",
