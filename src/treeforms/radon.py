@@ -536,14 +536,52 @@ def span_check(pgs: list[PathGraph], diameters: list[tuple[int, ...]]) -> bool:
     given levels span all functions on the oriented-diameter set?
 
     Edge a's row is the indicator of the diameters whose apartments pass
-    through a, read off the family's edge index in edge id order."""
+    through a, read off the family's edge index ``_through``.  Two sound
+    certificates come before any elimination:
+
+    - Not spanning: the rank is at most the number of rows, one per edge.
+      Level 0 alone has 2(V - 1) edges against L(L - 1) diameters, fewer
+      in every ball but q = 2, R = 1, where both are 6.
+    - Spanning: a diameter D with n vertices is itself an edge of level
+      n - 2.  When that edge's apartment list is exactly D's apartment,
+      its row is D's unit vector, and when every diameter has such a row
+      they span.  A leaf-to-leaf geodesic lies in no other one, so with
+      every level up to 2R - 1 each diameter of the ball has its unit row.
+
+    When neither decides, every row is eliminated exactly, deepest-first
+    (``_linalg.deepest_first``), stopping at full rank.
+    """
     ndiam = len(diameters)
+    if sum(pg.num_edges for pg in pgs) < ndiam:
+        return False
     key_to_index = {seq: i for i, seq in enumerate(diameters)}
-    elim = _linalg.Eliminator()
+    families: dict[PathGraph, tuple[list[list[int]], list[int]]] = {}
+
+    def family(pg):
+        """The family's edge index, and each apartment's diameter index."""
+        if pg not in families:
+            aps = induced_apartments(pg, diameters)
+            families[pg] = aps._through, [key_to_index[ap.base] for ap in aps]
+        return families[pg]
+
+    by_level = {pg.k: pg for pg in pgs}
+
+    def unit_row(c: int, seq: tuple[int, ...]) -> bool:
+        pg = by_level.get(len(seq) - 2)
+        if pg is None:
+            return False
+        through, index = family(pg)
+        ids = through[pg.edge_index[seq]]
+        return len(ids) == 1 and index[ids[0]] == c
+
+    if all(unit_row(c, seq) for c, seq in enumerate(diameters)):
+        return True
+    rows = []
     for pg in pgs:
-        aps = induced_apartments(pg, diameters)
-        index = [key_to_index[ap.base] for ap in aps]
-        for ids in aps._through:
-            if ids and elim.insert({index[i]: 1 for i in ids}) and elim.rank == ndiam:
-                return True
-    return elim.rank == ndiam
+        through, index = family(pg)
+        rows += [{index[i]: 1 for i in ids} for ids in through if ids]
+    elim = _linalg.Eliminator()
+    for i in _linalg.deepest_first(rows):
+        if elim.insert(rows[i]) and elim.rank == ndiam:
+            return True
+    return False

@@ -296,8 +296,14 @@ def test_criterion_12_span_of_characteristic_functions():
     pgs = [tower(2, 2, k) for k in range(4)]
     full = span_check(pgs, diams)
     only0 = span_check(pgs[:1], diams)
-    ok = full and not only0
+    larger = {}
+    for q, radius in ((2, 3), (2, 4), (3, 2), (3, 3)):
+        d = enumerate_oriented_diameters(ball(q, radius))
+        levels = [tower(q, radius, k) for k in range(2 * radius)]
+        larger[q, radius] = (span_check(levels, d), span_check(levels[:1], d))
+    ok = full and not only0 and all(v == (True, False) for v in larger.values())
     announce(12, "characteristic functions span at K=2R-1, not at K=0", ok,
-             f"{len(diams)} oriented diameters")
+             f"{len(diams)} oriented diameters at q2-R2; also q2 R3-4, q3 R2-3")
     assert full is True
     assert only0 is False
+    assert larger == dict.fromkeys(larger, (True, False))

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treeforms import _linalg, radon
+from treeforms import _linalg, checks, radon
 from treeforms.cochains import Cochain, coboundary
 from treeforms.radon import (ApartmentFamily, MarginError, PathDependenceError,
                              WalkWithSigns, enlarged_support,
@@ -23,7 +23,7 @@ from treeforms.tree import (TreeParams, build_ball,
                             enumerate_oriented_diameters, geodesic_between)
 
 from conftest import apartments, ball, tower
-from test_linalg import oracle_nullspace, oracle_rref, spans_same_space
+from test_linalg import FractionEliminator, oracle_nullspace, oracle_rref, spans_same_space
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -759,3 +759,121 @@ class TestSpan:
         assert len(payload) == 30
         assert all(set(entry) == {"id", "leaf_from", "leaf_to", "induced_edges"}
                    for entry in payload)
+
+
+def oracle_span(pgs, diameters):
+    """The elimination-only verdict: every edge's row, built from the
+    apartments' own edge lists, through the all-Fraction eliminator.
+    Levels go deepest first, where rows are short, and stop at full rank."""
+    col = {seq: i for i, seq in enumerate(diameters)}
+    elim = FractionEliminator()
+    for pg in sorted(pgs, key=lambda pg: -pg.k):
+        rows = [{} for _ in range(pg.num_edges)]
+        for ap in induced_apartments(pg, diameters):
+            for a in ap.edges:
+                rows[a][col[ap.base]] = ONE
+        for row in rows:
+            if row and elim.insert(row) and len(elim.pivots) == len(diameters):
+                return True
+    return len(elim.pivots) == len(diameters)
+
+
+# Where the oracle stays cheap; q4-R3 and q5-R3 (6320 and 22350
+# diameters) take about a second per oracle call and more.
+SPAN_GRID = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+             (4, 1), (4, 2), (5, 1), (5, 2)]
+
+# Level subsets that neither certificate decides: too many edges to rule
+# out, and some diameter's own level missing.  At q2-R1 level 0 has as
+# many edges as there are diameters, 6.
+FALLBACK_CASES = [(2, 1, (0,), False), (2, 2, (0, 1, 2), False), (2, 2, (0, 3), True),
+                  (2, 2, (0, 2, 3), True), (3, 2, (0, 2, 3), False),
+                  (2, 3, (0, 3, 5), True), (2, 3, (0, 1, 2, 3, 4), False)]
+
+
+@st.composite
+def level_lists(draw):
+    """A grid instance and distinct levels from 0..2R-1."""
+    q, radius = draw(st.sampled_from(SPAN_GRID))
+    levels = draw(st.lists(st.integers(0, 2 * radius - 1), unique=True,
+                           max_size=2 * radius))
+    return q, radius, levels
+
+
+def span_inputs(q, radius, levels):
+    return ([tower(q, radius, k) for k in levels],
+            enumerate_oriented_diameters(ball(q, radius)))
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """How many eliminators ``span_check`` has made so far."""
+    made = []
+
+    class Counting(_linalg.Eliminator):
+        def __init__(self):
+            made.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(_linalg, "Eliminator", Counting)
+    return made
+
+
+class TestSpanCertificates:
+    @pytest.mark.parametrize("q, radius", SPAN_GRID)
+    def test_named_subsets_match_oracle(self, q, radius):
+        top = 2 * radius
+        for levels in (range(top), [0], range(1, top, 2), range(0, top, 2)):
+            pgs, diams = span_inputs(q, radius, levels)
+            assert span_check(pgs, diams) == oracle_span(pgs, diams), list(levels)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=level_lists())
+    def test_random_subsets_match_oracle(self, case):
+        pgs, diams = span_inputs(*case)
+        assert span_check(pgs, diams) == oracle_span(pgs, diams)
+
+    def test_repeated_diameter_never_spans(self):
+        """Both copies of a diameter share every row, so the copy's own
+        level-(n - 2) row is not a unit row."""
+        pgs, diams = span_inputs(2, 2, range(4))
+        assert span_check(pgs, diams + [diams[0]]) is False
+        assert span_check(pgs, [diams[0]] * 2) is False
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), inst=st.sampled_from([(2, 2), (3, 2), (2, 3)]))
+    def test_other_geodesics_match_oracle(self, data, inst):
+        """Geodesics between any distinct vertices, repeats allowed: a
+        short one can lie inside a longer one."""
+        q, radius = inst
+        b = ball(q, radius)
+        pair = st.tuples(st.integers(0, b.num_vertices - 1),
+                         st.integers(0, b.num_vertices - 1)).filter(lambda p: p[0] != p[1])
+        geos = [geodesic_between(b, u, v) for u, v in data.draw(st.lists(pair, max_size=12))]
+        levels = data.draw(st.lists(st.integers(0, 2 * radius - 1), unique=True))
+        pgs = [tower(q, radius, k) for k in levels]
+        assert span_check(pgs, geos) == oracle_span(pgs, geos)
+
+    @pytest.mark.parametrize("q, radius, levels, verdict", FALLBACK_CASES)
+    def test_fallback_cases(self, eliminations, q, radius, levels, verdict):
+        pgs, diams = span_inputs(q, radius, levels)
+        assert span_check(pgs, diams) is verdict
+        assert len(eliminations) == 1
+        assert oracle_span(pgs, diams) is verdict
+
+    @pytest.mark.parametrize("q, radius", [x for x in SPAN_GRID if x != (2, 1)]
+                             + [(4, 3), (5, 3)])
+    def test_check_span_needs_no_elimination(self, monkeypatch, q, radius):
+        def refuse():
+            raise AssertionError("a certificate should have decided")
+
+        monkeypatch.setattr(_linalg, "Eliminator", refuse)
+        passed, report = checks.check_span(q, radius)
+        assert passed and report["spans_at_K"] and not report["spans_at_0"]
+
+    @pytest.mark.parametrize("q, radius, levels, verdict", FALLBACK_CASES)
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_fallback_ignores_level_order(self, q, radius, levels, verdict, data):
+        order = data.draw(st.permutations(levels))
+        assert span_check(*span_inputs(q, radius, order)) is verdict
