@@ -795,8 +795,7 @@ FALLBACK_CASES = [(2, 1, (0,), False), (2, 2, (0, 1, 2), False), (2, 2, (0, 3), 
 def level_lists(draw):
     """A grid instance and distinct levels from 0..2R-1."""
     q, radius = draw(st.sampled_from(SPAN_GRID))
-    levels = draw(st.lists(st.integers(0, 2 * radius - 1), unique=True,
-                           max_size=2 * radius))
+    levels = draw(st.lists(st.integers(0, 2 * radius - 1), unique=True))
     return q, radius, levels
 
 
@@ -861,6 +860,7 @@ class TestSpanCertificates:
         assert len(eliminations) == 1
         assert oracle_span(pgs, diams) is verdict
 
+    # q2-R1's spans_at_0 is the first of FALLBACK_CASES.
     @pytest.mark.parametrize("q, radius", [x for x in SPAN_GRID if x != (2, 1)]
                              + [(4, 3), (5, 3)])
     def test_check_span_needs_no_elimination(self, monkeypatch, q, radius):
