@@ -16,6 +16,7 @@ is recovered in the leaf-avoiding scope.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 from .cochains import (Cochain, adjoint, coboundary, h1c_dimension,
@@ -30,8 +31,6 @@ from .radon import (MarginError, PathDependenceError, enlarged_support, exactnes
 from .tower import PathGraph, apply_automorphism, build_path_graph, component_roots
 from .tree import (TreeParams, build_ball, enumerate_oriented_diameters,
                    random_automorphism)
-
-ZERO = Fraction(0)
 
 
 def _random_sparse(rng: random.Random, level: int, ids, size: int) -> Cochain:
@@ -104,14 +103,10 @@ def check_radon_d(q: int, radius: int, k: int, seed: int, samples: int = 100) ->
     for ap in aps:
         ends_at.setdefault(pg.head[ap.edges[-1]], []).append(ap.id)
         starts_at.setdefault(pg.tail[ap.edges[0]], []).append(ap.id)
-    one = Fraction(1)
     for s in range(pg.num_vertices):
         image = radon_transform(pg, aps, coboundary(pg, Cochain.indicator(0, s)))
-        predicted: dict[int, Fraction] = {}
-        for i in ends_at.get(s, ()):
-            predicted[i] = predicted.get(i, ZERO) + one
-        for i in starts_at.get(s, ()):
-            predicted[i] = predicted.get(i, ZERO) - one
+        predicted = Counter(ends_at.get(s, ()))
+        predicted.subtract(starts_at.get(s, ()))
         predicted = {i: v for i, v in predicted.items() if v}
         if s in inner and predicted:
             failures.append({"vertex": s, "kind": "interior vertex is an apartment end"})
@@ -205,32 +200,25 @@ def check_primitive(q: int, radius: int, k: int, margin: int) -> tuple[bool, dic
 
 
 def check_equivariance(q: int, radius: int, k: int, seed: int,
-                       automorphisms: int = 20) -> tuple[bool, dict]:
-    """d, d*, and the transform commute with seeded ball automorphisms;
-    head/tail maps (hence all incidence numbers) are preserved."""
+                       samples: int = 20) -> tuple[bool, dict]:
+    """d, d*, and the transform commute with `samples` seeded ball
+    automorphisms; head/tail maps (hence all incidence numbers) are
+    preserved."""
     pg = _tower(q, radius, k)
     aps = interior_family(pg, 0)
     base_of = {ap.base: ap.id for ap in aps}
     rng = random.Random(seed)
     failures = []
-    for i in range(automorphisms):
+    for i in range(samples):
         g = random_automorphism(pg.ball, seed + 7 * i)
         vmap, emap = apply_automorphism(pg, g)
         for a in range(pg.num_edges):
             if pg.head[emap[a]] != vmap[pg.head[a]] or pg.tail[emap[a]] != vmap[pg.tail[a]]:
                 failures.append({"auto": i, "kind": "incidence", "edge": a})
                 break
-        ap_perm = {}
-        ok = True
-        for ap in aps:
-            image = tuple(g.perm[v] for v in ap.base)
-            j = base_of.get(image)
-            if j is None:
-                failures.append({"auto": i, "kind": "apartment image missing"})
-                ok = False
-                break
-            ap_perm[ap.id] = j
-        if not ok:
+        ap_perm = {ap.id: base_of.get(tuple(g.perm[v] for v in ap.base)) for ap in aps}
+        if None in ap_perm.values():
+            failures.append({"auto": i, "kind": "apartment image missing"})
             continue
         for _ in range(3):
             f = _random_sparse(rng, 0, range(pg.num_vertices), 4)
@@ -246,7 +234,7 @@ def check_equivariance(q: int, radius: int, k: int, seed: int,
                 failures.append({"auto": i, "kind": "radon"})
     passed = not failures
     return passed, {"suite": "equivariance", "q": q, "R": radius, "k": k,
-                    "automorphisms": automorphisms, "failures": failures[:5],
+                    "automorphisms": samples, "failures": failures[:5],
                     "passed": passed}
 
 
@@ -264,43 +252,40 @@ def check_padic(p: int, radius: int) -> tuple[bool, dict]:
 
 
 def check_stabilizer(p: int, n: int, samples: int = 200, seed: int = 0,
-                     modulus_exp: int = 6) -> tuple[bool, dict]:
-    """Sampled congruence-subgroup elements of level n+1 fix the standard
-    (n+1)-path pointwise; elements with lower-left valuation exactly n
-    move it."""
+                     modulus: int = 6) -> tuple[bool, dict]:
+    """Sampled congruence-subgroup elements of level n+1, with entries
+    modulo p^modulus, fix the standard (n+1)-path pointwise; elements with
+    lower-left valuation exactly n move it."""
     emb = embed_ball(p, n + 1)
     path = standard_path(emb, n)
-    fixers = sample_gamma0(p, n + 1, modulus_exp, samples, seed)
+    fixers = sample_gamma0(p, n + 1, modulus, samples, seed)
     moved = [g for g in fixers if not fixes_path_pointwise(g, emb, path)]
-    movers = sample_with_exact_lower_valuation(p, n, modulus_exp, max(20, samples // 10), seed + 1)
+    movers = sample_with_exact_lower_valuation(p, n, modulus, max(20, samples // 10), seed + 1)
     somebody_moved = any(not fixes_path_pointwise(g, emb, path) for g in movers)
     passed = not moved and somebody_moved
     return passed, {"suite": "stabilizer", "p": p, "n": n, "samples": samples,
-                    "modulus_exp": modulus_exp,
+                    "modulus_exp": modulus,
                     "fixers_that_moved": len(moved),
                     "boundary_mover_found": somebody_moved, "passed": passed}
 
 
 def check_transitivity(p: int) -> tuple[bool, dict]:
     """Stabilizer orbit coverage on the root 0-path and the standard
-    interior 1-path (positive certificates via unit-lift enumeration)."""
-    emb2 = embed_ball(p, 2)
-    pg0 = build_path_graph(emb2.ball, 0)
-    s0 = pg0.vert_index[(0,)]
-    r_plus, r_minus = (stabilizer_transitivity_check(emb2, pg0, s0, side, 2) for side in "+-")
-
-    emb3 = embed_ball(p, 3)
-    pg1 = build_path_graph(emb3.ball, 1)
-    s1 = pg1.vert_index[standard_path(emb3, 0)]
-    t_plus, t_minus = (stabilizer_transitivity_check(emb3, pg1, s1, side, 3) for side in "+-")
-
-    results = [r_plus, r_minus, t_plus, t_minus]
+    interior 1-path (positive certificates via unit-lift enumeration).
+    The standard k-path is ``standard_path(emb, k - 1)``, (root,) at k = 0,
+    checked on the radius-(k+2) ball."""
+    sides = {}
+    for name, k in (("root_0path", 0), ("standard_1path", 1)):
+        emb = embed_ball(p, k + 2)
+        pg = build_path_graph(emb.ball, k)
+        s = pg.vert_index[standard_path(emb, k - 1)]
+        sides[name] = [stabilizer_transitivity_check(emb, pg, s, side, k + 2) for side in "+-"]
+    results = [r for pair in sides.values() for r in pair]
     passed = all(r.covered for r in results)
-    conclusive = all(r.conclusive for r in results)
     return passed, {"suite": "transitivity", "p": p,
-                    "root_0path": {"plus": r_plus.covered, "minus": r_minus.covered},
-                    "standard_1path": {"plus": t_plus.covered, "minus": t_minus.covered},
-                    "conclusive": conclusive, "passed": passed}
+                    **{name: {"plus": plus.covered, "minus": minus.covered}
+                       for name, (plus, minus) in sides.items()},
+                    "conclusive": all(r.conclusive for r in results), "passed": passed}
 
 
 def check_span(q: int, radius: int) -> tuple[bool, dict]:

@@ -16,6 +16,7 @@ TREEFORMS_OUTDIR sets the default output directory for exports.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -28,26 +29,22 @@ from .radon import interior_family
 from .tower import build_path_graph, num_components
 from .tree import TreeParams, build_ball
 
-# suite -> the run parameters its checks.check_<suite> takes, by keyword.
-# Each is read from the flag of the same name, or the one _FLAG names; a
-# flag left unset (--samples omitted) is not passed, so the suite's own
-# default applies.  The pre-flight checks the flags a suite reads and
-# refuses any other check flag but --output.
-SUITES = {
-    "euler": ("q", "radius", "k"),
-    "adjoint": ("q", "radius", "k", "seed", "samples"),
-    "radon-d": ("q", "radius", "k", "seed", "samples"),
-    "exactness": ("q", "radius", "k", "margin", "scan"),
-    "loops": ("q", "radius", "k", "margin", "seed", "samples"),
-    "primitive": ("q", "radius", "k", "margin"),
-    "equivariance": ("q", "radius", "k", "seed", "automorphisms"),
-    "padic": ("p", "radius"),
-    "stabilizer": ("p", "n", "samples", "seed", "modulus_exp"),
-    "transitivity": ("p",),
-    "span": ("q", "radius"),
-    "gamma0": ("matrix", "n", "p"),
-}
-_FLAG = {"automorphisms": "samples", "modulus_exp": "modulus"}
+def _suite(name: str):
+    """checks.check_<name>, looked up per call, so that a replaced suite
+    function is the one run."""
+    return getattr(checks, "check_" + name.replace("-", "_"))
+
+
+# suite -> the run parameters of its checks.check_<suite>, which are also
+# its check flags (for equivariance, --samples counts the automorphisms).
+# Read once at import, so that a suite function replaced later is still
+# called with the same keywords.  A flag left unset (--samples omitted) is
+# not passed, so the suite's own default applies.  The pre-flight checks
+# the flags a suite reads and refuses any other check flag but --output.
+SUITES = {suite: tuple(inspect.signature(_suite(suite)).parameters)
+          for suite in ("euler", "adjoint", "radon-d", "exactness", "loops", "primitive",
+                        "equivariance", "padic", "stabilizer", "transitivity", "span",
+                        "gamma0")}
 
 
 def parse_matrix(text: str) -> GroupElement:
@@ -193,14 +190,14 @@ def _preflight(args) -> None:
             args.margin = args.k + 2
         if args.margin < 0:
             raise ValueError("margin must be >= 0")
-    if "modulus_exp" in params and args.modulus <= args.n + 1:
+    if "modulus" in params and args.modulus <= args.n + 1:
         raise ValueError(f"--modulus must be > --n + 1 = {args.n + 1}, got {args.modulus}")
     if "matrix" in params:
         if not args.matrix:
             raise ValueError("gamma0 requires --matrix")
         args.matrix = parse_matrix(args.matrix)
     if args.command == "check":
-        unread = sorted(args.given - {_FLAG.get(kw, kw) for kw in params})
+        unread = sorted(args.given - set(params))
         if unread:
             raise ValueError(f"check {args.suite} does not read "
                              + ", ".join("--" + flag for flag in unread))
@@ -224,10 +221,8 @@ def _cmd_tower(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    # Looked up per call, so that a replaced suite function is the one run.
-    suite = getattr(checks, "check_" + args.suite.replace("-", "_"))
-    run = {kw: getattr(args, _FLAG.get(kw, kw)) for kw in SUITES[args.suite]}
-    passed, report = suite(**{kw: value for kw, value in run.items() if value is not None})
+    run = {kw: value for kw in SUITES[args.suite] if (value := getattr(args, kw)) is not None}
+    passed, report = _suite(args.suite)(**run)
     text = json.dumps(report, sort_keys=True) + "\n"
     sys.stdout.write(text)
     if args.output:

@@ -39,7 +39,7 @@ from math import lcm
 from typing import NamedTuple
 
 from . import _linalg
-from .cochains import Cochain, coboundary, integrate, shared_fractions
+from .cochains import Cochain, _adjoint_rows, integrate, shared_fractions
 from .tower import PathGraph, SpanningForest, component_roots
 from .tree import convex_hull, enumerate_oriented_diameters
 
@@ -195,16 +195,18 @@ def radon_transform(pg: PathGraph, aps: ApartmentFamily, omega: Cochain) -> dict
     apartment through the family's edge index, and only the nonzero sums
     become Fractions (one shared object per distinct sum).  Keys appear in
     the order the apartments are first reached; an edge id outside the
-    path graph is a ValueError.
+    path graph, or a family built on another path graph, is a ValueError.
     """
     if omega.level != 1:
         raise ValueError("the transform applies to 1-cochains")
+    if aps.pg is not pg:
+        raise ValueError("the apartment family is built on another path graph")
     data = omega.data
     den = lcm(*(x.denominator for x in data.values()))
     through = aps._through
     sums: dict[int, int] = {}
     for a, x in data.items():
-        aps.pg.check_edge(a)
+        pg.check_edge(a)
         n = x.numerator * (den // x.denominator)
         for i in through[a]:
             sums[i] = sums.get(i, 0) + n
@@ -339,11 +341,9 @@ def exactness_check(pg: PathGraph, aps: ApartmentFamily, margin: int) -> Exactne
 
     rows = _kernel_rows(_row_family(pg, aps, margin), interior)
     col = {a: j for j, a in enumerate(interior)}
-    image = []
-    for s in int_verts:
-        # d1_s is integral and supported on interior edges.
-        df = coboundary(pg, Cochain.indicator(0, s))
-        image.append({col[a]: v.numerator for a, v in df.data.items()})
+    # d1_s is row s of d*, supported on interior edges.
+    dstar = _adjoint_rows(pg)
+    image = [{col[a]: v for a, v in dstar[s].items()} for s in int_verts]
     return report(*_subspace_dims(rows, image, len(interior)))
 
 

@@ -226,7 +226,7 @@ def test_criterion_08_equivariance():
     failures = []
     for (q, radius, k) in GRID:
         passed, report = check_equivariance(q, radius, k, seed=q * 31 + radius * 7 + k,
-                                            automorphisms=20)
+                                            samples=20)
         if not passed:
             failures.append(report)
     ok = not failures

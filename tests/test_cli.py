@@ -221,6 +221,40 @@ class TestValidArguments:
                             bad.append((argv, code, err))
         assert not bad, bad
 
+    def test_every_suite_on_a_bounded_grid(self, capsys):
+        """Each suite through main() on small sizes: empty stderr and exit 0,
+        except primitive at margin 0 wherever that margin leaves a kernel
+        element no base vertex outside its enlarged support (exit 1)."""
+        calls = []
+        for q, radius in ((2, 1), (2, 2), (3, 1), (3, 2)):
+            size = ("--q", str(q), "--radius", str(radius))
+            calls.append(("span", *size))
+            for k in range(2 * radius + 1):
+                sized = (*size, "--k", str(k))
+                calls += [(suite, *sized) for suite in ("euler", "adjoint", "radon-d",
+                                                        "equivariance")]
+                calls += [(suite, *sized, "--margin", str(margin))
+                          for suite in ("exactness", "loops", "primitive")
+                          for margin in (0, 1, 5)]
+        for p in ("2", "3", "5"):
+            calls += [("padic", "--p", p, "--radius", str(radius)) for radius in (1, 2)]
+            calls += [("stabilizer", "--p", p, "--n", str(n)) for n in (0, 1)]
+        calls += [("transitivity", "--p", p) for p in ("2", "3")]
+        calls += [("gamma0", "--matrix", matrix, "--n", n, "--p", p)
+                  for matrix, n, p in (("1,2;4,3", "1", "2"), ("1,0;0,1", "0", "3"),
+                                       ("1/2,1;9,2", "2", "3"))]
+        failing = {("primitive", "--q", str(q), "--radius", str(radius), "--k", str(k),
+                    "--margin", "0")
+                   for q in (2, 3) for radius, ks in ((1, (0,)), (2, (0, 1, 2))) for k in ks}
+        assert failing <= set(calls)
+        bad = []
+        with time_limit(60, "the bounded suite sweep"):
+            for call in calls:
+                code, _, err = run(capsys, "check", *call)
+                if (code, err) != (1 if call in failing else 0, ""):
+                    bad.append((call, code, err))
+        assert not bad, bad
+
 
 class TestSamplesAndN:
     """--samples and --n: the default only when omitted, bad values refused."""
@@ -280,8 +314,7 @@ class TestUnreadFlags:
         values = {"q": "2", "radius": "2", "k": "0", "margin": "2", "seed": "1",
                   "samples": "3", "p": "2", "n": "0", "modulus": "4", "matrix": "1,0;0,1"}
         argv = ["check", suite, "--output", "report.json"]
-        for kw in cli.SUITES[suite]:
-            flag = cli._FLAG.get(kw, kw)
+        for flag in cli.SUITES[suite]:
             argv += [f"--{flag}"] + ([values[flag]] if flag in values else [])
         cli._preflight(cli._build_parser().parse_args(argv))
 

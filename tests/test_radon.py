@@ -292,6 +292,16 @@ class TestIntegerTransform:
             with pytest.raises(ValueError):
                 radon_transform(pg, aps, Cochain(1, {0: ONE, bad: Fraction(1, 2)}))
 
+    def test_family_on_another_path_graph_rejected(self):
+        """A level-0 family with a level-1 cochain: edge 0 is an edge id at
+        both levels, so only the family's graph tells them apart."""
+        pg = tower(2, 2, 1)
+        aps = apartments(2, 2, 0)
+        with pytest.raises(ValueError, match="another path graph"):
+            radon_transform(pg, aps, Cochain.indicator(1, 0))
+        with pytest.raises(ValueError, match="another path graph"):
+            radon_transform(tower(2, 2, 0), apartments(2, 2, 1), Cochain.zero(1))
+
 
 class TestInterior:
     def test_interior_edges_small_margin(self):
