@@ -66,8 +66,11 @@ OTHER_COMMANDS = [
     "check adjoint --q 3 --radius 2 --k 0 --seed 5 --samples 7",
     "check radon-d --q 2 --radius 3 --k 1 --seed 7",
     "check radon-d --q 2 --radius 2 --k 4 --samples 3",
+    "check radon-d --q 2 --radius 6 --k 0 --seed 1",
     "check equivariance --q 2 --radius 2 --k 1",
     "check equivariance --q 3 --radius 2 --k 0 --seed 3 --samples 4",
+    "check equivariance --q 2 --radius 6 --k 0 --seed 1",
+    "check equivariance --q 3 --radius 4 --k 0 --seed 1",
     "check padic --p 2 --radius 3",
     "check padic --p 3 --radius 2",
     "check stabilizer --p 2 --n 1",
