@@ -13,7 +13,8 @@ denominators and sum integer numerators, and ``pairing`` sums products
 of numerators over the lcm of the products' denominators.
 ``shared_fractions`` turns the nonzero sums back into ``Fraction``s, so
 every value a cochain stores or an operator returns is still a
-``Fraction``.
+``Fraction``; a sum equal to one of the input's values is that input's
+own ``Fraction`` object.
 """
 
 from __future__ import annotations
@@ -100,10 +101,18 @@ def _check_support(pg: PathGraph, c: Cochain) -> None:
             raise ValueError(f"cochain support {i} outside the path graph")
 
 
-def shared_fractions(nums: dict[int, int], den: int) -> dict[int, Fraction]:
+def shared_fractions(nums: dict[int, int], den: int,
+                     own: dict[int, Fraction] | None = None) -> dict[int, Fraction]:
     """{i: n / den} for the nonzero integer numerators n, in nums' key
-    order, with one shared Fraction object per distinct value."""
-    shared: dict[int, Fraction] = {}
+    order, with one shared Fraction object per distinct value.
+
+    ``own`` maps numerators over ``den`` to the input cochain's Fractions
+    equal to them, as an operator collects them while it scales its input.
+    A value found there is that input's object, so where an output repeats
+    an input value it holds the input's object, and comparing two outputs
+    that share objects stops at the identity check.
+    """
+    shared = dict(own) if own else {}
     out: dict[int, Fraction] = {}
     for i, n in nums.items():
         if n:
@@ -122,14 +131,16 @@ def coboundary(pg: PathGraph, f: Cochain) -> Cochain:
     _check_support(pg, f)
     den = lcm(*(x.denominator for x in f.data.values()))
     into, out_of = pg.edges_into, pg.edges_out_of
+    own: dict[int, Fraction] = {}
     sums: dict[int, int] = {}
     for s, x in f.data.items():
         n = x.numerator * (den // x.denominator)
+        own[n] = x
         for a in into[s]:
             sums[a] = sums.get(a, 0) + n
         for a in out_of[s]:
             sums[a] = sums.get(a, 0) - n
-    return Cochain(1, shared_fractions(sums, den))
+    return Cochain(1, shared_fractions(sums, den, own))
 
 
 def adjoint(pg: PathGraph, omega: Cochain) -> Cochain:
@@ -140,13 +151,15 @@ def adjoint(pg: PathGraph, omega: Cochain) -> Cochain:
     _check_support(pg, omega)
     den = lcm(*(x.denominator for x in omega.data.values()))
     head, tail = pg.head, pg.tail
+    own: dict[int, Fraction] = {}
     sums: dict[int, int] = {}
     for a, x in omega.data.items():
         n = x.numerator * (den // x.denominator)
+        own[n] = x
         h, t = head[a], tail[a]
         sums[h] = sums.get(h, 0) + n
         sums[t] = sums.get(t, 0) - n
-    return Cochain(0, shared_fractions(sums, den))
+    return Cochain(0, shared_fractions(sums, den, own))
 
 
 def pairing(x: Cochain, y: Cochain) -> Fraction:
@@ -330,6 +343,7 @@ def integrate(pg: PathGraph, w: Cochain,
     # The walk runs in ints: w and f are put over the lcm of w's denominators.
     den = lcm(*(x.denominator for x in w.data.values()))
     wn = {a: x.numerator * (den // x.denominator) for a, x in w.data.items()}
+    own = dict(zip(wn.values(), w.data.values()))
     values: dict[int, int] = {}
     for s in forest.order:
         a = forest.parent_edge[s]
@@ -339,7 +353,7 @@ def integrate(pg: PathGraph, w: Cochain,
         u = tail[a] if head[a] == s else head[a]
         x = wn.get(a, 0)
         values[s] = values.get(u, 0) + (x if head[a] == s else -x)
-    f = Cochain(0, shared_fractions(values, den))
+    f = Cochain(0, shared_fractions(values, den, own))
     bad = next((a for a in range(pg.num_edges)
                 if values.get(head[a], 0) - values.get(tail[a], 0) != wn.get(a, 0)), None)
     if bad is None:

@@ -193,9 +193,11 @@ def radon_transform(pg: PathGraph, aps: ApartmentFamily, omega: Cochain) -> dict
     The sums are accumulated in Python ints: every value is put over the
     lcm of the cochain's denominators, the numerators are summed per
     apartment through the family's edge index, and only the nonzero sums
-    become Fractions (one shared object per distinct sum).  Keys appear in
-    the order the apartments are first reached; an edge id outside the
-    path graph, or a family built on another path graph, is a ValueError.
+    become Fractions (``shared_fractions``): a sum equal to one of the
+    cochain's values is that value's own object, and each other distinct
+    sum is one new shared object.  Keys appear in the order the
+    apartments are first reached; an edge id outside the path graph, or a
+    family built on another path graph, is a ValueError.
     """
     if omega.level != 1:
         raise ValueError("the transform applies to 1-cochains")
@@ -204,13 +206,18 @@ def radon_transform(pg: PathGraph, aps: ApartmentFamily, omega: Cochain) -> dict
     data = omega.data
     den = lcm(*(x.denominator for x in data.values()))
     through = aps._through
+    own: dict[int, Fraction] = {}
     sums: dict[int, int] = {}
     for a, x in data.items():
         pg.check_edge(a)
         n = x.numerator * (den // x.denominator)
+        own[n] = x
+        if not sums:  # the first edge that reaches an apartment starts the table
+            sums = dict.fromkeys(through[a], n)
+            continue
         for i in through[a]:
             sums[i] = sums.get(i, 0) + n
-    return shared_fractions(sums, den)
+    return shared_fractions(sums, den, own)
 
 
 # -- interior (truncation margin) --------------------------------------

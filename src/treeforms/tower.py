@@ -122,8 +122,9 @@ def apply_automorphism(pg: PathGraph, g: BallAutomorphism) -> tuple[list[int], l
     """
     if g.ball is not pg.ball:
         raise ValueError("automorphism belongs to a different ball")
-    vmap = [pg.vert_index[tuple(g.perm[v] for v in p)] for p in pg.verts]
-    emap = [pg.edge_index[tuple(g.perm[v] for v in e)] for e in pg.edges]
+    image = g.perm.__getitem__
+    vmap = [pg.vert_index[tuple(map(image, p))] for p in pg.verts]
+    emap = [pg.edge_index[tuple(map(image, e))] for e in pg.edges]
     return vmap, emap
 
 

@@ -577,6 +577,28 @@ class TestIntOperatorsAgainstFractionOracle:
         assert got[4] is got[7]
         assert all(type(x) is Fraction for x in got.values())
 
+    def test_shared_fractions_reuses_own_objects(self):
+        half, third, unused = Fraction(1, 2), Fraction(-1, 3), Fraction(5, 6)
+        own = {3: half, -2: third, 5: unused}
+        got = cochains.shared_fractions({4: 3, 1: 0, 2: -2, 7: 3, 0: 6, 9: 1}, 6, own)
+        assert list(got.items()) == [(4, half), (2, third), (7, half), (0, ONE),
+                                     (9, Fraction(1, 6))]
+        assert got[4] is half and got[7] is half and got[2] is third
+        assert not any(x is unused for x in got.values())
+        assert all(type(x) is Fraction for x in got.values())
+        assert own == {3: half, -2: third, 5: unused}
+
+    @settings(max_examples=100, deadline=None)
+    @given(inst=st.sampled_from(HARMONIC_GRID), data=st.data())
+    def test_outputs_equal_to_an_input_value_are_its_objects(self, inst, data):
+        pg = tower(*inst)
+        f = data.draw(vertex_cochains(pg))
+        w = data.draw(edge_cochains(pg))
+        df = coboundary(pg, f)
+        for given, out in ((f, df), (w, adjoint(pg, w)), (df, integrate(pg, df)[0])):
+            ids = {id(x) for x in given.data.values()}
+            assert all(id(x) in ids for x in out.data.values() if x in given.data.values())
+
     def test_cochain_keeps_fractions_and_converts_the_rest(self):
         half = Fraction(1, 2)
         c = Cochain(0, {3: half, 1: 2, 0: FractionSub(-1, 3), 5: 0, 6: ZERO,

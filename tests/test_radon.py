@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from treeforms import _linalg, checks, radon
 from treeforms.cochains import Cochain, coboundary
@@ -285,6 +285,24 @@ class TestIntegerTransform:
         assert list(image.items()) == list(_fraction_transform(aps, omega).items())
         assert all(type(v) is Fraction for v in image.values())
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), inst=st.sampled_from([(2, 2, 1), (2, 3, 0), (3, 2, 1), (2, 3, 2)]))
+    def test_apartment_through_one_support_edge_holds_its_object(self, data, inst):
+        """Each value is a new object, so `is` tells the cochain's own
+        value from an equal one the transform built."""
+        pg = tower(*inst)
+        aps = apartments(*inst)
+        fresh = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 7))
+        values = data.draw(st.dictionaries(st.integers(0, pg.num_edges - 1), fresh,
+                                           min_size=1, max_size=8))
+        assume(len(set(values.values())) == len(values))
+        omega = Cochain(1, values)
+        image = radon_transform(pg, aps, omega)
+        for ap in aps:
+            reached = [a for a in ap.edges if a in omega.data]
+            if len(reached) == 1:
+                assert image[ap.id] is omega.data[reached[0]]
+
     def test_out_of_range_edge_rejected(self):
         pg = tower(2, 2, 1)
         aps = apartments(2, 2, 1)
@@ -301,6 +319,52 @@ class TestIntegerTransform:
             radon_transform(pg, aps, Cochain.indicator(1, 0))
         with pytest.raises(ValueError, match="another path graph"):
             radon_transform(tower(2, 2, 0), apartments(2, 2, 1), Cochain.zero(1))
+
+
+def change_permuted(monkeypatch, name, position, change):
+    """Patch ``checks.<name>`` so that in each pair of calls, the one at
+    ``position`` (the call on the permuted cochain) has its first value
+    replaced by ``change(value)``.  Returns the list of changed keys."""
+    real = getattr(checks, name)
+    calls, changed = [], []
+
+    def patched(*args):
+        out = real(*args)
+        calls.append(None)
+        data = out.data if isinstance(out, Cochain) else out
+        if (len(calls) - 1) % 2 != position or not data:
+            return out
+        first = next(iter(data))
+        changed.append(first)
+        data = {**data, first: change(data[first])}
+        return Cochain(out.level, data) if isinstance(out, Cochain) else data
+
+    monkeypatch.setattr(checks, name, patched)
+    return changed
+
+
+# check_equivariance calls radon_transform on w, then on g.w, and
+# coboundary on g.f, then on f.
+PERMUTED_CALLS = [("radon_transform", 1, "radon"), ("coboundary", 0, "coboundary")]
+
+
+class TestEquivarianceCheck:
+    """The check compares values, so sharing objects cannot hide a
+    mismatch: an equal value in a new object passes, a changed one fails."""
+
+    @pytest.mark.parametrize("name, position", [call[:2] for call in PERMUTED_CALLS])
+    def test_equal_value_in_a_new_object_passes(self, monkeypatch, name, position):
+        changed = change_permuted(monkeypatch, name, position,
+                                  lambda x: Fraction(x.numerator, x.denominator))
+        passed, report = checks.check_equivariance(2, 3, 0, seed=1, samples=2)
+        assert changed and passed and report["failures"] == []
+
+    @pytest.mark.parametrize("name, position, kind", PERMUTED_CALLS)
+    def test_changed_value_fails(self, monkeypatch, name, position, kind):
+        changed = change_permuted(monkeypatch, name, position, lambda x: x + 1)
+        passed, report = checks.check_equivariance(2, 3, 0, seed=1, samples=2)
+        assert changed and not passed
+        assert {f["kind"] for f in report["failures"]} == {kind}
 
 
 class TestInterior:
