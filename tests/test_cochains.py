@@ -595,9 +595,9 @@ class TestIntOperatorsAgainstFractionOracle:
         f = data.draw(vertex_cochains(pg))
         w = data.draw(edge_cochains(pg))
         df = coboundary(pg, f)
-        for given, out in ((f, df), (w, adjoint(pg, w)), (df, integrate(pg, df)[0])):
-            ids = {id(x) for x in given.data.values()}
-            assert all(id(x) in ids for x in out.data.values() if x in given.data.values())
+        for source, out in ((f, df), (w, adjoint(pg, w)), (df, integrate(pg, df)[0])):
+            ids = {id(x) for x in source.data.values()}
+            assert all(id(x) in ids for x in out.data.values() if x in source.data.values())
 
     def test_cochain_keeps_fractions_and_converts_the_rest(self):
         half = Fraction(1, 2)
