@@ -13,8 +13,9 @@ denominators and sum integer numerators, and ``pairing`` sums products
 of numerators over the lcm of the products' denominators.
 ``shared_fractions`` turns the nonzero sums back into ``Fraction``s, so
 every value a cochain stores or an operator returns is still a
-``Fraction``; a sum equal to one of the input's values is that input's
-own ``Fraction`` object.
+``Fraction``; in ``coboundary`` and ``adjoint`` (and
+``radon.radon_transform``) a sum equal to one of the input's values is
+that input's own ``Fraction`` object.
 """
 
 from __future__ import annotations
@@ -110,9 +111,10 @@ def shared_fractions(nums: dict[int, int], den: int,
     equal to them, as an operator collects them while it scales its input.
     A value found there is that input's object, so where an output repeats
     an input value it holds the input's object, and comparing two outputs
-    that share objects stops at the identity check.
+    that share objects stops at the identity check.  The table is
+    consumed: the new Fractions are added to it.
     """
-    shared = dict(own) if own else {}
+    shared = {} if own is None else own
     out: dict[int, Fraction] = {}
     for i, n in nums.items():
         if n:
@@ -343,7 +345,6 @@ def integrate(pg: PathGraph, w: Cochain,
     # The walk runs in ints: w and f are put over the lcm of w's denominators.
     den = lcm(*(x.denominator for x in w.data.values()))
     wn = {a: x.numerator * (den // x.denominator) for a, x in w.data.items()}
-    own = dict(zip(wn.values(), w.data.values()))
     values: dict[int, int] = {}
     for s in forest.order:
         a = forest.parent_edge[s]
@@ -353,7 +354,7 @@ def integrate(pg: PathGraph, w: Cochain,
         u = tail[a] if head[a] == s else head[a]
         x = wn.get(a, 0)
         values[s] = values.get(u, 0) + (x if head[a] == s else -x)
-    f = Cochain(0, shared_fractions(values, den, own))
+    f = Cochain(0, shared_fractions(values, den))
     bad = next((a for a in range(pg.num_edges)
                 if values.get(head[a], 0) - values.get(tail[a], 0) != wn.get(a, 0)), None)
     if bad is None:

@@ -212,9 +212,6 @@ def radon_transform(pg: PathGraph, aps: ApartmentFamily, omega: Cochain) -> dict
         pg.check_edge(a)
         n = x.numerator * (den // x.denominator)
         own[n] = x
-        if not sums:  # the first edge that reaches an apartment starts the table
-            sums = dict.fromkeys(through[a], n)
-            continue
         for i in through[a]:
             sums[i] = sums.get(i, 0) + n
     return shared_fractions(sums, den, own)
