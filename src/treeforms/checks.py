@@ -199,6 +199,21 @@ def check_primitive(q: int, radius: int, k: int, margin: int) -> tuple[bool, dic
                     "kernel_dim": len(basis), "failures": failures[:5], "passed": passed}
 
 
+def _by_ends(aps) -> dict[tuple[int, int], int]:
+    """(first, last) base vertex -> id, for each apartment of the family."""
+    return {(ap.base[0], ap.base[-1]): ap.id for ap in aps}
+
+
+def _apartment_images(aps, by_ends: dict[tuple[int, int], int],
+                      g) -> dict[int, int | None]:
+    """id -> id of the image of each apartment under the ball automorphism
+    g, None where the image is not in the family.  A geodesic of a tree is
+    fixed by its ends, and g carries the geodesic x -> y onto g(x) -> g(y),
+    so the image is looked up by its ends in ``_by_ends(aps)``."""
+    perm = g.perm
+    return {ap.id: by_ends.get((perm[ap.base[0]], perm[ap.base[-1]])) for ap in aps}
+
+
 def check_equivariance(q: int, radius: int, k: int, seed: int,
                        samples: int = 20) -> tuple[bool, dict]:
     """d, d*, and the transform commute with `samples` seeded ball
@@ -206,7 +221,7 @@ def check_equivariance(q: int, radius: int, k: int, seed: int,
     preserved."""
     pg = _tower(q, radius, k)
     aps = interior_family(pg, 0)
-    base_of = {ap.base: ap.id for ap in aps}
+    by_ends = _by_ends(aps)
     rng = random.Random(seed)
     failures = []
     for i in range(samples):
@@ -216,7 +231,7 @@ def check_equivariance(q: int, radius: int, k: int, seed: int,
             if pg.head[emap[a]] != vmap[pg.head[a]] or pg.tail[emap[a]] != vmap[pg.tail[a]]:
                 failures.append({"auto": i, "kind": "incidence", "edge": a})
                 break
-        ap_perm = {ap.id: base_of.get(tuple(g.perm[v] for v in ap.base)) for ap in aps}
+        ap_perm = _apartment_images(aps, by_ends, g)
         if None in ap_perm.values():
             failures.append({"auto": i, "kind": "apartment image missing"})
             continue

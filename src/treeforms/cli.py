@@ -11,11 +11,17 @@ Exit codes: 0 success / all checks passed, 1 verification failure,
 ValueError inside a suite included, reported as one stderr line without
 a traceback).
 TREEFORMS_OUTDIR sets the default output directory for exports.
+
+The argument parser is built once per process, on the first ``main``
+call, and reused: argparse keeps no state between ``parse_args`` calls,
+so a process that calls ``main`` many times (the test suite, the
+benchmark's cli-suites workload) pays for one build.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import os
@@ -82,6 +88,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="treeforms",
                      description="Exact path-tower combinatorics over homogeneous tree balls")

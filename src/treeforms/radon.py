@@ -41,7 +41,7 @@ from typing import NamedTuple
 from . import _linalg
 from .cochains import Cochain, _adjoint_rows, integrate, shared_fractions
 from .tower import PathGraph, SpanningForest, component_roots
-from .tree import convex_hull, enumerate_oriented_diameters
+from .tree import enumerate_oriented_diameters, geodesic_between
 
 ZERO = Fraction(0)
 # Steps a walk of ``random_loops`` may take to return to its start.
@@ -397,15 +397,17 @@ class WalkWithSigns:
 
 
 def path_integral(omega: Cochain, walk: WalkWithSigns) -> Fraction:
-    """Signed sum of the cochain along the walk."""
+    """Signed sum of the cochain along the walk, summed in ints over the
+    lcm of the denominators met (``ZERO`` when the walk meets no support
+    edge)."""
     if omega.level != 1:
         raise ValueError("path integrals apply to 1-cochains")
-    total = ZERO
-    for a, sign in zip(walk.edges, walk.signs):
-        v = omega.data.get(a)
-        if v:
-            total += v if sign > 0 else -v
-    return total
+    get = omega.data.get
+    terms = [(v, sign) for a, sign in zip(walk.edges, walk.signs) if (v := get(a))]
+    if not terms:
+        return ZERO
+    den = lcm(*(v.denominator for v, _ in terms))
+    return Fraction(sum(sign * v.numerator * (den // v.denominator) for v, sign in terms), den)
 
 
 def fundamental_loops(pg: PathGraph, edge_ids: list[int]) -> list[WalkWithSigns]:
@@ -460,6 +462,12 @@ def enlarged_support(pg: PathGraph, omega: Cochain) -> set[int]:
 
     The support region is the ball X(t, delta) around the center t of the
     convex hull of the supports of omega's edges, with delta its radius.
+    The hull vertex farthest from any vertex is one of those supports' own
+    tree vertices, so two farthest-point sweeps over them find a diameter
+    b -> c of the hull.  Its middle vertex is the center and half its
+    length, rounded up, the radius; of the two middle vertices of an odd
+    diameter the smaller id is taken.  The region is the breadth-first walk
+    of radius delta from t.
     """
     if omega.is_zero():
         return set()
@@ -467,20 +475,18 @@ def enlarged_support(pg: PathGraph, omega: Cochain) -> set[int]:
     tree_vertices = set()
     for a in omega.support:
         tree_vertices.update(pg.edges[a])
-    hull = convex_hull(ball, tree_vertices)
-    hull_list = sorted(hull)
-    # Tree center of the hull: minimize eccentricity within the hull.
-    best_t, best_ecc = None, None
-    for t in hull_list:
-        ecc = max(ball.distance(t, v) for v in hull_list)
-        if best_ecc is None or ecc < best_ecc:
-            best_t, best_ecc = t, ecc
-    region = {v for v in range(ball.num_vertices) if ball.distance(best_t, v) <= best_ecc}
-    out = set()
-    for s, p in enumerate(pg.verts):
-        if any(v in region for v in p):
-            out.add(s)
-    return out
+    start = min(tree_vertices)
+    b = max(tree_vertices, key=lambda v: ball.distance(start, v))
+    c = max(tree_vertices, key=lambda v: ball.distance(b, v))
+    diameter = geodesic_between(ball, b, c)
+    n = len(diameter) - 1
+    center = min(diameter[n // 2], diameter[(n + 1) // 2])
+    region = {center}
+    frontier = [center]
+    for _ in range((n + 1) // 2):
+        frontier = [w for v in frontier for w in ball.adjacency[v] if w not in region]
+        region.update(frontier)
+    return {s for s, p in enumerate(pg.verts) if not region.isdisjoint(p)}
 
 
 def primitive(pg: PathGraph, aps: ApartmentFamily, omega: Cochain, base: int) -> Cochain:

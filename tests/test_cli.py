@@ -319,6 +319,37 @@ class TestUnreadFlags:
         cli._preflight(cli._build_parser().parse_args(argv))
 
 
+class TestOneParser:
+    """main builds its argument parser once per process and reuses it."""
+
+    def test_calls_share_one_parser(self, capsys, monkeypatch):
+        built = []
+        real = cli._Parser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        argv = ("check", "gamma0", "--matrix", "1,2;4,3", "--n", "1", "--p", "2")
+        results = [run(capsys, *argv) for _ in range(3)]
+        assert built.count("treeforms") <= 1
+        assert results == [results[0]] * 3 and results[0][0] == 0
+
+    def test_no_state_carried_between_calls(self, capsys):
+        """A refused flag, --scan and a filled-in margin do not reach the next call."""
+        code, _, err = run(capsys, "check", "padic", "--p", "2", "--radius", "2", "--q", "3")
+        assert code == 2 and "does not read --q" in err
+        code, out, _ = run(capsys, "check", "padic", "--p", "2", "--radius", "2")
+        assert code == 0 and json.loads(out)["passed"] is True
+        exactness = ("check", "exactness", "--q", "2", "--radius", "3", "--k", "0")
+        code, out, _ = run(capsys, *exactness, "--scan", "--margin", "1")
+        assert code == 0 and "minimal_passing_margin" in json.loads(out)
+        code, out, _ = run(capsys, *exactness)
+        report = json.loads(out)
+        assert "minimal_passing_margin" not in report and report["margin"] == 2
+
+
 class TestInternalError:
     """An unexpected exception exits 4 with one stderr line, no traceback."""
 

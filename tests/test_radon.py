@@ -19,8 +19,9 @@ from treeforms.radon import (ApartmentFamily, MarginError, PathDependenceError,
                              random_loops, span_check, _kernel_rows,
                              _subspace_dims)
 from treeforms.tower import build_path_graph
-from treeforms.tree import (TreeParams, build_ball,
-                            enumerate_oriented_diameters, geodesic_between)
+from treeforms.tree import (TreeParams, build_ball, convex_hull,
+                            enumerate_oriented_diameters, geodesic_between,
+                            random_automorphism)
 
 from conftest import apartments, ball, tower
 from test_linalg import FractionEliminator, oracle_nullspace, oracle_rref, spans_same_space
@@ -367,6 +368,41 @@ class TestEquivarianceCheck:
         assert {f["kind"] for f in report["failures"]} == {kind}
 
 
+def apartment_images_oracle(aps, g):
+    """id -> id of the apartment whose whole base tuple is g's image of an
+    apartment's base, None where there is none."""
+    base_of = {ap.base: ap.id for ap in aps}
+    return {ap.id: base_of.get(tuple(g.perm[v] for v in ap.base)) for ap in aps}
+
+
+class TestApartmentImages:
+    """check_equivariance maps each apartment by the images of its two ends."""
+
+    @pytest.mark.parametrize("q,radius", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
+                                          (3, 1), (3, 2), (3, 3)])
+    def test_end_map_matches_base_tuple_oracle(self, q, radius):
+        for k in range(2 * radius + 1):
+            aps = interior_family(tower(q, radius, k), 0)
+            by_ends = checks._by_ends(aps)
+            ids = sorted(ap.id for ap in aps)
+            for seed in range(4):
+                g = random_automorphism(ball(q, radius), 100 * k + seed)
+                images = checks._apartment_images(aps, by_ends, g)
+                assert images == apartment_images_oracle(aps, g), (k, seed)
+                assert sorted(images.values()) == ids, (k, seed)
+
+    def test_image_outside_the_family_is_reported(self, monkeypatch):
+        """A family that lacks one apartment's image fails with its own kind."""
+        def short_family(pg, margin):
+            aps = interior_family(pg, margin)
+            return ApartmentFamily(pg, aps.apartments[:-1])
+
+        monkeypatch.setattr(checks, "interior_family", short_family)
+        passed, report = checks.check_equivariance(2, 3, 0, seed=1, samples=3)
+        assert not passed
+        assert {f["kind"] for f in report["failures"]} == {"apartment image missing"}
+
+
 class TestInterior:
     def test_interior_edges_small_margin(self):
         pg = tower(2, 4, 0)
@@ -698,6 +734,34 @@ class TestWalksAndIntegrals:
         assert path_integral(Cochain.indicator(1, a), walk) == 1
         assert path_integral(Cochain.indicator(1, a), walk_rev) == -1
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), inst=st.sampled_from([(2, 2, 0), (2, 3, 1), (3, 2, 1), (2, 3, 2)]))
+    def test_matches_fraction_sum(self, data, inst):
+        """The int sum equals a plain Fraction sum, and is ZERO itself when
+        the walk meets no support edge."""
+        pg = tower(*inst)
+        assume(pg.num_edges)
+        incident = {}
+        for a in range(pg.num_edges):
+            incident.setdefault(pg.tail[a], []).append((a, pg.head[a]))
+            incident.setdefault(pg.head[a], []).append((a, pg.tail[a]))
+        vertices = [data.draw(st.sampled_from(sorted(incident)))]
+        edges = []
+        for _ in range(data.draw(st.integers(0, 12))):
+            a, nxt = data.draw(st.sampled_from(incident[vertices[-1]]))
+            edges.append(a)
+            vertices.append(nxt)
+        walk = WalkWithSigns.from_itinerary(pg, edges, vertices)
+        value = st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(bool)
+        omega = Cochain(1, data.draw(st.dictionaries(
+            st.sampled_from(sorted(set(edges)) or [0]) | st.integers(0, pg.num_edges - 1),
+            value, max_size=8)))
+        got = path_integral(omega, walk)
+        want = sum((omega(a) * sign for a, sign in zip(walk.edges, walk.signs)), ZERO)
+        assert type(got) is Fraction and got == want
+        if not set(walk.edges) & set(omega.data):
+            assert got is radon.ZERO
+
     def test_malformed_walk(self):
         pg = tower(2, 2, 1)
         with pytest.raises(ValueError):
@@ -739,6 +803,49 @@ class TestWalksAndIntegrals:
         pg = tower(2, 2, 1)
         assert fundamental_loops(pg, []) == []
         assert random_loops(pg, [], 3, 1) == []
+
+
+def enlarged_support_oracle(pg, omega):
+    """The center of the support hull by all-pairs eccentricities (the
+    smallest id among the minimizers), and the region by a distance from
+    it to every ball vertex."""
+    if omega.is_zero():
+        return set()
+    b = pg.ball
+    tree_vertices = set()
+    for a in omega.support:
+        tree_vertices.update(pg.edges[a])
+    best_t, best_ecc = None, None
+    hull = sorted(convex_hull(b, tree_vertices))
+    for t in hull:
+        ecc = max(b.distance(t, v) for v in hull)
+        if best_ecc is None or ecc < best_ecc:
+            best_t, best_ecc = t, ecc
+    region = {v for v in range(b.num_vertices) if b.distance(best_t, v) <= best_ecc}
+    return {s for s, p in enumerate(pg.verts) if any(v in region for v in p)}
+
+
+class TestEnlargedSupport:
+    @pytest.mark.parametrize("q,radius", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
+                                          (3, 1), (3, 2), (3, 3), (4, 2)])
+    def test_matches_oracle(self, q, radius):
+        """Scattered and clustered supports at every level below 2R."""
+        rng = random.Random(q * 10 + radius)
+        for k in range(2 * radius):
+            pg = tower(q, radius, k)
+            for _ in range(12):
+                size = rng.choice((1, 2, 3, 5, 8))
+                if rng.random() < 0.5:
+                    support = rng.sample(range(pg.num_edges), min(size, pg.num_edges))
+                else:
+                    first = rng.randrange(pg.num_edges)
+                    support = range(first, min(first + size, pg.num_edges))
+                omega = Cochain(1, {a: Fraction(rng.randrange(1, 9), rng.randrange(1, 5))
+                                    for a in support})
+                assert enlarged_support(pg, omega) == enlarged_support_oracle(pg, omega)
+
+    def test_zero_cochain(self):
+        assert enlarged_support(tower(2, 2, 0), Cochain.zero(1)) == set()
 
 
 class TestPrimitive:
