@@ -14,8 +14,8 @@ TREEFORMS_OUTDIR sets the default output directory for exports.
 
 The argument parser is built once per process, on the first ``main``
 call, and reused: argparse keeps no state between ``parse_args`` calls,
-so a process that calls ``main`` many times (the test suite, the
-benchmark's cli-suites workload) pays for one build.
+so a process that calls ``main`` many times, as the test suite does,
+pays for one build.
 """
 
 from __future__ import annotations
