@@ -73,10 +73,13 @@ OTHER_COMMANDS = [
     "check equivariance --q 3 --radius 4 --k 0 --seed 1",
     "check padic --p 2 --radius 3",
     "check padic --p 3 --radius 2",
+    "check padic --p 5 --radius 2",
+    "check padic --p 7 --radius 1",
     "check stabilizer --p 2 --n 1",
     "check stabilizer --p 3 --n 0 --samples 20 --seed 4 --modulus 4",
     "check stabilizer --p 2 --n 0",
     "check stabilizer --p 5 --n 0 --seed 3",
+    "check stabilizer --p 5 --n 1",
     "check transitivity --p 2",
     "check transitivity --p 2 --seed 5",
     "check transitivity --p 3",
@@ -95,6 +98,12 @@ OTHER_COMMANDS = [
     "check gamma0 --p 2 --n 2 --matrix 1,0;2,1",
     "check gamma0 --p 2 --n 0 --matrix 1/3,0;0,1/3",
     "check gamma0 --matrix 1,2;4,3 --n 1 --p 2",
+    "check gamma0 --p 3 --n 0 --matrix 2/3,1/3;1/3,1/3",
+    "check gamma0 --p 3 --n 0 --matrix 1/5,3;9/2,1",
+    "check gamma0 --p 3 --n 0 --matrix 1/3,0;0,1",
+    "check gamma0 --p 3 --n 0 --matrix 1/2,1/3;0,1",
+    "check gamma0 --p 3 --n 1 --matrix 1/9,1/5;1/3,4/9",
+    "check gamma0 --p 3 --n 1 --matrix 2/5,1/3;3/7,1/2",
     "check euler --q 2 --radius 2 --k 1 --output report.json",
     "check euler --q 2 --radius 5 --k 1",
     "check euler --q 3 --radius 4 --k 2",
