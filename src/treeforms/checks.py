@@ -24,9 +24,9 @@ from .cochains import (Cochain, adjoint, coboundary, h1c_dimension,
 from .padic import (GroupElement, embed_ball, fixes_path_pointwise, in_gamma0,
                     sample_gamma0, sample_with_exact_lower_valuation,
                     stabilizer_transitivity_check, standard_path, tree_distance)
-from .radon import (MarginError, PathDependenceError, enlarged_support, exactness_check,
-                    fundamental_loops, interior_edges, interior_family, interior_vertices,
-                    minimal_exact_margin, path_integral, primitive,
+from .radon import (MarginError, PathDependenceError, _primitive, enlarged_support,
+                    exactness_check, fundamental_loops, interior_edges, interior_family,
+                    interior_vertices, minimal_exact_margin, path_integral,
                     radon_kernel_interior, radon_transform, random_loops, span_check)
 from .tower import PathGraph, apply_automorphism, build_path_graph, component_roots
 from .tree import (TreeParams, build_ball, enumerate_oriented_diameters,
@@ -186,7 +186,7 @@ def check_primitive(q: int, radius: int, k: int, margin: int) -> tuple[bool, dic
             failures.append({"basis": idx, "reason": "no base vertex available"})
             continue
         try:
-            f = primitive(pg, aps, w, min(outside))
+            f = _primitive(pg, w, min(outside), enlarged)
         except (MarginError, PathDependenceError) as exc:
             failures.append({"basis": idx, "reason": str(exc)})
             continue

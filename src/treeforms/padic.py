@@ -10,11 +10,13 @@ their p-adic valuations, no truncated expansions anywhere.
 
 A number is held as an int when it is integral and as a Fraction
 otherwise, in matrix entries and in the u of a class alike (an int and
-an equal Fraction compare and hash alike).  The canonical form and the
-fix test are computed from integer valuations: a class comes from
-v_p(det g) and v_p of one entry, and a fix test clears g's denominators
-and scales the conjugate by u's.  Path stabilizers modulo p^d, d the
-depth of the path, are lifted one p-adic digit at a time.
+an equal Fraction compare and hash alike).  Valuations are taken of
+ints, by one kernel (``_int_valuation``: a bit trick at p = 2, a divide
+loop at odd p), from numerators and denominators, so the canonical
+form, residues and distances build no Fraction difference; the fix test
+is parity and divisibility on the integer conjugate (``_fixes_all``).
+Path stabilizers modulo p^d, d the depth of the path, are lifted one
+p-adic digit at a time.
 
 Only F = Q_p for a prime p is modeled (residue cardinality q = p);
 general local fields would need ring extensions and are out of scope.
@@ -31,25 +33,26 @@ from math import lcm
 from .tree import BallAutomorphism, TreeBall, TreeParams, build_ball
 
 
-def valuation(x, p: int):
-    """v_p(x) for a rational x; None plays the role of +infinity at 0.
-
-    p must be at least 2: p = 1 divides everything and p = 0 nothing."""
+def _int_valuation(n: int, p: int) -> int:
+    """v_p(n) for a nonzero int n; p < 2 is refused (1 would loop, 0 divide by 0)."""
+    if p == 2:
+        return (n & -n).bit_length() - 1
     if p < 2:
         raise ValueError(f"valuation needs p >= 2, got {p}")
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
-    n, d = x.numerator, x.denominator
-    if n == 0:
-        return None
     v = 0
-    while n % p == 0:
+    while not n % p:
         n //= p
         v += 1
-    while d % p == 0:
-        d //= p
-        v -= 1
     return v
+
+
+def valuation(x, p: int):
+    """v_p(x) for a rational x; None plays the role of +infinity at 0.
+    p < 2 is refused at every x, 0 included (by ``_int_valuation``)."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    vd = _int_valuation(x.denominator, p)
+    return _int_valuation(x.numerator, p) - vd if x else None
 
 
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -80,11 +83,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def _vge(v, bound: int) -> bool:
-    """valuation >= bound, with None as +infinity."""
-    return v is None or v >= bound
 
 
 def _exact(x) -> int | Fraction:
@@ -139,17 +137,11 @@ class GroupElement:
         return GroupElement(self.d, -self.b, -self.c, self.a)
 
     def to_json_dict(self) -> list[list[str]]:
-        def fmt(x: int | Fraction) -> str:
-            return f"{x.numerator}/{x.denominator}"
-        return [[fmt(self.a), fmt(self.b)], [fmt(self.c), fmt(self.d)]]
+        s = [f"{x.numerator}/{x.denominator}" for x in self.entries]
+        return [s[:2], s[2:]]
 
 
 IDENTITY = GroupElement(1, 0, 0, 1)
-
-
-def _power(p: int, n: int) -> int | Fraction:
-    """p^n, an int for n >= 0 and a Fraction below."""
-    return p ** n if n >= 0 else Fraction(1, p ** -n)
 
 
 def residue_mod(u, n: int, p: int) -> int | Fraction:
@@ -161,13 +153,22 @@ def residue_mod(u, n: int, p: int) -> int | Fraction:
     the honest non-integral rational r / p^-v.
     """
     u = _exact(u)
-    v = valuation(u, p)
-    if v is None or v >= n:
+    return _residue(u.numerator, u.denominator, n, p)
+
+
+def _residue(U: int, D: int, n: int, p: int) -> int | Fraction:
+    """``residue_mod`` of U / D, for ints U and D != 0, not necessarily
+    coprime.  With D = D' p^k, D' prime to p, (U D'^-1 mod p^(n+k)) / p^k
+    is in [0, p^n) and congruent to U / D modulo p^n Z_p, which meets
+    Z[1/p] in p^n Z; so it is the one representative."""
+    k = _int_valuation(D, p)  # first, so that p < 2 is refused at D = 1 too
+    if D == 1:
+        return U % p ** n if n > 0 else 0
+    if not U or _int_valuation(U, p) - k >= n:
         return 0
-    k = max(0, -v)  # u = U / (D' p^k) with D' prime to p
     modulus = p ** (n + k)
-    r = u.numerator * pow(u.denominator // p ** k, -1, modulus) % modulus
-    return r if k == 0 else Fraction(r, p ** k)
+    r = U * pow(D // p ** k, -1, modulus) % modulus
+    return r if k == 0 else _exact(Fraction(r, p ** k))
 
 
 @dataclass(frozen=True)
@@ -183,7 +184,8 @@ class LatticeClassVertex:
             object.__setattr__(self, "u", _exact(self.u))
 
     def matrix(self, p: int) -> GroupElement:
-        return GroupElement(_power(p, self.n), self.u, 0, 1)
+        n = self.n
+        return GroupElement(p ** n if n >= 0 else Fraction(1, p ** -n), self.u, 0, 1)
 
 
 ROOT = LatticeClassVertex(0, 0)
@@ -199,16 +201,17 @@ def canonicalize(g: GroupElement, p: int) -> LatticeClassVertex:
 
         [[det g / d^2, b / d], [0, 1]]   (up to the sign of det),
 
-    so n = v_p(det g) - 2 v_p(d) and u = b / d mod p^n.
+    so n = v_p(det g) - 2 v_p(d) and u = b / d mod p^n.  Neither n nor
+    b / d moves when g is scaled to integer entries (``_integral``).
     """
-    det = g.det
-    if det == 0:
+    a, b, c, d = _integral(g)
+    det = a * d - b * c
+    if not det:
         raise ValueError("matrix is singular")
-    a, b, c, d = g.entries
-    if d == 0 or (c != 0 and valuation(c, p) < valuation(d, p)):
+    if not d or (c and _int_valuation(c, p) < _int_valuation(d, p)):
         b, d = a, c
-    n = valuation(det, p) - 2 * valuation(d, p)
-    return LatticeClassVertex(n, residue_mod(Fraction(b, d), n, p))
+    n = _int_valuation(det, p) - 2 * _int_valuation(d, p)
+    return LatticeClassVertex(n, _residue(b, d, n, p))
 
 
 def act(g: GroupElement, v: LatticeClassVertex, p: int) -> LatticeClassVertex:
@@ -226,25 +229,32 @@ def tree_distance(v: LatticeClassVertex, w: LatticeClassVertex, p: int) -> int:
         dn = n2 - n1.
 
     Its determinant has valuation e1 + e2 = dn, and e1 is the least
-    entry valuation, min(dn, 0, v_p(u2 - u1) - n1), where the last term
-    is absent when u1 = u2 (a zero entry).  So the distance is
-    |dn - 2 e1|, from one subtraction and one valuation.
+    entry valuation, min(dn, 0, v_p(u2 - u1) - n1), without the last term
+    when u1 = u2.  So the distance is |dn - 2 e1|, where, with u_i =
+    U_i / D_i for any denominators, v_p(u2 - u1) = v_p(U2 D1 - U1 D2) -
+    v_p(D1 D2), in ints.
     """
-    dn = w.n - v.n
-    e1 = min(dn, 0)
-    if v.u != w.u:
-        e1 = min(e1, valuation(w.u - v.u, p) - v.n)
+    n1, u1, u2 = v.n, v.u, w.u
+    dn = w.n - n1
+    e1 = dn if dn < 0 else 0
+    D1, D2 = u1.denominator, u2.denominator
+    x = u2.numerator * D1 - u1.numerator * D2
+    if x:
+        e = _int_valuation(x, p) - _int_valuation(D1 * D2, p) - n1
+        if e < e1:
+            e1 = e
     return abs(dn - 2 * e1)
 
 
 def lattice_neighbors(v: LatticeClassVertex, p: int) -> list[LatticeClassVertex]:
-    """The p+1 classes at distance 1: p sublattices of index p and one
-    superlattice."""
-    pn = _power(p, v.n)
-    down = [LatticeClassVertex(v.n + 1, residue_mod(v.u + t * pn, v.n + 1, p))
+    """The p+1 classes at distance 1: the p sublattices of index p, with
+    u + t p^n = (U Q + t P D) / (D Q) modulo p^(n+1) for t in [0, p),
+    u = U / D and p^n = P / Q; and the superlattice, u modulo p^(n-1)."""
+    n, U, D = v.n, v.u.numerator, v.u.denominator
+    P, Q = p ** max(n, 0), p ** max(-n, 0)
+    down = [LatticeClassVertex(n + 1, _residue(U * Q + t * P * D, D * Q, n + 1, p))
             for t in range(p)]
-    up = LatticeClassVertex(v.n - 1, residue_mod(v.u, v.n - 1, p))
-    return down + [up]
+    return down + [LatticeClassVertex(n - 1, _residue(U, D, n - 1, p))]
 
 
 class BallEmbedding:
@@ -256,30 +266,27 @@ class BallEmbedding:
         self.ball: TreeBall = build_ball(TreeParams(q=p, radius=radius))
         to_lattice: list[LatticeClassVertex | None] = [None] * self.ball.num_vertices
         to_lattice[0] = ROOT
-        seen = {ROOT}
+        chains = self.ball.chains
         for v, children in enumerate(self.ball.children):
             if not children:
                 continue
-            lv = to_lattice[v]
-            fresh = sorted((x for x in lattice_neighbors(lv, p) if x not in seen),
+            parent = to_lattice[chains[v][1]] if v else None
+            fresh = sorted((x for x in lattice_neighbors(to_lattice[v], p) if x != parent),
                            key=lambda x: (x.n, x.u))
             if len(children) != len(fresh):
                 raise RuntimeError("lattice neighbor enumeration does not match the ball")
-            for w, lw in zip(children, fresh):
-                to_lattice[w] = lw
-                seen.add(lw)
+            to_lattice[children.start:children.stop] = fresh
         self.to_lattice: list[LatticeClassVertex] = to_lattice
         self.from_lattice = {lv: v for v, lv in enumerate(to_lattice)}
+        if len(self.from_lattice) != len(to_lattice):
+            raise RuntimeError("lattice neighbor enumeration repeats a class")
 
     def automorphism_from(self, g: GroupElement) -> BallAutomorphism:
         """The ball permutation induced by a group element that maps the
         ball onto itself (e.g. any element fixing the root class)."""
-        perm = []
-        for lv in self.to_lattice:
-            image = act(g, lv, self.p)
-            if image not in self.from_lattice:
-                raise ValueError("group element does not preserve the ball window")
-            perm.append(self.from_lattice[image])
+        perm = [self.from_lattice.get(act(g, lv, self.p)) for lv in self.to_lattice]
+        if None in perm:
+            raise ValueError("group element does not preserve the ball window")
         return BallAutomorphism(self.ball, perm)
 
 
@@ -295,11 +302,10 @@ def in_gamma0(g: GroupElement, n: int, p: int) -> bool:
         raise ValueError("congruence level must be >= 0")
     if n == 0:
         return _fixes_all(g, (ROOT,), p)
-    va, vb, vc, vd = (valuation(x, p) for x in g.entries)
-    if va is None or vd is None or va != vd:
+    a, b, c, d = _integral(g)
+    if (m := valuation(a, p)) is None or m != valuation(d, p):
         return False
-    m = va
-    return _vge(vb, m) and _vge(vc, m + n)
+    return not (b % p ** m or c % p ** (m + n))
 
 
 def standard_path(emb: BallEmbedding, n: int) -> tuple[int, ...]:
@@ -312,28 +318,12 @@ def standard_path(emb: BallEmbedding, n: int) -> tuple[int, ...]:
     """
     if emb.ball.params.radius < n + 1:
         raise ValueError(f"ball radius {emb.ball.params.radius} too small for level {n}")
-    path = []
-    for j in range(n + 2):
-        lv = LatticeClassVertex(-j, 0)
-        path.append(emb.from_lattice[lv])
-    return tuple(path)
+    return tuple(emb.from_lattice[LatticeClassVertex(-j, 0)] for j in range(n + 2))
 
 
 def fixes_vertex(g: GroupElement, lv: LatticeClassVertex, p: int) -> bool:
-    """act(g, lv, p) == lv, without column reduction, in integers.
-
-    With M = matrix(lv) = [[p^n, u], [0, 1]], g fixes the class [M]
-    exactly when M^-1 g M lies in Q_p^* GL(2, Z_p), the level-0
-    congruence subgroup.  For g = [[a, b], [c, d]],
-
-        M^-1 g M = [[a - c u, (b + (a - d) u - c u^2) / p^n],
-                    [c p^n,   c u + d]],
-
-    whose determinant is det g; so the test is
-    v_p(det g) == 2 min(v(a - cu), v(b + (a-d)u - cu^2) - n, v(c) + n,
-    v(cu + d)), over the nonzero entries.  Both sides are taken after
-    clearing g's denominators (``_fixes_all``).
-    """
+    """act(g, lv, p) == lv, without column reduction, in integers
+    (``_fixes_all``)."""
     return _fixes_all(g, (lv,), p)
 
 
@@ -342,43 +332,56 @@ def fixes_path_pointwise(g: GroupElement, emb: BallEmbedding, path: tuple[int, .
     return _fixes_all(g, [emb.to_lattice[v] for v in path], emb.p)
 
 
-def _fixes_all(g: GroupElement, classes, p: int) -> bool:
-    """g fixes every class, by the valuation test of ``fixes_vertex``.
-
-    g is first scaled by the lcm of its entries' denominators.  That is
-    the same element of PGL(2), and it moves v_p(det) and twice the least
-    conjugate valuation by the same 2 v_p(lcm), so the test is unchanged
-    while every entry is an int.
-    """
-    a, b, c, d = g.entries
+def _integral(g: GroupElement) -> tuple[int, int, int, int]:
+    """g's entries times the lcm of their denominators: the same element
+    of PGL(2), with int entries."""
+    a, b, c, d = g.a, g.b, g.c, g.d
+    if type(a) is type(b) is type(c) is type(d) is int:
+        return a, b, c, d
     den = lcm(a.denominator, b.denominator, c.denominator, d.denominator)
-    if den != 1:
-        a, b, c, d = (x.numerator * (den // x.denominator) for x in g.entries)
-    vdet = valuation(a * d - b * c, p)
-    return all(vdet == 2 * _conjugate_min_valuation(a, b, c, d, lv, p) for lv in classes)
+    return tuple(x.numerator * (den // x.denominator) for x in (a, b, c, d))
 
 
-def _conjugate_min_valuation(a: int, b: int, c: int, d: int,
-                             lv: LatticeClassVertex, p: int) -> int:
-    """The least entry valuation of matrix(lv)^-1 g matrix(lv), for the
-    integer matrix g = [[a, b], [c, d]].
+def _fixes_all(g: GroupElement, classes, p: int) -> bool:
+    """g fixes every class, by a parity and divisibility test.
 
-    With u = U / D, the entries a - cu, b + (a - d)u - cu^2 and cu + d
-    times D, D^2 and D are the integers below; their valuations less
-    v_p(D), 2 v_p(D) and v_p(D) are those of the entries.
+    With M = matrix(lv) = [[p^n, u], [0, 1]], g fixes the class [M]
+    exactly when C = M^-1 g M lies in Q_p^* GL(2, Z_p).  For
+    g = [[a, b], [c, d]],
+
+        C = [[a - c u, (b + (a - d) u - c u^2) / p^n],
+             [c p^n,   c u + d]],   det C = det g,
+
+    so g fixes [M] exactly when v(det g) = 2 min v(C_ij).  Always
+    v(det C) >= min(v(C11) + v(C22), v(C12) + v(C21)) >= 2 min v(C_ij), so
+    that holds exactly when v(det g) is even and each v(C_ij) >= h =
+    v(det g) / 2.  With u = U / D and k = v_p(D), the entries are x p^n,
+    x / D, x / D and x / (D^2 p^n) for the ints x below, whose valuations
+    must reach h - n, h + k, h + k and h + 2k + n: one divisibility test
+    each, void at an exponent <= 0.  g is scaled to int entries first
+    (``_integral``), which moves v(det) and each 2 v(C_ij) alike.  A
+    singular g is given v_p(p) = 1, odd, so v_p(0) is never taken; an odd
+    g fixes no class, and so every class of an empty list.
     """
-    U, D = lv.u.numerator, lv.u.denominator
-    n = lv.n
-    k = valuation(D, p)
-    cU = c * U
-    least = None
-    for x, shift in ((a * D - cU, -k), ((b * D + (a - d) * U) * D - cU * U, -2 * k - n),
-                     (c, n), (cU + d * D, -k)):
-        if x:
-            v = valuation(x, p) + shift
-            if least is None or v < least:
-                least = v
-    return least
+    a, b, c, d = _integral(g)
+    det = a * d - b * c
+    vdet = _int_valuation(det or p, p)
+    if vdet & 1:
+        return not classes
+    h = vdet >> 1
+    for lv in classes:
+        n, U, D = lv.n, lv.u.numerator, lv.u.denominator
+        k = _int_valuation(D, p)
+        cU = c * U
+        if h > n and c % p ** (h - n):
+            return False
+        e = h + k
+        if e > 0 and ((a * D - cU) % p ** e or (cU + d * D) % p ** e):
+            return False
+        e += k + n
+        if e > 0 and ((b * D + (a - d) * U) * D - cU * U) % p ** e:
+            return False
+    return True
 
 
 def sample_gamma0(p: int, n: int, modulus_exp: int, count: int, seed: int) -> list[GroupElement]:
@@ -471,12 +474,8 @@ def stabilizer_transitivity_check(emb: BallEmbedding, pg, s: int, side: str,
     the sampling window was too small, reported as inconclusive rather
     than false.
 
-    Two lifts that agree modulo p^j differ by an element of the principal
-    congruence subgroup K(p^j) = 1 + p^j M_2(Z_p), which fixes the
-    radius-j ball about the root class pointwise (Serre, *Trees*, II.1).
-    So the stabilizer is found modulo p^d, d the depth of the path (see
-    ``_path_stabilizer``), and ``stabilizer_size`` is that count times
-    p^(4(m-d)), the order of the kernel of GL(2, Z/p^m) -> GL(2, Z/p^d).
+    The stabilizer is found modulo p^d, d the depth of the path, and
+    ``stabilizer_size`` counts its lifts modulo p^m (``_path_stabilizer``).
     The base extension's new vertex is adjacent to an end of the path, so
     where a lift sends it is decided at most one digit deeper; that digit
     is lifted inside the orbit loop, which stops once every target is
@@ -492,11 +491,9 @@ def stabilizer_transitivity_check(emb: BallEmbedding, pg, s: int, side: str,
         return TransitivityResult(True, True, len(targets), len(targets), 0)
     p, path = emb.p, pg.verts[s]
     stabilizer, size = _path_stabilizer(emb, path, modulus_exp)
-    # Every stabilizer element fixes the path (and the root class, so it
-    # preserves the ball), so it maps an edge at s on this side to another
-    # one: the orbit is a subset of the targets, and only the base edge's
-    # vertex off the path needs to be moved.  An edge into s starts with
-    # that vertex, an edge out of s ends with it.
+    # Every stabilizer element fixes the path and the root class, so it maps
+    # an edge at s on this side to another: only the base edge's vertex off
+    # the path moves (an edge into s starts with it, one out of s ends).
     w = pg.edges[targets[0]][0 if side == "+" else -1]
     d = _digits(emb, path, modulus_exp)
     if _digits(emb, (w,), modulus_exp) > d:
@@ -512,10 +509,9 @@ def stabilizer_transitivity_check(emb: BallEmbedding, pg, s: int, side: str,
 
 
 def _digits(emb: BallEmbedding, vertices: tuple[int, ...], modulus_exp: int) -> int:
-    """The number of p-adic digits that decide how a unit lift modulo
-    p^m acts on the given ball vertices: their largest root distance,
-    capped at m and floored at 1 (the order
-    |GL(2, Z/p^m)| = p^(4(m-1)) (p^2 - 1)(p^2 - p) needs m >= 1)."""
+    """The p-adic digits that decide how a unit lift modulo p^m acts on the
+    given ball vertices: their largest root distance, capped at m and floored
+    at 1 (the order |GL(2, Z/p^m)| = p^(4(m-1)) (p^2 - 1)(p^2 - p) needs m >= 1)."""
     return min(modulus_exp, max(1, *(emb.ball.depths[v] for v in vertices)))
 
 
@@ -535,9 +531,12 @@ def _path_stabilizer(emb: BallEmbedding, path: tuple[int, ...],
     size.
 
     d is the largest root distance of a path vertex, capped at m and
-    floored at 1 (``_digits``).  K(p^d) fixes every path vertex at depth
-    <= d, so each residue modulo p^d that fixes the path stands for the
-    p^(4(m-d)) lifts modulo p^m above it; no path vertex is due past d.
+    floored at 1 (``_digits``).  Two lifts that agree modulo p^j differ by
+    an element of K(p^j) = 1 + p^j M_2(Z_p), which fixes the radius-j ball
+    about the root class pointwise (Serre, *Trees*, II.1).  So K(p^d)
+    fixes every path vertex at depth <= d, and each residue modulo p^d
+    that fixes the path stands for the p^(4(m-d)) lifts modulo p^m above
+    it (the kernel of GL(2, Z/p^m) -> GL(2, Z/p^d)).
 
     The residues are found one p-adic digit at a time: first those
     modulo p that fix the path's vertices at depth <= 1, then, for

@@ -392,9 +392,6 @@ class WalkWithSigns:
                 raise ValueError(f"edge {a} does not join step {u} of the walk")
         return cls(edges, vertices, tuple(signs))
 
-    def is_loop(self) -> bool:
-        return len(self.vertices) > 1 and self.vertices[0] == self.vertices[-1]
-
 
 def path_integral(omega: Cochain, walk: WalkWithSigns) -> Fraction:
     """Signed sum of the cochain along the walk, summed in ints over the
@@ -502,7 +499,13 @@ def primitive(pg: PathGraph, aps: ApartmentFamily, omega: Cochain, base: int) ->
     if omega.level != 1:
         raise ValueError("primitive applies to 1-cochains")
     pg.check_vertex(base)
-    enlarged = enlarged_support(pg, omega)
+    return _primitive(pg, omega, base, enlarged_support(pg, omega))
+
+
+def _primitive(pg: PathGraph, omega: Cochain, base: int, enlarged: set[int]) -> Cochain:
+    """``primitive`` of a 1-cochain from a valid base, given its enlarged
+    support region, so that a caller which chose the base from the region
+    does not compute it twice."""
     if base in enlarged:
         raise MarginError("base vertex lies inside the enlarged support region")
 

@@ -81,9 +81,6 @@ class TreeBall:
     def num_vertices(self) -> int:
         return len(self.addresses)
 
-    def is_leaf(self, v: int) -> bool:
-        return self.depths[v] == self.params.radius
-
     def check_vertex(self, v: int) -> None:
         if not (0 <= v < len(self.addresses)):
             raise ValueError(f"unknown vertex id {v}")
@@ -174,23 +171,6 @@ def enumerate_oriented_diameters(ball: TreeBall,
                 out.append(_up_down(up, down, dm))
     ball._diameters[depth] = tuple(out)
     return out
-
-
-def convex_hull(ball: TreeBall, vertex_ids) -> set[int]:
-    """Minimal subtree containing the given vertices.
-
-    In a tree this is the union of the geodesics from any one of them to
-    all the others: the geodesic between two of them runs inside the two
-    geodesics that join them to the chosen one.
-    """
-    vs = set(vertex_ids)
-    if not vs:
-        raise ValueError("convex hull of an empty set")
-    base = min(vs)
-    hull: set[int] = set()
-    for v in vs:
-        hull.update(geodesic_between(ball, base, v))
-    return hull
 
 
 class BallAutomorphism:

@@ -6,7 +6,9 @@ import pytest
 from treeforms import _linalg
 from treeforms.radon import induced_apartments
 from treeforms.tower import SpanningForest, build_path_graph
-from treeforms.tree import TreeParams, build_ball, enumerate_oriented_diameters
+from treeforms.tree import (TreeParams, build_ball, enumerate_oriented_diameters,
+                            geodesic_between)
+
 
 @contextlib.contextmanager
 def time_limit(seconds, what):
@@ -22,6 +24,35 @@ def time_limit(seconds, what):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
+
+
+# Test-only queries on library objects.
+
+def convex_hull(ball, vertex_ids) -> set[int]:
+    """Minimal subtree containing the given vertices.
+
+    In a tree this is the union of the geodesics from any one of them to
+    all the others: the geodesic between two of them runs inside the two
+    geodesics that join them to the chosen one.
+    """
+    vs = set(vertex_ids)
+    if not vs:
+        raise ValueError("convex hull of an empty set")
+    base = min(vs)
+    hull: set[int] = set()
+    for v in vs:
+        hull.update(geodesic_between(ball, base, v))
+    return hull
+
+
+def is_leaf(ball, v: int) -> bool:
+    """v lies on the ball's boundary sphere."""
+    return ball.depths[v] == ball.params.radius
+
+
+def is_loop(walk) -> bool:
+    """The walk has a step and ends where it starts."""
+    return len(walk.vertices) > 1 and walk.vertices[0] == walk.vertices[-1]
 
 
 _BALLS: dict = {}

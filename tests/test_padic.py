@@ -2,11 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import time_limit
+from conftest import is_leaf, time_limit
 from treeforms import checks, padic
 from treeforms.padic import (GroupElement, IDENTITY, LatticeClassVertex, ROOT,
                              TransitivityResult, act, canonicalize, embed_ball,
@@ -72,6 +73,93 @@ def fixes_vertex_oracle(g, lv, p):
     return canonicalize_oracle(g.mul(lv.matrix(p)), p) == lv
 
 
+# The routes the integer valuation kernel replaced, kept verbatim as
+# oracles: a divide loop on numerator and denominator, residues and
+# neighbours in Fraction arithmetic, the distance from a Fraction
+# difference, and the fix test by the least conjugate valuation.
+
+def valuation_oracle(x, p):
+    if p < 2:
+        raise ValueError(f"valuation needs p >= 2, got {p}")
+    x = F(x)
+    n, d = x.numerator, x.denominator
+    if n == 0:
+        return None
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    while d % p == 0:
+        d //= p
+        v -= 1
+    return v
+
+
+def residue_mod_oracle(u, n, p):
+    u = F(u)
+    v = valuation_oracle(u, p)
+    if v is None or v >= n:
+        return 0
+    k = max(0, -v)  # u = U / (D' p^k) with D' prime to p
+    modulus = p ** (n + k)
+    r = u.numerator * pow(u.denominator // p ** k, -1, modulus) % modulus
+    return r if k == 0 else F(r, p ** k)
+
+
+def lattice_neighbors_oracle(v, p):
+    pn = F(p) ** v.n
+    down = [LatticeClassVertex(v.n + 1, residue_mod_oracle(v.u + t * pn, v.n + 1, p))
+            for t in range(p)]
+    return down + [LatticeClassVertex(v.n - 1, residue_mod_oracle(v.u, v.n - 1, p))]
+
+
+def tree_distance_fraction_oracle(v, w, p):
+    dn = w.n - v.n
+    e1 = min(dn, 0)
+    if v.u != w.u:
+        e1 = min(e1, valuation_oracle(F(w.u) - F(v.u), p) - v.n)
+    return abs(dn - 2 * e1)
+
+
+def conjugate_min_valuation_oracle(a, b, c, d, lv, p):
+    """The least entry valuation of matrix(lv)^-1 g matrix(lv), for the
+    integer matrix g = [[a, b], [c, d]]: with u = U / D, the entries
+    a - cu, b + (a - d)u - cu^2 and cu + d times D, D^2 and D are the
+    integers below."""
+    U, D = lv.u.numerator, lv.u.denominator
+    n = lv.n
+    k = valuation_oracle(D, p)
+    cU = c * U
+    least = None
+    for x, shift in ((a * D - cU, -k), ((b * D + (a - d) * U) * D - cU * U, -2 * k - n),
+                     (c, n), (cU + d * D, -k)):
+        if x:
+            v = valuation_oracle(x, p) + shift
+            if least is None or v < least:
+                least = v
+    return least
+
+
+def fixes_all_oracle(g, classes, p):
+    """v_p(det) equals twice the least conjugate valuation at every class,
+    after clearing g's denominators."""
+    a, b, c, d = g.entries
+    den = lcm(a.denominator, b.denominator, c.denominator, d.denominator)
+    a, b, c, d = (x.numerator * (den // x.denominator) for x in g.entries)
+    vdet = valuation_oracle(a * d - b * c, p)
+    return all(vdet == 2 * conjugate_min_valuation_oracle(a, b, c, d, lv, p)
+               for lv in classes)
+
+
+def in_gamma0_oracle(g, n, p):
+    if n == 0:
+        return fixes_all_oracle(g, (ROOT,), p)
+    va, vb, vc, vd = (valuation_oracle(x, p) for x in g.entries)
+    if va is None or vd is None or va != vd:
+        return False
+    return (vb is None or vb >= va) and (vc is None or vc >= va + n)
+
+
 def stabilizer_oracle(emb, path, modulus_exp):
     """Every unit lift modulo p^modulus_exp whose action fixes each path vertex."""
     return [g for g in enumerate_unit_lifts(emb.p, modulus_exp)
@@ -110,11 +198,16 @@ class TestValuation:
     @pytest.mark.parametrize("p", [1, 0, -3])
     @pytest.mark.parametrize("call", [
         lambda p: valuation(F(6), p),
+        lambda p: valuation(0, p),
+        lambda p: padic._int_valuation(12, p),
         lambda p: residue_mod(F(6), 2, p),
         lambda p: canonicalize(GroupElement.of(2, 1, 0, 1), p),
         lambda p: in_gamma0(GroupElement.of(1, 0, 2, 1), 1, p),
+        lambda p: in_gamma0(GroupElement.of(0, 1, 1, 0), 1, p),
+        lambda p: fixes_vertex(GroupElement(1, 1, 1, 1), ROOT, p),
         lambda p: tree_distance(ROOT, LatticeClassVertex(1, F(1)), p),
-    ], ids=["valuation", "residue_mod", "canonicalize", "in_gamma0", "tree_distance"])
+    ], ids=["valuation", "valuation_of_zero", "kernel", "residue_mod", "canonicalize", "in_gamma0",
+          "in_gamma0_zero_diagonal", "fixes_singular", "tree_distance"])
     def test_p_below_two_refused(self, call, p):
         # p = 1 used to loop forever and p = 0 to divide by zero.
         with time_limit(10, f"valuation at p={p}"), pytest.raises(ValueError, match="p >= 2"):
@@ -417,7 +510,7 @@ class TestTransitivity:
         emb = embed_ball(2, 2)
         pg = build_path_graph(emb.ball, 0)
         leaf_path = next(s for s, pth in enumerate(pg.verts)
-                         if emb.ball.is_leaf(pth[0]))
+                         if is_leaf(emb.ball, pth[0]))
         res = stabilizer_transitivity_check(emb, pg, leaf_path, "+", 2)
         assert res.covered and res.target_size == 1
 
@@ -452,7 +545,7 @@ class TestTransitivity:
     def test_singleton_side_matches_oracle(self):
         emb = embed_ball(2, 2)
         pg = build_path_graph(emb.ball, 0)
-        leaf = next(s for s, pth in enumerate(pg.verts) if emb.ball.is_leaf(pth[0]))
+        leaf = next(s for s, pth in enumerate(pg.verts) if is_leaf(emb.ball, pth[0]))
         expected = transitivity_oracle(emb, pg, leaf, stabilizer_oracle(emb, pg.verts[leaf], 2))
         assert expected["+"].target_size == 1
         for side in ("+", "-"):
@@ -463,7 +556,7 @@ class TestTransitivity:
         pg = build_path_graph(emb.ball, 0)
         # A leaf's + side has one extension, so it needs no stabilizer; the
         # modulus is refused there all the same.
-        leaf = next(s for s, pth in enumerate(pg.verts) if emb.ball.is_leaf(pth[0]))
+        leaf = next(s for s, pth in enumerate(pg.verts) if is_leaf(emb.ball, pth[0]))
         assert len(pg.edges_into[leaf]) == 1
         for s in (pg.vert_index[(0,)], leaf):
             for m in (0, -3):
@@ -609,3 +702,172 @@ class TestIntegerRoute:
             assert fixes_vertex(conjugate, v, p)
             assert not any(fixes_vertex(g, v, p) for g in movers)
             assert tree_distance(v, w, p) == tree_distance_oracle(v, w, p)
+
+
+# -- the integer valuation kernel against the routes it replaced ----------
+
+PRIMES = st.sampled_from([2, 3, 5, 7])
+
+
+@st.composite
+def rationals(draw, p, integral=False):
+    """p^e times a ratio of ints, either of which may share factors with p;
+    zero sometimes."""
+    num = draw(st.integers(-10 ** 4, 10 ** 4))
+    den = 1 if integral else draw(st.integers(1, 10 ** 3))
+    e = draw(st.integers(0 if integral else -6, 12))
+    return F(num, den) * F(p) ** e
+
+
+@st.composite
+def classes(draw, p):
+    """A canonical class, or one whose u is any rational, not reduced
+    modulo p^n, with a denominator that may be prime to p."""
+    n = draw(st.integers(-5, 5))
+    u = draw(rationals(p))
+    return LatticeClassVertex(n, residue_mod(u, n, p) if draw(st.booleans()) else u)
+
+
+@st.composite
+def elements(draw, p):
+    """A 2x2 matrix of rationals, singular about one time in six."""
+    a, b, c, d = (draw(rationals(p)) for _ in range(4))
+    if draw(st.integers(0, 5)) == 0:
+        lam = draw(rationals(p))
+        c, d = lam * a, lam * b
+    return GroupElement(a, b, c, d)
+
+
+class TestIntegerKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), p=PRIMES)
+    def test_valuation_matches_divide_loop(self, data, p):
+        x = data.draw(st.one_of(rationals(p, integral=True), rationals(p)))
+        assert valuation(x, p) == valuation_oracle(x, p)
+        if x.denominator == 1 and x:
+            n = int(x)
+            assert padic._int_valuation(n, p) == padic._int_valuation(-n, p) \
+                == valuation_oracle(n, p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), p=PRIMES, n=st.integers(-6, 6))
+    def test_residues_and_neighbours_match_fraction_routes(self, data, p, n):
+        u = data.draw(rationals(p))
+        got, want = residue_mod(u, n, p), residue_mod_oracle(u, n, p)
+        assert (type(got), got) == (type(want), want)
+        v = data.draw(classes(p))
+        got, want = lattice_neighbors(v, p), lattice_neighbors_oracle(v, p)
+        assert got == want
+        assert [type(x.u) for x in got] == [type(x.u) for x in want]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), p=PRIMES)
+    def test_distance_matches_fraction_difference(self, data, p):
+        v, w = data.draw(classes(p)), data.draw(classes(p))
+        d = tree_distance(v, w, p)
+        assert d == tree_distance_fraction_oracle(v, w, p) == tree_distance_oracle(v, w, p)
+        assert d == tree_distance(w, v, p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), p=PRIMES)
+    def test_fix_test_matches_least_conjugate_valuation(self, data, p):
+        g = data.draw(elements(p))
+        path = [data.draw(classes(p)) for _ in range(data.draw(st.integers(1, 3)))]
+        with time_limit(10, "a singular element at odd p"):
+            if g.det == 0:
+                assert not padic._fixes_all(g, path, p)
+                assert not any(in_gamma0(g, n, p) for n in range(4))
+                with pytest.raises(ValueError, match="singular"):
+                    canonicalize(g, p)
+                return
+            assert padic._fixes_all(g, path, p) == fixes_all_oracle(g, path, p)
+            # The oracle compares canonical forms, so it takes the class's.
+            lv = path[0]
+            canonical = LatticeClassVertex(lv.n, residue_mod(lv.u, lv.n, p))
+            assert fixes_vertex(g, lv, p) == fixes_vertex_oracle(g, canonical, p)
+            assert canonicalize(g, p) == canonicalize_oracle(g, p)
+            for n in range(4):
+                assert in_gamma0(g, n, p) == in_gamma0_oracle(g, n, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), p=PRIMES)
+    def test_conjugated_fixers_and_movers(self, data, p):
+        """Elements built to fix a class (conjugates of unit lifts) or to
+        move it, where a random element rarely fixes a deep class."""
+        lv = data.draw(classes(p))
+        m = lv.matrix(p)
+        unit = sample_gamma0(p, 0, 3, 1, data.draw(st.integers(0, 10 ** 6)))[0]
+        lam = data.draw(rationals(p).filter(bool))
+        fixer = scaled(m.mul(unit).mul(m.inverse()), lam)
+        assert padic._fixes_all(fixer, [lv], p) and fixes_all_oracle(fixer, [lv], p)
+        for h in GUARD_MOVERS.values():
+            mover = scaled(m.mul(h(p)).mul(m.inverse()), lam)
+            assert not padic._fixes_all(mover, [lv], p)
+            assert not fixes_all_oracle(mover, [lv], p)
+
+
+# One element per clause of ``_fixes_all``'s divisibility test.  Each has
+# v_p(det) = 2, so h = 1, and exactly one entry not divisible by p: at the
+# root its conjugate is itself, and it fails that clause alone.
+GUARD_MOVERS = {
+    "a - cu": lambda p: GroupElement.of(1, p, p, 2 * p * p),
+    "b + (a - d)u - cu^2": lambda p: GroupElement.of(p, 1, 0, p),
+    "c p^n": lambda p: GroupElement.of(p, 0, 1, p),
+    "cu + d": lambda p: GroupElement.of(2 * p * p, p, p, 1),
+}
+
+
+
+def guard_classes(p):
+    """The root and classes with n of both signs, u with a power of p or a
+    unit in its denominator, and u not reduced modulo p^n."""
+    return [ROOT, LatticeClassVertex(3, 5), LatticeClassVertex(-2, F(1, p ** 3)),
+            LatticeClassVertex(-1, F(2 * p + 1, p ** 2)), LatticeClassVertex(2, F(7, 5)),
+            LatticeClassVertex(1, F(p ** 3 + 1, 3))]
+
+
+class TestFixGuards:
+    """Each early return of ``_fixes_all`` decides some answer alone, so
+    deleting it changes a result here."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_odd_determinant_valuation_fixes_nothing(self, p):
+        # diag(p, 1): v(det) = 1, and every conjugate entry at the root is
+        # integral, so only the parity test refuses it.
+        g = GroupElement.of(p, 0, 0, 1)
+        assert not fixes_vertex(g, ROOT, p)
+        assert not in_gamma0(g, 0, p)
+        assert act(g, ROOT, p) != ROOT
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("entry", list(GUARD_MOVERS))
+    def test_each_divisibility_clause(self, entry, p):
+        h = GUARD_MOVERS[entry](p)
+        for lv in guard_classes(p):
+            m = lv.matrix(p)
+            canonical = LatticeClassVertex(lv.n, residue_mod(lv.u, lv.n, p))
+            g = m.mul(h).mul(m.inverse())
+            assert not fixes_vertex(g, lv, p)
+            assert not fixes_vertex_oracle(g, canonical, p)
+            # With the failing entry made divisible by p, g fixes lv.
+            fixed = [x * p if name == entry else x
+                     for name, x in zip(GUARD_MOVERS, h.entries)]
+            g = m.mul(GroupElement.of(*fixed)).mul(m.inverse())
+            assert fixes_vertex(g, lv, p) and fixes_vertex_oracle(g, canonical, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_singular_fixes_nothing_and_returns(self, p):
+        # At odd p a valuation of 0 would never return.
+        with time_limit(10, f"singular element at p={p}"):
+            for g in (GroupElement(1, 1, 1, 1), GroupElement(p, 0, 0, 0),
+                      GroupElement(F(1, 3), F(2, 3), 1, 2)):
+                assert not fixes_vertex(g, ROOT, p)
+                assert not fixes_path_pointwise(g, embed_ball(p, 1), (0, 1))
+                assert not in_gamma0(g, 0, p)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_empty_path_is_fixed_by_every_element(self, p):
+        emb = embed_ball(p, 1)
+        with time_limit(10, f"singular element at p={p}"):
+            for g in (GroupElement.of(p, 0, 0, 1), GroupElement(1, 1, 1, 1), IDENTITY):
+                assert fixes_path_pointwise(g, emb, ()) and fixes_all_oracle(g, (), p)

@@ -19,11 +19,10 @@ from treeforms.radon import (ApartmentFamily, MarginError, PathDependenceError,
                              random_loops, span_check, _kernel_rows,
                              _subspace_dims)
 from treeforms.tower import build_path_graph
-from treeforms.tree import (TreeParams, build_ball, convex_hull,
-                            enumerate_oriented_diameters, geodesic_between,
-                            random_automorphism)
+from treeforms.tree import (TreeParams, build_ball, enumerate_oriented_diameters,
+                            geodesic_between, random_automorphism)
 
-from conftest import apartments, ball, tower
+from conftest import apartments, ball, convex_hull, is_loop, tower
 from test_linalg import FractionEliminator, oracle_nullspace, oracle_rref, spans_same_space
 
 ZERO = Fraction(0)
@@ -777,7 +776,7 @@ class TestWalksAndIntegrals:
                             for _ in range(4)})
             df = coboundary(pg, f)
             for loop in loops:
-                assert loop.is_loop()
+                assert is_loop(loop)
                 assert path_integral(df, loop) == 0
 
     def test_kernel_loop_integrals_vanish(self):
@@ -907,8 +906,23 @@ class TestPrimitive:
         with pytest.raises(PathDependenceError) as err:
             primitive(pg, aps, bad, base=pg.num_vertices - 1)
         loop = err.value.loop
-        assert loop.is_loop()
+        assert is_loop(loop)
         assert path_integral(bad, loop) != 0
+
+    def test_check_primitive_computes_each_region_once(self, monkeypatch):
+        """The suite chooses each base from the enlarged region and hands
+        that region on, so primitive does not compute it again."""
+        calls = []
+
+        def counting(pg, omega):
+            calls.append(omega)
+            return enlarged_support(pg, omega)
+
+        monkeypatch.setattr(checks, "enlarged_support", counting)
+        monkeypatch.setattr(radon, "enlarged_support", counting)
+        passed, report = checks.check_primitive(2, 5, 1, 3)
+        assert passed and report["kernel_dim"] == 6
+        assert len(calls) == 6
 
 
 class TestSpan:

@@ -17,7 +17,7 @@ from treeforms.tower import (PathGraph, SpanningForest, apply_automorphism,
 from treeforms.tree import random_automorphism
 
 from conftest import (FOREST_DOCTORS, apartments, ball, deep_root, doctoring, false_root,
-                      orphan, tower)
+                      is_loop, orphan, tower)
 
 
 def enumerate_paths_oracle(b, nverts):
@@ -324,7 +324,7 @@ class TestSpanningForest:
         with pytest.raises(PathDependenceError, match="^edge 4: df = 0 but cochain value is 1") as err:
             primitive(pg, aps, bad, base)
         loop = err.value.loop
-        assert loop.is_loop() and path_integral(bad, loop) != 0
+        assert is_loop(loop) and path_integral(bad, loop) != 0
         roots = component_roots(pg)
         assert {roots[s] for s in loop.vertices} == {roots[pg.tail[4]]} != {roots[base]}
 

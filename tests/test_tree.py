@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from treeforms.padic import BallEmbedding
 from treeforms.tree import (BallAutomorphism, TreeParams, build_ball,
-                            convex_hull, enumerate_oriented_diameters,
+                            enumerate_oriented_diameters,
                             geodesic_between, random_automorphism)
 
-from conftest import ball
+from conftest import ball, convex_hull, is_leaf
 
 
 def bfs_distances(b, source):
@@ -75,7 +75,7 @@ class TestBuildBall:
         q = 2
         for v in range(b.num_vertices):
             deg = len(b.adjacency[v])
-            if b.is_leaf(v):
+            if is_leaf(b, v):
                 assert deg == 1
             else:
                 assert deg == q + 1
@@ -383,6 +383,6 @@ class TestChildrenTable:
             if children:
                 assert list(children) == list(range(children[0], children[-1] + 1))
             else:
-                assert b.is_leaf(v)
+                assert is_leaf(b, v)
             for i, c in enumerate(children):
                 assert b.addresses[c] == b.addresses[v] + (i,)
