@@ -80,6 +80,10 @@ OTHER_COMMANDS = [
     "check stabilizer --p 2 --n 0",
     "check stabilizer --p 5 --n 0 --seed 3",
     "check stabilizer --p 5 --n 1",
+    "check stabilizer --p 2 --n 2",
+    "check stabilizer --p 5 --n 1 --seed 9",
+    "check stabilizer --p 3 --n 0 --modulus 3 --samples 50",
+    "check stabilizer --p 7 --n 0",
     "check transitivity --p 2",
     "check transitivity --p 2 --seed 5",
     "check transitivity --p 3",
