@@ -24,6 +24,7 @@ general local fields would need ring extensions and are out of scope.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -385,56 +386,77 @@ def _fixes_all(g: GroupElement, classes, p: int) -> bool:
 
 
 def sample_gamma0(p: int, n: int, modulus_exp: int, count: int, seed: int) -> list[GroupElement]:
-    """Seeded sample of congruence-subgroup elements with entries reduced
-    modulo p^modulus_exp; lower-left valuations are >= n by construction.
+    """Seeded uniform sample, with replacement, of the level-n congruence
+    subgroup modulo p^m, m = modulus_exp: the matrices [[a, b], [c, d]]
+    with entries in [0, p^m), p^n | c and det a unit modulo p.
 
-    At level 0 the subgroup is the full maximal compact, so the sample is
-    any integral matrix with unit determinant.
+    At level n >= 1 these are a and d units, b any residue and c = p^n r,
+    r in [0, p^(m-n)); at level 0, the full maximal compact, any four
+    residues with a unit determinant.  Each attempt is one
+    ``randrange(N)``, decoded in mixed radix (``_index_decoder``); only level 0
+    rejects an attempt, when its determinant is 0 modulo p.
     """
-    _check_level(n, modulus_exp)
-    rng = random.Random(seed)
-    pm = p ** modulus_exp
-    out = []
-    while len(out) < count:
-        a = rng.randrange(pm)
-        d = rng.randrange(pm)
-        b = rng.randrange(pm)
-        if n == 0:
-            c = rng.randrange(pm)
-            if (a * d - b * c) % p == 0:
-                continue
-        else:
-            if a % p == 0 or d % p == 0:
-                continue
-            c = (p ** n) * rng.randrange(p ** (modulus_exp - n))
-        if a * d - b * c == 0:
-            continue
-        out.append(GroupElement.of(a, b, c, d))
-    return out
+    return _sample(p, n, modulus_exp, count, seed, exact=False)
 
 
 def sample_with_exact_lower_valuation(p: int, n: int, modulus_exp: int,
                                       count: int, seed: int) -> list[GroupElement]:
-    """Elements of the level-n subgroup whose lower-left valuation is
-    exactly n (so they sit outside level n+1)."""
+    """Seeded uniform sample, with replacement, of the level-n elements
+    whose lower-left valuation is exactly n (so they sit outside level
+    n+1): a and d units in [0, p^m), b in [0, p^m), c = p^n r with r a
+    unit in [0, p^(m-n)), and det a unit modulo p, which only level 0
+    can miss.  One ``randrange(N)`` per attempt, as in ``sample_gamma0``.
+    """
+    return _sample(p, n, modulus_exp, count, seed, exact=True)
+
+
+def _sample(p: int, n: int, modulus_exp: int, count: int, seed: int,
+            exact: bool) -> list[GroupElement]:
+    """The first ``count`` elements accepted from indices drawn by
+    ``random.Random(seed).randrange(N)``, one draw per attempt."""
     _check_level(n, modulus_exp)
-    rng = random.Random(seed)
-    pm = p ** modulus_exp
-    out = []
-    while len(out) < count:
-        a = rng.randrange(1, pm)
-        d = rng.randrange(1, pm)
-        if a % p == 0 or d % p == 0:
-            continue
-        b = rng.randrange(pm)
-        unit = rng.randrange(1, p ** (modulus_exp - n))
-        if unit % p == 0:
-            continue
-        c = (p ** n) * unit
-        if (a * d - b * c) % p == 0:
-            continue
-        out.append(GroupElement.of(a, b, c, d))
-    return out
+    size, decode = _index_decoder(p, n, modulus_exp, exact)
+    draws = iter(functools.partial(random.Random(seed).randrange, size), None)
+    return list(itertools.islice(decode(draws), max(count, 0)))
+
+
+def _index_decoder(p: int, n: int, modulus_exp: int, exact: bool):
+    """(N, decode): decode(indices) yields the sampled set's elements at
+    the given indices in [0, N), skipping the rejected ones; ``exact``
+    picks the movers of ``sample_with_exact_lower_valuation``.
+
+    An index is read in mixed radix as (a, d, b, r), c = p^n r: b in
+    [0, p^m); a and d among the units of [0, p^m), except for the
+    level-0 fixers, where they are any residue; r in [0, p^(m-n)), or
+    among its units for a mover.  The k-th unit is k + k // (p - 1) + 1,
+    for p prime: from 1 up to it lie k units and k // (p - 1) multiples
+    of p.  So the indices in [0, N) map one to one onto a set that, at
+    levels >= 1, is exactly the sampled one, since a d - b c = a d mod p
+    is a unit; at level 0 an index is rejected when a d - b c is 0 modulo
+    p.  Every yielded det is thus a unit modulo p, so nonzero, and a
+    uniform index gives a uniform element, in ints, with no table that
+    grows with p.
+    """
+    pm, pr = p ** modulus_exp, p ** (modulus_exp - n)
+    units, pn, q = bool(n or exact), p ** n, p - 1
+    na = pm - pm // p if units else pm
+    nr = pr - pr // p if exact else pr
+
+    def decode(indices):
+        for i in indices:
+            i, a = divmod(i, na)
+            i, d = divmod(i, na)
+            r, b = divmod(i, pm)
+            if units:
+                a += a // q + 1
+                d += d // q + 1
+            if exact:
+                r += r // q + 1
+            c = pn * r
+            if n or (a * d - b * c) % p:
+                yield GroupElement(a, b, c, d)
+
+    return na * na * pm * nr, decode
 
 
 def _check_level(n: int, modulus_exp: int) -> None:

@@ -1,5 +1,6 @@
 """Lattice classes, the projective action, congruence subgroups, stabilizers."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import lcm
@@ -184,6 +185,66 @@ def transitivity_oracle(emb, pg, s, stabilizer):
         results[side] = TransitivityResult(covered, covered, len(orbit), len(targets),
                                            len(stabilizer))
     return results
+
+
+def sample_gamma0_oracle(p, n, modulus_exp, count, seed):
+    """The rejection sampler ``sample_gamma0`` replaced: it draws a, d and b
+    (and c at level 0) and rejects a non-unit a or d (level 0: a non-unit
+    determinant)."""
+    rng = random.Random(seed)
+    pm = p ** modulus_exp
+    out = []
+    while len(out) < count:
+        a = rng.randrange(pm)
+        d = rng.randrange(pm)
+        b = rng.randrange(pm)
+        if n == 0:
+            c = rng.randrange(pm)
+            if (a * d - b * c) % p == 0:
+                continue
+        else:
+            if a % p == 0 or d % p == 0:
+                continue
+            c = (p ** n) * rng.randrange(p ** (modulus_exp - n))
+        if a * d - b * c == 0:
+            continue
+        out.append(GroupElement.of(a, b, c, d))
+    return out
+
+
+def sample_with_exact_lower_valuation_oracle(p, n, modulus_exp, count, seed):
+    """The rejection sampler ``sample_with_exact_lower_valuation`` replaced."""
+    rng = random.Random(seed)
+    pm = p ** modulus_exp
+    out = []
+    while len(out) < count:
+        a = rng.randrange(1, pm)
+        d = rng.randrange(1, pm)
+        if a % p == 0 or d % p == 0:
+            continue
+        b = rng.randrange(pm)
+        unit = rng.randrange(1, p ** (modulus_exp - n))
+        if unit % p == 0:
+            continue
+        c = (p ** n) * unit
+        if (a * d - b * c) % p == 0:
+            continue
+        out.append(GroupElement.of(a, b, c, d))
+    return out
+
+
+def sampler_accepts_oracle(p, n, modulus_exp, exact, a, b, c, d):
+    """Whether the rejection oracle (the movers' one when ``exact``) can
+    return [[a, b], [c, d]]: its draw ranges and its rejection tests."""
+    pm, pn = p ** modulus_exp, p ** n
+    if not (0 <= a < pm and 0 <= b < pm and 0 <= c < pm and 0 <= d < pm) or c % pn:
+        return False
+    det = a * d - b * c
+    if exact:
+        return bool(a % p and d % p and (c // pn) % p and det % p)
+    if n == 0:
+        return bool(det % p and det)
+    return bool(a % p and d % p and det)
 
 
 class TestValuation:
@@ -631,6 +692,96 @@ class TestSamplerLevels:
         for g in sample_with_exact_lower_valuation(p, n, 6, 20, 0):
             assert in_gamma0(g, n, p)
             assert valuation(g.c, p) == n
+
+
+SAMPLERS = {False: (sample_gamma0, sample_gamma0_oracle),
+            True: (sample_with_exact_lower_valuation, sample_with_exact_lower_valuation_oracle)}
+SAMPLER_GRID = [(p, m, n) for p in (2, 3, 5) for m in (1, 2, 3) for n in range(m)]
+
+
+class TestUniformSamplers:
+    """The samplers draw one index per attempt and decode it; the old
+    rejection samplers are the oracles of the set they draw from."""
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("p,m,n", [(p, m, n) for p, m, n in SAMPLER_GRID if p ** m <= 27])
+    def test_indices_decode_one_to_one_onto_the_oracle_set(self, p, m, n, exact):
+        # A bijection from range(N) onto the accepted set (rejected indices
+        # aside) makes a uniform index a uniform element.  One byte marks
+        # each 4-tuple of residues; p = 5, m = 3 has 5^12 of them and is
+        # checked below on drawn indices instead.  The oracle rejects every
+        # c that p^n does not divide, so those are not offered to it.
+        pm, pn = p ** m, p ** n
+        oracle = bytearray(pm ** 4)
+        for c in range(0, pm, pn):
+            for a, b, d in itertools.product(range(pm), repeat=3):
+                if sampler_accepts_oracle(p, n, m, exact, a, b, c, d):
+                    oracle[((a * pm + b) * pm + c) * pm + d] = 1
+        hits = bytearray(pm ** 4)
+        size, decode = padic._index_decoder(p, n, m, exact)
+        accepted = 0
+        for g in decode(range(size)):
+            a, b, c, d = g.entries
+            hits[((a * pm + b) * pm + c) * pm + d] += 1
+            accepted += 1
+        assert hits == oracle
+        if n:  # no index is rejected above level 0
+            assert accepted == size
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_drawn_indices_decode_into_the_oracle_set_at_p5_m3(self, n, exact):
+        size, decode = padic._index_decoder(5, n, 3, exact)
+        indices = random.Random(n).sample(range(size), 4000)
+        got = [g.entries for g in decode(indices)]
+        for t in got:
+            assert sampler_accepts_oracle(5, n, 3, exact, *t)
+        assert len(set(got)) == len(got)
+        if n:
+            assert len(got) == len(indices)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (3, 1)])
+    def test_oracle_samples_cover_the_oracle_set(self, p, m, exact):
+        # Ties the acceptance test above to the old samplers themselves.
+        for n in range(m):
+            oracle = SAMPLERS[exact][1](p, n, m, 2000, n)
+            accepted = {t for t in itertools.product(range(p ** m), repeat=4)
+                        if sampler_accepts_oracle(p, n, m, exact, *t)}
+            assert {g.entries for g in oracle} == accepted
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("p,m,n", SAMPLER_GRID)
+    def test_samples_are_seeded_and_at_their_level(self, p, m, n, exact):
+        sampler = SAMPLERS[exact][0]
+        got = sampler(p, n, m, 40, 11)
+        assert got == sampler(p, n, m, 40, 11)
+        assert len(got) == 40
+        for g in got:
+            assert g.det != 0
+            assert in_gamma0(g, n, p)
+            if exact:
+                assert valuation(g.c, p) == n
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_one_draw_per_element_above_level_zero(self, p, exact, monkeypatch):
+        draws = []
+        randrange = random.Random.randrange
+
+        def counting(self, *args):
+            draws.append(args)
+            return randrange(self, *args)
+
+        monkeypatch.setattr(random.Random, "randrange", counting)
+        sampler = SAMPLERS[exact][0]
+        for n in (1, 2, 3):
+            draws.clear()
+            assert len(sampler(p, n, 6, 200, 5)) == 200
+            assert len(draws) == 200
+        draws.clear()
+        assert len(sampler(p, 0, 6, 200, 5)) == 200
+        assert len(draws) >= 200  # level 0 draws again after a non-unit det
 
 
 def path_in_ball(rng, emb):
