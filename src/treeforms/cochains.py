@@ -30,6 +30,7 @@ from .tower import PathGraph, SpanningForest, num_components
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+MINUS_ONE = Fraction(-1)
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ class Cochain:
         return Cochain(self.level, out)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
-        return self + other.scale(-ONE)
+        return self + other.scale(MINUS_ONE)
 
     def scale(self, c) -> "Cochain":
         c = Fraction(c)
@@ -97,9 +98,9 @@ class Cochain:
 
 def _check_support(pg: PathGraph, c: Cochain) -> None:
     n = pg.num_vertices if c.level == 0 else pg.num_edges
-    for i in c.support:
-        if not (0 <= i < n):
-            raise ValueError(f"cochain support {i} outside the path graph")
+    if c.data and (min(c.data) < 0 or max(c.data) >= n):
+        i = next(i for i in c.support if not 0 <= i < n)
+        raise ValueError(f"cochain support {i} outside the path graph")
 
 
 def shared_fractions(nums: dict[int, int], den: int,
@@ -189,7 +190,8 @@ def harmonic_space(pg: PathGraph) -> list[Cochain]:
     """
     basis, certified = _harmonic_basis(pg)
     if certified:
-        return [Cochain(1, shared_fractions(vec, 1)) for vec in basis]
+        units: dict[int, Fraction] = {}  # one table for the basis: every value is +-1
+        return [Cochain(1, shared_fractions(vec, 1, units)) for vec in basis]
     return [Cochain(1, vec) for vec in basis]
 
 
@@ -228,7 +230,7 @@ def _forest_rank(forest: SpanningForest) -> int | None:
 def incidence_rows(pg: PathGraph):
     """Rows of the coboundary matrix d: one sparse row per edge."""
     for a in range(pg.num_edges):
-        yield {pg.head[a]: ONE, pg.tail[a]: -ONE}
+        yield {pg.head[a]: ONE, pg.tail[a]: MINUS_ONE}
 
 
 def incidence_rank(pg: PathGraph) -> int:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from treeforms import _linalg, cochains
 from treeforms.cochains import (Cochain, adjoint, basis_manifest, coboundary,
                                 coboundary_rank, cochain_to_csv, h1c_dimension,
-                                harmonic_space, incidence_rows, integrate,
+                                harmonic_space, incidence_rank, incidence_rows, integrate,
                                 intersect_harmonic_exact, pairing)
 from treeforms.tower import (SpanningForest, apply_automorphism, component_roots,
                              components, num_components)
@@ -81,6 +81,19 @@ class TestCoboundary:
         from treeforms import _linalg, cochains
         rank = _linalg.rank_of_rows(incidence_rows(pg))
         assert pg.num_vertices - rank == num_components(pg)
+
+
+    @pytest.mark.parametrize("op,level", [(coboundary, 0), (adjoint, 1)])
+    def test_support_outside_the_graph_is_refused(self, op, level):
+        pg = tower(2, 2, 1)
+        n = pg.num_vertices if level == 0 else pg.num_edges
+        for bad in (-1, n, n + 7):
+            with pytest.raises(ValueError, match=f"^cochain support {bad} outside the path graph$"):
+                op(pg, Cochain(level, {0: 1, bad: 2, 1: 3}))
+        # The first offending id in the support's order is the one named.
+        with pytest.raises(ValueError, match=f"^cochain support {n + 3} outside"):
+            op(pg, Cochain(level, {n + 3: 1, -2: 1}))
+        op(pg, Cochain(level, {0: 1, n - 1: 2}))
 
 
 class TestAdjoint:
@@ -298,6 +311,25 @@ class TestCertifiedRanks:
         basis = harmonic_space(pg)
         assert calls == ["rank_of_rows", "nullspace", "rank_of_rows", "nullspace"]
         assert_spans_ker_dstar(pg, basis, rank_d)
+
+    def test_forest_whose_roots_split_a_component_is_refused(self, monkeypatch):
+        # A forest over every third edge passes ``checked`` (its own facts
+        # hold) but has 5 roots on one component: V - #roots = 5, while
+        # rank(d) = 9.  Only the guard that both ends of every edge share a
+        # root refuses it.
+        pg = tower(2, 2, 0)
+        edge_ids = range(0, pg.num_edges, 3)
+        forest = SpanningForest(pg, edge_ids=edge_ids)
+        assert forest.checked() and None not in forest.root
+        assert len(set(component_roots(pg))) == 1
+        assert pg.num_vertices - forest.parent_edge.count(None) == 5
+        assert incidence_rank(pg) == 9
+        assert cochains._forest_rank(forest) is None
+        monkeypatch.setattr(cochains, "SpanningForest",
+                            lambda pg: SpanningForest(pg, edge_ids=edge_ids))
+        calls = spy_elimination(monkeypatch)
+        assert coboundary_rank(pg) == 9
+        assert calls == ["rank_of_rows"]
 
     @pytest.mark.parametrize("doctor", [flipped_sign, doubled, merged, dropped, repeated])
     @pytest.mark.parametrize("q,radius,k", [(2, 2, 0), (2, 3, 1), (3, 2, 2)])
