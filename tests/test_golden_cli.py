@@ -64,6 +64,7 @@ def _cases() -> list[list[str]]:
 OTHER_COMMANDS = [
     "check adjoint --q 2 --radius 3 --k 1",
     "check adjoint --q 3 --radius 2 --k 0 --seed 5 --samples 7",
+    "check adjoint --q 2 --radius 1 --k 2",
     "check radon-d --q 2 --radius 3 --k 1 --seed 7",
     "check radon-d --q 2 --radius 2 --k 4 --samples 3",
     "check radon-d --q 2 --radius 6 --k 0 --seed 1",
@@ -71,6 +72,7 @@ OTHER_COMMANDS = [
     "check equivariance --q 3 --radius 2 --k 0 --seed 3 --samples 4",
     "check equivariance --q 2 --radius 6 --k 0 --seed 1",
     "check equivariance --q 3 --radius 4 --k 0 --seed 1",
+    "check equivariance --q 2 --radius 1 --k 2",
     "check padic --p 2 --radius 3",
     "check padic --p 3 --radius 2",
     "check padic --p 5 --radius 2",
@@ -108,6 +110,16 @@ OTHER_COMMANDS = [
     "check gamma0 --p 3 --n 0 --matrix 1/2,1/3;0,1",
     "check gamma0 --p 3 --n 1 --matrix 1/9,1/5;1/3,4/9",
     "check gamma0 --p 3 --n 1 --matrix 2/5,1/3;3/7,1/2",
+    "check gamma0 --p 2 --n 2 --matrix 3,6;12,9",
+    "check gamma0 --p 2 --n 3 --matrix 3,6;12,9",
+    "check gamma0 --p 2 --n 2 --matrix 2,4;8,6",
+    "check gamma0 --p 2 --n 3 --matrix 2,4;8,6",
+    "check gamma0 --p 5 --n 3 --matrix 2,1;250,3",
+    "check gamma0 --p 5 --n 4 --matrix 2,1;250,3",
+    "check gamma0 --p 7 --n 0 --matrix 0,1;1,0",
+    "check gamma0 --p 7 --n 1 --matrix 0,1;1,0",
+    "check gamma0 --p 3 --n 4 --matrix 1/2,0;0,1/2",
+    "check gamma0 --p 2 --n 200 --matrix 1,0;0,1",
     "check euler --q 2 --radius 2 --k 1 --output report.json",
     "check euler --q 2 --radius 5 --k 1",
     "check euler --q 3 --radius 4 --k 2",
