@@ -78,7 +78,7 @@ def check_adjoint(q: int, radius: int, k: int, seed: int, samples: int = 100) ->
     counterexample = None
     for _ in range(samples):
         f = _random_sparse(rng, 0, range(pg.num_vertices), 4)
-        w = _random_sparse(rng, 1, range(pg.num_edges), 4) if pg.num_edges else Cochain.zero(1)
+        w = _random_sparse(rng, 1, range(pg.num_edges), 4)
         if pairing(w, coboundary(pg, f)) != pairing(adjoint(pg, w), f):
             counterexample = {"f": {i: str(x) for i, x in f.data.items()},
                               "omega": {i: str(x) for i, x in w.data.items()}}
@@ -237,8 +237,7 @@ def check_equivariance(q: int, radius: int, k: int, seed: int,
             continue
         for _ in range(3):
             f = _random_sparse(rng, 0, range(pg.num_vertices), 4)
-            w = (_random_sparse(rng, 1, range(pg.num_edges), 4)
-                 if pg.num_edges else Cochain.zero(1))
+            w = _random_sparse(rng, 1, range(pg.num_edges), 4)
             if coboundary(pg, f.permuted(vmap)) != coboundary(pg, f).permuted(emap):
                 failures.append({"auto": i, "kind": "coboundary"})
             if adjoint(pg, w.permuted(emap)) != adjoint(pg, w).permuted(vmap):

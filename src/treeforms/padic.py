@@ -296,17 +296,20 @@ def embed_ball(p: int, radius: int) -> BallEmbedding:
 
 
 def in_gamma0(g: GroupElement, n: int, p: int) -> bool:
-    """Membership in the congruence subgroup with lower-left entries in
-    p^n (diagonal entries units, upper-right integral), up to scalars;
-    n = 0 means the maximal compact subgroup, image of GL(2, Z_p)."""
+    """Membership in Gamma0(p^n) Q_p^*, the congruence subgroup with
+    lower-left entries in p^n (diagonal entries units, upper-right
+    integral), up to scalars; n = 0 means the maximal compact subgroup,
+    image of GL(2, Z_p).
+
+    That group is the pointwise stabilizer of the standard n-path, from
+    the root class to diag(1, p^n) (Serre, *Trees*, II.1).  An element
+    that fixes both ends of a geodesic fixes every vertex between them,
+    since the geodesic is the only path of its length joining them; so
+    the test is ``_fixes_all`` on the two ends.
+    """
     if n < 0:
         raise ValueError("congruence level must be >= 0")
-    if n == 0:
-        return _fixes_all(g, (ROOT,), p)
-    a, b, c, d = _integral(g)
-    if (m := valuation(a, p)) is None or m != valuation(d, p):
-        return False
-    return not (b % p ** m or c % p ** (m + n))
+    return _fixes_all(g, (ROOT, LatticeClassVertex(-n, 0)), p)
 
 
 def standard_path(emb: BallEmbedding, n: int) -> tuple[int, ...]:
@@ -359,10 +362,13 @@ def _fixes_all(g: GroupElement, classes, p: int) -> bool:
     v(det g) / 2.  With u = U / D and k = v_p(D), the entries are x p^n,
     x / D, x / D and x / (D^2 p^n) for the ints x below, whose valuations
     must reach h - n, h + k, h + k and h + 2k + n: one divisibility test
-    each, void at an exponent <= 0.  g is scaled to int entries first
-    (``_integral``), which moves v(det) and each 2 v(C_ij) alike.  A
-    singular g is given v_p(p) = 1, odd, so v_p(0) is never taken; an odd
-    g fixes no class, and so every class of an empty list.
+    each, void at an exponent <= 0.  The first and last exponents grow
+    with |n|; there a zero x passes, and a nonzero x fails with no power
+    of p taken once e >= x.bit_length(), since then p^e >= 2^e > |x|.
+    g is scaled to int entries first (``_integral``), which moves v(det)
+    and each 2 v(C_ij) alike.  A singular g is given v_p(p) = 1, odd, so
+    v_p(0) is never taken; an odd g fixes no class, and so every class of
+    an empty list.
     """
     a, b, c, d = _integral(g)
     det = a * d - b * c
@@ -374,13 +380,15 @@ def _fixes_all(g: GroupElement, classes, p: int) -> bool:
         n, U, D = lv.n, lv.u.numerator, lv.u.denominator
         k = _int_valuation(D, p)
         cU = c * U
-        if h > n and c % p ** (h - n):
+        e = h - n
+        if e > 0 and c and (e >= c.bit_length() or c % p ** e):
             return False
         e = h + k
         if e > 0 and ((a * D - cU) % p ** e or (cU + d * D) % p ** e):
             return False
         e += k + n
-        if e > 0 and ((b * D + (a - d) * U) * D - cU * U) % p ** e:
+        if e > 0 and (x := (b * D + (a - d) * U) * D - cU * U) and (
+                e >= x.bit_length() or x % p ** e):
             return False
     return True
 
@@ -414,7 +422,7 @@ def _sample(p: int, n: int, modulus_exp: int, count: int, seed: int,
             exact: bool) -> list[GroupElement]:
     """The first ``count`` elements accepted from indices drawn by
     ``random.Random(seed).randrange(N)``, one draw per attempt."""
-    _check_level(n, modulus_exp)
+    _check_level(p, n, modulus_exp)
     size, decode = _index_decoder(p, n, modulus_exp, exact)
     draws = iter(functools.partial(random.Random(seed).randrange, size), None)
     return list(itertools.islice(decode(draws), max(count, 0)))
@@ -459,11 +467,15 @@ def _index_decoder(p: int, n: int, modulus_exp: int, exact: bool):
     return na * na * pm * nr, decode
 
 
-def _check_level(n: int, modulus_exp: int) -> None:
-    """The samplers need a congruence level 0 <= n < modulus_exp."""
+def _check_level(p: int, n: int, modulus_exp: int) -> None:
+    """The samplers need a congruence level 0 <= n < modulus_exp and a
+    prime p: at p = 1 level 0 rejects every index, and at a composite p
+    the k-th "unit" of ``_index_decoder`` need not be one."""
     if not 0 <= n < modulus_exp:
         raise ValueError(f"congruence level n = {n} must satisfy "
                          f"0 <= n < modulus exponent {modulus_exp}")
+    if not is_prime(p):
+        raise ValueError(f"p must be a prime, got {p}")
 
 
 def enumerate_unit_lifts(p: int, modulus_exp: int) -> list[GroupElement]:

@@ -39,7 +39,7 @@ from math import lcm
 from typing import NamedTuple
 
 from . import _linalg
-from .cochains import Cochain, _adjoint_rows, integrate, shared_fractions
+from .cochains import Cochain, _adjoint_rows, _check_support, integrate, shared_fractions
 from .tower import PathGraph, SpanningForest, component_roots
 from .tree import enumerate_oriented_diameters, geodesic_between
 
@@ -203,13 +203,13 @@ def radon_transform(pg: PathGraph, aps: ApartmentFamily, omega: Cochain) -> dict
         raise ValueError("the transform applies to 1-cochains")
     if aps.pg is not pg:
         raise ValueError("the apartment family is built on another path graph")
+    _check_support(pg, omega)
     data = omega.data
     den = lcm(*(x.denominator for x in data.values()))
     through = aps._through
     own: dict[int, Fraction] = {}
     sums: dict[int, int] = {}
     for a, x in data.items():
-        pg.check_edge(a)
         n = x.numerator * (den // x.denominator)
         own[n] = x
         for i in through[a]:

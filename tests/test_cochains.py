@@ -11,12 +11,13 @@ from treeforms.cochains import (Cochain, adjoint, basis_manifest, coboundary,
                                 coboundary_rank, cochain_to_csv, h1c_dimension,
                                 harmonic_space, incidence_rank, incidence_rows, integrate,
                                 intersect_harmonic_exact, pairing)
+from treeforms.radon import radon_transform
 from treeforms.tower import (SpanningForest, apply_automorphism, component_roots,
                              components, num_components)
 from treeforms.tree import random_automorphism
 
-from conftest import (FOREST_DOCTORS, ball, doctoring, spy_elimination, stray_parent,
-                      tower)
+from conftest import (FOREST_DOCTORS, apartments, ball, doctoring, spy_elimination,
+                      stray_parent, tower)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -83,7 +84,10 @@ class TestCoboundary:
         assert pg.num_vertices - rank == num_components(pg)
 
 
-    @pytest.mark.parametrize("op,level", [(coboundary, 0), (adjoint, 1)])
+    @pytest.mark.parametrize("op,level", [
+        (coboundary, 0), (adjoint, 1),
+        pytest.param(lambda pg, w: radon_transform(pg, apartments(2, 2, 1), w), 1,
+                     id="radon_transform-1")])
     def test_support_outside_the_graph_is_refused(self, op, level):
         pg = tower(2, 2, 1)
         n = pg.num_vertices if level == 0 else pg.num_edges

@@ -467,6 +467,20 @@ class TestGamma0:
         for n in (0, 1, 2):
             assert in_gamma0(g, n, 2) == in_gamma0(gl, n, 2)
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_deep_levels_take_no_huge_power(self, p):
+        # The fix test passes a zero entry and fails a nonzero one shorter
+        # than p^e without computing p^e; 3^(3 10^7) alone takes seconds.
+        n = 200
+        g = GroupElement(1, 0, p ** n, 1)
+        deep = 3 * 10 ** 7
+        with time_limit(5, f"deep levels at p={p}"):
+            assert in_gamma0(g, n, p) and not in_gamma0(g, n + 1, p)
+            assert in_gamma0(IDENTITY, deep, p)
+            assert not in_gamma0(GroupElement(1, 0, p, 1), deep, p)
+            assert fixes_vertex(IDENTITY, LatticeClassVertex(deep, 0), p)
+            assert not fixes_vertex(GroupElement(1, 1, 0, 1), LatticeClassVertex(deep, 0), p)
+
     def test_sampled_members_satisfy_membership(self):
         for p in (2, 3):
             for n in (1, 2, 3):
@@ -686,6 +700,15 @@ class TestSamplerLevels:
         with pytest.raises(ValueError, match=f"congruence level n = {n} must satisfy"):
             sampler(2, n, m, 5, 0)
 
+    @pytest.mark.parametrize("sampler", [sample_gamma0, sample_with_exact_lower_valuation])
+    @pytest.mark.parametrize("p,n", [(1, 0), (4, 1), (0, 0), (-3, 1), (9, 0)])
+    def test_non_prime_p_refused(self, sampler, p, n):
+        # At p = 1 level 0 rejected every index, so the call never returned;
+        # at p = 4 the "units" 2, 6, 10, 14 were even.
+        with time_limit(10, f"sampling at p={p}"), \
+                pytest.raises(ValueError, match=f"^p must be a prime, got {p}$"):
+            sampler(p, n, 2, 200, 0)
+
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_movers_are_level_n_with_exact_valuation(self, p, n):
@@ -889,6 +912,21 @@ def elements(draw, p):
     return GroupElement(a, b, c, d)
 
 
+@st.composite
+def level_elements(draw, p):
+    """A scalar multiple of [[a, b], [c, d]] with a and d units, b an int
+    and c = p^j r, j <= 7, so at level j; a or d is made a non-unit
+    sometimes, and r is often a unit, so that level j + 1 fails."""
+    a, d = (p * draw(st.integers(-50, 50)) + draw(st.integers(1, p - 1)) for _ in "ad")
+    if draw(st.integers(0, 4)) == 0:
+        a *= p
+    if draw(st.integers(0, 4)) == 0:
+        d *= p ** draw(st.integers(1, 2))
+    b = draw(st.integers(-10 ** 4, 10 ** 4))
+    c = p ** draw(st.integers(0, 7)) * draw(st.integers(-10 ** 3, 10 ** 3))
+    return scaled(GroupElement(a, b, c, d), draw(rationals(p).filter(bool)))
+
+
 class TestIntegerKernel:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), p=PRIMES)
@@ -922,12 +960,12 @@ class TestIntegerKernel:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), p=PRIMES)
     def test_fix_test_matches_least_conjugate_valuation(self, data, p):
-        g = data.draw(elements(p))
+        g = data.draw(st.one_of(level_elements(p), elements(p)))
         path = [data.draw(classes(p)) for _ in range(data.draw(st.integers(1, 3)))]
         with time_limit(10, "a singular element at odd p"):
             if g.det == 0:
                 assert not padic._fixes_all(g, path, p)
-                assert not any(in_gamma0(g, n, p) for n in range(4))
+                assert not any(in_gamma0(g, n, p) for n in range(7))
                 with pytest.raises(ValueError, match="singular"):
                     canonicalize(g, p)
                 return
@@ -937,7 +975,7 @@ class TestIntegerKernel:
             canonical = LatticeClassVertex(lv.n, residue_mod(lv.u, lv.n, p))
             assert fixes_vertex(g, lv, p) == fixes_vertex_oracle(g, canonical, p)
             assert canonicalize(g, p) == canonicalize_oracle(g, p)
-            for n in range(4):
+            for n in range(7):
                 assert in_gamma0(g, n, p) == in_gamma0_oracle(g, n, p)
 
     @settings(max_examples=100, deadline=None)
