@@ -9,7 +9,9 @@ Exit codes: 0 success / all checks passed, 1 verification failure,
 2 invalid arguments (refused before anything is built), 3 I/O error,
 4 internal error (any exception once the arguments are accepted, a
 ValueError inside a suite included, reported as one stderr line without
-a traceback).
+a traceback).  Every refusal with exit 2 prints one stderr line and no
+usage text, argparse's own (unknown command, suite or flag, missing
+required flag, bad value or choice) included.
 TREEFORMS_OUTDIR sets the default output directory for exports.
 
 The argument parser is built once per process, on the first ``main``
@@ -41,16 +43,21 @@ def _suite(name: str):
     return getattr(checks, "check_" + name.replace("-", "_"))
 
 
-# suite -> the run parameters of its checks.check_<suite>, which are also
-# its check flags (for equivariance, --samples counts the automorphisms).
-# Read once at import, so that a suite function replaced later is still
-# called with the same keywords.  A flag left unset (--samples omitted) is
-# not passed, so the suite's own default applies.  The pre-flight checks
-# the flags a suite reads and refuses any other check flag but --output.
-SUITES = {suite: tuple(inspect.signature(_suite(suite)).parameters)
+# suite -> {run parameter of its checks.check_<suite>: its signature
+# default, or None}.  The parameters are also the suite's check flags (for
+# equivariance, --samples counts the automorphisms).  Read once at import,
+# so that a suite function replaced later is still called with the same
+# keywords.  A flag left out takes the suite's default, else the default
+# instance's value (DEFAULT_INSTANCE), else --margin is k+2 and --matrix is
+# refused.  The pre-flight checks the flags a suite reads and refuses any
+# other check flag but --output.
+SUITES = {suite: {name: None if param.default is param.empty else param.default
+                  for name, param in inspect.signature(_suite(suite)).parameters.items()}
           for suite in ("euler", "adjoint", "radon-d", "exactness", "loops", "primitive",
                         "equivariance", "padic", "stabilizer", "transitivity", "span",
                         "gamma0")}
+
+DEFAULT_INSTANCE = {"q": 2, "radius": 3, "k": 0, "seed": 0, "p": 2, "n": 0}
 
 
 def parse_matrix(text: str) -> GroupElement:
@@ -72,20 +79,12 @@ def parse_matrix(text: str) -> GroupElement:
     return GroupElement.of(*entries)
 
 
-class _Given(argparse.Action):
-    """Store a check flag and note it as given, so that the pre-flight can
-    refuse a flag the suite does not read."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
-        namespace.given = namespace.given | {self.dest}
-
-
 class _Parser(argparse.ArgumentParser):
+    # Not exit_on_error=False: argparse still sends "required" and
+    # "unrecognized" refusals through error().
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(2)
+        """Refuse as the pre-flight does: one ValueError line from main."""
+        raise ValueError(message)
 
 
 @functools.cache
@@ -109,23 +108,20 @@ def _build_parser() -> _Parser:
 
     p_check = sub.add_parser("check", help="run a verification suite")
     p_check.add_argument("suite", choices=SUITES)
-    p_check.set_defaults(given=frozenset())
-    p_check.add_argument("--q", type=int, default=2, action=_Given)
-    p_check.add_argument("--radius", type=int, default=3, action=_Given)
-    p_check.add_argument("--k", type=int, default=0, action=_Given)
-    p_check.add_argument("--margin", type=int, default=None, action=_Given,
-                         help="interior margin (default: k+2)")
-    p_check.add_argument("--seed", type=int, default=0, action=_Given)
-    p_check.add_argument("--samples", type=int, default=None, action=_Given)
-    p_check.add_argument("--p", type=int, default=2, action=_Given)
-    p_check.add_argument("--n", type=int, default=0, action=_Given)
-    p_check.add_argument("--modulus", type=int, default=6, action=_Given,
+    p_check.add_argument("--q", type=int)
+    p_check.add_argument("--radius", type=int)
+    p_check.add_argument("--k", type=int)
+    p_check.add_argument("--margin", type=int, help="interior margin (default: k+2)")
+    p_check.add_argument("--seed", type=int)
+    p_check.add_argument("--samples", type=int)
+    p_check.add_argument("--p", type=int)
+    p_check.add_argument("--n", type=int)
+    p_check.add_argument("--modulus", type=int,
                          help="congruence sampling exponent m (entries mod p^m)")
-    p_check.add_argument("--scan", nargs=0, const=True, default=False, action=_Given,
+    p_check.add_argument("--scan", action="store_const", const=True,
                          help="exactness: also report the minimal passing margin")
-    p_check.add_argument("--matrix", action=_Given,
-                         help="gamma0: inline 2x2 matrix 'a,b;c,d' "
-                              "with integer or num/den entries")
+    p_check.add_argument("--matrix", help="gamma0: inline 2x2 matrix 'a,b;c,d' "
+                                          "with integer or num/den entries")
     p_check.add_argument("--output", help="write the JSON report here as well")
 
     p_export = sub.add_parser("export", help="write export files")
@@ -161,8 +157,8 @@ def _preflight(args) -> None:
     is reported: a missing export directory (exit 3) first, then an
     export --format that the --what does not have, then other bad input,
     and last a check flag (other than --output) that the suite does not
-    read, all three as a ValueError (exit 2).  Fills in the default
-    margin (k+2) and replaces --matrix by the matrix it parses to.
+    read, all three as a ValueError (exit 2).  Fills in each check flag
+    left out (``SUITES``) and replaces --matrix by the matrix it parses to.
     """
     if args.command == "export":
         args.outdir = args.outdir or os.environ.get("TREEFORMS_OUTDIR") or "."
@@ -175,6 +171,9 @@ def _preflight(args) -> None:
                              f"not --what {args.what}")
     if args.command == "check":
         params = SUITES[args.suite]
+        for flag, default in params.items():
+            if getattr(args, flag) is None:
+                setattr(args, flag, DEFAULT_INSTANCE.get(flag) if default is None else default)
     elif args.command == "tower" or (args.command == "export" and args.what != "ball"):
         params = ("q", "radius", "k")
     else:
@@ -204,7 +203,9 @@ def _preflight(args) -> None:
             raise ValueError("gamma0 requires --matrix")
         args.matrix = parse_matrix(args.matrix)
     if args.command == "check":
-        unread = sorted(args.given - set(params))
+        # Every other flag is None unless given, since only params were filled.
+        unread = sorted(flag for flag, value in vars(args).items() if value is not None
+                        and flag not in (*params, "command", "suite", "output"))
         if unread:
             raise ValueError(f"check {args.suite} does not read "
                              + ", ".join("--" + flag for flag in unread))
@@ -228,8 +229,7 @@ def _cmd_tower(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    run = {kw: value for kw in SUITES[args.suite] if (value := getattr(args, kw)) is not None}
-    passed, report = _suite(args.suite)(**run)
+    passed, report = _suite(args.suite)(**{kw: getattr(args, kw) for kw in SUITES[args.suite]})
     text = json.dumps(report, sort_keys=True) + "\n"
     sys.stdout.write(text)
     if args.output:
@@ -267,10 +267,9 @@ COMMANDS = {"ball": _cmd_ball, "tower": _cmd_tower, "check": _cmd_check,
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
         try:
+            args = _build_parser().parse_args(argv)
             _preflight(args)
         except ValueError as exc:
             print(f"treeforms: {exc}", file=sys.stderr)

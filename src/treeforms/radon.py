@@ -332,23 +332,20 @@ def exactness_check(pg: PathGraph, aps: ApartmentFamily, margin: int) -> Exactne
 
     An empty interior makes both spaces trivial and the report says so
     (kernel_dim = image_dim = 0, equal); it is not an error, since the
-    margin rule is probed across whole parameter grids.
+    margin rule is probed across whole parameter grids.  It needs no
+    branch of its own: it has no interior vertex either (a vertex at
+    margin m + 1 has all its edges at margin m), and no rows and no image
+    on zero columns are two trivial spaces.
     """
     interior = interior_edges(pg, margin)
     int_verts = interior_vertices(pg, margin)
-
-    def report(kernel_dim: int, image_dim: int, equal: bool) -> ExactnessReport:
-        return ExactnessReport(kernel_dim, image_dim, equal, len(interior), len(int_verts))
-
-    if not interior:
-        return report(0, 0, True)
-
     rows = _kernel_rows(_row_family(pg, aps, margin), interior)
     col = {a: j for j, a in enumerate(interior)}
     # d1_s is row s of d*, supported on interior edges.
     dstar = _adjoint_rows(pg)
     image = [{col[a]: v for a, v in dstar[s].items()} for s in int_verts]
-    return report(*_subspace_dims(rows, image, len(interior)))
+    return ExactnessReport(*_subspace_dims(rows, image, len(interior)),
+                           len(interior), len(int_verts))
 
 
 def minimal_exact_margin(pg: PathGraph, aps: ApartmentFamily, upto: int) -> int | None:

@@ -179,8 +179,26 @@ class TestExport:
         assert code == 3
 
 
+class TestDefaults:
+    """`check <suite>` with no flags runs the suite on the flag values below
+    (margin = k+2) and on its own --samples default."""
+
+    FLAGS = {"q": 2, "radius": 3, "k": 0, "margin": 2, "seed": 0, "p": 2, "n": 0,
+             "modulus": 6, "scan": False}
+
+    @pytest.mark.parametrize("suite", sorted(set(cli.SUITES) - {"gamma0"}))
+    def test_no_flags_runs_the_default_instance(self, capsys, suite):
+        check = getattr(checks, "check_" + suite.replace("-", "_"))
+        _, report = check(**{flag: value for flag, value in self.FLAGS.items()
+                             if flag in cli.SUITES[suite]})
+        code, out, err = run(capsys, "check", suite)
+        assert (code, err) == (0, "")
+        assert out == json.dumps(report, sort_keys=True) + "\n"
+
+
 class TestBadInput:
-    """Bad --p, --matrix or --k: exit 2 with one line on stderr, before any work."""
+    """Bad --p, --matrix or --k, and each of argparse's refusals: exit 2 with
+    one line on stderr and no usage text, before any work."""
 
     @pytest.mark.parametrize("argv", [
         ("check", "gamma0", "--matrix", "1,2;4,3", "--n", "1", "--p", "1"),
@@ -190,12 +208,27 @@ class TestBadInput:
         ("check", "padic", "--p", "4"),
         ("check", "stabilizer", "--p", "4", "--n", "1"),
         ("check", "euler", "--q", "2", "--radius", "2", "--k", "9"),
+        ("check", "nonsense"),
+        ("ball",),
+        ("tower", "--q", "2", "--radius", "2"),
+        ("check", "euler", "--q", "x"),
+        ("check", "euler", "--bogus", "1"),
+        ("export", "--what", "nope", "--q", "2", "--radius", "1"),
+        ("ball", "--q", "2", "--radius", "1", "--format", "svg"),
     ])
     def test_exit_2_with_one_line(self, capsys, argv):
         code, out, err = run_bounded(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert len(err.strip().splitlines()) == 1
+        assert len(err.strip().splitlines()) == 1 and err.startswith("treeforms: ")
+
+    def test_help_exits_0_with_the_help_text(self, capsys):
+        code, out, err = run(capsys, "--help")
+        assert (code, err) == (0, "")
+        assert out == cli._build_parser().format_help()
+        code, out, err = run(capsys, "check", "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: treeforms check") and "--scan" in out
 
     def test_k_rule_matches_tower(self, capsys):
         _, _, tower_err = run(capsys, "tower", "--q", "2", "--radius", "2", "--k", "9")

@@ -718,7 +718,8 @@ class TestInteriorRoute:
                 assert not fam.complete, name
                 got, seen = self.library_route(monkeypatch, pg, fam, margin)
                 assert got == family_route(pg, fam, margin), name
-                assert seen == ([fam, fam] if interior else []), name
+                # With no interior, only exactness_check reads rows.
+                assert seen == ([fam, fam] if interior else [fam]), name
 
 
 class TestWalksAndIntegrals:
