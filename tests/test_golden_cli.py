@@ -77,7 +77,10 @@ OTHER_COMMANDS = [
     "check padic --p 3 --radius 2",
     "check padic --p 5 --radius 2",
     "check padic --p 7 --radius 1",
+    "check padic --p 2 --radius 5",
+    "check padic --p 3 --radius 3",
     "check stabilizer --p 2 --n 1",
+    "check stabilizer --p 3 --n 1",
     "check stabilizer --p 3 --n 0 --samples 20 --seed 4 --modulus 4",
     "check stabilizer --p 2 --n 0",
     "check stabilizer --p 5 --n 0 --seed 3",
