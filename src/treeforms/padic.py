@@ -18,6 +18,16 @@ is parity and divisibility on the integer conjugate (``_fixes_all``).
 Path stabilizers modulo p^d, d the depth of the path, are lifted one
 p-adic digit at a time.
 
+The hot paths read ints only.  A class keeps its integer form (n, U, D),
+u = U / D, computed once on first use (``LatticeClassVertex.int_form``),
+which the distance, the fix test and the action read; v_p(D) is taken
+only when D != 1.  The embedding's neighbour enumeration reads u
+directly, so building a ball computes no form.  ``act`` multiplies g, scaled to int
+entries, by the class matrix scaled to ints and column-reduces the
+product in ints, with no GroupElement built.  The samplers and the lift
+enumerations build their int-entry elements through ``_element``, which
+skips the dataclass __init__ and __post_init__.
+
 Only F = Q_p for a prime p is modeled (residue cardinality q = p);
 general local fields would need ring extensions and are out of scope.
 """
@@ -45,15 +55,6 @@ def _int_valuation(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-def valuation(x, p: int):
-    """v_p(x) for a rational x; None plays the role of +infinity at 0.
-    p < 2 is refused at every x, 0 included (by ``_int_valuation``)."""
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
-    vd = _int_valuation(x.denominator, p)
-    return _int_valuation(x.numerator, p) - vd if x else None
 
 
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -142,6 +143,15 @@ class GroupElement:
         return [s[:2], s[2:]]
 
 
+def _element(a: int, b: int, c: int, d: int) -> GroupElement:
+    """GroupElement(a, b, c, d) for int entries, built without the
+    dataclass __init__ and __post_init__: the entries are stored as given,
+    with one write of the instance dict, and the element stays frozen."""
+    g = object.__new__(GroupElement)
+    object.__setattr__(g, "__dict__", {"a": a, "b": b, "c": c, "d": d})
+    return g
+
+
 IDENTITY = GroupElement(1, 0, 0, 1)
 
 
@@ -184,6 +194,15 @@ class LatticeClassVertex:
         if type(self.u) is not int:
             object.__setattr__(self, "u", _exact(self.u))
 
+    @functools.cached_property
+    def int_form(self) -> tuple[int, int, int]:
+        """(n, U, D) with u = U / D in lowest terms, D >= 1: the ints the
+        distance, the fix test and the action read.  Computed on first use
+        and kept in the instance dict, outside the fields that equality
+        and hashing compare."""
+        u = self.u
+        return (self.n, u, 1) if type(u) is int else (self.n, u.numerator, u.denominator)
+
     def matrix(self, p: int) -> GroupElement:
         n = self.n
         return GroupElement(p ** n if n >= 0 else Fraction(1, p ** -n), self.u, 0, 1)
@@ -205,7 +224,11 @@ def canonicalize(g: GroupElement, p: int) -> LatticeClassVertex:
     so n = v_p(det g) - 2 v_p(d) and u = b / d mod p^n.  Neither n nor
     b / d moves when g is scaled to integer entries (``_integral``).
     """
-    a, b, c, d = _integral(g)
+    return _canonical(*_integral(g), p)
+
+
+def _canonical(a: int, b: int, c: int, d: int, p: int) -> LatticeClassVertex:
+    """``canonicalize`` of the int matrix [[a, b], [c, d]]."""
     det = a * d - b * c
     if not det:
         raise ValueError("matrix is singular")
@@ -216,8 +239,20 @@ def canonicalize(g: GroupElement, p: int) -> LatticeClassVertex:
 
 
 def act(g: GroupElement, v: LatticeClassVertex, p: int) -> LatticeClassVertex:
-    """Left action on lattice classes: canonicalize(g . matrix(v))."""
-    return canonicalize(g.mul(v.matrix(p)), p)
+    """Left action on lattice classes: canonicalize(g . matrix(v)), in ints.
+
+    With u = U / D and p^n = P / Q, matrix(v) is [[P D, U Q], [0, D Q]]
+    divided by the scalar D Q, so g . matrix(v) is the same class as the
+    int product of g, scaled to int entries (``_integral``), with that
+    matrix; it goes to ``canonicalize``'s int core with no GroupElement
+    built.  A singular g is refused there, as the product's determinant
+    is det g times P Q D^2 != 0.
+    """
+    a, b, c, d = _integral(g)
+    n, U, D = v.int_form
+    P, Q = p ** max(n, 0), p ** max(-n, 0)
+    PD, UQ, DQ = P * D, U * Q, D * Q
+    return _canonical(a * PD, a * UQ + b * DQ, c * PD, c * UQ + d * DQ, p)
 
 
 def tree_distance(v: LatticeClassVertex, w: LatticeClassVertex, p: int) -> int:
@@ -232,16 +267,20 @@ def tree_distance(v: LatticeClassVertex, w: LatticeClassVertex, p: int) -> int:
     Its determinant has valuation e1 + e2 = dn, and e1 is the least
     entry valuation, min(dn, 0, v_p(u2 - u1) - n1), without the last term
     when u1 = u2.  So the distance is |dn - 2 e1|, where, with u_i =
-    U_i / D_i for any denominators, v_p(u2 - u1) = v_p(U2 D1 - U1 D2) -
-    v_p(D1 D2), in ints.
+    U_i / D_i from the classes' ``int_form``, v_p(u2 - u1) =
+    v_p(U2 D1 - U1 D2) - v_p(D1 D2), in ints; the last term is taken only
+    when D1 D2 != 1.
     """
-    n1, u1, u2 = v.n, v.u, w.u
-    dn = w.n - n1
+    n1, U1, D1 = v.int_form
+    n2, U2, D2 = w.int_form
+    dn = n2 - n1
     e1 = dn if dn < 0 else 0
-    D1, D2 = u1.denominator, u2.denominator
-    x = u2.numerator * D1 - u1.numerator * D2
+    x = U2 * D1 - U1 * D2
     if x:
-        e = _int_valuation(x, p) - _int_valuation(D1 * D2, p) - n1
+        e = _int_valuation(x, p) - n1
+        DD = D1 * D2
+        if DD != 1:
+            e -= _int_valuation(DD, p)
         if e < e1:
             e1 = e
     return abs(dn - 2 * e1)
@@ -359,8 +398,9 @@ def _fixes_all(g: GroupElement, classes, p: int) -> bool:
     so g fixes [M] exactly when v(det g) = 2 min v(C_ij).  Always
     v(det C) >= min(v(C11) + v(C22), v(C12) + v(C21)) >= 2 min v(C_ij), so
     that holds exactly when v(det g) is even and each v(C_ij) >= h =
-    v(det g) / 2.  With u = U / D and k = v_p(D), the entries are x p^n,
-    x / D, x / D and x / (D^2 p^n) for the ints x below, whose valuations
+    v(det g) / 2.  With u = U / D (the class's ``int_form``) and k =
+    v_p(D), taken only when D != 1, the entries are x p^n, x / D, x / D
+    and x / (D^2 p^n) for the ints x below, whose valuations
     must reach h - n, h + k, h + k and h + 2k + n: one divisibility test
     each, void at an exponent <= 0.  The first and last exponents grow
     with |n|; there a zero x passes, and a nonzero x fails with no power
@@ -377,8 +417,8 @@ def _fixes_all(g: GroupElement, classes, p: int) -> bool:
         return not classes
     h = vdet >> 1
     for lv in classes:
-        n, U, D = lv.n, lv.u.numerator, lv.u.denominator
-        k = _int_valuation(D, p)
+        n, U, D = lv.int_form
+        k = _int_valuation(D, p) if D != 1 else 0
         cU = c * U
         e = h - n
         if e > 0 and c and (e >= c.bit_length() or c % p ** e):
@@ -462,7 +502,7 @@ def _index_decoder(p: int, n: int, modulus_exp: int, exact: bool):
                 r += r // q + 1
             c = pn * r
             if n or (a * d - b * c) % p:
-                yield GroupElement(a, b, c, d)
+                yield _element(a, b, c, d)
 
     return na * na * pm * nr, decode
 
@@ -483,7 +523,7 @@ def enumerate_unit_lifts(p: int, modulus_exp: int) -> list[GroupElement]:
     with unit determinant, entries in [0, p^m).  All lie in GL(2, Z_p), so
     each fixes the root class and induces an automorphism of any embedded
     ball."""
-    return [GroupElement(a, b, c, d)
+    return [_element(a, b, c, d)
             for a, b, c, d in itertools.product(range(p ** modulus_exp), repeat=4)
             if (a * d - b * c) % p != 0]
 
@@ -555,7 +595,7 @@ def _lifts(residues, j: int, p: int):
     step = range(0, p ** (j + 1), p ** j)
     for g in residues:
         for x, y, z, w in itertools.product(step, repeat=4):
-            yield GroupElement(g.a + x, g.b + y, g.c + z, g.d + w)
+            yield _element(g.a + x, g.b + y, g.c + z, g.d + w)
 
 
 def _path_stabilizer(emb: BallEmbedding, path: tuple[int, ...],

@@ -86,16 +86,19 @@ class TreeBall:
             raise ValueError(f"unknown vertex id {v}")
 
     def meet(self, u: int, v: int) -> int:
-        """Deepest common ancestor (the median of u, v and the root)."""
+        """Deepest common ancestor (the median of u, v and the root): it
+        lies (|u| - |v| + d(u, v)) / 2 steps up u's root chain."""
+        depths = self.depths
+        return self.chains[u][(depths[u] - depths[v] + self.distance(u, v)) // 2]
+
+    def distance(self, u: int, v: int) -> int:
+        """len(a) + len(b) - 2 k for the addresses a and b of u and v, k
+        the length of their common prefix: the meet's depth."""
         a, b = self.addresses[u], self.addresses[v]
         k = 0
         while k < len(a) and k < len(b) and a[k] == b[k]:
             k += 1
-        return self.chains[u][len(a) - k]
-
-    def distance(self, u: int, v: int) -> int:
-        m = self.meet(u, v)
-        return self.depths[u] + self.depths[v] - 2 * self.depths[m]
+        return len(a) + len(b) - 2 * k
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,5 +1,6 @@
 """Lattice classes, the projective action, congruence subgroups, stabilizers."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -17,10 +18,19 @@ from treeforms.padic import (GroupElement, IDENTITY, LatticeClassVertex, ROOT,
                              residue_mod, sample_gamma0,
                              sample_with_exact_lower_valuation,
                              stabilizer_transitivity_check, standard_path,
-                             tree_distance, valuation)
+                             tree_distance)
 from treeforms.tower import build_path_graph
 
 F = Fraction
+
+
+def valuation(x, p):
+    """v_p(x) for a rational x; None plays the role of +infinity at 0.
+    p < 2 is refused at every x, 0 included (by ``padic._int_valuation``)."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    vd = padic._int_valuation(x.denominator, p)
+    return padic._int_valuation(x.numerator, p) - vd if x else None
 
 
 def rand_invertible(rng, span=8, den=5):
@@ -72,6 +82,12 @@ def tree_distance_oracle(v, w, p):
 
 def fixes_vertex_oracle(g, lv, p):
     return canonicalize_oracle(g.mul(lv.matrix(p)), p) == lv
+
+
+def act_oracle(g, v, p):
+    """The action through a GroupElement product, which the int route of
+    ``act`` replaced."""
+    return canonicalize(g.mul(v.matrix(p)), p)
 
 
 # The routes the integer valuation kernel replaced, kept verbatim as
@@ -959,6 +975,21 @@ class TestIntegerKernel:
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), p=PRIMES)
+    def test_act_matches_the_product_route(self, data, p):
+        """The int route of ``act`` against canonicalize(g . matrix(v)), on
+        elements with Fraction entries and classes whose u need not be
+        reduced, its denominator possibly prime to p."""
+        g = data.draw(st.one_of(level_elements(p), elements(p)))
+        v = data.draw(classes(p))
+        if g.det == 0:
+            with pytest.raises(ValueError, match="singular"):
+                act(g, v, p)
+            return
+        got, want = act(g, v, p), act_oracle(g, v, p)
+        assert (got, type(got.u)) == (want, type(want.u))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), p=PRIMES)
     def test_fix_test_matches_least_conjugate_valuation(self, data, p):
         g = data.draw(st.one_of(level_elements(p), elements(p)))
         path = [data.draw(classes(p)) for _ in range(data.draw(st.integers(1, 3)))]
@@ -993,6 +1024,50 @@ class TestIntegerKernel:
             mover = scaled(m.mul(h(p)).mul(m.inverse()), lam)
             assert not padic._fixes_all(mover, [lv], p)
             assert not fixes_all_oracle(mover, [lv], p)
+
+
+class TestIntForms:
+    """The cached integer form of a class and the private constructor of
+    int-entry elements leave equality, hashing and freezing as they were."""
+
+    @pytest.mark.parametrize("entries", [(1, 2, 4, 3), (0, 1, 1, 0), (-5, 7, 2 ** 70, 3),
+                                         (2, 0, 0, 0)])
+    def test_private_constructor_matches_the_dataclass(self, entries):
+        g, ref = padic._element(*entries), GroupElement(*entries)
+        assert type(g) is GroupElement and g.entries == entries
+        assert all(type(x) is int for x in g.entries)
+        assert g == ref and ref == g and hash(g) == hash(ref) and repr(g) == repr(ref)
+        assert {ref: 0}[g] == 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.a = 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del g.d
+        assert g.entries == entries
+
+    def test_sampled_and_lifted_elements_match_the_dataclass(self):
+        elements = (enumerate_unit_lifts(2, 1) + sample_gamma0(3, 1, 4, 20, 0)
+                    + sample_gamma0(2, 0, 3, 20, 1)
+                    + sample_with_exact_lower_valuation(5, 1, 3, 20, 0)
+                    + list(padic._lifts(enumerate_unit_lifts(2, 1)[:3], 1, 2)))
+        for g in elements:
+            ref = GroupElement(*g.entries)
+            assert g == ref and hash(g) == hash(ref)
+            assert all(type(x) is int for x in g.entries)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_int_form_is_lowest_terms_and_leaves_equality(self, p):
+        emb = embed_ball(p, 2)
+        for lv in guard_classes(p) + emb.to_lattice + [LatticeClassVertex(-3, F(6, 4 * p ** 3))]:
+            fresh = LatticeClassVertex(lv.n, lv.u)
+            n, U, D = lv.int_form
+            assert (n, F(U, D)) == (lv.n, lv.u) and D >= 1 and F(U, D).denominator == D
+            assert lv.int_form is lv.int_form
+            assert lv == fresh and fresh == lv and hash(lv) == hash(fresh)
+            assert repr(lv) == repr(fresh) and {fresh: 0}[lv] == 0
+            assert dataclasses.astuple(lv) == (lv.n, lv.u)
+        # Every class of the ball has had its form read; fresh keys find it.
+        assert all(emb.from_lattice[LatticeClassVertex(lv.n, lv.u)] == i
+                   for i, lv in enumerate(emb.to_lattice))
 
 
 # One element per clause of ``_fixes_all``'s divisibility test.  Each has

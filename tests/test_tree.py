@@ -32,6 +32,18 @@ def bfs_distances(b, source):
     return dist
 
 
+def distance_oracle(b, u, v):
+    """The meet-based distance that ``TreeBall.distance`` replaced: the
+    meet is the vertex on u's root chain at the depth of the common prefix
+    of the two addresses."""
+    a, c = b.addresses[u], b.addresses[v]
+    k = 0
+    while k < len(a) and k < len(c) and a[k] == c[k]:
+        k += 1
+    m = b.chains[u][len(a) - k]
+    return b.depths[u] + b.depths[v] - 2 * b.depths[m]
+
+
 class TestParams:
     def test_rejects_small_q(self):
         with pytest.raises(ValueError):
@@ -129,6 +141,14 @@ class TestGeodesics:
                 assert len(set(seg)) == len(seg)
                 for x, y in zip(seg, seg[1:]):
                     assert (min(x, y), max(x, y)) in set(b.edges)
+
+    @pytest.mark.parametrize("q,radius", [(2, 5), (3, 3), (5, 2), (4, 2)])
+    def test_distance_matches_meet_oracle_and_geodesic(self, q, radius):
+        b = ball(q, radius)
+        for u in range(b.num_vertices):
+            for v in range(b.num_vertices):
+                assert b.distance(u, v) == distance_oracle(b, u, v) \
+                    == len(geodesic_between(b, u, v)) - 1
 
     @pytest.mark.parametrize("q,radius", [(2, 4), (3, 3)])
     def test_meet_matches_ancestor_oracle(self, q, radius):
