@@ -245,8 +245,8 @@ def act(g: GroupElement, v: LatticeClassVertex, p: int) -> LatticeClassVertex:
     divided by the scalar D Q, so g . matrix(v) is the same class as the
     int product of g, scaled to int entries (``_integral``), with that
     matrix; it goes to ``canonicalize``'s int core with no GroupElement
-    built.  A singular g is refused there, as the product's determinant
-    is det g times P Q D^2 != 0.
+    built.  The product's determinant is det g times P Q D^2, so a
+    singular g is refused there, as before.
     """
     a, b, c, d = _integral(g)
     n, U, D = v.int_form
