@@ -15,7 +15,9 @@ of numerators over the lcm of the products' denominators.
 every value a cochain stores or an operator returns is still a
 ``Fraction``; in ``coboundary`` and ``adjoint`` (and
 ``radon.radon_transform``) a sum equal to one of the input's values is
-that input's own ``Fraction`` object.
+that input's own ``Fraction`` object.  An operator's output values are
+nonzero ``Fraction``s by construction, so its output cochain is built
+through ``_cochain``, which skips ``Cochain.__post_init__``'s cleaning.
 """
 
 from __future__ import annotations
@@ -93,7 +95,16 @@ class Cochain:
 
     def permuted(self, perm: list[int]) -> "Cochain":
         """Push forward along an id permutation: (g.f)(perm[i]) = f(i)."""
-        return Cochain(self.level, {perm[i]: x for i, x in self.data.items()})
+        return _cochain(self.level, {perm[i]: x for i, x in self.data.items()})
+
+
+def _cochain(level: int, data: dict[int, Fraction]) -> Cochain:
+    """Cochain(level, data) for a valid level and nonzero Fraction values,
+    as the operators build them, without __init__ and __post_init__: data
+    is stored as given, with one write of the instance dict."""
+    c = object.__new__(Cochain)
+    object.__setattr__(c, "__dict__", {"level": level, "data": data})
+    return c
 
 
 def _check_support(pg: PathGraph, c: Cochain) -> None:
@@ -143,7 +154,7 @@ def coboundary(pg: PathGraph, f: Cochain) -> Cochain:
             sums[a] = sums.get(a, 0) + n
         for a in out_of[s]:
             sums[a] = sums.get(a, 0) - n
-    return Cochain(1, shared_fractions(sums, den, own))
+    return _cochain(1, shared_fractions(sums, den, own))
 
 
 def adjoint(pg: PathGraph, omega: Cochain) -> Cochain:
@@ -162,7 +173,7 @@ def adjoint(pg: PathGraph, omega: Cochain) -> Cochain:
         h, t = head[a], tail[a]
         sums[h] = sums.get(h, 0) + n
         sums[t] = sums.get(t, 0) - n
-    return Cochain(0, shared_fractions(sums, den, own))
+    return _cochain(0, shared_fractions(sums, den, own))
 
 
 def pairing(x: Cochain, y: Cochain) -> Fraction:
@@ -191,8 +202,8 @@ def harmonic_space(pg: PathGraph) -> list[Cochain]:
     basis, certified = _harmonic_basis(pg)
     if certified:
         units: dict[int, Fraction] = {}  # one table for the basis: every value is +-1
-        return [Cochain(1, shared_fractions(vec, 1, units)) for vec in basis]
-    return [Cochain(1, vec) for vec in basis]
+        return [_cochain(1, shared_fractions(vec, 1, units)) for vec in basis]
+    return [_cochain(1, vec) for vec in basis]
 
 
 def _unit_cycle(forest: SpanningForest, a: int) -> dict[int, int]:
@@ -356,7 +367,7 @@ def integrate(pg: PathGraph, w: Cochain,
         u = tail[a] if head[a] == s else head[a]
         x = wn.get(a, 0)
         values[s] = values.get(u, 0) + (x if head[a] == s else -x)
-    f = Cochain(0, shared_fractions(values, den))
+    f = _cochain(0, shared_fractions(values, den))
     bad = next((a for a in range(pg.num_edges)
                 if values.get(head[a], 0) - values.get(tail[a], 0) != wn.get(a, 0)), None)
     if bad is None:
@@ -368,7 +379,7 @@ def integrate(pg: PathGraph, w: Cochain,
             return f, bad
     sol = _linalg.solve(incidence_rows(pg), [w(a) for a in range(pg.num_edges)],
                         pg.num_vertices)
-    return (f, bad) if sol is None else (Cochain(0, sol), None)
+    return (f, bad) if sol is None else (_cochain(0, sol), None)
 
 
 # -- export formats ---------------------------------------------------

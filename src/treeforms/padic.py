@@ -126,18 +126,6 @@ class GroupElement:
     def entries(self) -> tuple[int | Fraction, ...]:
         return (self.a, self.b, self.c, self.d)
 
-    def mul(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> "GroupElement":
-        # Projectively the adjugate is the inverse.
-        return GroupElement(self.d, -self.b, -self.c, self.a)
-
     def to_json_dict(self) -> list[list[str]]:
         s = [f"{x.numerator}/{x.denominator}" for x in self.entries]
         return [s[:2], s[2:]]
@@ -152,24 +140,10 @@ def _element(a: int, b: int, c: int, d: int) -> GroupElement:
     return g
 
 
-IDENTITY = GroupElement(1, 0, 0, 1)
-
-
-def residue_mod(u, n: int, p: int) -> int | Fraction:
-    """Canonical representative of u modulo p^n Z_p.
-
-    The result is p^v * r with v = v_p(u) and r the unit part reduced
-    modulo p^(n-v), an integer in [1, p^(n-v)); zero when v >= n.  For
-    v >= 0 it is the int u mod p^n, in [0, p^n); for negative v it is
-    the honest non-integral rational r / p^-v.
-    """
-    u = _exact(u)
-    return _residue(u.numerator, u.denominator, n, p)
-
-
 def _residue(U: int, D: int, n: int, p: int) -> int | Fraction:
-    """``residue_mod`` of U / D, for ints U and D != 0, not necessarily
-    coprime.  With D = D' p^k, D' prime to p, (U D'^-1 mod p^(n+k)) / p^k
+    """Canonical representative of U / D modulo p^n Z_p, for ints U and
+    D != 0, not necessarily coprime: an int in [0, p^n) when U / D is
+    p-integral.  With D = D' p^k, D' prime to p, (U D'^-1 mod p^(n+k)) / p^k
     is in [0, p^n) and congruent to U / D modulo p^n Z_p, which meets
     Z[1/p] in p^n Z; so it is the one representative."""
     k = _int_valuation(D, p)  # first, so that p < 2 is refused at D = 1 too
@@ -202,10 +176,6 @@ class LatticeClassVertex:
         and hashing compare."""
         u = self.u
         return (self.n, u, 1) if type(u) is int else (self.n, u.numerator, u.denominator)
-
-    def matrix(self, p: int) -> GroupElement:
-        n = self.n
-        return GroupElement(p ** n if n >= 0 else Fraction(1, p ** -n), self.u, 0, 1)
 
 
 ROOT = LatticeClassVertex(0, 0)

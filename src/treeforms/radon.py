@@ -39,7 +39,8 @@ from math import lcm
 from typing import NamedTuple
 
 from . import _linalg
-from .cochains import Cochain, _adjoint_rows, _check_support, integrate, shared_fractions
+from .cochains import (Cochain, _adjoint_rows, _check_support, _cochain, integrate,
+                       shared_fractions)
 from .tower import PathGraph, SpanningForest, component_roots
 from .tree import enumerate_oriented_diameters, geodesic_between
 
@@ -83,7 +84,8 @@ class ApartmentFamily:
     oriented diameters (``enumerate_oriented_diameters(pg.ball)``, given
     to ``induced_apartments`` or read by ``interior_family(pg, 0)``), so
     that it holds the apartment of every ordered pair of distinct leaves
-    of ``pg.ball``, in (from, to) order; it is False by default.
+    of ``pg.ball`` whose geodesic carries a window (has at least k + 2
+    vertices), in (from, to) order; it is False by default.
     """
 
     def __init__(self, pg: PathGraph, apartments: list[OrientedApartment],
@@ -103,11 +105,6 @@ class ApartmentFamily:
 
     def __iter__(self):
         return iter(self.apartments)
-
-    def through(self, a: int) -> list[int]:
-        """Ids of the apartments whose induced edge list contains a."""
-        self.pg.check_edge(a)
-        return list(self._through[a])
 
     def to_manifest_json(self) -> str:
         payload = [
@@ -131,7 +128,10 @@ def _diameter_family(pg: PathGraph, depth: int) -> ApartmentFamily:
     put the apex at h = (n - 1) // 2 and the meet at depth D - h.  Its
     windows are x's chain windows below the apex, the at most k windows
     with the apex strictly inside, and y's reversed chain windows from the
-    meet on.  The family is complete exactly when D is the radius.
+    meet on.  A geodesic with fewer than k + 2 vertices carries no window
+    and has no apartment.  The family is complete, holding every ordered
+    leaf pair whose geodesic carries a window, exactly when D is the
+    radius.
     """
     ball, k, edge_index = pg.ball, pg.k, pg.edge_index
     width = k + 2
@@ -162,7 +162,8 @@ def induced_apartments(pg: PathGraph, diameters: list[tuple[int, ...]]) -> Apart
 
     When the diameters are the ball's own, ``enumerate_oriented_diameters
     (pg.ball)`` in content and order, the family is ``_diameter_family``
-    at the radius, certified complete.  Any other list has every window
+    at the radius, certified complete: it holds every ordered leaf pair
+    whose geodesic carries a window.  Any other list has every window
     looked up in ``pg.edge_index``, so a window that is not a path of the
     ball is a KeyError.
     """
@@ -286,7 +287,7 @@ def radon_kernel_interior(pg: PathGraph, aps: ApartmentFamily, margin: int) -> l
         raise MarginError(f"no interior edges at margin {margin}")
     rows = _kernel_rows(_row_family(pg, aps, margin), interior)
     basis = _linalg.nullspace(rows, len(interior))
-    return [Cochain(1, {interior[j]: v for j, v in vec.items()}) for vec in basis]
+    return [_cochain(1, {interior[j]: v for j, v in vec.items()}) for vec in basis]
 
 
 @dataclass(frozen=True)

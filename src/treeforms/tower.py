@@ -102,17 +102,6 @@ def build_path_graph(ball: TreeBall, k: int) -> PathGraph:
     return PathGraph(ball, k)
 
 
-def incidence(pg: PathGraph, a: int, s: int) -> int:
-    """[a:s] = +1 if s is the head of a, -1 if the tail, 0 otherwise."""
-    pg.check_edge(a)
-    pg.check_vertex(s)
-    if pg.head[a] == s:
-        return 1
-    if pg.tail[a] == s:
-        return -1
-    return 0
-
-
 def apply_automorphism(pg: PathGraph, g: BallAutomorphism) -> tuple[list[int], list[int]]:
     """Entrywise action on paths: returns (vertex map, edge map).
 

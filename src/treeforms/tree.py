@@ -177,36 +177,28 @@ def enumerate_oriented_diameters(ball: TreeBall,
 
 
 class BallAutomorphism:
-    """Graph automorphism of a ball, stored as a vertex permutation."""
+    """Graph automorphism of a ball, stored as a vertex permutation.
+
+    The permutation is checked to map every edge onto an edge.  Every
+    edge joins a vertex to its parent, and breadth-first ids put the
+    parent first, so {u, v} with u < v is an edge exactly when u is v's
+    parent (``chains[v][1]``); no edge set is built.
+    """
 
     def __init__(self, ball: TreeBall, perm):
         perm = tuple(perm)
         if sorted(perm) != list(range(ball.num_vertices)):
             raise ValueError("not a permutation of the vertex ids")
-        edge_set = set(ball.edges)
+        chains = ball.chains
         for u, v in ball.edges:
             iu, iv = perm[u], perm[v]
-            if (min(iu, iv), max(iu, iv)) not in edge_set:
+            if (chains[iv][1] != iu) if iu < iv else (chains[iu][1] != iv):
                 raise ValueError("permutation does not preserve the edge set")
         self.ball = ball
         self.perm = perm
 
     def __call__(self, v: int) -> int:
         return self.perm[v]
-
-    def inverse(self) -> "BallAutomorphism":
-        inv = [0] * len(self.perm)
-        for i, j in enumerate(self.perm):
-            inv[j] = i
-        return BallAutomorphism(self.ball, inv)
-
-    def compose(self, other: "BallAutomorphism") -> "BallAutomorphism":
-        """self after other: (self.compose(other))(v) = self(other(v))."""
-        return BallAutomorphism(self.ball, tuple(self.perm[other.perm[v]] for v in range(len(self.perm))))
-
-    @classmethod
-    def identity(cls, ball: TreeBall) -> "BallAutomorphism":
-        return cls(ball, range(ball.num_vertices))
 
 
 def random_automorphism(ball: TreeBall, seed: int) -> BallAutomorphism:

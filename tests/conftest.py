@@ -3,11 +3,14 @@ import signal
 
 import pytest
 
-from treeforms import _linalg
+from fractions import Fraction
+
+from treeforms import _linalg, padic
+from treeforms.padic import GroupElement
 from treeforms.radon import induced_apartments
 from treeforms.tower import SpanningForest, build_path_graph
-from treeforms.tree import (TreeParams, build_ball, enumerate_oriented_diameters,
-                            geodesic_between)
+from treeforms.tree import (BallAutomorphism, TreeParams, build_ball,
+                            enumerate_oriented_diameters, geodesic_between)
 
 
 @contextlib.contextmanager
@@ -53,6 +56,71 @@ def is_leaf(ball, v: int) -> bool:
 def is_loop(walk) -> bool:
     """The walk has a step and ends where it starts."""
     return len(walk.vertices) > 1 and walk.vertices[0] == walk.vertices[-1]
+
+
+def incidence(pg, a: int, s: int) -> int:
+    """[a:s] = +1 if s is the head of a, -1 if the tail, 0 otherwise."""
+    pg.check_edge(a)
+    pg.check_vertex(s)
+    if pg.head[a] == s:
+        return 1
+    if pg.tail[a] == s:
+        return -1
+    return 0
+
+
+def through(aps, a: int) -> list[int]:
+    """Ids of the apartments whose induced edge list contains a."""
+    aps.pg.check_edge(a)
+    return list(aps._through[a])
+
+
+def identity(ball) -> BallAutomorphism:
+    return BallAutomorphism(ball, range(ball.num_vertices))
+
+
+def inverse(g: BallAutomorphism) -> BallAutomorphism:
+    inv = [0] * len(g.perm)
+    for i, j in enumerate(g.perm):
+        inv[j] = i
+    return BallAutomorphism(g.ball, inv)
+
+
+def compose(g: BallAutomorphism, h: BallAutomorphism) -> BallAutomorphism:
+    """g after h: compose(g, h)(v) = g(h(v))."""
+    return BallAutomorphism(g.ball, [g.perm[x] for x in h.perm])
+
+
+IDENTITY = GroupElement(1, 0, 0, 1)
+
+
+def mul(g: GroupElement, h: GroupElement) -> GroupElement:
+    """The matrix product g h."""
+    return GroupElement(g.a * h.a + g.b * h.c, g.a * h.b + g.b * h.d,
+                        g.c * h.a + g.d * h.c, g.c * h.b + g.d * h.d)
+
+
+def adjugate(g: GroupElement) -> GroupElement:
+    """The adjugate of g, its inverse in PGL(2)."""
+    return GroupElement(g.d, -g.b, -g.c, g.a)
+
+
+def class_matrix(v, p: int) -> GroupElement:
+    """The canonical matrix [[p^n, u], [0, 1]] of the lattice class v."""
+    n = v.n
+    return GroupElement(p ** n if n >= 0 else Fraction(1, p ** -n), v.u, 0, 1)
+
+
+def residue_mod(u, n: int, p: int):
+    """Canonical representative of u modulo p^n Z_p.
+
+    The result is p^v * r with v = v_p(u) and r the unit part reduced
+    modulo p^(n-v), an integer in [1, p^(n-v)); zero when v >= n.  For
+    v >= 0 it is the int u mod p^n, in [0, p^n); for negative v it is
+    the honest non-integral rational r / p^-v.  p < 2 is refused.
+    """
+    u = padic._exact(u)
+    return padic._residue(u.numerator, u.denominator, n, p)
 
 
 _BALLS: dict = {}

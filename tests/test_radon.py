@@ -22,7 +22,7 @@ from treeforms.tower import build_path_graph
 from treeforms.tree import (TreeParams, build_ball, enumerate_oriented_diameters,
                             geodesic_between, random_automorphism)
 
-from conftest import apartments, ball, convex_hull, is_loop, tower
+from conftest import apartments, ball, convex_hull, is_loop, through, tower
 from test_linalg import FractionEliminator, oracle_nullspace, oracle_rref, spans_same_space
 
 ZERO = Fraction(0)
@@ -80,27 +80,27 @@ class TestApartmentsThrough:
         pg = tower(2, 1, 0)
         aps = apartments(2, 1, 0)
         a = pg.edges.index((0, 1))
-        through = [aps.apartments[i] for i in aps.through(a)]
-        assert len(through) == 2
+        passing = [aps.apartments[i] for i in through(aps, a)]
+        assert len(passing) == 2
         # the two apartments end at leaf 1 coming from the other two leaves
-        assert {ap.base for ap in through} == {(2, 0, 1), (3, 0, 1)}
+        assert {ap.base for ap in passing} == {(2, 0, 1), (3, 0, 1)}
 
     def test_full_window_selects_single_apartment(self):
         pg = tower(2, 2, 3)
         aps = apartments(2, 2, 3)
         for ap in aps:
-            assert aps.through(ap.edges[0]) == [ap.id]
+            assert through(aps, ap.edges[0]) == [ap.id]
 
     def test_membership_by_construction(self):
         aps = apartments(2, 2, 1)
         for ap in aps:
             for a in ap.edges:
-                assert ap.id in aps.through(a)
+                assert ap.id in through(aps, a)
 
     def test_unknown_edge(self):
         aps = apartments(2, 1, 0)
         with pytest.raises(ValueError):
-            aps.through(999)
+            through(aps, 999)
 
 
 def per_window_apartments(pg, diameters):
@@ -131,7 +131,7 @@ def chain_apartments(pg, diameters):
         return type(err)
     triples = [(ap.id, ap.base, ap.edges) for ap in aps]
     assert all((ap.leaf_from, ap.leaf_to) == (ap.base[0], ap.base[-1]) for ap in aps)
-    return triples, {a: aps.through(a) for a in range(pg.num_edges) if aps.through(a)}
+    return triples, {a: through(aps, a) for a in range(pg.num_edges) if through(aps, a)}
 
 
 SMALL_BALLS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)]
@@ -222,7 +222,7 @@ class TestRadonTransform:
         aps = apartments(2, 2, 1)
         for a in range(0, pg.num_edges, 3):
             image = radon_transform(pg, aps, Cochain.indicator(1, a))
-            assert image == {i: ONE for i in aps.through(a)}
+            assert image == {i: ONE for i in through(aps, a)}
 
     def test_kills_interior_coboundaries(self):
         pg = tower(2, 2, 1)
@@ -253,7 +253,7 @@ def _fraction_transform(aps, omega):
     """Reference transform: Fraction sums through the checked edge index."""
     out = {}
     for a, x in omega.data.items():
-        for i in aps.through(a):
+        for i in through(aps, a):
             out[i] = out.get(i, ZERO) + x
     return {i: v for i, v in out.items() if v}
 
@@ -400,6 +400,121 @@ class TestApartmentImages:
         passed, report = checks.check_equivariance(2, 3, 0, seed=1, samples=3)
         assert not passed
         assert {f["kind"] for f in report["failures"]} == {"apartment image missing"}
+
+
+# q in {2, 3}, R <= 3 (R <= 4 at q = 2), every level k <= 2R.
+EQUIVARIANCE_GRID = [(q, radius, k) for q, rmax in ((2, 4), (3, 3))
+                     for radius in range(1, rmax + 1) for k in range(2 * radius + 1)]
+
+
+def uncertified(monkeypatch):
+    """Patch ``checks.interior_family`` to return a copy of the family
+    flagged not complete, so that check_equivariance takes the scan route."""
+    real = interior_family
+    monkeypatch.setattr(checks, "interior_family",
+                        lambda pg, margin: ApartmentFamily(pg, real(pg, margin).apartments))
+
+
+def spy_images(monkeypatch) -> list[bool]:
+    """Record, per ``_apartment_images`` call, whether it mapped a whole family."""
+    real, calls = checks._apartment_images, []
+
+    def spy(aps, by_ends, g):
+        calls.append(isinstance(aps, ApartmentFamily))
+        return real(aps, by_ends, g)
+
+    monkeypatch.setattr(checks, "_apartment_images", spy)
+    return calls
+
+
+class TestSupportImages:
+    """A certified complete family maps only the transform's support."""
+
+    def test_family_holds_every_leaf_pair_that_carries_a_window(self):
+        for q, radius, k in EQUIVARIANCE_GRID:
+            if q == 2 and radius == 4:
+                continue
+            b = ball(q, radius)
+            pairs = sum(1 for x in b.leaves for y in b.leaves
+                        if x != y and b.distance(x, y) >= k + 1)
+            aps = interior_family(tower(q, radius, k), 0)
+            assert aps.complete and len(aps) == pairs, (q, radius, k)
+
+    @pytest.mark.parametrize("q,radius,k", EQUIVARIANCE_GRID)
+    def test_support_map_is_the_scan_restricted(self, q, radius, k):
+        pg = tower(q, radius, k)
+        aps = interior_family(pg, 0)
+        by_ends = checks._by_ends(aps)
+        rng = random.Random(100 * k + radius)
+        for seed in range(3):
+            g = random_automorphism(pg.ball, 1000 * q + 100 * k + seed)
+            scan = checks._apartment_images(aps, by_ends, g)
+            for _ in range(3):
+                w = checks._random_sparse(rng, 1, range(pg.num_edges), 4)
+                before = radon_transform(pg, aps, w)
+                support = checks._apartment_images(map(aps.apartments.__getitem__, before),
+                                                   by_ends, g)
+                assert support == {i: scan[i] for i in before}, seed
+                assert None not in support.values()
+
+    @pytest.mark.parametrize("q,radius,k", EQUIVARIANCE_GRID)
+    def test_report_equals_the_scan_route(self, monkeypatch, q, radius, k):
+        for seed in (0, 3):
+            calls = spy_images(monkeypatch)
+            support = checks.check_equivariance(q, radius, k, seed)
+            assert not any(calls), "a certified family was scanned"
+            with monkeypatch.context() as patch:
+                uncertified(patch)
+                calls.clear()
+                scan = checks.check_equivariance(q, radius, k, seed)
+                assert calls.count(True) == 20
+            assert support == scan and support[0], seed
+
+    @pytest.mark.parametrize("kept", ["head", "tail"])
+    def test_swapped_edge_images_name_the_first_bad_edge(self, monkeypatch, kept):
+        """The whole-list comparison reports the edge the edge-by-edge loop
+        would: the first a with head or tail of emap[a] not the image of a's.
+        The two swapped edges share their head, or their tail, so only the
+        other map is wrong."""
+        pg = tower(2, 3, 1)
+        same, other = (pg.head, pg.tail) if kept == "head" else (pg.tail, pg.head)
+        real = checks.apply_automorphism
+        expected = []
+
+        def swapped(pg_, g):
+            vmap, emap = real(pg_, g)
+            x = len(emap) // 3
+            y = next(y for y in range(len(emap)) if same[emap[y]] == same[emap[x]]
+                     and other[emap[y]] != other[emap[x]])
+            emap[x], emap[y] = emap[y], emap[x]
+            expected.append(next(a for a in range(pg.num_edges)
+                                 if pg.head[emap[a]] != vmap[pg.head[a]]
+                                 or pg.tail[emap[a]] != vmap[pg.tail[a]]))
+            return vmap, emap
+
+        monkeypatch.setattr(checks, "apply_automorphism", swapped)
+        for seed in range(4):
+            expected.clear()
+            passed, report = checks.check_equivariance(2, 3, 1, seed=seed, samples=1)
+            assert not passed and report["failures"][0] == {"auto": 0, "kind": "incidence",
+                                                            "edge": expected[0]}
+
+    @pytest.mark.parametrize("drop", [0, 17, -1])
+    def test_complete_flag_on_a_short_family_reports_the_missed_lookup(self, monkeypatch,
+                                                                       drop):
+        """A family wrongly flagged complete takes the support route; a lookup
+        that misses is reported, and nothing raises.  The ids of the kept
+        apartments are not renumbered."""
+        def short_family(pg, margin):
+            kept = list(interior_family(pg, margin).apartments)
+            del kept[drop]
+            return ApartmentFamily(pg, kept, complete=True)
+
+        monkeypatch.setattr(checks, "interior_family", short_family)
+        calls = spy_images(monkeypatch)
+        passed, report = checks.check_equivariance(2, 3, 0, seed=1)
+        assert not passed and not any(calls)
+        assert "apartment image missing" in {f["kind"] for f in report["failures"]}
 
 
 class TestInterior:

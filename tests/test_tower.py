@@ -12,12 +12,12 @@ from treeforms.cochains import Cochain
 from treeforms.radon import (PathDependenceError, fundamental_loops, interior_edges,
                              path_integral, primitive)
 from treeforms.tower import (PathGraph, SpanningForest, apply_automorphism,
-                             build_path_graph, component_roots, components, incidence,
+                             build_path_graph, component_roots, components,
                              num_components)
 from treeforms.tree import random_automorphism
 
 from conftest import (FOREST_DOCTORS, apartments, ball, deep_root, doctoring, false_root,
-                      is_loop, orphan, tower)
+                      identity, incidence, is_loop, orphan, tower)
 
 
 def enumerate_paths_oracle(b, nverts):
@@ -130,9 +130,8 @@ class TestNeighborSets:
 
 class TestAutomorphismAction:
     def test_identity_action(self):
-        from treeforms.tree import BallAutomorphism
         pg = tower(2, 2, 1)
-        vmap, emap = apply_automorphism(pg, BallAutomorphism.identity(ball(2, 2)))
+        vmap, emap = apply_automorphism(pg, identity(ball(2, 2)))
         assert vmap == list(range(pg.num_vertices))
         assert emap == list(range(pg.num_edges))
 

@@ -12,7 +12,7 @@ from treeforms.tree import (BallAutomorphism, TreeParams, build_ball,
                             enumerate_oriented_diameters,
                             geodesic_between, random_automorphism)
 
-from conftest import ball, convex_hull, is_leaf
+from conftest import ball, compose, convex_hull, identity, inverse, is_leaf
 
 
 def bfs_distances(b, source):
@@ -261,9 +261,15 @@ class TestConvexHull:
         assert convex_hull(b, s) == pairwise_hull(b, s)
 
 
+def preserves_edges_oracle(b, perm) -> bool:
+    """perm maps every edge of the ball into its edge set."""
+    edge_set = set(b.edges)
+    return all((min(perm[u], perm[v]), max(perm[u], perm[v])) in edge_set for u, v in b.edges)
+
+
 class TestAutomorphisms:
     def test_identity(self, ball22):
-        g = BallAutomorphism.identity(ball22)
+        g = identity(ball22)
         assert all(g(v) == v for v in range(ball22.num_vertices))
 
     def test_not_a_permutation_rejected(self, ball21):
@@ -307,15 +313,34 @@ class TestAutomorphisms:
         b = ball(2, 2)
         assert random_automorphism(b, 17).perm == tuple(range(b.num_vertices))
 
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.sampled_from([(2, 1), (2, 2), (2, 4), (3, 2), (3, 3), (4, 2)]),
+           seed=st.integers(0, 10 ** 9), data=st.data())
+    def test_parent_test_matches_edge_set_oracle(self, size, seed, data):
+        """The parent test accepts a random automorphism, and after one
+        transposition of its values accepts exactly when the edge set does."""
+        b = ball(*size)
+        perm = list(random_automorphism(b, seed).perm)
+        assert preserves_edges_oracle(b, perm)
+        n = b.num_vertices
+        i = data.draw(st.integers(0, n - 1))
+        j = data.draw(st.integers(0, n - 1))
+        perm[i], perm[j] = perm[j], perm[i]
+        if preserves_edges_oracle(b, perm):
+            assert BallAutomorphism(b, perm).perm == tuple(perm)
+        else:
+            with pytest.raises(ValueError, match="edge set"):
+                BallAutomorphism(b, perm)
+
     def test_compose_and_inverse(self):
         b = ball(2, 2)
         g = random_automorphism(b, 5)
         h = random_automorphism(b, 6)
-        gh = g.compose(h)
+        gh = compose(g, h)
         for v in range(b.num_vertices):
             assert gh(v) == g(h(v))
-        ginv = g.inverse()
-        assert g.compose(ginv).perm == tuple(range(b.num_vertices))
+        ginv = inverse(g)
+        assert compose(g, ginv).perm == tuple(range(b.num_vertices))
 
 
 # -- pins: every tree-layer value, recorded as plain data ----------------
