@@ -500,6 +500,8 @@ def enumerate_unit_lifts(p: int, modulus_exp: int) -> list[GroupElement]:
 
 @dataclass(frozen=True)
 class TransitivityResult:
+    """One side's orbit coverage; ``conclusive`` always equals ``covered``."""
+
     covered: bool
     conclusive: bool
     orbit_size: int
@@ -514,9 +516,10 @@ def stabilizer_transitivity_check(emb: BallEmbedding, pg, s: int, side: str,
 
     Takes the unit lifts modulo p^modulus_exp that fix the k-path s
     pointwise, and checks whether the orbit of one extension covers the
-    whole side.  Coverage is a positive certificate; a miss only means
-    the sampling window was too small, reported as inconclusive rather
-    than false.
+    whole side.  Coverage is a positive certificate, returned as
+    ``covered=True, conclusive=True``.  Every miss is returned as
+    ``covered=False, conclusive=False``, whether a larger modulus could
+    still cover the side or no modulus can.
 
     The stabilizer is found modulo p^d, d the depth of the path, and
     ``stabilizer_size`` counts its lifts modulo p^m (``_path_stabilizer``).

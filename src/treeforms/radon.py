@@ -24,9 +24,9 @@ stretch's windows.  Breadth-first ids keep the order of (x', y'), so the
 distinct interior rows of the whole family first occur in the order of
 ``interior_family(pg, m)``, the apartments of the geodesics between
 depth-(R - m) vertices.  ``exactness_check`` and
-``radon_kernel_interior`` read that family at m >= 1 in place of a
-complete family, one built from the ball's own oriented diameters, and
-read the family they are given otherwise.
+``radon_kernel_interior`` read that family at m >= 1 in place of the
+complete family ``interior_family(pg, 0)``, and read the family they are
+given otherwise.
 """
 
 from __future__ import annotations
@@ -80,19 +80,17 @@ class OrientedApartment(NamedTuple):
 class ApartmentFamily:
     """Oriented apartments of a path graph, with an edge index.
 
-    ``complete`` is set when the family is built from the ball's own
-    oriented diameters (``enumerate_oriented_diameters(pg.ball)``, given
-    to ``induced_apartments`` or read by ``interior_family(pg, 0)``), so
-    that it holds the apartment of every ordered pair of distinct leaves
-    of ``pg.ball`` whose geodesic carries a window (has at least k + 2
-    vertices), in (from, to) order; it is False by default.
+    ``complete`` is set only by ``interior_family(pg, 0)``, on the one
+    complete family: it holds the apartment of every ordered pair of
+    distinct leaves of ``pg.ball`` whose geodesic carries a window (has at
+    least k + 2 vertices), in (from, to) order.  A family built by hand
+    with this constructor is never complete, whatever it holds.
     """
 
-    def __init__(self, pg: PathGraph, apartments: list[OrientedApartment],
-                 complete: bool = False):
+    def __init__(self, pg: PathGraph, apartments: list[OrientedApartment]):
         self.pg = pg
         self.apartments = apartments
-        self.complete = complete
+        self.complete = False
         # _through[a]: ids of the apartments through edge a, in id order.
         through: list[list[int]] = [[] for _ in range(pg.num_edges)]
         for i, _, edges in apartments:
@@ -119,9 +117,35 @@ class ApartmentFamily:
         return json.dumps(payload, sort_keys=True) + "\n"
 
 
-def _diameter_family(pg: PathGraph, depth: int) -> ApartmentFamily:
-    """Apartments of ``enumerate_oriented_diameters(pg.ball, depth)``, built
-    from their structure with no validation.
+def induced_apartments(pg: PathGraph, diameters: list[tuple[int, ...]]) -> ApartmentFamily:
+    """One apartment per diameter that is long enough to carry a window.
+
+    When the diameters are the ball's own, ``enumerate_oriented_diameters
+    (pg.ball)`` in content and order, the family is ``interior_family(pg,
+    0)``, the one complete family.  Any other list has every window looked
+    up in ``pg.edge_index``, so a window that is not a path of the ball is
+    a KeyError, and its family is not complete.
+    """
+    if list(diameters) == enumerate_oriented_diameters(pg.ball):
+        return interior_family(pg, 0)
+    width, edge_index = pg.k + 2, pg.edge_index
+    apartments = []
+    for seq in diameters:
+        if len(seq) >= width:
+            ids = tuple([edge_index[seq[i:i + width]] for i in range(len(seq) - width + 1)])
+            apartments.append(OrientedApartment(len(apartments), seq, ids))
+    return ApartmentFamily(pg, apartments)
+
+
+def interior_family(pg: PathGraph, margin: int) -> ApartmentFamily:
+    """Apartments of ``enumerate_oriented_diameters(pg.ball, D)``, the
+    geodesics between distinct vertices at depth D = R - margin (D = 0, so
+    none, at margin >= R), built from their structure with no validation.
+
+    At margin 0 this is the whole family, and the only family marked
+    complete: it holds every ordered leaf pair whose geodesic carries a
+    window.  At margin >= 1 it is the part of the whole family that
+    reaches interior edges, in its row order (``_kernel_rows``).
 
     A geodesic between depth-D vertices x and y climbs x's root chain
     (``TreeBall.chains``) to the meet and descends y's, so its n vertices
@@ -129,11 +153,12 @@ def _diameter_family(pg: PathGraph, depth: int) -> ApartmentFamily:
     windows are x's chain windows below the apex, the at most k windows
     with the apex strictly inside, and y's reversed chain windows from the
     meet on.  A geodesic with fewer than k + 2 vertices carries no window
-    and has no apartment.  The family is complete, holding every ordered
-    leaf pair whose geodesic carries a window, exactly when D is the
-    radius.
+    and has no apartment.
     """
+    if margin < 0:
+        raise ValueError("margin must be >= 0")
     ball, k, edge_index = pg.ball, pg.k, pg.edge_index
+    depth = max(ball.params.radius - margin, 0)
     width = k + 2
 
     def windows(c):
@@ -154,38 +179,9 @@ def _diameter_family(pg: PathGraph, depth: int) -> ApartmentFamily:
             ids += tuple([edge_index[seq[i:i + width]] for i in range(lo, min(h, n - width + 1))])
         ids += downs[seq[-1]][depth - h:]
         apartments.append(OrientedApartment(len(apartments), seq, ids))
-    return ApartmentFamily(pg, apartments, depth == ball.params.radius)
-
-
-def induced_apartments(pg: PathGraph, diameters: list[tuple[int, ...]]) -> ApartmentFamily:
-    """One apartment per diameter that is long enough to carry a window.
-
-    When the diameters are the ball's own, ``enumerate_oriented_diameters
-    (pg.ball)`` in content and order, the family is ``_diameter_family``
-    at the radius, certified complete: it holds every ordered leaf pair
-    whose geodesic carries a window.  Any other list has every window
-    looked up in ``pg.edge_index``, so a window that is not a path of the
-    ball is a KeyError.
-    """
-    if list(diameters) == enumerate_oriented_diameters(pg.ball):
-        return _diameter_family(pg, pg.ball.params.radius)
-    width, edge_index = pg.k + 2, pg.edge_index
-    apartments = []
-    for seq in diameters:
-        if len(seq) >= width:
-            ids = tuple([edge_index[seq[i:i + width]] for i in range(len(seq) - width + 1)])
-            apartments.append(OrientedApartment(len(apartments), seq, ids))
-    return ApartmentFamily(pg, apartments)
-
-
-def interior_family(pg: PathGraph, margin: int) -> ApartmentFamily:
-    """Apartments of the geodesics between distinct vertices at depth
-    R - margin (none at margin >= R): at margin >= 1, the part of the
-    whole family that reaches interior edges, in its row order
-    (``_kernel_rows``).  At margin 0 it is the whole family."""
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
-    return _diameter_family(pg, max(pg.ball.params.radius - margin, 0))
+    family = ApartmentFamily(pg, apartments)
+    family.complete = margin == 0
+    return family
 
 
 def radon_transform(pg: PathGraph, aps: ApartmentFamily, omega: Cochain) -> dict[int, Fraction]:
@@ -274,7 +270,7 @@ def _kernel_rows(aps: ApartmentFamily, interior: list[int]):
 
 def _row_family(pg: PathGraph, aps: ApartmentFamily, margin: int) -> ApartmentFamily:
     """The family whose kernel rows are read: ``interior_family(pg, margin)``
-    for a certified complete family of pg at margin >= 1, else aps."""
+    for the complete family of pg at margin >= 1, else aps."""
     if margin >= 1 and aps.complete and aps.pg is pg:
         return interior_family(pg, margin)
     return aps
@@ -492,7 +488,8 @@ def primitive(pg: PathGraph, aps: ApartmentFamily, omega: Cochain, base: int) ->
     support), so df = omega is verified on every edge, and a cochain
     outside the kernel is reported through the offending loop rather than
     silently integrated.  The result vanishes outside the enlarged support
-    region.
+    region.  ``aps`` is never read; it stays in the signature because
+    perfbench's ``primitive`` case passes four positional arguments.
     """
     if omega.level != 1:
         raise ValueError("primitive applies to 1-cochains")

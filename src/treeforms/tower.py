@@ -227,4 +227,5 @@ def components(pg: PathGraph) -> list[list[int]]:
 
 
 def num_components(pg: PathGraph) -> int:
-    return len(components(pg))
+    """Number of connected components: the distinct ``component_roots``."""
+    return len(set(component_roots(pg)))
