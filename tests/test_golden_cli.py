@@ -73,6 +73,12 @@ OTHER_COMMANDS = [
     "check equivariance --q 2 --radius 6 --k 0 --seed 1",
     "check equivariance --q 3 --radius 4 --k 0 --seed 1",
     "check equivariance --q 2 --radius 1 --k 2",
+    "check equivariance --q 2 --radius 4 --k 1 --seed 0",
+    "check equivariance --q 2 --radius 3 --k 4 --seed 2",
+    "check equivariance --q 3 --radius 2 --k 3 --seed 5",
+    "check equivariance --q 2 --radius 5 --k 6 --seed 1",
+    "check adjoint --q 3 --radius 3 --k 2 --seed 4",
+    "check radon-d --q 2 --radius 3 --k 3 --seed 1",
     "check padic --p 2 --radius 3",
     "check padic --p 3 --radius 2",
     "check padic --p 5 --radius 2",
