@@ -15,6 +15,7 @@ is recovered in the leaf-avoiding scope.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -33,11 +34,18 @@ from .tree import (TreeParams, build_ball, enumerate_oriented_diameters,
                    random_automorphism)
 
 
+@functools.cache
+def _fraction(a: int, b: int) -> Fraction:
+    return Fraction(a, b)
+
+
 def _random_sparse(rng: random.Random, level: int, ids, size: int) -> Cochain:
-    ids = list(ids)
+    """Up to ``size`` seeded draws of an id from the sequence ``ids`` (a
+    list or range), each given a value a/b with -9 <= a <= 9 and
+    1 <= b <= 7; a later draw of the same id overwrites it."""
     data = {}
     for _ in range(min(size, len(ids))):
-        data[rng.choice(ids)] = Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
+        data[rng.choice(ids)] = _fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
     return Cochain(level, data)
 
 

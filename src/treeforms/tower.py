@@ -14,16 +14,19 @@ infinite tree, so connectivity of a level graph is measured (see
 
 from __future__ import annotations
 
+import functools
 import json
 
 from .tree import BallAutomorphism, TreeBall
 
 
 class PathGraph:
-    """Level-k path graph over a ball.  Immutable after construction.
+    """Level-k path graph over a ball.
 
     Vertices and edges are ordered lexicographically by their tree-vertex
     id sequences, so ids are deterministic for a given ball and level.
+    Immutable after construction; the only state added later is the
+    end-pair index ``ends``, built on first use.
     """
 
     def __init__(self, ball: TreeBall, k: int):
@@ -48,6 +51,19 @@ class PathGraph:
             outof[t].append(a)
         self.edges_into = into
         self.edges_out_of = outof
+
+    @functools.cached_property
+    def ends(self) -> tuple[list[int], list[int], dict[tuple[int, int], int],
+                            dict[tuple[int, int], int]]:
+        """End-pair index (firsts, lasts, vertex_at, edge_at): the first and
+        the last tree vertex of each vertex path, the vertex id of each
+        (first, last) pair, and the edge id of each (tail, head) pair.  A
+        tree path is fixed by its two ends, and an edge (k+1)-path by its
+        tail and head k-paths, so every pair is the key of one id."""
+        firsts = [p[0] for p in self.verts]
+        lasts = [p[-1] for p in self.verts]
+        return (firsts, lasts, dict(zip(zip(firsts, lasts), range(len(firsts)))),
+                dict(zip(zip(self.tail, self.head), range(len(self.tail)))))
 
     @property
     def num_vertices(self) -> int:
@@ -103,17 +119,23 @@ def build_path_graph(ball: TreeBall, k: int) -> PathGraph:
 
 
 def apply_automorphism(pg: PathGraph, g: BallAutomorphism) -> tuple[list[int], list[int]]:
-    """Entrywise action on paths: returns (vertex map, edge map).
+    """Entrywise action on paths: returns (vertex map, edge map), read off
+    the end-pair index ``pg.ends``.
 
-    Raises if g is not an automorphism of the underlying ball (enforced by
-    BallAutomorphism) or maps some path outside the graph, which cannot
-    happen for a genuine automorphism.
+    This is sound: a validated ``BallAutomorphism`` is an edge-preserving
+    bijection, so it maps the geodesic x -> y onto the geodesic
+    g(x) -> g(y), of the same length (Serre, *Trees*, I.2).  So the image
+    of a vertex path is the path between the images of its ends, and the
+    image of an edge is the edge from the image of its tail to the image
+    of its head.  Raises if g belongs to another ball.
     """
     if g.ball is not pg.ball:
         raise ValueError("automorphism belongs to a different ball")
+    firsts, lasts, vertex_at, edge_at = pg.ends
     image = g.perm.__getitem__
-    vmap = [pg.vert_index[tuple(map(image, p))] for p in pg.verts]
-    emap = [pg.edge_index[tuple(map(image, e))] for e in pg.edges]
+    vmap = list(map(vertex_at.__getitem__, zip(map(image, firsts), map(image, lasts))))
+    image = vmap.__getitem__
+    emap = list(map(edge_at.__getitem__, zip(map(image, pg.tail), map(image, pg.head))))
     return vmap, emap
 
 

@@ -205,6 +205,8 @@ def random_automorphism(ball: TreeBall, seed: int) -> BallAutomorphism:
     """Seeded automorphism built by recursively shuffling child subtrees.
 
     Every output preserves the edge set and the leaf set by construction.
+    Leaves are not shuffled: an empty shuffle draws nothing from the
+    generator, so skipping it leaves every seed's permutation as it was.
     """
     rng = random.Random(seed)
     children = ball.children
@@ -214,7 +216,8 @@ def random_automorphism(ball: TreeBall, seed: int) -> BallAutomorphism:
     while stack:
         orig, image = stack.pop()
         perm[orig] = image
-        shuffled = list(children[image])
-        rng.shuffle(shuffled)
-        stack += zip(children[orig], shuffled)
+        if children[orig]:
+            shuffled = list(children[image])
+            rng.shuffle(shuffled)
+            stack += zip(children[orig], shuffled)
     return BallAutomorphism(ball, perm)

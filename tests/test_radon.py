@@ -367,6 +367,40 @@ class TestEquivarianceCheck:
         assert {f["kind"] for f in report["failures"]} == {kind}
 
 
+def random_sparse_oracle(rng, level, ids, size):
+    """The route that copies ``ids`` to a list and builds a new Fraction
+    per draw."""
+    ids = list(ids)
+    data = {}
+    for _ in range(min(size, len(ids))):
+        data[rng.choice(ids)] = Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
+    return Cochain(level, data)
+
+
+class TestRandomSparse:
+    """``_random_sparse`` draws from the sequence itself and takes cached
+    values; the draws, their order and their values are the oracle's."""
+
+    @pytest.mark.parametrize("ids", [range(0), range(1), range(3), range(40),
+                                     range(5, 12), [7], [2, 9, 4], list(range(0, 60, 3))],
+                             ids=repr)
+    @pytest.mark.parametrize("size", range(7))
+    def test_matches_list_copying_oracle(self, ids, size):
+        for seed in range(25):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            got = checks._random_sparse(ours, seed % 2, ids, size)
+            want = random_sparse_oracle(theirs, seed % 2, ids, size)
+            assert got == want and list(got.data) == list(want.data)
+            assert all(type(x) is Fraction for x in got.data.values())
+            assert ours.getstate() == theirs.getstate()
+
+    def test_range_and_list_draw_alike(self):
+        for seed in range(25):
+            c = checks._random_sparse(random.Random(seed), 1, range(30), 6)
+            d = checks._random_sparse(random.Random(seed), 1, list(range(30)), 6)
+            assert list(c.data.items()) == list(d.data.items())
+
+
 def apartment_images_oracle(aps, g):
     """id -> id of the apartment whose whole base tuple is g's image of an
     apartment's base, None where there is none."""

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from treeforms import radon
 from treeforms.cochains import Cochain
+from treeforms.padic import embed_ball, sample_gamma0
 from treeforms.radon import (PathDependenceError, fundamental_loops, interior_edges,
                              path_integral, primitive)
 from treeforms.tower import (PathGraph, SpanningForest, apply_automorphism,
@@ -16,8 +17,8 @@ from treeforms.tower import (PathGraph, SpanningForest, apply_automorphism,
                              num_components)
 from treeforms.tree import random_automorphism
 
-from conftest import (FOREST_DOCTORS, apartments, ball, deep_root, doctoring, false_root,
-                      identity, incidence, is_loop, orphan, tower)
+from conftest import (FOREST_DOCTORS, apartments, ball, compose, deep_root, doctoring,
+                      false_root, identity, incidence, is_loop, orphan, tower)
 
 
 def enumerate_paths_oracle(b, nverts):
@@ -161,6 +162,77 @@ class TestAutomorphismAction:
         g = random_automorphism(ball(2, 3), 1)
         with pytest.raises(ValueError):
             apply_automorphism(pg, g)
+
+
+def apply_automorphism_oracle(pg, g):
+    """The full-tuple route: map every tree vertex of each path and look
+    the image tuple up in ``vert_index`` or ``edge_index``."""
+    image = g.perm.__getitem__
+    return ([pg.vert_index[tuple(map(image, p))] for p in pg.verts],
+            [pg.edge_index[tuple(map(image, e))] for e in pg.edges])
+
+
+# Every level k <= 2R of the balls q in {2, 3}, R <= 3.
+ACTION_SIZES = [(q, radius, k) for q in (2, 3) for radius in (1, 2, 3)
+                for k in range(2 * radius + 1)]
+
+
+class TestEndPairAction:
+    """``apply_automorphism`` reads each path off its two ends; the
+    full-tuple route is the oracle."""
+
+    @pytest.mark.parametrize("q,radius,k", ACTION_SIZES)
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 10 ** 9))
+    def test_matches_full_tuple_oracle(self, q, radius, k, seed):
+        pg = tower(q, radius, k)
+        g = random_automorphism(ball(q, radius), seed)
+        assert apply_automorphism(pg, g) == apply_automorphism_oracle(pg, g)
+
+    @pytest.mark.parametrize("p,radius", [(2, 3), (3, 2)])
+    def test_matches_oracle_on_group_elements(self, p, radius):
+        """Root-fixing group elements act on the ball through
+        ``BallEmbedding.automorphism_from``."""
+        emb = embed_ball(p, radius)
+        autos = [emb.automorphism_from(x) for x in sample_gamma0(p, 0, 4, 12, seed=p)]
+        assert any(g.perm != tuple(range(emb.ball.num_vertices)) for g in autos)
+        for k in range(2 * radius + 1):
+            pg = build_path_graph(emb.ball, k)
+            for g in autos:
+                assert apply_automorphism(pg, g) == apply_automorphism_oracle(pg, g)
+
+    @pytest.mark.parametrize("q,radius,k", [(2, 2, 0), (2, 3, 1), (2, 3, 4), (3, 2, 2),
+                                            (3, 3, 6)])
+    @settings(max_examples=10, deadline=None)
+    @given(seeds=st.tuples(st.integers(0, 10 ** 9), st.integers(0, 10 ** 9)))
+    def test_action_is_a_homomorphism(self, q, radius, k, seeds):
+        """apply(g after h) = apply(g) after apply(h), on vertices and on
+        edges, and the identity acts as the identity."""
+        pg = tower(q, radius, k)
+        g, h = (random_automorphism(ball(q, radius), seed) for seed in seeds)
+        gv, ge = apply_automorphism(pg, g)
+        hv, he = apply_automorphism(pg, h)
+        assert apply_automorphism(pg, compose(g, h)) == ([gv[s] for s in hv],
+                                                         [ge[a] for a in he])
+        assert apply_automorphism(pg, identity(ball(q, radius))) == \
+            (list(range(pg.num_vertices)), list(range(pg.num_edges)))
+
+    def test_index_is_built_once(self):
+        pg = build_path_graph(ball(2, 2), 1)
+        assert "ends" not in vars(pg)
+        apply_automorphism(pg, random_automorphism(pg.ball, 1))
+        index = pg.ends
+        apply_automorphism(pg, random_automorphism(pg.ball, 2))
+        assert pg.ends is index
+
+    @pytest.mark.parametrize("q,radius,k", [(2, 3, 0), (2, 3, 2), (3, 2, 4)])
+    def test_index_keys_every_path_by_its_ends(self, q, radius, k):
+        pg = tower(q, radius, k)
+        firsts, lasts, vertex_at, edge_at = pg.ends
+        assert vertex_at == {(p[0], p[-1]): s for s, p in enumerate(pg.verts)}
+        assert (firsts, lasts) == ([p[0] for p in pg.verts], [p[-1] for p in pg.verts])
+        assert edge_at == {(pg.vert_index[e[:-1]], pg.vert_index[e[1:]]): a
+                           for a, e in enumerate(pg.edges)}
 
 
 class TestComponents:

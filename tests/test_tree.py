@@ -3,6 +3,7 @@
 import collections
 import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -341,6 +342,30 @@ class TestAutomorphisms:
             assert gh(v) == g(h(v))
         ginv = inverse(g)
         assert compose(g, ginv).perm == tuple(range(b.num_vertices))
+
+
+def random_automorphism_oracle(b, seed):
+    """The route that shuffles the children of every vertex, leaves
+    included: their shuffles are empty."""
+    rng = random.Random(seed)
+    perm = [0] * b.num_vertices
+    stack = [(0, 0)]
+    while stack:
+        orig, image = stack.pop()
+        perm[orig] = image
+        shuffled = list(b.children[image])
+        rng.shuffle(shuffled)
+        stack += zip(b.children[orig], shuffled)
+    return tuple(perm)
+
+
+class TestLeafShuffles:
+    @pytest.mark.parametrize("q,radius", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
+                                          (3, 1), (3, 2), (3, 3)])
+    def test_skipping_leaves_draws_the_same_permutation(self, q, radius):
+        b = ball(q, radius)
+        for seed in range(200):
+            assert random_automorphism(b, seed).perm == random_automorphism_oracle(b, seed)
 
 
 # -- pins: every tree-layer value, recorded as plain data ----------------
