@@ -34,15 +34,15 @@ from .tree import (TreeParams, build_ball, enumerate_oriented_diameters,
                    random_automorphism)
 
 
+# Each of the 133 values a draw can take is built once, on first use.
 @functools.cache
 def _fraction(a: int, b: int) -> Fraction:
     return Fraction(a, b)
 
 
 def _random_sparse(rng: random.Random, level: int, ids, size: int) -> Cochain:
-    """Up to ``size`` seeded draws of an id from the sequence ``ids`` (a
-    list or range), each given a value a/b with -9 <= a <= 9 and
-    1 <= b <= 7; a later draw of the same id overwrites it."""
+    """Up to ``size`` seeded draws from the sequence ``ids`` (a list or a
+    range), each with a value a/b, -9 <= a <= 9 and 1 <= b <= 7."""
     data = {}
     for _ in range(min(size, len(ids))):
         data[rng.choice(ids)] = _fraction(rng.randrange(-9, 10), rng.randrange(1, 8))

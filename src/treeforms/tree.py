@@ -205,8 +205,8 @@ def random_automorphism(ball: TreeBall, seed: int) -> BallAutomorphism:
     """Seeded automorphism built by recursively shuffling child subtrees.
 
     Every output preserves the edge set and the leaf set by construction.
-    Leaves are not shuffled: an empty shuffle draws nothing from the
-    generator, so skipping it leaves every seed's permutation as it was.
+    Leaves have no children and are skipped: an empty shuffle would draw
+    nothing from the generator.
     """
     rng = random.Random(seed)
     children = ball.children

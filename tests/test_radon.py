@@ -394,12 +394,6 @@ class TestRandomSparse:
             assert all(type(x) is Fraction for x in got.data.values())
             assert ours.getstate() == theirs.getstate()
 
-    def test_range_and_list_draw_alike(self):
-        for seed in range(25):
-            c = checks._random_sparse(random.Random(seed), 1, range(30), 6)
-            d = checks._random_sparse(random.Random(seed), 1, list(range(30)), 6)
-            assert list(c.data.items()) == list(d.data.items())
-
 
 def apartment_images_oracle(aps, g):
     """id -> id of the apartment whose whole base tuple is g's image of an
