@@ -225,15 +225,6 @@ class TestEndPairAction:
         apply_automorphism(pg, random_automorphism(pg.ball, 2))
         assert pg.ends is index
 
-    @pytest.mark.parametrize("q,radius,k", [(2, 3, 0), (2, 3, 2), (3, 2, 4)])
-    def test_index_keys_every_path_by_its_ends(self, q, radius, k):
-        pg = tower(q, radius, k)
-        firsts, lasts, vertex_at, edge_at = pg.ends
-        assert vertex_at == {(p[0], p[-1]): s for s, p in enumerate(pg.verts)}
-        assert (firsts, lasts) == ([p[0] for p in pg.verts], [p[-1] for p in pg.verts])
-        assert edge_at == {(pg.vert_index[e[:-1]], pg.vert_index[e[1:]]): a
-                           for a, e in enumerate(pg.edges)}
-
 
 class TestComponents:
     def test_doubled_tree_connected(self):
