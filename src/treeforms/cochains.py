@@ -7,23 +7,19 @@ On a finite graph every cochain has finite support and every form is
 smooth, so the smooth/arbitrary-support distinction collapses.
 
 The operators hold their arithmetic in Python ints, as the elimination
-in ``_linalg`` and ``radon.radon_transform`` do: ``coboundary``,
-``adjoint`` and ``integrate`` put their input over the lcm of its
-denominators and sum integer numerators, and ``pairing`` sums products
-of numerators over the lcm of the products' denominators.
+in ``_linalg`` does: they read their input's ``Cochain.int_form`` and
+pass on the form of the sums they build (``_summed``).
 ``shared_fractions`` turns the nonzero sums back into ``Fraction``s, so
 every value a cochain stores or an operator returns is still a
 ``Fraction``; in ``coboundary`` and ``adjoint`` (and
 ``radon.radon_transform``) a sum equal to one of the input's values is
-that input's own ``Fraction`` object.  An operator's output values are
-nonzero ``Fraction``s by construction, so its output cochain is built
-through ``_cochain``, which skips ``Cochain.__post_init__``'s cleaning.
+that input's own ``Fraction`` object.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -35,23 +31,27 @@ ONE = Fraction(1)
 MINUS_ONE = Fraction(-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Cochain:
     """Finitely supported map from vertex (level 0) or edge (level 1) ids.
 
     Zero values are never stored; two cochains compare equal iff their
-    levels and supports agree.
+    levels and supports agree.  ``int_form`` is (den, {id: numerator}),
+    each value its numerator over den, in ``data``'s key order: den is the
+    lcm of the denominators, or an operator's input's den in its output.
+    It is kept outside the fields that equality and hashing compare.
     """
 
     level: int
-    data: dict[int, Fraction] = field(default_factory=dict)
+    data: dict[int, Fraction]
 
-    def __post_init__(self):
-        if self.level not in (0, 1):
-            raise ValueError(f"cochain level must be 0 or 1, got {self.level}")
-        cleaned = {i: x if type(x) is Fraction else Fraction(x)
-                   for i, x in self.data.items() if x}
-        object.__setattr__(self, "data", cleaned)
+    def __init__(self, level: int, data: dict | None = None):
+        if level not in (0, 1):
+            raise ValueError(f"cochain level must be 0 or 1, got {level}")
+        data = {i: x if type(x) is Fraction else Fraction(x)
+                for i, x in (data or {}).items() if x}
+        object.__setattr__(self, "__dict__", {"level": level, "data": data,
+                                              "int_form": _int_form(data)})
 
     @classmethod
     def zero(cls, level: int) -> "Cochain":
@@ -95,15 +95,23 @@ class Cochain:
 
     def permuted(self, perm: list[int]) -> "Cochain":
         """Push forward along an id permutation: (g.f)(perm[i]) = f(i)."""
-        return _cochain(self.level, {perm[i]: x for i, x in self.data.items()})
+        den, nums = self.int_form
+        return _cochain(self.level, {perm[i]: x for i, x in self.data.items()},
+                        (den, {perm[i]: n for i, n in nums.items()}))
 
 
-def _cochain(level: int, data: dict[int, Fraction]) -> Cochain:
-    """Cochain(level, data) for a valid level and nonzero Fraction values,
-    as the operators build them, without __init__ and __post_init__: data
-    is stored as given, with one write of the instance dict."""
+def _int_form(data: dict[int, Fraction]) -> tuple[int, dict[int, int]]:
+    # The slots behind Fraction's numerator and denominator properties, read
+    # directly: each property read is a Python-level call.
+    den = lcm(*[x._denominator for x in data.values()])
+    return den, {i: x._numerator * (den // x._denominator) for i, x in data.items()}
+
+
+def _cochain(level: int, data: dict[int, Fraction], form) -> Cochain:
+    """Cochain(level, data) for a valid level, nonzero Fraction values and
+    their int form, as the operators build them, stored as given."""
     c = object.__new__(Cochain)
-    object.__setattr__(c, "__dict__", {"level": level, "data": data})
+    object.__setattr__(c, "__dict__", {"level": level, "data": data, "int_form": form})
     return c
 
 
@@ -119,12 +127,10 @@ def shared_fractions(nums: dict[int, int], den: int,
     """{i: n / den} for the nonzero integer numerators n, in nums' key
     order, with one shared Fraction object per distinct value.
 
-    ``own`` maps numerators over ``den`` to the input cochain's Fractions
-    equal to them, as an operator collects them while it scales its input.
-    A value found there is that input's object, so where an output repeats
-    an input value it holds the input's object, and comparing two outputs
-    that share objects stops at the identity check.  The table is
-    consumed: the new Fractions are added to it.
+    ``own`` maps an operator's input's numerators over den to its values,
+    so where an output repeats an input value it holds the input's object,
+    and comparing two outputs that share objects stops at the identity
+    check.  New Fractions are added to the table.
     """
     shared = {} if own is None else own
     out: dict[int, Fraction] = {}
@@ -137,57 +143,66 @@ def shared_fractions(nums: dict[int, int], den: int,
     return out
 
 
+def _summed(level: int, sums: dict[int, int], den: int,
+            source: Cochain | None = None) -> Cochain:
+    """The cochain of the nonzero sums over den, with int form (den, those
+    sums).  The source is the cochain whose numerators were summed; its
+    ``shared_fractions`` table is built only when some sum is nonzero."""
+    if not any(sums.values()):
+        return _cochain(level, {}, (1, {}))
+    own = source and dict(zip(source.int_form[1].values(), source.data.values()))
+    data = shared_fractions(sums, den, own)
+    if len(data) < len(sums):
+        sums = {i: n for i, n in sums.items() if n}
+    return _cochain(level, data, (den, sums))
+
+
 def coboundary(pg: PathGraph, f: Cochain) -> Cochain:
-    """df(a) = f(head a) - f(tail a), summed in ints over the lcm of f's
-    denominators."""
+    """df(a) = f(head a) - f(tail a), summed in ints over f's int form."""
     if f.level != 0:
         raise ValueError("coboundary applies to 0-cochains")
     _check_support(pg, f)
-    den = lcm(*(x.denominator for x in f.data.values()))
+    den, nums = f.int_form
     into, out_of = pg.edges_into, pg.edges_out_of
-    own: dict[int, Fraction] = {}
     sums: dict[int, int] = {}
-    for s, x in f.data.items():
-        n = x.numerator * (den // x.denominator)
-        own[n] = x
+    for s, n in nums.items():
         for a in into[s]:
             sums[a] = sums.get(a, 0) + n
         for a in out_of[s]:
             sums[a] = sums.get(a, 0) - n
-    return _cochain(1, shared_fractions(sums, den, own))
+    return _summed(1, sums, den, f)
 
 
 def adjoint(pg: PathGraph, omega: Cochain) -> Cochain:
     """d*w(s) = sum over edges a incident to s of [a:s] w(a), summed in
-    ints over the lcm of w's denominators."""
+    ints over w's int form."""
     if omega.level != 1:
         raise ValueError("adjoint applies to 1-cochains")
     _check_support(pg, omega)
-    den = lcm(*(x.denominator for x in omega.data.values()))
+    den, nums = omega.int_form
+    return _summed(0, _adjoint_sums(pg, nums), den, omega)
+
+
+def _adjoint_sums(pg: PathGraph, nums: dict[int, int]) -> dict[int, int]:
+    """d* of the integer edge values nums: {vertex: sum}, zero sums kept."""
     head, tail = pg.head, pg.tail
-    own: dict[int, Fraction] = {}
     sums: dict[int, int] = {}
-    for a, x in omega.data.items():
-        n = x.numerator * (den // x.denominator)
-        own[n] = x
+    for a, n in nums.items():
         h, t = head[a], tail[a]
         sums[h] = sums.get(h, 0) + n
         sums[t] = sums.get(t, 0) - n
-    return _cochain(0, shared_fractions(sums, den, own))
+    return sums
 
 
 def pairing(x: Cochain, y: Cochain) -> Fraction:
-    """<x, y> = sum over the common support of x(i) y(i), summed in ints
-    over the lcm of the products' denominators."""
+    """<x, y> = sum over the common support of x(i) y(i): the products of
+    the int forms' numerators, summed over the product of their dens."""
     if x.level != y.level:
         raise ValueError("pairing requires cochains of the same level")
-    small, large = (x.data, y.data) if len(x.data) <= len(y.data) else (y.data, x.data)
-    terms = [(u.numerator * v.numerator, u.denominator * v.denominator)
-             for i, u in small.items() if (v := large.get(i)) is not None]
-    if not terms:
-        return ZERO
-    den = lcm(*(d for _, d in terms))
-    return Fraction(sum(n * (den // d) for n, d in terms), den)
+    (dx, nx), (dy, ny) = x.int_form, y.int_form
+    small, large = (nx, ny) if len(nx) <= len(ny) else (ny, nx)
+    total = sum([u * v for i, u in small.items() if (v := large.get(i))])
+    return Fraction(total, dx * dy) if total else ZERO
 
 
 def harmonic_space(pg: PathGraph) -> list[Cochain]:
@@ -202,8 +217,8 @@ def harmonic_space(pg: PathGraph) -> list[Cochain]:
     basis, certified = _harmonic_basis(pg)
     if certified:
         units: dict[int, Fraction] = {}  # one table for the basis: every value is +-1
-        return [_cochain(1, shared_fractions(vec, 1, units)) for vec in basis]
-    return [_cochain(1, vec) for vec in basis]
+        return [_cochain(1, shared_fractions(vec, 1, units), (1, vec)) for vec in basis]
+    return [Cochain(1, vec) for vec in basis]
 
 
 def _unit_cycle(forest: SpanningForest, a: int) -> dict[int, int]:
@@ -277,14 +292,8 @@ def _unit_circulations(pg: PathGraph, cycles) -> bool:
     if len(own) != len(cycles):
         return False
     for a, vec in cycles:
-        if vec.get(a) != 1 or any(b in own for b in vec if b != a):
-            return False
-        net: dict[int, int] = {}
-        for e, x in vec.items():
-            h, t = pg.head[e], pg.tail[e]
-            net[h] = net.get(h, 0) + x
-            net[t] = net.get(t, 0) - x
-        if any(net.values()):
+        if (vec.get(a) != 1 or any(b in own for b in vec if b != a)
+                or any(_adjoint_sums(pg, vec).values())):
             return False
     return True
 
@@ -355,19 +364,18 @@ def integrate(pg: PathGraph, w: Cochain,
     if forest is None:
         forest = SpanningForest(pg)
     head, tail, root = pg.head, pg.tail, forest.root
-    # The walk runs in ints: w and f are put over the lcm of w's denominators.
-    den = lcm(*(x.denominator for x in w.data.values()))
-    wn = {a: x.numerator * (den // x.denominator) for a, x in w.data.items()}
+    # The walk runs in ints: f is put over w's den.
+    den, wn = w.int_form
     values: dict[int, int] = {}
     for s in forest.order:
         a = forest.parent_edge[s]
         if a is None:
             values[s] = 0
-            continue
-        u = tail[a] if head[a] == s else head[a]
-        x = wn.get(a, 0)
-        values[s] = values.get(u, 0) + (x if head[a] == s else -x)
-    f = _cochain(0, shared_fractions(values, den))
+        elif head[a] == s:
+            values[s] = values.get(tail[a], 0) + wn.get(a, 0)
+        else:
+            values[s] = values.get(head[a], 0) - wn.get(a, 0)
+    f = _summed(0, values, den)
     bad = next((a for a in range(pg.num_edges)
                 if values.get(head[a], 0) - values.get(tail[a], 0) != wn.get(a, 0)), None)
     if bad is None:
@@ -379,7 +387,7 @@ def integrate(pg: PathGraph, w: Cochain,
             return f, bad
     sol = _linalg.solve(incidence_rows(pg), [w(a) for a in range(pg.num_edges)],
                         pg.num_vertices)
-    return (f, bad) if sol is None else (_cochain(0, sol), None)
+    return (f, bad) if sol is None else (Cochain(0, sol), None)
 
 
 # -- export formats ---------------------------------------------------

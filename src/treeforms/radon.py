@@ -35,12 +35,10 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
 from . import _linalg
-from .cochains import (Cochain, _adjoint_rows, _check_support, _cochain, integrate,
-                       shared_fractions)
+from .cochains import Cochain, _adjoint_rows, _check_support, integrate, shared_fractions
 from .tower import PathGraph, SpanningForest, component_roots
 from .tree import enumerate_oriented_diameters, geodesic_between
 
@@ -187,8 +185,7 @@ def interior_family(pg: PathGraph, margin: int) -> ApartmentFamily:
 def radon_transform(pg: PathGraph, aps: ApartmentFamily, omega: Cochain) -> dict[int, Fraction]:
     """Value at each apartment = exact sum of the cochain over its edges.
 
-    The sums are accumulated in Python ints: every value is put over the
-    lcm of the cochain's denominators, the numerators are summed per
+    The numerators of the cochain's int form are summed in Python ints per
     apartment through the family's edge index, and only the nonzero sums
     become Fractions (``shared_fractions``): a sum equal to one of the
     cochain's values is that value's own object, and each other distinct
@@ -201,17 +198,15 @@ def radon_transform(pg: PathGraph, aps: ApartmentFamily, omega: Cochain) -> dict
     if aps.pg is not pg:
         raise ValueError("the apartment family is built on another path graph")
     _check_support(pg, omega)
-    data = omega.data
-    den = lcm(*(x.denominator for x in data.values()))
+    den, nums = omega.int_form
     through = aps._through
-    own: dict[int, Fraction] = {}
     sums: dict[int, int] = {}
-    for a, x in data.items():
-        n = x.numerator * (den // x.denominator)
-        own[n] = x
+    for a, n in nums.items():
         for i in through[a]:
             sums[i] = sums.get(i, 0) + n
-    return shared_fractions(sums, den, own)
+    if not any(sums.values()):
+        return {}
+    return shared_fractions(sums, den, dict(zip(nums.values(), omega.data.values())))
 
 
 # -- interior (truncation margin) --------------------------------------
@@ -283,7 +278,7 @@ def radon_kernel_interior(pg: PathGraph, aps: ApartmentFamily, margin: int) -> l
         raise MarginError(f"no interior edges at margin {margin}")
     rows = _kernel_rows(_row_family(pg, aps, margin), interior)
     basis = _linalg.nullspace(rows, len(interior))
-    return [_cochain(1, {interior[j]: v for j, v in vec.items()}) for vec in basis]
+    return [Cochain(1, {interior[j]: v for j, v in vec.items()}) for vec in basis]
 
 
 @dataclass(frozen=True)
@@ -388,17 +383,14 @@ class WalkWithSigns:
 
 
 def path_integral(omega: Cochain, walk: WalkWithSigns) -> Fraction:
-    """Signed sum of the cochain along the walk, summed in ints over the
-    lcm of the denominators met (``ZERO`` when the walk meets no support
-    edge)."""
+    """Signed sum of the cochain along the walk, summed in ints over its
+    int form's den (``ZERO`` when the sum is 0)."""
     if omega.level != 1:
         raise ValueError("path integrals apply to 1-cochains")
-    get = omega.data.get
-    terms = [(v, sign) for a, sign in zip(walk.edges, walk.signs) if (v := get(a))]
-    if not terms:
-        return ZERO
-    den = lcm(*(v.denominator for v, _ in terms))
-    return Fraction(sum(sign * v.numerator * (den // v.denominator) for v, sign in terms), den)
+    den, nums = omega.int_form
+    get = nums.get
+    total = sum([sign * n for a, sign in zip(walk.edges, walk.signs) if (n := get(a))])
+    return Fraction(total, den) if total else ZERO
 
 
 def fundamental_loops(pg: PathGraph, edge_ids: list[int]) -> list[WalkWithSigns]:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -642,6 +643,181 @@ class TestIntOperatorsAgainstFractionOracle:
                                         (4, ONE)]
         assert c.data[3] is half
         assert all(type(x) is Fraction for x in c.data.values())
+
+
+# -- the per-call lcm conversions that the carried int form replaced ------
+
+
+def lcm_form(data):
+    """(lcm of the denominators, {i: numerator over it}) in data's key
+    order: the conversion each operator made of its input on every call."""
+    den = lcm(*(x.denominator for x in data.values()))
+    return den, {i: x.numerator * (den // x.denominator) for i, x in data.items()}
+
+
+def lcm_coboundary(pg, f):
+    """coboundary as it converted f on every call."""
+    den, nums = lcm_form(f.data)
+    own, sums = {}, {}
+    for s, x in f.data.items():
+        own[nums[s]] = x
+        for a in pg.edges_into[s]:
+            sums[a] = sums.get(a, 0) + nums[s]
+        for a in pg.edges_out_of[s]:
+            sums[a] = sums.get(a, 0) - nums[s]
+    return cochains.shared_fractions(sums, den, own)
+
+
+def lcm_adjoint(pg, omega):
+    """adjoint as it converted w on every call."""
+    den, nums = lcm_form(omega.data)
+    own, sums = {}, {}
+    for a, x in omega.data.items():
+        own[nums[a]] = x
+        h, t = pg.head[a], pg.tail[a]
+        sums[h] = sums.get(h, 0) + nums[a]
+        sums[t] = sums.get(t, 0) - nums[a]
+    return cochains.shared_fractions(sums, den, own)
+
+
+def lcm_pairing(x, y):
+    """pairing over the lcm of the products' denominators."""
+    small, large = (x.data, y.data) if len(x.data) <= len(y.data) else (y.data, x.data)
+    terms = [(u.numerator * v.numerator, u.denominator * v.denominator)
+             for i, u in small.items() if (v := large.get(i)) is not None]
+    if not terms:
+        return ZERO
+    den = lcm(*(d for _, d in terms))
+    return Fraction(sum(n * (den // d) for n, d in terms), den)
+
+
+def lcm_integrate_walk(pg, w, forest):
+    """integrate's forest walk over the lcm of w's denominators: f's values,
+    and the first edge where df != w (None when df = w)."""
+    den, wn = lcm_form(w.data)
+    head, tail = pg.head, pg.tail
+    values = {}
+    for s in forest.order:
+        a = forest.parent_edge[s]
+        if a is None:
+            values[s] = 0
+            continue
+        u = tail[a] if head[a] == s else head[a]
+        x = wn.get(a, 0)
+        values[s] = values.get(u, 0) + (x if head[a] == s else -x)
+    bad = next((a for a in range(pg.num_edges)
+                if values.get(head[a], 0) - values.get(tail[a], 0) != wn.get(a, 0)), None)
+    return cochains.shared_fractions(values, den), bad
+
+
+def sharing(values, source=()):
+    """Each value's object as an index: its position among the source's
+    values when it is one of those objects, else a new index shared by
+    every later value that is the same object."""
+    objs, out = list(source), []
+    for v in values:
+        j = next((j for j, x in enumerate(objs) if x is v), None)
+        if j is None:
+            objs.append(v)
+            j = len(objs) - 1
+        out.append(j)
+    return out
+
+
+def same_values(got, want, source=()):
+    """Equal values in the same key order, each a plain Fraction, holding
+    the same objects of the source and sharing the same new ones."""
+    assert list(got.items()) == list(want.items())
+    assert all(type(x) is Fraction for x in got.values())
+    assert sharing(got.values(), source) == sharing(want.values(), source)
+
+
+def assert_int_form(c, built=False):
+    """c.int_form is the form recomputed from c.data, over c's own den:
+    each value its numerator over den, in data's key order.  A cochain
+    built from its values (built=True) has den the lcm of its denominators;
+    an operator's output may keep a multiple of it, its input's den."""
+    den, nums = c.int_form
+    lcm_den = lcm_form(c.data)[0]
+    assert den > 0 and den % lcm_den == 0 and (den == lcm_den or not built)
+    assert list(nums.items()) == [(i, x.numerator * (den // x.denominator))
+                                  for i, x in c.data.items()]
+
+
+def shuffled(n, rng):
+    """A permutation of range(n) that is not the identity (n >= 2)."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return perm if perm != sorted(perm) else perm[1:] + perm[:1]
+
+
+class TestCarriedIntForm:
+    """Every operator reads the int form its input carries; each gives what
+    the per-call lcm conversion gave: the same values in the same key
+    order, object for object."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(inst=st.sampled_from(HARMONIC_GRID), data=st.data())
+    def test_coboundary_adjoint_and_pairing(self, inst, data):
+        pg = tower(*inst)
+        f, g = data.draw(vertex_cochains(pg)), data.draw(vertex_cochains(pg))
+        w = data.draw(edge_cochains(pg))
+        df, dw = coboundary(pg, f), adjoint(pg, w)
+        same_values(df.data, lcm_coboundary(pg, f), f.data.values())
+        same_values(dw.data, lcm_adjoint(pg, w), w.data.values())
+        # Outputs carry their input's den, which may exceed the lcm.
+        same_values(adjoint(pg, df).data, lcm_adjoint(pg, df), df.data.values())
+        same_values(coboundary(pg, dw).data, lcm_coboundary(pg, dw), dw.data.values())
+        for x, y in ((f, g), (g, f), (w, df), (dw, f), (df, df), (dw, dw),
+                     (w, Cochain.zero(1))):
+            got = pairing(x, y)
+            assert got == lcm_pairing(x, y) and type(got) is Fraction
+
+    @settings(max_examples=40, deadline=None)
+    @given(inst=st.sampled_from(HARMONIC_GRID), seed=st.integers(0, 10 ** 6))
+    def test_integrate(self, inst, seed):
+        pg = tower(*inst)
+        rng = random.Random(seed)
+        forest = SpanningForest(pg)
+        f0 = rand_cochain(rng, 0, pg.num_vertices, 6)
+        for w in (coboundary(pg, f0), perturbed(pg, rng, forest),
+                  Cochain(1, coboundary(pg, f0).data)):
+            f, bad = integrate(pg, w, forest)
+            want, want_bad = lcm_integrate_walk(pg, w, forest)
+            assert bad == want_bad
+            same_values(f.data, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(inst=st.sampled_from(HARMONIC_GRID), data=st.data(), seed=st.integers(0, 10 ** 6))
+    def test_every_cochain_carries_the_form_of_its_data(self, inst, data, seed):
+        pg = tower(*inst)
+        rng = random.Random(seed)
+        f = data.draw(vertex_cochains(pg))
+        w = data.draw(edge_cochains(pg))
+        vperm, eperm = shuffled(pg.num_vertices, rng), shuffled(pg.num_edges, rng)
+        for c in (f, w, f + f, f - f, w.scale(Fraction(-2, 3)), Cochain.zero(0),
+                  Cochain.zero(1), Cochain.indicator(0, pg.num_vertices - 1),
+                  Cochain.indicator(1, 0), f.permuted(vperm), w.permuted(eperm)):
+            assert_int_form(c, built=True)
+        df, dw = coboundary(pg, f), adjoint(pg, w)
+        for c in (df, dw, coboundary(pg, dw), adjoint(pg, df), df.permuted(eperm),
+                  dw.permuted(vperm), integrate(pg, df)[0], integrate(pg, w)[0]):
+            assert_int_form(c)
+        assert f.permuted(vperm).int_form == (
+            f.int_form[0], {vperm[i]: n for i, n in f.int_form[1].items()})
+
+    @pytest.mark.parametrize("inst", [(2, 3, 1), (3, 3, 0)])
+    def test_harmonic_bases_carry_their_form(self, inst, monkeypatch):
+        pg = tower(*inst)
+        for w in harmonic_space(pg):
+            assert w.int_form[0] == 1
+            assert_int_form(w, built=True)
+        monkeypatch.setattr(cochains, "SpanningForest", doctoring(stray_parent))
+        calls = spy_elimination(monkeypatch)
+        basis = harmonic_space(pg)
+        assert "nullspace" in calls and basis
+        for w in basis:
+            assert_int_form(w, built=True)
 
 
 class TestEquivariance:

@@ -3,12 +3,13 @@
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from treeforms import _linalg, checks, radon
-from treeforms.cochains import Cochain, coboundary
+from treeforms.cochains import Cochain, coboundary, shared_fractions
 from treeforms.radon import (ApartmentFamily, MarginError, PathDependenceError,
                              WalkWithSigns, enlarged_support,
                              exactness_check, fundamental_loops,
@@ -23,6 +24,8 @@ from treeforms.tree import (TreeParams, build_ball, enumerate_oriented_diameters
                             geodesic_between, random_automorphism)
 
 from conftest import apartments, ball, convex_hull, is_loop, through, tower
+from test_cochains import (HARMONIC_GRID, assert_int_form, edge_cochains, lcm_form, same_values,
+                           vertex_cochains)
 from test_linalg import FractionEliminator, oracle_nullspace, oracle_rref, spans_same_space
 
 ZERO = Fraction(0)
@@ -953,6 +956,78 @@ class TestWalksAndIntegrals:
         pg = tower(2, 2, 1)
         assert fundamental_loops(pg, []) == []
         assert random_loops(pg, [], 3, 1) == []
+
+
+def lcm_radon_transform(aps, omega):
+    """radon_transform as it converted the cochain on every call."""
+    den, nums = lcm_form(omega.data)
+    own, sums = {}, {}
+    for a, x in omega.data.items():
+        own[nums[a]] = x
+        for i in through(aps, a):
+            sums[i] = sums.get(i, 0) + nums[a]
+    return shared_fractions(sums, den, own)
+
+
+def lcm_path_integral(omega, walk):
+    """path_integral over the lcm of the denominators the walk meets."""
+    get = omega.data.get
+    terms = [(v, sign) for a, sign in zip(walk.edges, walk.signs) if (v := get(a))]
+    if not terms:
+        return ZERO
+    den = lcm(*(v.denominator for v, _ in terms))
+    return Fraction(sum(sign * v.numerator * (den // v.denominator) for v, sign in terms), den)
+
+
+@st.composite
+def walks(draw, pg):
+    """A walk of up to 12 steps from a drawn vertex with an edge."""
+    incident = {}
+    for a in range(pg.num_edges):
+        incident.setdefault(pg.tail[a], []).append((a, pg.head[a]))
+        incident.setdefault(pg.head[a], []).append((a, pg.tail[a]))
+    vertices = [draw(st.sampled_from(sorted(incident)))]
+    edges = []
+    for _ in range(draw(st.integers(0, 12))):
+        a, nxt = draw(st.sampled_from(incident[vertices[-1]]))
+        edges.append(a)
+        vertices.append(nxt)
+    return WalkWithSigns.from_itinerary(pg, edges, vertices)
+
+
+class TestCarriedIntFormInRadon:
+    """The transform and path integrals read the carried int form; each
+    gives what the per-call lcm conversion gave, on the harmonic-grid
+    sizes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(inst=st.sampled_from(HARMONIC_GRID), data=st.data())
+    def test_radon_transform(self, inst, data):
+        pg, aps = tower(*inst), apartments(*inst)
+        w = data.draw(edge_cochains(pg))
+        df = coboundary(pg, data.draw(vertex_cochains(pg)))
+        for omega in (w, df, df + w):
+            same_values(radon_transform(pg, aps, omega), lcm_radon_transform(aps, omega),
+                        omega.data.values())
+
+    @settings(max_examples=100, deadline=None)
+    @given(inst=st.sampled_from(HARMONIC_GRID), data=st.data())
+    def test_path_integral(self, inst, data):
+        pg = tower(*inst)
+        walk = data.draw(walks(pg))
+        on_walk = data.draw(st.dictionaries(st.sampled_from(walk.edges or (0,)), MIXED,
+                                            max_size=6))
+        df = coboundary(pg, data.draw(vertex_cochains(pg)))
+        for omega in (Cochain(1, on_walk), data.draw(edge_cochains(pg)), df):
+            got = path_integral(omega, walk)
+            assert got == lcm_path_integral(omega, walk) and type(got) is Fraction
+
+    @pytest.mark.parametrize("q,radius,k,margin", [(2, 1, 0, 0), (2, 4, 0, 2), (3, 3, 0, 2)])
+    def test_kernel_vectors_carry_their_form(self, q, radius, k, margin):
+        basis = radon_kernel_interior(tower(q, radius, k), apartments(q, radius, k), margin)
+        assert basis
+        for w in basis:
+            assert_int_form(w, built=True)
 
 
 def enlarged_support_oracle(pg, omega):
