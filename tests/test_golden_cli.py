@@ -155,6 +155,11 @@ OTHER_COMMANDS = [
     "export --what tower --q 3 --radius 2 --k 2 --format dot --outdir .",
     "export --what apartments --q 2 --radius 2 --k 1 --outdir .",
     "export --what apartments --q 3 --radius 2 --k 0 --outdir .",
+    "export --what apartments --q 2 --radius 3 --k 3 --outdir .",
+    "export --what apartments --q 2 --radius 3 --k 4 --outdir .",
+    "export --what apartments --q 2 --radius 3 --k 5 --outdir .",
+    "export --what apartments --q 3 --radius 2 --k 2 --outdir .",
+    "export --what apartments --q 3 --radius 2 --k 3 --outdir .",
 ]
 
 # Refused input: exit 2 (bad argument) or 3 (I/O), with the message pinned.
