@@ -124,7 +124,8 @@ def induced_apartments(pg: PathGraph, diameters: list[tuple[int, ...]]) -> Apart
     up in ``pg.edge_index``, so a window that is not a path of the ball is
     a KeyError, and its family is not complete.
     """
-    if list(diameters) == enumerate_oriented_diameters(pg.ball):
+    diameters = list(diameters)
+    if diameters == enumerate_oriented_diameters(pg.ball):
         return interior_family(pg, 0)
     width, edge_index = pg.k + 2, pg.edge_index
     apartments = []
@@ -148,10 +149,14 @@ def interior_family(pg: PathGraph, margin: int) -> ApartmentFamily:
     A geodesic between depth-D vertices x and y climbs x's root chain
     (``TreeBall.chains``) to the meet and descends y's, so its n vertices
     put the apex at h = (n - 1) // 2 and the meet at depth D - h.  Its
-    windows are x's chain windows below the apex, the at most k windows
-    with the apex strictly inside, and y's reversed chain windows from the
-    meet on.  A geodesic with fewer than k + 2 vertices carries no window
-    and has no apartment.
+    windows are x's chain windows below the apex, the peaked windows (the
+    at most k with the apex strictly inside), and y's reversed chain
+    windows from the meet on.  A geodesic with fewer than k + 2 vertices
+    carries no window and has no apartment.  The peaked windows are all
+    the windows of the stretch of the geodesic they cover, and a tree
+    geodesic is fixed by its two ends, so they are looked up once per pair
+    of first and last covered vertex and shared by every apartment with
+    that pair.
     """
     if margin < 0:
         raise ValueError("margin must be >= 0")
@@ -165,7 +170,9 @@ def interior_family(pg: PathGraph, margin: int) -> ApartmentFamily:
     ends = [v for v, d in enumerate(ball.depths) if d == depth]
     ups = {v: windows(ball.chains[v]) for v in ends}
     downs = {v: windows(ball.chains[v][::-1]) for v in ends}
+    peaked: dict[tuple[int, int], tuple[int, ...]] = {}
     apartments = []
+    new = tuple.__new__
     for seq in enumerate_oriented_diameters(ball, depth):
         n = len(seq)
         if n < width:
@@ -174,9 +181,14 @@ def interior_family(pg: PathGraph, margin: int) -> ApartmentFamily:
         lo = h - k if h > k else 0
         ids = ups[seq[0]][:lo]
         if lo < h:
-            ids += tuple([edge_index[seq[i:i + width]] for i in range(lo, min(h, n - width + 1))])
+            hi = min(h, n - width + 1)
+            key = seq[lo], seq[hi + width - 2]
+            mid = peaked.get(key)
+            if mid is None:
+                mid = peaked[key] = tuple([edge_index[seq[i:i + width]] for i in range(lo, hi)])
+            ids += mid
         ids += downs[seq[-1]][depth - h:]
-        apartments.append(OrientedApartment(len(apartments), seq, ids))
+        apartments.append(new(OrientedApartment, (len(apartments), seq, ids)))
     family = ApartmentFamily(pg, apartments)
     family.complete = margin == 0
     return family

@@ -125,18 +125,13 @@ def build_ball(params: TreeParams) -> TreeBall:
     return TreeBall(params)
 
 
-def _up_down(up: tuple[int, ...], down: tuple[int, ...], meet_depth: int) -> tuple[int, ...]:
-    """Geodesic that climbs the root chain ``up`` to its vertex at depth
-    meet_depth, then descends ``down``, a root chain read root first."""
-    return up[:len(up) - meet_depth] + down[meet_depth + 1:]
-
-
 def geodesic_between(ball: TreeBall, u: int, v: int) -> tuple[int, ...]:
-    """The unique injective path from u to v, as its tuple of vertex ids."""
+    """The unique injective path from u to v, as its tuple of vertex ids:
+    u's root chain up to the meet, then v's reversed chain below it."""
     ball.check_vertex(u)
     ball.check_vertex(v)
     dm = ball.depths[ball.meet(u, v)]
-    return _up_down(ball.chains[u], ball.chains[v][::-1], dm)
+    return ball.chains[u][:ball.depths[u] + 1 - dm] + ball.chains[v][::-1][dm + 1:]
 
 
 def enumerate_oriented_diameters(ball: TreeBall,
@@ -147,10 +142,14 @@ def enumerate_oriented_diameters(ball: TreeBall,
     The leaf-to-leaf ones are the visible windows of the oriented
     apartments of the infinite tree; every ordered pair of distinct leaves
     contributes one.  Breadth-first numbering puts the depth-D vertices
-    below a vertex at depth d >= 1 in one run of q^(D-d) consecutive ids,
-    so the meet depths of one end with all others are filled in block by
-    block.  The ball keeps each depth's vertex tuples, and every call
-    returns a fresh list of the same tuples.
+    below a vertex at depth d in one block of consecutive ids (all of them
+    at d = 0, q^(D-d) at d >= 1), so the other ends of one end u fall into
+    runs of consecutive ids that share one meet depth dm: the part of u's
+    depth-dm block outside its depth-(dm + 1) block, one run on each side.
+    The geodesics of a run are u's root chain up to depth dm joined to the
+    other ends' down-chains below depth dm, one ``map`` per run.  The ball
+    keeps each depth's vertex tuples, and every call returns a fresh list
+    of the same tuples.
     """
     q, radius = ball.params.q, ball.params.radius
     if depth is None:
@@ -159,19 +158,20 @@ def enumerate_oriented_diameters(ball: TreeBall,
         raise ValueError(f"depth must be in 0..{radius}, got {depth}")
     if depth in ball._diameters:
         return list(ball._diameters[depth])
+    chains = ball.chains
     ends = [v for v, d in enumerate(ball.depths) if d == depth]
-    downs = [ball.chains[v][::-1] for v in ends]
+    # downs[dm][j]: the vertices of ends[j]'s root chain below depth dm, root side first.
+    downs = [[chains[v][depth - dm - 1::-1] for v in ends] for dm in range(depth)]
+    blocks = [len(ends)] + [q ** (depth - d) for d in range(1, depth + 1)]
     out = []
     for i, u in enumerate(ends):
-        meet = [0] * len(ends)
-        for d in range(1, depth + 1):
-            run = q ** (depth - d)
-            start = i - i % run
-            meet[start:start + run] = [d] * run
-        up = ball.chains[u]
-        for v, down, dm in zip(ends, downs, meet):
-            if v != u:
-                out.append(_up_down(up, down, dm))
+        up = chains[u]
+        starts = [i - i % b for b in blocks]
+        runs = [(dm, starts[dm], starts[dm + 1]) for dm in range(depth)]
+        runs += [(dm, starts[dm + 1] + blocks[dm + 1], starts[dm] + blocks[dm])
+                 for dm in reversed(range(depth))]
+        for dm, lo, hi in runs:
+            out += map(up[:depth + 1 - dm].__add__, downs[dm][lo:hi])
     ball._diameters[depth] = tuple(out)
     return out
 

@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from treeforms import _linalg, checks, radon
 from treeforms.cochains import Cochain, coboundary, shared_fractions
-from treeforms.radon import (ApartmentFamily, MarginError, PathDependenceError,
-                             WalkWithSigns, enlarged_support,
+from treeforms.radon import (ApartmentFamily, MarginError, OrientedApartment,
+                             PathDependenceError, WalkWithSigns, enlarged_support,
                              exactness_check, fundamental_loops,
                              induced_apartments, interior_edges, interior_family,
                              interior_vertices, minimal_exact_margin,
@@ -55,6 +55,19 @@ class TestInducedApartments:
         pg = build_path_graph(b, 2)  # no 3-paths in radius-1 ball
         aps = induced_apartments(pg, enumerate_oriented_diameters(b))
         assert len(aps) == 0
+
+    def test_one_pass_inputs_give_the_lists_family(self):
+        """The input is read once: an iterator, a generator and a tuple of
+        the same diameters give the list's family."""
+        pg = tower(2, 3, 1)
+        diams = enumerate_oriented_diameters(pg.ball)
+        assert len(induced_apartments(pg, diams[::2])) == 66
+        for part in (diams, diams[::2]):
+            want = induced_apartments(pg, part)
+            for other in (iter(part), (seg for seg in part), tuple(part)):
+                got = induced_apartments(pg, other)
+                assert ((got.apartments, got._through, got.complete)
+                        == (want.apartments, want._through, want.complete))
 
     def test_windows_are_contiguous_oriented(self):
         pg = tower(2, 2, 1)
@@ -745,6 +758,79 @@ class TestExactnessAgainstOracle:
         if half and k >= 1:
             assert not reports[0].equal
             assert reports[0].kernel_dim > reports[0].image_dim
+
+
+def interior_family_oracle(pg, margin):
+    """The per-apartment route: every apartment looks up its own peaked
+    windows (those with the apex strictly inside) and is built through the
+    NamedTuple constructor."""
+    ball, k, edge_index = pg.ball, pg.k, pg.edge_index
+    depth = max(ball.params.radius - margin, 0)
+    width = k + 2
+
+    def windows(c):
+        return tuple(edge_index[c[i:i + width]] for i in range(len(c) - width + 1))
+
+    ends = [v for v in range(ball.num_vertices) if ball.depths[v] == depth]
+    ups = {v: windows(ball.chains[v]) for v in ends}
+    downs = {v: windows(ball.chains[v][::-1]) for v in ends}
+    apartments = []
+    for seq in enumerate_oriented_diameters(ball, depth):
+        n = len(seq)
+        if n < width:
+            continue
+        h = (n - 1) // 2
+        lo = h - k if h > k else 0
+        ids = ups[seq[0]][:lo]
+        if lo < h:
+            ids += tuple([edge_index[seq[i:i + width]] for i in range(lo, min(h, n - width + 1))])
+        ids += downs[seq[-1]][depth - h:]
+        apartments.append(OrientedApartment(len(apartments), seq, ids))
+    family = ApartmentFamily(pg, apartments)
+    family.complete = margin == 0
+    return family
+
+
+def assert_family_matches_oracle(pg, margin):
+    got, want = interior_family(pg, margin), interior_family_oracle(pg, margin)
+    assert got.apartments == want.apartments
+    assert got._through == want._through
+    assert got.complete is want.complete
+    assert all(type(ap) is OrientedApartment for ap in got)
+    # Each base is the ball memo's own tuple, not a copy.
+    depth = max(pg.ball.params.radius - margin, 0)
+    bases = [seq for seq in pg.ball._diameters[depth] if len(seq) >= pg.k + 2]
+    assert len(bases) == len(got) and all(ap.base is seq for ap, seq in zip(got, bases))
+
+
+# q = 4 and 5 stop at R = 3: at R = 4 their families at every level take
+# about 0.1 and 0.5 GB.
+FAMILY_BALLS = ([(2, radius) for radius in range(1, 6)] + [(3, radius) for radius in range(1, 5)]
+                + [(q, radius) for q in (4, 5) for radius in range(1, 4)])
+
+
+class TestPeakedWindows:
+    """interior_family, with its peaked windows looked up once per end pair,
+    against the per-apartment route."""
+
+    @pytest.mark.parametrize("q,radius", FAMILY_BALLS)
+    def test_families_match_the_per_apartment_route(self, q, radius):
+        b = build_ball(TreeParams(q, radius))
+        for k in range(2 * radius + 2):
+            pg = build_path_graph(b, k)
+            for margin in range(radius + 2):
+                assert_family_matches_oracle(pg, margin)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_drawn_levels_and_margins(self, data):
+        """Wider balls than the grid's, each level and margin drawn."""
+        q = data.draw(st.integers(2, 8))
+        radius = data.draw(st.integers(1, 2 if q > 3 else 3))
+        pg = build_path_graph(build_ball(TreeParams(q, radius)),
+                              data.draw(st.integers(0, 2 * radius + 1)))
+        for margin in data.draw(st.lists(st.integers(0, radius + 1), min_size=1, max_size=3)):
+            assert_family_matches_oracle(pg, margin)
 
 
 ROW_GRID = [(q, radius, k) for q, radius in ((2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (4, 3))

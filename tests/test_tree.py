@@ -223,6 +223,63 @@ class TestOrientedDiameters:
                 enumerate_oriented_diameters(ball22, depth)
 
 
+def diameters_oracle(b, depth):
+    """The per-pair route: every ordered pair of distinct depth-D vertices
+    joined by its own up-down slice, with the meet depths of one end filled
+    in block by block."""
+    q = b.params.q
+    ends = [v for v in range(b.num_vertices) if b.depths[v] == depth]
+    downs = [b.chains[v][::-1] for v in ends]
+    out = []
+    for i, u in enumerate(ends):
+        meet = [0] * len(ends)
+        for d in range(1, depth + 1):
+            run = q ** (depth - d)
+            start = i - i % run
+            meet[start:start + run] = [d] * run
+        up = b.chains[u]
+        for v, down, dm in zip(ends, downs, meet):
+            if v != u:
+                out.append(up[:len(up) - dm] + down[dm + 1:])
+    return out
+
+
+# Every ball the oracle comparisons of the diameters and the interior
+# families run on, each built fresh so that no memo is shared.
+ORACLE_BALLS = ([(2, radius) for radius in range(1, 6)]
+                + [(q, radius) for q in (3, 4, 5) for radius in range(1, 5)])
+
+
+def assert_diameters_match_oracle(b, depth):
+    got = enumerate_oriented_diameters(b, depth)
+    assert got == diameters_oracle(b, depth)
+    assert all(type(seg) is tuple for seg in got)
+    # Later calls hand out the memo's own tuples.
+    assert all(x is y for x, y in zip(enumerate_oriented_diameters(b, depth), got))
+
+
+class TestMeetDepthRuns:
+    """enumerate_oriented_diameters, one map per run of ends sharing a
+    meet depth, against the per-pair route."""
+
+    @pytest.mark.parametrize("q,radius", ORACLE_BALLS)
+    def test_runs_match_the_per_pair_route(self, q, radius):
+        b = build_ball(TreeParams(q, radius))
+        for depth in range(radius + 1):
+            assert_diameters_match_oracle(b, depth)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_drawn_balls_and_depths(self, data):
+        """Wider balls than the grid's, at any end depth, in any order of
+        first calls."""
+        q = data.draw(st.integers(2, 9))
+        radius = data.draw(st.integers(1, 2 if q > 5 else 3))
+        b = build_ball(TreeParams(q, radius))
+        for depth in data.draw(st.permutations(range(radius + 1))):
+            assert_diameters_match_oracle(b, depth)
+
+
 def pairwise_hull(b, vertex_ids):
     """Independent oracle: the union of the geodesics between all pairs."""
     hull = set()
