@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -115,14 +116,15 @@ class ApartmentFamily:
         return json.dumps(payload, sort_keys=True) + "\n"
 
 
-def induced_apartments(pg: PathGraph, diameters: list[tuple[int, ...]]) -> ApartmentFamily:
+def induced_apartments(pg: PathGraph, diameters: Iterable[tuple[int, ...]]) -> ApartmentFamily:
     """One apartment per diameter that is long enough to carry a window.
 
-    When the diameters are the ball's own, ``enumerate_oriented_diameters
-    (pg.ball)`` in content and order, the family is ``interior_family(pg,
-    0)``, the one complete family.  Any other list has every window looked
-    up in ``pg.edge_index``, so a window that is not a path of the ball is
-    a KeyError, and its family is not complete.
+    The diameters are read once, into a list.  When they are the ball's
+    own, ``enumerate_oriented_diameters(pg.ball)`` in content and order,
+    the family is ``interior_family(pg, 0)``, the one complete family.  Any
+    other list has every window looked up in ``pg.edge_index``, so a window
+    that is not a path of the ball is a KeyError, and its family is not
+    complete.
     """
     diameters = list(diameters)
     if diameters == enumerate_oriented_diameters(pg.ball):

@@ -824,7 +824,8 @@ class TestPeakedWindows:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_drawn_levels_and_margins(self, data):
-        """Wider balls than the grid's, each level and margin drawn."""
+        """Balls up to q = 8, wider than the grid's, at a drawn level and
+        drawn margins."""
         q = data.draw(st.integers(2, 8))
         radius = data.draw(st.integers(1, 2 if q > 3 else 3))
         pg = build_path_graph(build_ball(TreeParams(q, radius)),

@@ -271,8 +271,8 @@ class TestMeetDepthRuns:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_drawn_balls_and_depths(self, data):
-        """Wider balls than the grid's, at any end depth, in any order of
-        first calls."""
+        """Balls up to q = 9, wider than the grid's, at every end depth in
+        a drawn order of first calls."""
         q = data.draw(st.integers(2, 9))
         radius = data.draw(st.integers(1, 2 if q > 5 else 3))
         b = build_ball(TreeParams(q, radius))
