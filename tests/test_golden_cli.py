@@ -57,6 +57,17 @@ def _cases() -> list[list[str]]:
         cases.append(["check", "exactness", "--q", "2", "--radius", "4", "--k", str(k),
                       "--scan"])
     cases += [line.split() for line in OTHER_COMMANDS + BAD_INPUT + TWO_FAULTS]
+    # check exactness at margins 0 and k + 2, with and without --scan, where
+    # no pin above holds the cell, under its explicit or its default margin.
+    known = {" ".join(argv) for argv in cases}
+    for q, radius in ((2, 2), (2, 4), (2, 5), (3, 2)):
+        for k in range(2):
+            for margin in (0, k + 2):
+                for scan in ("", " --scan"):
+                    size = f"check exactness --q {q} --radius {radius} --k {k}"
+                    line = f"{size} --margin {margin}{scan}"
+                    if line not in known and not (margin == k + 2 and size + scan in known):
+                        cases.append(line.split())
     return cases
 
 
