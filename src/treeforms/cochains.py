@@ -298,10 +298,11 @@ def _unit_circulations(pg: PathGraph, cycles) -> bool:
     return True
 
 
-def _adjoint_rows(pg: PathGraph) -> list[dict[int, int]]:
-    """Rows of d*: row s is [a:s] on the edges at s (no edge has head = tail)."""
+def _adjoint_rows(pg: PathGraph, verts) -> list[dict[int, int]]:
+    """Rows of d* at the given vertices: row s is [a:s] on the edges at s
+    (no edge has head = tail)."""
     return [{a: 1 for a in pg.edges_into[s]} | {a: -1 for a in pg.edges_out_of[s]}
-            for s in range(pg.num_vertices)]
+            for s in verts]
 
 
 def _harmonic_basis(pg: PathGraph) -> tuple[list[dict], bool]:
@@ -321,7 +322,7 @@ def _harmonic_basis(pg: PathGraph) -> tuple[list[dict], bool]:
         cycles = _fundamental_cycles(forest)
         if len(cycles) == pg.num_edges - rank and _unit_circulations(pg, cycles):
             return [vec for _, vec in cycles], True
-    return _linalg.nullspace(_adjoint_rows(pg), pg.num_edges), False
+    return _linalg.nullspace(_adjoint_rows(pg, range(pg.num_vertices)), pg.num_edges), False
 
 
 def intersect_harmonic_exact(pg: PathGraph) -> int:
@@ -335,7 +336,8 @@ def intersect_harmonic_exact(pg: PathGraph) -> int:
     basis, certified = _harmonic_basis(pg)
     if certified:
         return 0
-    return pg.num_edges - _linalg.rank_of_rows(basis + _adjoint_rows(pg))
+    dstar = _adjoint_rows(pg, range(pg.num_vertices))
+    return pg.num_edges - _linalg.rank_of_rows(basis + dstar)
 
 
 def integrate(pg: PathGraph, w: Cochain,

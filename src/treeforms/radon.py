@@ -13,7 +13,9 @@ at tree distance >= margin from every leaf, and a vertex of the path
 graph is interior when its hull keeps distance >= margin + 1.  With
 this pairing d maps interior 0-cochains into interior-supported
 1-cochains killed by the transform, and the exactness check measures
-whether the converse inclusion holds.
+whether the converse inclusion holds: a forest-and-peel certificate
+decides first, with no elimination (``_certified_dims``), and exact
+ranks decide when it does not (``_subspace_dims``).
 
 Kernel rows: an edge is interior at margin m when its window lies at
 depth <= R - m.  Along a leaf-to-leaf geodesic depth falls to the meet
@@ -304,6 +306,23 @@ class ExactnessReport:
     interior_vertex_count: int
 
 
+def _annihilated(rows, image) -> bool:
+    """Whether every integer row kills every image row, in exact ints."""
+    at: dict[int, list[tuple[int, int]]] = {}
+    for s, vec in enumerate(image):
+        for j, v in vec.items():
+            at.setdefault(j, []).append((s, v))
+    get = at.get
+    for row in rows:
+        dots: dict[int, int] = {}
+        for j, c in row.items():
+            for s, v in get(j, ()):
+                dots[s] = dots.get(s, 0) + c * v
+        if any(dots.values()):
+            return False
+    return True
+
+
 def _subspace_dims(rows, image, ncols: int) -> tuple[int, int, bool]:
     """(dim K, dim im d, im d = K) for K the kernel of the integer rows on
     ncols columns and image the integer coboundaries d1_s in those columns.
@@ -311,30 +330,78 @@ def _subspace_dims(rows, image, ncols: int) -> tuple[int, int, bool]:
     Both dimensions are exact ranks (``_linalg.rank_of_rows``), with the
     graph-local image rows in ``_linalg.deepest_first`` order.  The
     spaces are equal when the dimensions are and im d lies in K, that is,
-    when every row annihilates every d1_s, which is checked exactly.
+    when every row annihilates every d1_s (``_annihilated``).
     """
-    by_col: dict[int, list[tuple[int, int]]] = {}
-    for r, row in enumerate(rows):
-        for j, c in row.items():
-            by_col.setdefault(j, []).append((r, c))
-
-    def annihilated(vec) -> bool:
-        dots: dict[int, int] = {}
-        for j, v in vec.items():
-            for r, c in by_col.get(j, ()):
-                dots[r] = dots.get(r, 0) + c * v
-        return not any(dots.values())
-
     kernel_dim = ncols - _linalg.rank_of_rows(rows)
     image_dim = _linalg.rank_of_rows(image[i] for i in _linalg.deepest_first(image))
-    return kernel_dim, image_dim, kernel_dim == image_dim and all(map(annihilated, image))
+    return kernel_dim, image_dim, kernel_dim == image_dim and _annihilated(rows, image)
+
+
+def _certified_dims(pg: PathGraph, interior: list[int], int_verts: list[int], rows,
+                    image) -> tuple[int, int, bool] | None:
+    """(n, n, True) for n = V_int interior vertices when a forest and a
+    peel prove K = im d_int with no elimination, else None.  K is the
+    kernel of the integer rows on the interior columns, and image holds the
+    d1_s of the interior vertices s in those columns.
+
+    1. F is the breadth-first forest of the interior edges, grown from
+       every non-interior endpoint at once (``SpanningForest`` with those
+       roots).  Every interior vertex must have a parent edge in F, and F
+       must pass ``checked``.  Then every endpoint of an interior edge is
+       reached (a non-interior one is a root), an isolated interior vertex
+       (d1_s = 0) is ruled out, and the parent edges P number V_int.  In
+       the order F walks them, the d1_s are triangular on P with +-1
+       pivots, since the parent edge of s joins it to a root, which is not
+       interior, or to an interior vertex walked before.  So
+       dim im d_int = V_int.  Let Q be the other interior columns.
+    2. Peel (Luby, Mitzenmacher, Shokrollahi and Spielman, IEEE Trans.
+       IT 47, 2001): while some row has exactly one unpeeled Q column,
+       peel that column.  What gets peeled does not depend on the order
+       rows are read in.  If every Q column is peeled, the rows hold a
+       triangular |Q| x |Q| block whose diagonal entries are counts
+       (``_kernel_rows``), so nonzero, and a cochain in K supported on Q
+       is 0.
+    3. Every row kills every d1_s (``_annihilated``), so im d_int lies in
+       K.
+
+    For w in K, integrate w along F from the roots (f = 0 there and on
+    every non-interior vertex) to an interior 0-cochain f with df = w on
+    P.  Then w - df lies in K by 3 and is supported on Q, so it is 0 by 2.
+    Hence K = im d_int, and both have dimension V_int by 1.
+    """
+    inner = set(int_verts)
+    roots = sorted({v for a in interior for v in (pg.tail[a], pg.head[a])} - inner)
+    forest = SpanningForest(pg, interior, roots)
+    tree = [forest.parent_edge[s] for s in int_verts]
+    if None in tree or not forest.checked():
+        return None
+    col = {a: j for j, a in enumerate(interior)}
+    live = set(range(len(interior))).difference(map(col.__getitem__, tree))
+    # Short rows first: on every cell tried, one pass then peels all of Q.
+    pending = sorted(rows, key=len)
+    while live:
+        left, rest = len(live), []
+        for row in pending:
+            js = live.intersection(row)
+            if len(js) == 1:
+                live -= js
+            elif js:
+                rest.append(row)
+        if len(live) == left:
+            return None
+        pending = rest
+    if not _annihilated(rows, image):
+        return None
+    return len(int_verts), len(int_verts), True
 
 
 def exactness_check(pg: PathGraph, aps: ApartmentFamily, margin: int) -> ExactnessReport:
     """Compare ker(transform) on interior cochains with d of interior
-    0-cochains, as subspaces, by exact ranks and an exact containment
-    check (``_subspace_dims``).  Each d1_s of an interior vertex s lies on
-    interior edges (``interior_vertices``).
+    0-cochains, as subspaces.  Each d1_s of an interior vertex s lies on
+    interior edges (``interior_vertices``).  A forest and a peel decide
+    first, with no elimination (``_certified_dims``); when they do not,
+    exact ranks and an exact containment check decide
+    (``_subspace_dims``).
 
     An empty interior makes both spaces trivial and the report says so
     (kernel_dim = image_dim = 0, equal); it is not an error, since the
@@ -348,10 +415,10 @@ def exactness_check(pg: PathGraph, aps: ApartmentFamily, margin: int) -> Exactne
     rows = _kernel_rows(_row_family(pg, aps, margin), interior)
     col = {a: j for j, a in enumerate(interior)}
     # d1_s is row s of d*, supported on interior edges.
-    dstar = _adjoint_rows(pg)
-    image = [{col[a]: v for a, v in dstar[s].items()} for s in int_verts]
-    return ExactnessReport(*_subspace_dims(rows, image, len(interior)),
-                           len(interior), len(int_verts))
+    image = [{col[a]: v for a, v in row.items()} for row in _adjoint_rows(pg, int_verts)]
+    dims = (_certified_dims(pg, interior, int_verts, rows, image)
+            or _subspace_dims(rows, image, len(interior)))
+    return ExactnessReport(*dims, len(interior), len(int_verts))
 
 
 def minimal_exact_margin(pg: PathGraph, aps: ApartmentFamily, upto: int) -> int | None:

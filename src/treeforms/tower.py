@@ -143,14 +143,15 @@ class SpanningForest:
     """Breadth-first spanning forest of a path graph, or of the subgraph
     spanned by some of its edges (``edge_ids``; default all).
 
-    Trees grow from ``roots`` in the given order; with no roots every
-    vertex not yet reached opens a tree, in increasing order, so each
-    tree's root is the smallest vertex of its component.  A vertex meets
-    its neighbours through its outgoing edges, then its incoming ones.
-    Per vertex it keeps ``parent_edge`` (None at roots and unreached
-    vertices), ``depth`` and ``root`` (None when unreached); ``order``
-    lists the reached vertices in discovery order, and
-    ``non_tree_edges`` the sorted used edges of the reached trees that
+    Explicit ``roots`` open their trees together, in the given order, and
+    grow them from one breadth-first queue, so no root is reached from
+    another; with no roots every vertex not yet reached opens a tree, in
+    increasing order, so each tree's root is the smallest vertex of its
+    component.  A vertex meets its neighbours through its outgoing edges,
+    then its incoming ones.  Per vertex it keeps ``parent_edge`` (None at
+    roots and unreached vertices), ``depth`` and ``root`` (None when
+    unreached); ``order`` lists the reached vertices in discovery order,
+    and ``non_tree_edges`` the sorted used edges of the reached trees that
     are not forest edges.
     """
 
@@ -162,27 +163,38 @@ class SpanningForest:
         self.depth = [0] * nv
         self.root: list[int | None] = [None] * nv
         self.order: list[int] = []
-        steps = ((pg.edges_out_of, pg.head), (pg.edges_into, pg.tail))
-        for r in range(nv) if roots is None else roots:
-            if self.root[r] is not None:
-                continue
-            self.root[r] = r
-            qi = len(self.order)
-            self.order.append(r)
-            while qi < len(self.order):
-                s = self.order[qi]
-                qi += 1
-                for incident, other in steps:
-                    for a in incident[s]:
-                        t = other[a]
-                        if self.root[t] is None and (used is None or a in used):
-                            self.root[t] = r
-                            self.parent_edge[t] = a
-                            self.depth[t] = self.depth[s] + 1
-                            self.order.append(t)
+        if roots is None:
+            for r in range(nv):
+                if self.root[r] is None:
+                    self._grow((r,), used)
+        else:
+            self._grow(roots, used)
         tree = set(self.parent_edge)
         self.non_tree_edges = [a for a in (range(pg.num_edges) if used is None else sorted(used))
                                if a not in tree and self.root[pg.tail[a]] is not None]
+
+    def _grow(self, seeds, used) -> None:
+        """Open a tree at each seed not yet reached and grow them all from
+        one breadth-first queue."""
+        pg, root, order, parent_edge, depth = (self.pg, self.root, self.order,
+                                               self.parent_edge, self.depth)
+        qi = len(order)
+        for r in seeds:
+            if root[r] is None:
+                root[r] = r
+                order.append(r)
+        steps = ((pg.edges_out_of, pg.head), (pg.edges_into, pg.tail))
+        while qi < len(order):
+            s = order[qi]
+            qi += 1
+            for incident, other in steps:
+                for a in incident[s]:
+                    t = other[a]
+                    if root[t] is None and (used is None or a in used):
+                        root[t] = root[s]
+                        parent_edge[t] = a
+                        depth[t] = depth[s] + 1
+                        order.append(t)
 
     def checked(self) -> bool:
         """Whether the facts ``loop`` climbs by hold, checked by one walk of

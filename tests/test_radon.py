@@ -17,7 +17,7 @@ from treeforms.radon import (ApartmentFamily, MarginError, OrientedApartment,
                              interior_vertices, minimal_exact_margin,
                              path_integral, primitive,
                              radon_kernel_interior, radon_transform,
-                             random_loops, span_check, _kernel_rows,
+                             random_loops, span_check, _certified_dims, _kernel_rows,
                              _subspace_dims)
 from treeforms.tower import build_path_graph
 from treeforms.tree import (TreeParams, build_ball, enumerate_oriented_diameters,
@@ -758,6 +758,103 @@ class TestExactnessAgainstOracle:
         if half and k >= 1:
             assert not reports[0].equal
             assert reports[0].kernel_dim > reports[0].image_dim
+
+
+def certificate_inputs(pg, aps, margin):
+    """What exactness_check hands ``_certified_dims`` for aps's own rows:
+    interior edges and vertices, kernel rows, and each d1_s of an interior
+    vertex in column terms, from ``coboundary``."""
+    interior, verts = interior_edges(pg, margin), interior_vertices(pg, margin)
+    col = {a: j for j, a in enumerate(interior)}
+    image = [{col[a]: int(v) for a, v in coboundary(pg, Cochain.indicator(0, s)).data.items()}
+             for s in verts]
+    return interior, verts, _kernel_rows(aps, interior), image
+
+
+# Every k <= 2R and margin <= R cell of these balls is decided by the
+# certificate.
+CERTIFIED_BALLS = [(2, radius) for radius in range(1, 6)] + [(3, radius) for radius in range(1, 4)]
+
+
+class TestCertificate:
+    """``_certified_dims``: a forest and a peel decide ``ker R = im d_int``
+    before any elimination, and refuse whenever a step of the proof fails."""
+
+    @pytest.mark.parametrize("q,radius", CERTIFIED_BALLS)
+    def test_decides_every_cell(self, monkeypatch, q, radius):
+        """With the elimination route raising, every cell still gets its
+        report, and it is the all-Fraction oracle's."""
+        def refuse(*args):
+            raise AssertionError("exactness_check fell back to elimination")
+
+        monkeypatch.setattr(radon, "_subspace_dims", refuse)
+        for k in range(2 * radius + 1):
+            pg, aps = tower(q, radius, k), apartments(q, radius, k)
+            for margin in range(radius + 1):
+                rep = exactness_check(pg, aps, margin)
+                assert (rep.kernel_dim, rep.image_dim, rep.equal) == oracle_exactness(pg, aps, margin)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_drawn_subfamilies(self, data):
+        """A sub-family of the complete family, built by hand: the report is
+        the oracle's, whichever route decides.  Sparse ones stall the peel."""
+        q = data.draw(st.integers(2, 3))
+        radius = data.draw(st.integers(1, 4 if q == 2 else 3))
+        k = data.draw(st.integers(0, 2 * radius))
+        pg, full = tower(q, radius, k), apartments(q, radius, k)
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        percent = data.draw(st.integers(0, 100))
+        aps = ApartmentFamily(pg, [ap for ap in full if rng.randrange(100) < percent])
+        margin = data.draw(st.integers(0, radius))
+        rep = exactness_check(pg, aps, margin)
+        assert (rep.kernel_dim, rep.image_dim, rep.equal) == oracle_exactness(pg, aps, margin)
+
+    @pytest.mark.parametrize("q,radius,k", [(2, 3, 1), (2, 4, 1), (3, 3, 1), (2, 4, 2), (3, 3, 2)])
+    def test_stalled_peel_refuses(self, q, radius, k):
+        """Every other apartment leaves a kernel larger than im d at margin
+        0, while the rows still kill every d1_s: only the peel can refuse,
+        and the elimination then reports the spaces unequal."""
+        pg = tower(q, radius, k)
+        aps = ApartmentFamily(pg, apartments(q, radius, k).apartments[::2])
+        interior, verts, rows, image = certificate_inputs(pg, aps, 0)
+        assert radon._annihilated(rows, image)
+        assert _certified_dims(pg, interior, verts, rows, image) is None
+        kernel_dim, image_dim, equal = oracle_exactness(pg, aps, 0)
+        assert kernel_dim > image_dim == len(verts) and not equal
+        rep = exactness_check(pg, aps, 0)
+        assert (rep.kernel_dim, rep.image_dim, rep.equal) == (kernel_dim, image_dim, equal)
+
+    def test_row_that_misses_a_coboundary_refuses(self):
+        """A unit row at an edge of the first interior vertex keeps the
+        forest and the peel (it adds a row), but does not kill that
+        vertex's d1_s: only the annihilation test can refuse."""
+        pg, aps = tower(2, 3, 0), apartments(2, 3, 0)
+        interior, verts, rows, image = certificate_inputs(pg, aps, 0)
+        n = len(verts)
+        assert _certified_dims(pg, interior, verts, rows, image) == (n, n, True)
+        doctored = rows + [{next(iter(image[0])): 1}]
+        assert _certified_dims(pg, interior, verts, doctored, image) is None
+        assert _subspace_dims(doctored, image, len(interior))[2] is False
+
+    def test_unreached_interior_vertices_refuse(self):
+        """Two doctored interiors the forest cannot cover.  q2-R1-k2 has no
+        edge, so a vertex declared interior has d1_s = 0 and im d is 0, not
+        one-dimensional.  All of the connected q2-R2-k0 declared interior
+        leaves no root, and its V coboundaries span only V - 1 dimensions."""
+        pg = tower(2, 1, 2)
+        assert pg.num_edges == 0
+        assert _certified_dims(pg, [], [0], [], [{}]) is None
+        assert _subspace_dims([], [{}], 0) == (0, 0, True)
+        pg, aps = tower(2, 2, 0), apartments(2, 2, 0)
+        interior, verts, rows, image = certificate_inputs(pg, aps, 0)
+        everything = list(range(pg.num_vertices))
+        col = {a: j for j, a in enumerate(interior)}
+        image = [{col[a]: int(v) for a, v in coboundary(pg, Cochain.indicator(0, s)).data.items()}
+                 for s in everything]
+        assert interior == list(range(pg.num_edges))
+        assert _certified_dims(pg, interior, everything, rows, image) is None
+        assert _subspace_dims(rows, image, len(interior))[1] == pg.num_vertices - 1
 
 
 def interior_family_oracle(pg, margin):
