@@ -372,11 +372,11 @@ def _certified_dims(pg: PathGraph, interior: list[int], int_verts: list[int], ro
     inner = set(int_verts)
     roots = sorted({v for a in interior for v in (pg.tail[a], pg.head[a])} - inner)
     forest = SpanningForest(pg, interior, roots)
-    tree = [forest.parent_edge[s] for s in int_verts]
-    if None in tree or not forest.checked():
+    parents = [forest.parent_edge[s] for s in int_verts]
+    if None in parents or not forest.checked():
         return None
     col = {a: j for j, a in enumerate(interior)}
-    live = set(range(len(interior))).difference(map(col.__getitem__, tree))
+    live = set(range(len(interior))).difference(map(col.__getitem__, parents))
     # Short rows first: on every cell tried, one pass then peels all of Q.
     pending = sorted(rows, key=len)
     while live:

@@ -760,15 +760,19 @@ class TestExactnessAgainstOracle:
             assert reports[0].kernel_dim > reports[0].image_dim
 
 
+def coboundary_columns(pg, interior, verts):
+    """Each d1_s of the given vertices s in interior-column terms, from
+    ``coboundary``."""
+    col = {a: j for j, a in enumerate(interior)}
+    return [{col[a]: int(v) for a, v in coboundary(pg, Cochain.indicator(0, s)).data.items()}
+            for s in verts]
+
+
 def certificate_inputs(pg, aps, margin):
     """What exactness_check hands ``_certified_dims`` for aps's own rows:
-    interior edges and vertices, kernel rows, and each d1_s of an interior
-    vertex in column terms, from ``coboundary``."""
+    interior edges and vertices, kernel rows and image rows."""
     interior, verts = interior_edges(pg, margin), interior_vertices(pg, margin)
-    col = {a: j for j, a in enumerate(interior)}
-    image = [{col[a]: int(v) for a, v in coboundary(pg, Cochain.indicator(0, s)).data.items()}
-             for s in verts]
-    return interior, verts, _kernel_rows(aps, interior), image
+    return interior, verts, _kernel_rows(aps, interior), coboundary_columns(pg, interior, verts)
 
 
 # Every k <= 2R and margin <= R cell of these balls is decided by the
@@ -847,12 +851,10 @@ class TestCertificate:
         assert _certified_dims(pg, [], [0], [], [{}]) is None
         assert _subspace_dims([], [{}], 0) == (0, 0, True)
         pg, aps = tower(2, 2, 0), apartments(2, 2, 0)
-        interior, verts, rows, image = certificate_inputs(pg, aps, 0)
-        everything = list(range(pg.num_vertices))
-        col = {a: j for j, a in enumerate(interior)}
-        image = [{col[a]: int(v) for a, v in coboundary(pg, Cochain.indicator(0, s)).data.items()}
-                 for s in everything]
+        interior, _, rows, _ = certificate_inputs(pg, aps, 0)
         assert interior == list(range(pg.num_edges))
+        everything = list(range(pg.num_vertices))
+        image = coboundary_columns(pg, interior, everything)
         assert _certified_dims(pg, interior, everything, rows, image) is None
         assert _subspace_dims(rows, image, len(interior))[1] == pg.num_vertices - 1
 

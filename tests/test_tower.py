@@ -361,6 +361,36 @@ class TestSpanningForest:
                 with pytest.raises(ValueError, match="spanning forest failed its check"):
                     fundamental_loops(pg, inner)
 
+    @pytest.mark.parametrize("q,radius,k", [(2, 3, 0), (2, 3, 1), (3, 2, 2)])
+    def test_roots_share_one_queue(self, q, radius, k):
+        """Roots in one component all stay roots, and each vertex hangs at
+        its distance from the nearest root, measured by a breadth-first walk
+        from each root on its own."""
+        pg = tower(q, radius, k)
+        roots = [0, pg.num_vertices // 2, pg.num_vertices - 1]
+        forest = SpanningForest(pg, roots=roots)
+        assert forest.checked() and forest.order[:3] == roots
+        adj = {s: set() for s in range(pg.num_vertices)}
+        for h, t in zip(pg.head, pg.tail):
+            adj[h].add(t)
+            adj[t].add(h)
+        nearest = {}
+        for r in roots:
+            dist, frontier = {r: 0}, [r]
+            while frontier:
+                following = []
+                for s in frontier:
+                    for u in adj[s]:
+                        if u not in dist:
+                            dist[u] = dist[s] + 1
+                            following.append(u)
+                frontier = following
+            for s, d in dist.items():
+                nearest[s] = min(nearest.get(s, d), d)
+        assert {s: forest.depth[s] for s in nearest} == nearest
+        assert all((forest.root[s] is None) == (s not in nearest) for s in range(pg.num_vertices))
+        assert all(forest.root[r] == r and forest.parent_edge[r] is None for r in roots)
+
     def test_roots_grow_only_their_components(self):
         pg = tower(2, 3, 3)
         roots = component_roots(pg)
