@@ -68,6 +68,15 @@ def _cases() -> list[list[str]]:
                     line = f"{size} --margin {margin}{scan}"
                     if line not in known and not (margin == k + 2 and size + scan in known):
                         cases.append(line.split())
+    # check loops and check primitive at margins 0 and k + 2, under the same rule.
+    for q, radius in ((2, 2), (2, 4), (2, 5), (3, 2), (3, 4)):
+        for k in range(2):
+            for margin in (0, k + 2):
+                for suite in ("loops", "primitive"):
+                    size = f"check {suite} --q {q} --radius {radius} --k {k}"
+                    line = f"{size} --margin {margin}"
+                    if line not in known and not (margin == k + 2 and size in known):
+                        cases.append(line.split())
     return cases
 
 
