@@ -27,8 +27,8 @@ from .padic import (GroupElement, embed_ball, fixes_path_pointwise, in_gamma0,
                     stabilizer_transitivity_check, standard_path, tree_distance)
 from .radon import (MarginError, PathDependenceError, _primitive, enlarged_support,
                     exactness_check, fundamental_loops, interior_edges, interior_family,
-                    interior_vertices, minimal_exact_margin, path_integral,
-                    radon_kernel_interior, radon_transform, random_loops, span_check)
+                    interior_vertices, path_integral, radon_kernel_interior,
+                    radon_transform, random_loops, span_check)
 from .tower import PathGraph, apply_automorphism, build_path_graph, component_roots
 from .tree import (TreeParams, build_ball, enumerate_oriented_diameters,
                    random_automorphism)
@@ -137,17 +137,19 @@ def check_radon_d(q: int, radius: int, k: int, seed: int, samples: int = 100) ->
 
 
 def check_exactness(q: int, radius: int, k: int, margin: int, scan: bool = False) -> tuple[bool, dict]:
+    """With ``scan``, also the smallest passing margin: each margin below
+    ``margin`` is probed once, on its own ``interior_family``."""
     pg = _tower(q, radius, k)
-    # The scan probes every margin up to this one, so it takes the whole family.
-    aps = interior_family(pg, 0 if scan else margin)
-    rep = exactness_check(pg, aps, margin)
+    rep = exactness_check(pg, interior_family(pg, margin), margin)
     out = {"suite": "exactness", "q": q, "R": radius, "k": k, "margin": margin,
            "kernel_dim": rep.kernel_dim, "image_dim": rep.image_dim,
            "interior_edges": rep.interior_edge_count,
            "interior_vertices": rep.interior_vertex_count,
            "equal": rep.equal, "passed": rep.equal}
     if scan:
-        out["minimal_passing_margin"] = minimal_exact_margin(pg, aps, margin)
+        out["minimal_passing_margin"] = next(
+            (m for m in range(margin) if exactness_check(pg, interior_family(pg, m), m).equal),
+            margin if rep.equal else None)
     return rep.equal, out
 
 

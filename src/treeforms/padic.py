@@ -431,8 +431,15 @@ def sample_with_exact_lower_valuation(p: int, n: int, modulus_exp: int,
 def _sample(p: int, n: int, modulus_exp: int, count: int, seed: int,
             exact: bool) -> list[GroupElement]:
     """The first ``count`` elements accepted from indices drawn by
-    ``random.Random(seed).randrange(N)``, one draw per attempt."""
-    _check_level(p, n, modulus_exp)
+    ``random.Random(seed).randrange(N)``, one draw per attempt.  They need
+    a congruence level 0 <= n < modulus_exp and a prime p: at p = 1 level 0
+    rejects every index, and at a composite p the k-th "unit" of
+    ``_index_decoder`` need not be one."""
+    if not 0 <= n < modulus_exp:
+        raise ValueError(f"congruence level n = {n} must satisfy "
+                         f"0 <= n < modulus exponent {modulus_exp}")
+    if not is_prime(p):
+        raise ValueError(f"p must be a prime, got {p}")
     size, decode = _index_decoder(p, n, modulus_exp, exact)
     draws = iter(functools.partial(random.Random(seed).randrange, size), None)
     return list(itertools.islice(decode(draws), max(count, 0)))
@@ -475,17 +482,6 @@ def _index_decoder(p: int, n: int, modulus_exp: int, exact: bool):
                 yield _element(a, b, c, d)
 
     return na * na * pm * nr, decode
-
-
-def _check_level(p: int, n: int, modulus_exp: int) -> None:
-    """The samplers need a congruence level 0 <= n < modulus_exp and a
-    prime p: at p = 1 level 0 rejects every index, and at a composite p
-    the k-th "unit" of ``_index_decoder`` need not be one."""
-    if not 0 <= n < modulus_exp:
-        raise ValueError(f"congruence level n = {n} must satisfy "
-                         f"0 <= n < modulus exponent {modulus_exp}")
-    if not is_prime(p):
-        raise ValueError(f"p must be a prime, got {p}")
 
 
 def enumerate_unit_lifts(p: int, modulus_exp: int) -> list[GroupElement]:

@@ -421,14 +421,6 @@ def exactness_check(pg: PathGraph, aps: ApartmentFamily, margin: int) -> Exactne
     return ExactnessReport(*dims, len(interior), len(int_verts))
 
 
-def minimal_exact_margin(pg: PathGraph, aps: ApartmentFamily, upto: int) -> int | None:
-    """Smallest margin in 0..upto at which the exactness check passes."""
-    for m in range(upto + 1):
-        if exactness_check(pg, aps, m).equal:
-            return m
-    return None
-
-
 # -- path integrals ----------------------------------------------------
 
 

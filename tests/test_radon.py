@@ -1,5 +1,6 @@
 """Radon transform: apartments, kernel, exactness, loop integrals, primitives."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -14,8 +15,7 @@ from treeforms.radon import (ApartmentFamily, MarginError, OrientedApartment,
                              PathDependenceError, WalkWithSigns, enlarged_support,
                              exactness_check, fundamental_loops,
                              induced_apartments, interior_edges, interior_family,
-                             interior_vertices, minimal_exact_margin,
-                             path_integral, primitive,
+                             interior_vertices, path_integral, primitive,
                              radon_kernel_interior, radon_transform,
                              random_loops, span_check, _certified_dims, _kernel_rows,
                              _subspace_dims)
@@ -709,9 +709,59 @@ class TestExactness:
         assert rep.equal and rep.kernel_dim == 6
 
     def test_minimal_margin_scan(self):
-        pg = tower(2, 4, 0)
-        aps = apartments(2, 4, 0)
-        assert minimal_exact_margin(pg, aps, 2) == 0
+        _, report = checks.check_exactness(2, 4, 0, 2, scan=True)
+        assert report["minimal_passing_margin"] == 0
+
+
+class TestExactnessScan:
+    """``check_exactness`` probes each margin at most once, each on its own
+    ``interior_family``, and its scan answers as the first passing margin of
+    the complete family's checks did."""
+
+    @staticmethod
+    def spy(monkeypatch, equal=None) -> list[int]:
+        """The margins probed, in call order, whether ``checks`` or ``radon``
+        makes the call; ``equal``, if given, overrides each report's verdict."""
+        probed = []
+
+        def probe(pg, aps, margin):
+            assert list(aps) == list(interior_family(pg, margin))
+            probed.append(margin)
+            rep = exactness_check(pg, aps, margin)
+            return rep if equal is None else dataclasses.replace(rep, equal=equal(margin))
+
+        monkeypatch.setattr(checks, "exactness_check", probe)
+        monkeypatch.setattr(radon, "exactness_check", probe)
+        return probed
+
+    @pytest.mark.parametrize("q,radius,k", [(2, 3, 0), (2, 4, 1), (3, 2, 0)])
+    @pytest.mark.parametrize("scan", [False, True])
+    def test_each_margin_probed_at_most_once(self, monkeypatch, q, radius, k, scan):
+        for margin in range(radius + 2):
+            with monkeypatch.context() as patch:
+                probed = self.spy(patch)
+                _, report = checks.check_exactness(q, radius, k, margin, scan=scan)
+            assert probed[0] == margin and len(set(probed)) == len(probed)
+            assert len(probed) <= (margin + 1 if scan else 1)
+            if scan:
+                full = apartments(q, radius, k)
+                expected = next((m for m in range(margin + 1)
+                                 if exactness_check(tower(q, radius, k), full, m).equal), None)
+                assert report["minimal_passing_margin"] == expected
+
+    def test_margin_zero_scan_probes_once(self, monkeypatch):
+        probed = self.spy(monkeypatch)
+        _, report = checks.check_exactness(2, 4, 0, 0, scan=True)
+        assert probed == [0] and report["minimal_passing_margin"] == 0
+
+    @pytest.mark.parametrize("first,expected", [(1, 1), (2, 2), (3, None)])
+    def test_answer_when_small_margins_fail(self, monkeypatch, first, expected):
+        """The first passing margin below the report's, else the report's own
+        if it passes, else None."""
+        probed = self.spy(monkeypatch, equal=lambda m: m >= first)
+        passed, report = checks.check_exactness(2, 3, 0, 2, scan=True)
+        assert probed == [2, 0, 1] and passed == (first <= 2)
+        assert report["minimal_passing_margin"] == expected
 
 
 def oracle_exactness(pg, aps, margin):
