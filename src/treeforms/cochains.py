@@ -14,6 +14,12 @@ every value a cochain stores or an operator returns is still a
 ``Fraction``; in ``coboundary`` and ``adjoint`` (and
 ``radon.radon_transform``) a sum equal to one of the input's values is
 that input's own ``Fraction`` object.
+
+``harmonic_space``, ``intersect_harmonic_exact``, ``coboundary_rank``
+and ``integrate`` read one breadth-first spanning forest per graph,
+``pg.forest``, built on first use.  The harmonic certificate runs on it
+at most once per graph: a passed verdict is kept with the forest, a
+failed one is not (``_harmonic_basis``).
 """
 
 from __future__ import annotations
@@ -224,7 +230,7 @@ def harmonic_space(pg: PathGraph) -> list[Cochain]:
 def _unit_cycle(forest: SpanningForest, a: int) -> dict[int, int]:
     """Unit flow along the forest loop of edge a: each edge's value is +1
     where the loop runs tail to head and -1 where it runs back."""
-    tail = forest.pg.tail
+    tail = forest.tail
     edges, verts = forest.loop(a)
     return {e: 1 if tail[e] == x else -1 for e, x in zip(edges, verts)}
 
@@ -245,12 +251,12 @@ def _forest_rank(forest: SpanningForest) -> int | None:
     rank(d) >= V - #roots, and the indicator of each root's vertices lies
     in ker d, so rank(d) <= V - #roots.
     """
-    pg, root = forest.pg, forest.root
+    root = forest.root
     if not forest.checked() or None in root:
         return None
-    if any(root[h] != root[t] for h, t in zip(pg.head, pg.tail)):
+    if any(root[h] != root[t] for h, t in zip(forest.head, forest.tail)):
         return None
-    return pg.num_vertices - forest.parent_edge.count(None)
+    return len(root) - forest.parent_edge.count(None)
 
 
 def incidence_rows(pg: PathGraph):
@@ -270,11 +276,11 @@ def coboundary_rank(pg: PathGraph) -> int:
     """rank(d), certified by a spanning forest, with exact elimination as
     the fallback.
 
-    ``_forest_rank`` checks the breadth-first forest's facts and proves
-    rank(d) = V - #roots from them.  When a check fails,
-    ``incidence_rank`` decides.
+    ``_forest_rank`` checks the facts of the graph's breadth-first forest
+    ``pg.forest`` and proves rank(d) = V - #roots from them.  When a check
+    fails, ``incidence_rank`` decides.
     """
-    rank = _forest_rank(SpanningForest(pg))
+    rank = _forest_rank(pg.forest)
     if rank is None:
         return incidence_rank(pg)
     return rank
@@ -315,12 +321,23 @@ def _harmonic_basis(pg: PathGraph) -> tuple[list[dict], bool]:
     When they also number E - rank(d), with rank(d) proven by
     ``_forest_rank``, they span ker d*.  When a check fails, the forest is
     not used at all: the basis is the exact nullspace of d*.
+
+    The forest is the graph's own ``pg.forest``, and a passed certificate
+    is kept with it (``forest.certified``).  The graph is never written
+    after construction and the forest and its cycles are deterministic
+    functions of it, so a certificate checked once holds for every later
+    call: those rebuild the cycles from the same forest and check nothing.
+    A failed certificate is never kept, so the exact route runs on every
+    call.
     """
-    forest = SpanningForest(pg)
+    forest = pg.forest
+    if forest.certified:
+        return [vec for _, vec in _fundamental_cycles(forest)], True
     rank = _forest_rank(forest)
     if rank is not None:
         cycles = _fundamental_cycles(forest)
         if len(cycles) == pg.num_edges - rank and _unit_circulations(pg, cycles):
+            forest.certified = True
             return [vec for _, vec in cycles], True
     return _linalg.nullspace(_adjoint_rows(pg, range(pg.num_vertices)), pg.num_edges), False
 
@@ -329,10 +346,13 @@ def intersect_harmonic_exact(pg: PathGraph) -> int:
     """dim(ker d* intersect im d), 0 when ``_harmonic_basis`` is certified.
 
     For x = df in the span of the certified cycles, which is ker d*,
-    <x, x> = <f, d* x> = 0, so x = 0.  Otherwise the exact basis N of
-    ker d* is stacked on the V rows of d*; since dim N + rank(d*) = E,
-    the intersection has dimension E - rank(N + d*).
+    <x, x> = <f, d* x> = 0, so x = 0.  A certificate already kept with
+    ``pg.forest`` answers at once.  Otherwise the exact basis N of ker d*
+    is stacked on the V rows of d*; since dim N + rank(d*) = E, the
+    intersection has dimension E - rank(N + d*).
     """
+    if pg.forest.certified:
+        return 0
     basis, certified = _harmonic_basis(pg)
     if certified:
         return 0
@@ -342,7 +362,8 @@ def intersect_harmonic_exact(pg: PathGraph) -> int:
 
 def integrate(pg: PathGraph, w: Cochain,
               forest: SpanningForest | None = None) -> tuple[Cochain, int | None]:
-    """Solve df = w along a spanning forest (default: of the whole graph).
+    """Solve df = w along a spanning forest (default: the whole graph's
+    ``pg.forest``).
 
     Returns (f, None) with df = w on every edge, or (f, a) when w is not
     in im d, with f the forest walk and a the first edge where df != w.
@@ -364,7 +385,7 @@ def integrate(pg: PathGraph, w: Cochain,
         raise ValueError("integrate applies to 1-cochains")
     _check_support(pg, w)
     if forest is None:
-        forest = SpanningForest(pg)
+        forest = pg.forest
     head, tail, root = pg.head, pg.tail, forest.root
     # The walk runs in ints: f is put over w's den.
     den, wn = w.int_form

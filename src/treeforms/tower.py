@@ -9,7 +9,7 @@ directed edges.
 
 Near the truncation boundary paths have fewer continuations than in the
 infinite tree, so connectivity of a level graph is measured (see
-``components``), never assumed.
+``component_roots``), never assumed.
 """
 
 from __future__ import annotations
@@ -25,8 +25,10 @@ class PathGraph:
 
     Vertices and edges are ordered lexicographically by their tree-vertex
     id sequences, so ids are deterministic for a given ball and level.
-    Immutable after construction; the only state added later is the
-    end-pair index ``ends``, built on first use.
+    Never written after construction; the only state added later is the
+    end-pair index ``ends`` and the whole-graph spanning forest
+    ``forest``, each built on first use.  Neither refers back to the
+    graph, so no reference cycle keeps a dropped graph alive.
     """
 
     def __init__(self, ball: TreeBall, k: int):
@@ -64,6 +66,17 @@ class PathGraph:
         lasts = [p[-1] for p in self.verts]
         return (firsts, lasts, dict(zip(zip(firsts, lasts), range(len(firsts)))),
                 dict(zip(zip(self.tail, self.head), range(len(self.tail)))))
+
+    @functools.cached_property
+    def forest(self) -> SpanningForest:
+        """The breadth-first spanning forest of the whole graph,
+        ``SpanningForest(self)``, shared by ``component_roots``,
+        ``num_components`` and the certificates of ``cochains``.
+
+        Sharing it is sound: the graph is never written after
+        ``__init__`` and the forest is a deterministic function of it, so
+        a fact checked once on it holds for every later call."""
+        return SpanningForest(self)
 
     @property
     def num_vertices(self) -> int:
@@ -141,7 +154,9 @@ def apply_automorphism(pg: PathGraph, g: BallAutomorphism) -> tuple[list[int], l
 
 class SpanningForest:
     """Breadth-first spanning forest of a path graph, or of the subgraph
-    spanned by some of its edges (``edge_ids``; default all).
+    spanned by some of its edges (``edge_ids``; default all).  It keeps
+    the graph's ``head`` and ``tail`` lists, which it walks, and not the
+    graph itself.
 
     Explicit ``roots`` open their trees together, in the given order, and
     grow them from one breadth-first queue, so no root is reached from
@@ -153,31 +168,35 @@ class SpanningForest:
     unreached); ``order`` lists the reached vertices in discovery order,
     and ``non_tree_edges`` the sorted used edges of the reached trees that
     are not forest edges.
+
+    ``certified`` is False until ``cochains._harmonic_basis`` proves the
+    forest's fundamental cycles a basis of ker d*; only a passed
+    certificate is kept.
     """
 
     def __init__(self, pg: PathGraph, edge_ids=None, roots=None):
-        self.pg = pg
+        self.head, self.tail = pg.head, pg.tail
         used = None if edge_ids is None else set(edge_ids)
         nv = pg.num_vertices
         self.parent_edge: list[int | None] = [None] * nv
         self.depth = [0] * nv
         self.root: list[int | None] = [None] * nv
         self.order: list[int] = []
+        self.certified = False
         if roots is None:
             for r in range(nv):
                 if self.root[r] is None:
-                    self._grow((r,), used)
+                    self._grow((r,), used, pg)
         else:
-            self._grow(roots, used)
+            self._grow(roots, used, pg)
         tree = set(self.parent_edge)
         self.non_tree_edges = [a for a in (range(pg.num_edges) if used is None else sorted(used))
                                if a not in tree and self.root[pg.tail[a]] is not None]
 
-    def _grow(self, seeds, used) -> None:
+    def _grow(self, seeds, used, pg) -> None:
         """Open a tree at each seed not yet reached and grow them all from
         one breadth-first queue."""
-        pg, root, order, parent_edge, depth = (self.pg, self.root, self.order,
-                                               self.parent_edge, self.depth)
+        root, order, parent_edge, depth = self.root, self.order, self.parent_edge, self.depth
         qi = len(order)
         for r in seeds:
             if root[r] is None:
@@ -204,7 +223,8 @@ class SpanningForest:
         consumer of the forest's loops or tree rows asks this rather than
         trusting the forest.
         """
-        pg, parent_edge, depth, root = self.pg, self.parent_edge, self.depth, self.root
+        head, tail, parent_edge, depth, root = (self.head, self.tail, self.parent_edge,
+                                                self.depth, self.root)
         seen = set()
         for s in self.order:
             a = parent_edge[s]
@@ -212,7 +232,7 @@ class SpanningForest:
                 if depth[s] != 0 or root[s] != s:
                     return False
             else:
-                h, t = pg.head[a], pg.tail[a]
+                h, t = head[a], tail[a]
                 u = t if h == s else h
                 if (s not in (h, t) or u not in seen or depth[s] != depth[u] + 1
                         or root[s] != root[u]):
@@ -226,38 +246,31 @@ class SpanningForest:
         by climbing from the deeper one, so the cost is the loop's length.
         When ``checked`` holds and both ends share a root, the climb is
         well defined."""
-        pg, parent_edge, depth = self.pg, self.parent_edge, self.depth
-        t, h = pg.tail[a], pg.head[a]
+        head, tail, parent_edge, depth = self.head, self.tail, self.parent_edge, self.depth
+        t, h = tail[a], head[a]
         up_edges, up_verts = [], []  # from h toward the meeting vertex
         down_edges, down_verts = [], []  # from t toward it, reversed below
         x, y = h, t
         while x != y:
             if depth[x] >= depth[y]:
                 e = parent_edge[x]
-                x = pg.tail[e] if pg.head[e] == x else pg.head[e]
+                x = tail[e] if head[e] == x else head[e]
                 up_edges.append(e)
                 up_verts.append(x)
             else:
                 e = parent_edge[y]
                 down_edges.append(e)
                 down_verts.append(y)
-                y = pg.tail[e] if pg.head[e] == y else pg.head[e]
+                y = tail[e] if head[e] == y else head[e]
         return ([a] + up_edges + down_edges[::-1],
                 [t, h] + up_verts + down_verts[::-1])
 
 
 def component_roots(pg: PathGraph) -> list[int]:
     """For each vertex, the root of its connected component (of the
-    underlying undirected graph): the component's smallest vertex."""
-    return SpanningForest(pg).root
-
-
-def components(pg: PathGraph) -> list[list[int]]:
-    """Connected components of the underlying undirected graph."""
-    groups: dict[int, list[int]] = {}
-    for s, root in enumerate(component_roots(pg)):
-        groups.setdefault(root, []).append(s)
-    return [groups[r] for r in sorted(groups)]
+    underlying undirected graph): the component's smallest vertex.  This
+    is the list ``pg.forest`` holds, not a copy."""
+    return pg.forest.root
 
 
 def num_components(pg: PathGraph) -> int:

@@ -8,7 +8,7 @@ from fractions import Fraction
 from treeforms import _linalg, padic
 from treeforms.padic import GroupElement
 from treeforms.radon import induced_apartments
-from treeforms.tower import SpanningForest, build_path_graph
+from treeforms.tower import SpanningForest, build_path_graph, component_roots
 from treeforms.tree import (BallAutomorphism, TreeParams, build_ball,
                             enumerate_oriented_diameters, geodesic_between)
 
@@ -51,6 +51,15 @@ def convex_hull(ball, vertex_ids) -> set[int]:
 def is_leaf(ball, v: int) -> bool:
     """v lies on the ball's boundary sphere."""
     return ball.depths[v] == ball.params.radius
+
+
+def components(pg) -> list[list[int]]:
+    """Connected components of the underlying undirected graph, each a
+    sorted vertex list, ordered by their smallest vertex."""
+    groups: dict[int, list[int]] = {}
+    for s, root in enumerate(component_roots(pg)):
+        groups.setdefault(root, []).append(s)
+    return [groups[r] for r in sorted(groups)]
 
 
 def is_loop(walk) -> bool:
@@ -140,6 +149,13 @@ def tower(q, radius, k):
     if key not in _TOWERS:
         _TOWERS[key] = build_path_graph(ball(q, radius), k)
     return _TOWERS[key]
+
+
+def fresh_tower(q, radius, k):
+    """A newly built ``tower(q, radius, k)``, with no cached forest or
+    kept certificate, for a test that doctors its forest: the shared
+    graphs of ``tower`` must never carry a doctored forest."""
+    return build_path_graph(ball(q, radius), k)
 
 
 def apartments(q, radius, k):

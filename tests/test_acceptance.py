@@ -29,9 +29,9 @@ from treeforms.radon import (enlarged_support, exactness_check,
                              fundamental_loops, interior_edges, path_integral,
                              primitive, radon_kernel_interior, random_loops,
                              span_check)
-from treeforms.tower import SpanningForest, components, num_components
+from treeforms.tower import SpanningForest, num_components
 
-from conftest import apartments, ball, tower
+from conftest import apartments, ball, components, tower
 
 ZERO = Fraction(0)
 

@@ -1,6 +1,8 @@
 """Coboundary, adjoint, pairing, harmonic forms, and the dimension identities."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 from math import lcm
 
@@ -13,12 +15,11 @@ from treeforms.cochains import (Cochain, adjoint, basis_manifest, coboundary,
                                 harmonic_space, incidence_rank, incidence_rows, integrate,
                                 intersect_harmonic_exact, pairing)
 from treeforms.radon import radon_transform
-from treeforms.tower import (SpanningForest, apply_automorphism, component_roots,
-                             components, num_components)
+from treeforms.tower import SpanningForest, apply_automorphism, component_roots, num_components
 from treeforms.tree import random_automorphism
 
-from conftest import (FOREST_DOCTORS, apartments, ball, doctoring, spy_elimination,
-                      stray_parent, tower)
+from conftest import (FOREST_DOCTORS, apartments, ball, components, fresh_tower,
+                      spy_elimination, stray_parent, tower)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -73,7 +74,6 @@ class TestCoboundary:
 
     def test_constant_on_component_killed(self):
         pg = tower(2, 2, 2)
-        from treeforms.tower import components
         comp = components(pg)[0]
         f = Cochain(0, {s: Fraction(7, 3) for s in comp})
         assert coboundary(pg, f).is_zero()
@@ -305,9 +305,9 @@ class TestCertifiedRanks:
     @pytest.mark.parametrize("doctor", FOREST_DOCTORS)
     @pytest.mark.parametrize("q,radius,k", [(2, 2, 0), (2, 3, 1), (3, 2, 2)])
     def test_doctored_forest_takes_exact_route(self, q, radius, k, doctor, monkeypatch):
-        pg = tower(q, radius, k)
-        rank_d, dim = exact_answers(pg)
-        monkeypatch.setattr(cochains, "SpanningForest", doctoring(doctor))
+        rank_d, dim = exact_answers(tower(q, radius, k))
+        pg = fresh_tower(q, radius, k)
+        doctor(pg.forest)
         calls = spy_elimination(monkeypatch)
         assert coboundary_rank(pg) == rank_d
         assert calls == ["rank_of_rows"]
@@ -322,7 +322,7 @@ class TestCertifiedRanks:
         # hold) but has 5 roots on one component: V - #roots = 5, while
         # rank(d) = 9.  Only the guard that both ends of every edge share a
         # root refuses it.
-        pg = tower(2, 2, 0)
+        pg = fresh_tower(2, 2, 0)
         edge_ids = range(0, pg.num_edges, 3)
         forest = SpanningForest(pg, edge_ids=edge_ids)
         assert forest.checked() and None not in forest.root
@@ -330,8 +330,7 @@ class TestCertifiedRanks:
         assert pg.num_vertices - forest.parent_edge.count(None) == 5
         assert incidence_rank(pg) == 9
         assert cochains._forest_rank(forest) is None
-        monkeypatch.setattr(cochains, "SpanningForest",
-                            lambda pg: SpanningForest(pg, edge_ids=edge_ids))
+        pg.forest = forest
         calls = spy_elimination(monkeypatch)
         assert coboundary_rank(pg) == 9
         assert calls == ["rank_of_rows"]
@@ -339,16 +338,99 @@ class TestCertifiedRanks:
     @pytest.mark.parametrize("doctor", [flipped_sign, doubled, merged, dropped, repeated])
     @pytest.mark.parametrize("q,radius,k", [(2, 2, 0), (2, 3, 1), (3, 2, 2)])
     def test_doctored_cycles_take_exact_route(self, q, radius, k, doctor, monkeypatch):
-        pg = tower(q, radius, k)
-        rank_d, dim = exact_answers(pg)
-        real = cochains._fundamental_cycles
-        monkeypatch.setattr(cochains, "_fundamental_cycles", lambda f: doctor(real(f)))
+        rank_d, dim = exact_answers(tower(q, radius, k))
+        pg = fresh_tower(q, radius, k)
+        doctor_cycles(doctor)(monkeypatch, pg)
         calls = spy_elimination(monkeypatch)
         assert intersect_harmonic_exact(pg) == dim
         assert calls == ["nullspace", "rank_of_rows"]
         basis = harmonic_space(pg)
         assert calls == ["nullspace", "rank_of_rows", "nullspace"]
         assert_spans_ker_dstar(pg, basis, rank_d)
+
+
+def doctor_cycles(doctor):
+    """Apply ``doctor`` to the fundamental cycles the certificate reads."""
+    def patch(monkeypatch, pg):
+        real = cochains._fundamental_cycles
+        monkeypatch.setattr(cochains, "_fundamental_cycles", lambda f: doctor(real(f)))
+    return patch
+
+
+def doctor_forest(doctor):
+    """Break the graph's cached forest in place."""
+    def patch(monkeypatch, pg):
+        doctor(pg.forest)
+    return patch
+
+
+class TestSharedForest:
+    """Each graph builds its whole-graph forest once, and only a passed
+    harmonic certificate is kept with it."""
+
+    @pytest.mark.parametrize("inst", [(2, 2, 0), (2, 3, 1), (3, 2, 2)])
+    def test_one_graph_builds_one_forest(self, inst, monkeypatch):
+        pg = fresh_tower(*inst)
+        built = []
+        real = SpanningForest.__init__
+
+        def spy(forest, graph, edge_ids=None, roots=None):
+            built.append((graph, edge_ids, roots))
+            real(forest, graph, edge_ids, roots)
+
+        monkeypatch.setattr(SpanningForest, "__init__", spy)
+        basis = harmonic_space(pg)
+        cycles = spy_calls(monkeypatch, cochains, "_fundamental_cycles")
+        units = spy_calls(monkeypatch, cochains, "_unit_circulations")
+        assert intersect_harmonic_exact(pg) == 0
+        assert cycles == [] and units == []
+        # Later bases rebuild the same cycles and check nothing.
+        assert harmonic_space(pg) == basis
+        assert len(cycles) == 1 and units == []
+        rank_d = coboundary_rank(pg)
+        assert h1c_dimension(pg) == len(basis) == pg.num_edges - rank_d
+        assert num_components(pg) == len(set(component_roots(pg))) == pg.num_vertices - rank_d
+        w = coboundary(pg, rand_cochain(random.Random(len(basis)), 0, pg.num_vertices))
+        f, bad = integrate(pg, w)
+        assert bad is None and coboundary(pg, f) == w
+        assert built == [(pg, None, None)]
+
+    @pytest.mark.parametrize("intersect_first", [True, False])
+    @pytest.mark.parametrize("breakage", [
+        *(pytest.param(doctor_forest(d), id=d.__name__) for d in FOREST_DOCTORS),
+        *(pytest.param(doctor_cycles(d), id=d.__name__)
+          for d in (flipped_sign, dropped, repeated))])
+    def test_failed_certificate_is_never_kept(self, breakage, intersect_first, monkeypatch):
+        rank_d, dim = exact_answers(tower(2, 3, 1))
+        pg = fresh_tower(2, 3, 1)
+        breakage(monkeypatch, pg)
+        calls = spy_elimination(monkeypatch)
+        exact_route = {intersect_harmonic_exact: ["nullspace", "rank_of_rows"],
+                       harmonic_space: ["nullspace"]}
+        consumers = [intersect_harmonic_exact, harmonic_space]
+        for consumer in (consumers if intersect_first else consumers[::-1]) * 2:
+            calls.clear()
+            got = consumer(pg)
+            assert calls == exact_route[consumer]
+            if consumer is harmonic_space:
+                assert_spans_ker_dstar(pg, got, rank_d)
+            else:
+                assert got == dim
+        assert not pg.forest.certified
+
+    def test_no_reference_cycle_keeps_a_graph_alive(self):
+        """With every cache filled, a dropped graph is freed at once, not
+        left for the cycle collector."""
+        pg = fresh_tower(2, 3, 1)
+        gc.disable()
+        try:
+            assert pg.ends and harmonic_space(pg) and intersect_harmonic_exact(pg) == 0
+            assert pg.forest.certified and {"ends", "forest"} <= set(vars(pg))
+            ref = weakref.ref(pg)
+            del pg
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 # The harmonic-grid benchmark's instances.
@@ -370,16 +452,17 @@ def constant_per_component(pg, f, g) -> bool:
     return all(len(vals) == 1 for vals in deltas.values())
 
 
-def spy_solve(monkeypatch) -> list:
-    """Record each exact solve that ``integrate`` falls back to."""
+def spy_calls(monkeypatch, module, name) -> list:
+    """Record the arguments of each call of ``module.<name>``, such as each
+    exact solve (``_linalg.solve``) that ``integrate`` falls back to."""
     calls = []
-    real = _linalg.solve
+    real = getattr(module, name)
 
     def spy(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(_linalg, "solve", spy)
+    monkeypatch.setattr(module, name, spy)
     return calls
 
 
@@ -402,7 +485,7 @@ class TestIntegrate:
         pg = tower(*size)
         w = coboundary(pg, rand_cochain(random.Random(seed), 0, pg.num_vertices, 6))
         with pytest.MonkeyPatch.context() as mp:
-            calls = spy_solve(mp)
+            calls = spy_calls(mp, _linalg, "solve")
             f, bad = integrate(pg, w)
         assert bad is None and calls == []
         assert coboundary(pg, f) == w
@@ -416,7 +499,7 @@ class TestIntegrate:
         forest = SpanningForest(pg)
         w = perturbed(pg, random.Random(seed), forest)
         with pytest.MonkeyPatch.context() as mp:
-            calls = spy_solve(mp)
+            calls = spy_calls(mp, _linalg, "solve")
             f, bad = integrate(pg, w)
         assert bad is not None and calls == []
         assert f(pg.head[bad]) - f(pg.tail[bad]) != w(bad)
@@ -435,7 +518,7 @@ class TestIntegrate:
         last = forest.order[-1]
         bad_w = perturbed(pg, rng, forest)
         doctor(forest)
-        calls = spy_solve(monkeypatch)
+        calls = spy_calls(monkeypatch, _linalg, "solve")
         w = coboundary(pg, Cochain.indicator(0, last) + rand_cochain(rng, 0, pg.num_vertices))
         f, bad = integrate(pg, w, forest)
         assert bad is None and coboundary(pg, f) == w
@@ -452,7 +535,7 @@ class TestIntegrate:
         bad_w = perturbed(pg, random.Random(k), forest)
         last = forest.order[-1]
         stray_parent(forest)
-        calls = spy_solve(monkeypatch)
+        calls = spy_calls(monkeypatch, _linalg, "solve")
         w = coboundary(pg, Cochain.indicator(0, last))
         f, bad = integrate(pg, w, forest)
         assert bad is None and coboundary(pg, f) == w and len(calls) == 1
@@ -812,7 +895,8 @@ class TestCarriedIntForm:
         for w in harmonic_space(pg):
             assert w.int_form[0] == 1
             assert_int_form(w, built=True)
-        monkeypatch.setattr(cochains, "SpanningForest", doctoring(stray_parent))
+        pg = fresh_tower(*inst)
+        stray_parent(pg.forest)
         calls = spy_elimination(monkeypatch)
         basis = harmonic_space(pg)
         assert "nullspace" in calls and basis

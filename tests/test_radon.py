@@ -23,7 +23,7 @@ from treeforms.tower import build_path_graph
 from treeforms.tree import (TreeParams, build_ball, enumerate_oriented_diameters,
                             geodesic_between, random_automorphism)
 
-from conftest import apartments, ball, convex_hull, is_loop, through, tower
+from conftest import apartments, ball, components, convex_hull, is_loop, through, tower
 from test_cochains import (HARMONIC_GRID, assert_int_form, edge_cochains, lcm_form, same_values,
                            vertex_cochains)
 from test_linalg import FractionEliminator, oracle_nullspace, oracle_rref, spans_same_space
@@ -1329,7 +1329,6 @@ class TestPrimitive:
         pg = tower(2, 4, 0)
         aps = apartments(2, 4, 0)
         from treeforms.cochains import incidence_rows
-        from treeforms.tower import components
         comps = components(pg)
         comp_of = {}
         for ci, comp in enumerate(comps):

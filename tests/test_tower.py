@@ -13,12 +13,11 @@ from treeforms.padic import embed_ball, sample_gamma0
 from treeforms.radon import (PathDependenceError, fundamental_loops, interior_edges,
                              path_integral, primitive)
 from treeforms.tower import (PathGraph, SpanningForest, apply_automorphism,
-                             build_path_graph, component_roots, components,
-                             num_components)
+                             build_path_graph, component_roots, num_components)
 from treeforms.tree import random_automorphism
 
-from conftest import (FOREST_DOCTORS, apartments, ball, compose, deep_root, doctoring,
-                      false_root, identity, incidence, is_loop, orphan, tower)
+from conftest import (FOREST_DOCTORS, apartments, ball, components, compose, deep_root,
+                      doctoring, false_root, identity, incidence, is_loop, orphan, tower)
 
 
 def enumerate_paths_oracle(b, nverts):
