@@ -2,15 +2,20 @@ import contextlib
 import signal
 
 import pytest
+from hypothesis import Phase, settings
 
 from fractions import Fraction
 
-from treeforms import _linalg, padic
 from treeforms.padic import GroupElement
 from treeforms.radon import induced_apartments
-from treeforms.tower import SpanningForest, build_path_graph, component_roots
-from treeforms.tree import (BallAutomorphism, TreeParams, build_ball,
-                            enumerate_oriented_diameters, geodesic_between)
+from treeforms.tower import SpanningForest, build_path_graph
+from treeforms.tree import BallAutomorphism, TreeParams, build_ball, enumerate_oriented_diameters
+
+
+# The profile ``python tests/mutants.py`` runs under: a drawn example that
+# fails ends the test at once, unshrunk, and the draws repeat from run to run.
+settings.register_profile("mutants", derandomize=True, database=None,
+                          phases=[Phase.explicit, Phase.generate])
 
 
 @contextlib.contextmanager
@@ -31,35 +36,9 @@ def time_limit(seconds, what):
 
 # Test-only queries on library objects.
 
-def convex_hull(ball, vertex_ids) -> set[int]:
-    """Minimal subtree containing the given vertices.
-
-    In a tree this is the union of the geodesics from any one of them to
-    all the others: the geodesic between two of them runs inside the two
-    geodesics that join them to the chosen one.
-    """
-    vs = set(vertex_ids)
-    if not vs:
-        raise ValueError("convex hull of an empty set")
-    base = min(vs)
-    hull: set[int] = set()
-    for v in vs:
-        hull.update(geodesic_between(ball, base, v))
-    return hull
-
-
 def is_leaf(ball, v: int) -> bool:
     """v lies on the ball's boundary sphere."""
     return ball.depths[v] == ball.params.radius
-
-
-def components(pg) -> list[list[int]]:
-    """Connected components of the underlying undirected graph, each a
-    sorted vertex list, ordered by their smallest vertex."""
-    groups: dict[int, list[int]] = {}
-    for s, root in enumerate(component_roots(pg)):
-        groups.setdefault(root, []).append(s)
-    return [groups[r] for r in sorted(groups)]
 
 
 def is_loop(walk) -> bool:
@@ -118,18 +97,6 @@ def class_matrix(v, p: int) -> GroupElement:
     """The canonical matrix [[p^n, u], [0, 1]] of the lattice class v."""
     n = v.n
     return GroupElement(p ** n if n >= 0 else Fraction(1, p ** -n), v.u, 0, 1)
-
-
-def residue_mod(u, n: int, p: int):
-    """Canonical representative of u modulo p^n Z_p.
-
-    The result is p^v * r with v = v_p(u) and r the unit part reduced
-    modulo p^(n-v), an integer in [1, p^(n-v)); zero when v >= n.  For
-    v >= 0 it is the int u mod p^n, in [0, p^n); for negative v it is
-    the honest non-integral rational r / p^-v.  p < 2 is refused.
-    """
-    u = padic._exact(u)
-    return padic._residue(u.numerator, u.denominator, n, p)
 
 
 _BALLS: dict = {}
@@ -243,15 +210,17 @@ def doctoring(doctor):
     return build
 
 
-def spy_elimination(monkeypatch) -> list[str]:
-    """Record, by name, each exact elimination the certificates fall back to."""
-    calls = []
-    for name in ("rank_of_rows", "nullspace"):
-        real = getattr(_linalg, name)
+def spy_calls(monkeypatch, module, name, record=None, calls=None) -> list:
+    """Patch ``module.<name>`` so that each call is first recorded in
+    ``calls`` (a new list by default), then made; returns the list.  A call
+    is recorded as ``record(*args)``, by default the tuple of its
+    arguments."""
+    calls = [] if calls is None else calls
+    real = getattr(module, name)
 
-        def spy(*args, _name=name, _real=real):
-            calls.append(_name)
-            return _real(*args)
+    def spy(*args):
+        calls.append(args if record is None else record(*args))
+        return real(*args)
 
-        monkeypatch.setattr(_linalg, name, spy)
+    monkeypatch.setattr(module, name, spy)
     return calls

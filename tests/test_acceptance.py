@@ -31,7 +31,8 @@ from treeforms.radon import (enlarged_support, exactness_check,
                              span_check)
 from treeforms.tower import SpanningForest, num_components
 
-from conftest import apartments, ball, components, tower
+import reference
+from conftest import apartments, ball, tower
 
 ZERO = Fraction(0)
 
@@ -160,10 +161,7 @@ def test_criterion_06_primitive_reconstruction():
         aps = apartments(q, radius, k)
         if not interior_edges(pg, k + 2):
             continue
-        comp_of = {}
-        for ci, comp in enumerate(components(pg)):
-            for s in comp:
-                comp_of[s] = ci
+        comp_of = reference.components(reference.graph(q, radius, k))
         rows = list(incidence_rows(pg))
         for w in radon_kernel_interior(pg, aps, k + 2):
             checked += 1

@@ -1,5 +1,5 @@
-"""Sparse exact elimination against a dense fraction RREF oracle and
-against the all-Fraction sparse eliminator it replaced."""
+"""Sparse exact elimination against plain Gauss-Jordan over Fraction
+(``reference.rref``)."""
 
 import random
 from fractions import Fraction
@@ -7,43 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from conftest import tower
 from treeforms import _linalg
 from treeforms.cochains import incidence_rank, incidence_rows
 from treeforms.tower import num_components
-
-
-def dense_rref_rank(matrix):
-    """Dense Gaussian elimination over Fraction; independent oracle."""
-    m = [row[:] for row in matrix]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = Fraction(1) / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col] != 0:
-                c = m[r][col]
-                m[r] = [x - c * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
-def spans_same_space(basis_a, basis_b) -> bool:
-    """Exact subspace equality via stacked ranks."""
-    ra = _linalg.rank_of_rows(basis_a)
-    if _linalg.rank_of_rows(basis_b) != ra:
-        return False
-    return _linalg.rank_of_rows(list(basis_a) + list(basis_b)) == ra
-
-
-def to_dense(rows, ncols):
-    return [[row.get(j, Fraction(0)) for j in range(ncols)] for row in rows]
 
 
 def random_sparse_rows(rng, nrows, ncols, density=0.4):
@@ -65,11 +33,11 @@ class TestRank:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10 ** 6))
-    def test_matches_dense_oracle(self, seed):
+    def test_matches_reference(self, seed):
         rng = random.Random(seed)
         nrows, ncols = rng.randrange(1, 8), rng.randrange(1, 8)
         rows = random_sparse_rows(rng, nrows, ncols)
-        assert _linalg.rank_of_rows(rows) == dense_rref_rank(to_dense(rows, ncols))
+        assert _linalg.rank_of_rows(rows) == reference.rank(rows)
 
 
 class TestNullspace:
@@ -80,7 +48,7 @@ class TestNullspace:
         nrows, ncols = rng.randrange(1, 7), rng.randrange(1, 7)
         rows = random_sparse_rows(rng, nrows, ncols)
         basis = _linalg.nullspace(rows, ncols)
-        rank = dense_rref_rank(to_dense(rows, ncols))
+        rank = reference.rank(rows)
         assert len(basis) == ncols - rank
         for vec in basis:
             for row in rows:
@@ -114,107 +82,6 @@ class TestSolve:
         assert _linalg.solve(rows, [one, 2 * one], 1) is None
 
 
-class TestSpansSameSpace:
-    def test_equal_spans(self):
-        one = Fraction(1)
-        a = [{0: one}, {1: one}]
-        b = [{0: one, 1: one}, {0: one, 1: -one}]
-        assert spans_same_space(a, b)
-
-    def test_different_spans(self):
-        one = Fraction(1)
-        assert not spans_same_space([{0: one}], [{1: one}])
-
-
-# -- the all-Fraction eliminator, kept as the oracle ---------------------
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-def oracle_axpy(row, c, other):
-    out = dict(row)
-    for j, x in other.items():
-        y = out.get(j, ZERO) + c * x
-        if y:
-            out[j] = y
-        else:
-            out.pop(j, None)
-    return out
-
-
-class FractionEliminator:
-    """Every step in Fraction; every pivot row scaled by 1/lead."""
-
-    def __init__(self):
-        self.pivots = {}
-
-    def reduce(self, row):
-        row = dict(row)
-        while row:
-            j = min(row)
-            piv = self.pivots.get(j)
-            if piv is None:
-                return row
-            c = -row[j]
-            for i, x in piv.items():
-                y = row.get(i, ZERO) + c * x
-                if y:
-                    row[i] = y
-                else:
-                    row.pop(i, None)
-        return row
-
-    def insert(self, row):
-        row = self.reduce(row)
-        if not row:
-            return False
-        j = min(row)
-        inv = ONE / row[j]
-        self.pivots[j] = {i: inv * x for i, x in row.items()}
-        return True
-
-
-def oracle_rref(rows):
-    elim = FractionEliminator()
-    for row in rows:
-        elim.insert(row)
-    pivots = dict(elim.pivots)
-    for j in sorted(pivots, reverse=True):
-        for i in sorted(pivots):
-            if i >= j:
-                break
-            if j in pivots[i]:
-                pivots[i] = oracle_axpy(pivots[i], -pivots[i][j], pivots[j])
-    return pivots
-
-
-def oracle_nullspace(rows, ncols):
-    pivots = oracle_rref(rows)
-    basis = []
-    for f in (j for j in range(ncols) if j not in pivots):
-        vec = {f: ONE}
-        for j, row in pivots.items():
-            c = row.get(f, ZERO)
-            if c:
-                vec[j] = -c
-        basis.append(vec)
-    return basis
-
-
-def oracle_solve(rows, rhs, ncols):
-    aug = []
-    for row, b in zip(rows, rhs):
-        r = dict(row)
-        if b:
-            r[ncols] = -Fraction(b)
-        aug.append(r)
-    pivots = oracle_rref(aug)
-    if ncols in pivots:
-        return None
-    return {j: -row[ncols] for j, row in pivots.items() if row.get(ncols)}
-
-
 def same(got, want):
     """Equal values in the same key order, every value a Fraction."""
     assert list(got.items()) == list(want.items())
@@ -223,8 +90,7 @@ def same(got, want):
 
 def same_solution(got, want):
     """Equal values, every value a Fraction, keys in increasing column
-    order (``solve`` eliminates deepest-first, so the oracle's pivot
-    creation order is not its key order)."""
+    order."""
     assert got == want
     assert all(type(x) is Fraction for x in got.values())
     assert list(got) == sorted(got)
@@ -249,21 +115,20 @@ def apply(rows, x):
 
 
 def same_rref(rows):
-    """``_reduced_pivots`` of the rows equals the oracle RREF, pivot by
-    pivot, with the same key order in every row."""
+    """``_reduced_pivots`` of the rows is the reference RREF, pivot by
+    pivot, with the pivots in the order the rows created them."""
     elim = _linalg.Eliminator()
     for row in rows:
         elim.insert(row)
-    got, want = _linalg._reduced_pivots(elim), oracle_rref(rows)
+    got, want = _linalg._reduced_pivots(elim), reference.rref(rows)
     assert list(got) == list(want)
-    for j, row in want.items():
-        assert list(got[j].items()) == list(row.items())
+    assert got == want
 
 
 class TestReducedPivots:
     @settings(max_examples=150, deadline=None)
     @given(system=systems())
-    def test_matches_oracle(self, system):
+    def test_matches_reference(self, system):
         same_rref(system[0])
 
     @pytest.mark.parametrize("q,radius", [(2, 3), (2, 4), (3, 3), (3, 4)])
@@ -277,14 +142,14 @@ class TestReducedPivots:
             same_rref(rows)
 
 
-class TestAgainstFractionOracle:
+class TestAgainstReference:
     @settings(max_examples=150, deadline=None)
     @given(system=systems())
     def test_rank_and_nullspace(self, system):
         rows, ncols = system
-        assert _linalg.rank_of_rows(rows) == len(oracle_rref(rows))
+        assert _linalg.rank_of_rows(rows) == reference.rank(rows)
         got = _linalg.nullspace(rows, ncols)
-        want = oracle_nullspace(rows, ncols)
+        want = reference.nullspace(rows, ncols)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             same(g, w)
@@ -295,7 +160,7 @@ class TestAgainstFractionOracle:
         rows, ncols = system
         rhs = data.draw(st.lists(RHS, min_size=len(rows), max_size=len(rows)))
         got = _linalg.solve(rows, rhs, ncols)
-        want = oracle_solve(rows, rhs, ncols)
+        want = reference.solve(rows, rhs, ncols)
         assert (got is None) == (want is None)
         if want is not None:
             same_solution(got, want)
@@ -309,13 +174,13 @@ class TestAgainstFractionOracle:
         rhs = apply(rows, x)
         got = _linalg.solve(rows, rhs, ncols)
         assert got is not None
-        same_solution(got, oracle_solve(rows, rhs, ncols))
+        same_solution(got, reference.solve(rows, rhs, ncols))
         # Repeating an equation with its right-hand side moved by 1/2
         # makes the system inconsistent.
         rows = rows + [rows[0] if rows else {}]
         rhs = rhs + [(rhs[0] if rhs else 0) + Fraction(1, 2)]
         assert _linalg.solve(rows, rhs, ncols) is None
-        assert oracle_solve(rows, rhs, ncols) is None
+        assert reference.solve(rows, rhs, ncols) is None
 
     def test_pivot_row_held_as_ints(self):
         elim = _linalg.Eliminator()
@@ -337,7 +202,7 @@ class TestAgainstFractionOracle:
                          for _ in range(pg.num_edges)]
             for rhs in (consistent, arbitrary):
                 got = _linalg.solve(rows, rhs, pg.num_vertices)
-                want = oracle_solve(rows, rhs, pg.num_vertices)
+                want = reference.solve(rows, rhs, pg.num_vertices)
                 assert (got is None) == (want is None)
                 if want is not None:
                     same_solution(got, want)
@@ -369,7 +234,7 @@ class TestDeepestFirst:
     def test_rank_of_deepest_first_rows(self, system):
         rows = system[0]
         deep = [rows[i] for i in _linalg.deepest_first(rows)]
-        assert _linalg.rank_of_rows(deep) == _linalg.rank_of_rows(rows) == len(oracle_rref(rows))
+        assert _linalg.rank_of_rows(deep) == _linalg.rank_of_rows(rows) == reference.rank(rows)
 
     @pytest.mark.parametrize("q,radius", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
                                           (3, 1), (3, 2), (3, 3)])
@@ -378,4 +243,4 @@ class TestDeepestFirst:
             pg = tower(q, radius, k)
             rank = incidence_rank(pg)
             assert rank == pg.num_vertices - num_components(pg)
-            assert rank == len(oracle_rref(incidence_rows(pg)))
+            assert rank == reference.rank(incidence_rows(pg))

@@ -1,16 +1,16 @@
 """Radon transform: apartments, kernel, exactness, loop integrals, primitives."""
 
 import dataclasses
+import functools
 import json
 import random
 from fractions import Fraction
-from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from treeforms import _linalg, checks, radon
-from treeforms.cochains import Cochain, coboundary, shared_fractions
+from treeforms.cochains import Cochain, coboundary
 from treeforms.radon import (ApartmentFamily, MarginError, OrientedApartment,
                              PathDependenceError, WalkWithSigns, enlarged_support,
                              exactness_check, fundamental_loops,
@@ -23,13 +23,21 @@ from treeforms.tower import build_path_graph
 from treeforms.tree import (TreeParams, build_ball, enumerate_oriented_diameters,
                             geodesic_between, random_automorphism)
 
-from conftest import apartments, ball, components, convex_hull, is_loop, through, tower
-from test_cochains import (HARMONIC_GRID, assert_int_form, edge_cochains, lcm_form, same_values,
+import reference
+from conftest import apartments, ball, is_loop, spy_calls, through, tower
+from test_cochains import (HARMONIC_GRID, assert_int_form, edge_cochains, ref_graph, same_values,
                            vertex_cochains)
-from test_linalg import FractionEliminator, oracle_nullspace, oracle_rref, spans_same_space
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+@functools.cache
+def ref_apartments(pg, aps):
+    """The reference's apartments of a family's own sequences, with the
+    family's ids: each window recomputed from the sequence."""
+    g = ref_graph(pg)
+    return tuple((ap.id, ap.base, reference.windows(g, ap.base)) for ap in aps)
 
 
 class TestInducedApartments:
@@ -120,27 +128,19 @@ class TestApartmentsThrough:
 
 
 def per_window_apartments(pg, diameters):
-    """Oracle: slice every window of every sequence and look it up.
-
-    Returns the (id, base, edges) triples and the edge -> ids index, or the
-    type of the exception the lookups raise."""
-    width, edge_index = pg.k + 2, pg.edge_index
-    triples, through = [], {}
+    """The reference's (id, base, edges) triples and edge -> ids index, or
+    the type of the exception its window lookups raise."""
+    g = ref_graph(pg)
     try:
-        for seq in diameters:
-            if len(seq) >= width:
-                edges = tuple(edge_index[seq[i:i + width]] for i in range(len(seq) - width + 1))
-                triples.append((len(triples), seq, edges))
-    except Exception as err:  # noqa: BLE001 - the type is the answer
+        triples = reference.apartments(g, diameters)
+    except KeyError as err:
         return type(err)
-    for i, _, edges in triples:
-        for a in edges:
-            through.setdefault(a, []).append(i)
-    return triples, through
+    return triples, {a: ids for a, ids in enumerate(reference.through(triples, g.num_edges))
+                     if ids}
 
 
 def chain_apartments(pg, diameters):
-    """induced_apartments in the oracle's terms."""
+    """induced_apartments in the reference's terms."""
     try:
         aps = induced_apartments(pg, diameters)
     except Exception as err:  # noqa: BLE001 - the type is the answer
@@ -154,8 +154,8 @@ SMALL_BALLS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)]
 
 
 class TestRootChainWindows:
-    """induced_apartments against the per-window oracle: ids, bases,
-    windows and ``through`` for every edge, or the same exception type."""
+    """induced_apartments against the reference: ids, bases, windows and
+    ``through`` for every edge, or the same exception type."""
 
     @pytest.mark.parametrize("q,radius", SMALL_BALLS + [(2, 4), (3, 3)])
     def test_diameters_match_oracle(self, q, radius):
@@ -210,7 +210,7 @@ class TestRootChainWindows:
     def test_backtracking_walk(self, q, radius):
         """Up from a leaf and back down the same branch: at k >= 1 the
         windows at the turn are no paths of the ball, a KeyError as in the
-        oracle; at k = 0 every window is an edge."""
+        reference; at k = 0 every window is an edge."""
         b = ball(q, radius)
         leaf = b.leaves[-1]
         for climb in range(1, radius + 1):
@@ -265,20 +265,11 @@ class TestRadonTransform:
         assert image == expected
 
 
-def _fraction_transform(aps, omega):
-    """Reference transform: Fraction sums through the checked edge index."""
-    out = {}
-    for a, x in omega.data.items():
-        for i in through(aps, a):
-            out[i] = out.get(i, ZERO) + x
-    return {i: v for i, v in out.items() if v}
-
-
 MIXED = st.sampled_from([Fraction(n, d) for n in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 3, 4, 6)])
 
 
 class TestIntegerTransform:
-    """The int-accumulated transform against Fraction sums."""
+    """The int-accumulated transform against the reference's Fraction sums."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), inst=st.sampled_from([(2, 2, 1), (2, 3, 0), (3, 2, 1), (2, 3, 2)]))
@@ -298,7 +289,8 @@ class TestIntegerTransform:
             if v:
                 naive[ap.id] = v
         assert image == naive
-        assert list(image.items()) == list(_fraction_transform(aps, omega).items())
+        assert list(image.items()) == list(reference.transform(
+            ref_graph(pg), reference.family(ref_graph(pg)), omega.data).items())
         assert all(type(v) is Fraction for v in image.values())
 
     @settings(max_examples=60, deadline=None)
@@ -411,11 +403,12 @@ class TestRandomSparse:
             assert ours.getstate() == theirs.getstate()
 
 
-def apartment_images_oracle(aps, g):
-    """id -> id of the apartment whose whole base tuple is g's image of an
+def apartment_images_reference(q, radius, k, g):
+    """id -> id of the reference apartment whose base is g's image of an
     apartment's base, None where there is none."""
-    base_of = {ap.base: ap.id for ap in aps}
-    return {ap.id: base_of.get(tuple(g.perm[v] for v in ap.base)) for ap in aps}
+    aps = reference.family(reference.graph(q, radius, k))
+    base_of = {base: i for i, base, _ in aps}
+    return {i: base_of.get(tuple(g.perm[v] for v in base)) for i, base, _ in aps}
 
 
 class TestApartmentImages:
@@ -423,7 +416,7 @@ class TestApartmentImages:
 
     @pytest.mark.parametrize("q,radius", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
                                           (3, 1), (3, 2), (3, 3)])
-    def test_end_map_matches_base_tuple_oracle(self, q, radius):
+    def test_end_map_matches_base_tuple_reference(self, q, radius):
         for k in range(2 * radius + 1):
             aps = interior_family(tower(q, radius, k), 0)
             by_ends = checks._by_ends(aps)
@@ -431,7 +424,7 @@ class TestApartmentImages:
             for seed in range(4):
                 g = random_automorphism(ball(q, radius), 100 * k + seed)
                 images = checks._apartment_images(aps, by_ends, g)
-                assert images == apartment_images_oracle(aps, g), (k, seed)
+                assert images == apartment_images_reference(q, radius, k, g), (k, seed)
                 assert sorted(images.values()) == ids, (k, seed)
 
     def test_image_outside_the_family_is_reported(self, monkeypatch):
@@ -465,18 +458,6 @@ def scan_images(monkeypatch, q, radius, k):
         return {ap.id: whole[ap.id] for ap in aps}
 
     monkeypatch.setattr(checks, "_apartment_images", oracle)
-
-
-def spy_images(monkeypatch) -> list[bool]:
-    """Record, per ``_apartment_images`` call, whether it mapped a whole family."""
-    real, calls = checks._apartment_images, []
-
-    def spy(aps, by_ends, g):
-        calls.append(isinstance(aps, ApartmentFamily))
-        return real(aps, by_ends, g)
-
-    monkeypatch.setattr(checks, "_apartment_images", spy)
-    return calls
 
 
 class TestSupportImages:
@@ -513,7 +494,8 @@ class TestSupportImages:
     def test_report_equals_the_scan_route(self, monkeypatch, q, radius, k):
         for seed in (0, 3):
             with monkeypatch.context() as patch:
-                calls = spy_images(patch)
+                calls = spy_calls(patch, checks, "_apartment_images",
+                                  lambda aps, by_ends, g: isinstance(aps, ApartmentFamily))
                 support = checks.check_equivariance(q, radius, k, seed)
                 assert calls and not any(calls), "a whole family was mapped"
             with monkeypatch.context() as patch:
@@ -562,7 +544,8 @@ class TestSupportImages:
             return ApartmentFamily(pg, kept)
 
         monkeypatch.setattr(checks, "interior_family", short_family)
-        calls = spy_images(monkeypatch)
+        calls = spy_calls(monkeypatch, checks, "_apartment_images",
+                          lambda aps, by_ends, g: isinstance(aps, ApartmentFamily))
         passed, report = checks.check_equivariance(2, 3, 0, seed=1)
         assert not passed and not any(calls)
         assert "apartment image missing" in {f["kind"] for f in report["failures"]}
@@ -615,55 +598,24 @@ class TestRadonKernel:
             assert radon_transform(pg, aps, w) == {}
             assert set(w.support) <= inner
 
-    def test_kernel_against_dense_nullspace_oracle(self):
-        """Dense oracle: full apartment-by-interior-edge matrix RREF."""
-        from test_linalg import dense_rref_rank
-        pg = tower(2, 4, 0)
-        aps = apartments(2, 4, 0)
-        inner = interior_edges(pg, 2)
-        col = {a: j for j, a in enumerate(inner)}
-        matrix = []
-        for ap in aps:
-            row = [ZERO] * len(inner)
-            touched = False
-            for a in ap.edges:
-                if a in col:
-                    row[col[a]] += ONE
-                    touched = True
-            if touched:
-                matrix.append(row)
-        rank = dense_rref_rank(matrix)
-        assert len(radon_kernel_interior(pg, aps, 2)) == len(inner) - rank
-
-
-def _fraction_keyed_rows(aps, interior):
-    """Reference rows: Fraction counts, deduplicated on (column, value) keys."""
-    col = {a: j for j, a in enumerate(interior)}
-    seen = set()
-    rows = []
-    for ap in aps:
-        row = {}
-        for a in ap.edges:
-            j = col.get(a)
-            if j is not None:
-                row[j] = row.get(j, ZERO) + ONE
-        if row:
-            key = tuple(sorted(row.items()))
-            if key not in seen:
-                seen.add(key)
-                rows.append(row)
-    return rows
+    def test_kernel_against_reference(self):
+        pg, g = tower(2, 4, 0), reference.graph(2, 4, 0)
+        inner = reference.interior_edges(g, 2)
+        rank = reference.rank(reference.kernel_rows(reference.family(g), inner))
+        assert len(radon_kernel_interior(pg, apartments(2, 4, 0), 2)) == len(inner) - rank
 
 
 class TestKernelRows:
     @pytest.mark.parametrize("q,radius,k", [(2, 3, 0), (2, 4, 1), (3, 3, 1), (2, 4, 2)])
-    def test_match_fraction_keyed_dedup(self, q, radius, k):
-        pg = tower(q, radius, k)
+    def test_match_reference(self, q, radius, k):
+        pg, g = tower(q, radius, k), reference.graph(q, radius, k)
         aps = apartments(q, radius, k)
         for margin in range(k + 3):
             inner = interior_edges(pg, margin)
+            assert inner == reference.interior_edges(g, margin)
+            assert interior_vertices(pg, margin) == reference.interior_vertices(g, margin)
             got = _kernel_rows(aps, inner)
-            want = _fraction_keyed_rows(aps, inner)
+            want = reference.kernel_rows(reference.family(g), inner)
             assert [list(r.items()) for r in got] == [list(r.items()) for r in want]
 
 
@@ -699,7 +651,7 @@ class TestExactness:
         kernel = [w.data for w in radon_kernel_interior(pg, aps, 2)]
         image = [coboundary(pg, Cochain.indicator(0, s)).data
                  for s in interior_vertices(pg, 2)]
-        assert spans_same_space(kernel, image)
+        assert reference.rank(kernel) == reference.rank(image) == reference.rank(kernel + image)
 
     def test_larger_ball_nonvacuous_level1(self):
         """At radius 5 the level-1 check has genuine content (dim 6)."""
@@ -764,23 +716,14 @@ class TestExactnessScan:
         assert report["minimal_passing_margin"] == expected
 
 
-def oracle_exactness(pg, aps, margin):
-    """(kernel_dim, image_dim, equal) from the all-Fraction eliminator: K
-    is the oracle nullspace of the kernel rows, and the spaces are equal
-    when K, im d and their sum all have the same rank."""
-    interior = interior_edges(pg, margin)
-    if not interior:
-        return 0, 0, True
-    col = {a: j for j, a in enumerate(interior)}
-    kernel = oracle_nullspace(_kernel_rows(aps, interior), len(interior))
-    image = [{col[a]: v for a, v in coboundary(pg, Cochain.indicator(0, s)).data.items()}
-             for s in interior_vertices(pg, margin)]
-    image_dim = len(oracle_rref(image))
-    return len(kernel), image_dim, len(kernel) == image_dim == len(oracle_rref(kernel + image))
+def ref_exactness(pg, aps, margin):
+    """(kernel_dim, image_dim, equal) of the reference, on the family's
+    own sequences."""
+    return reference.exactness(ref_graph(pg), ref_apartments(pg, aps), margin)
 
 
 class TestExactnessAgainstOracle:
-    """``exactness_check`` against the all-Fraction eliminator."""
+    """``exactness_check`` against the reference."""
 
     GRID = TestExactness.GRID
 
@@ -804,7 +747,7 @@ class TestExactnessAgainstOracle:
         reports = [exactness_check(pg, aps, m) for m in range(k + 3)]
         for m, rep in enumerate(reports):
             got = (rep.kernel_dim, rep.image_dim, rep.equal)
-            assert got == oracle_exactness(pg, aps, m)
+            assert got == ref_exactness(pg, aps, m)
         if half and k >= 1:
             assert not reports[0].equal
             assert reports[0].kernel_dim > reports[0].image_dim
@@ -837,7 +780,7 @@ class TestCertificate:
     @pytest.mark.parametrize("q,radius", CERTIFIED_BALLS)
     def test_decides_every_cell(self, monkeypatch, q, radius):
         """With the elimination route raising, every cell still gets its
-        report, and it is the all-Fraction oracle's."""
+        report, and it is the reference's."""
         def refuse(*args):
             raise AssertionError("exactness_check fell back to elimination")
 
@@ -846,13 +789,13 @@ class TestCertificate:
             pg, aps = tower(q, radius, k), apartments(q, radius, k)
             for margin in range(radius + 1):
                 rep = exactness_check(pg, aps, margin)
-                assert (rep.kernel_dim, rep.image_dim, rep.equal) == oracle_exactness(pg, aps, margin)
+                assert (rep.kernel_dim, rep.image_dim, rep.equal) == ref_exactness(pg, aps, margin)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_drawn_subfamilies(self, data):
         """A sub-family of the complete family, built by hand: the report is
-        the oracle's, whichever route decides.  Sparse ones stall the peel."""
+        the reference's, whichever route decides.  Sparse ones stall the peel."""
         q = data.draw(st.integers(2, 3))
         radius = data.draw(st.integers(1, 4 if q == 2 else 3))
         k = data.draw(st.integers(0, 2 * radius))
@@ -862,7 +805,7 @@ class TestCertificate:
         aps = ApartmentFamily(pg, [ap for ap in full if rng.randrange(100) < percent])
         margin = data.draw(st.integers(0, radius))
         rep = exactness_check(pg, aps, margin)
-        assert (rep.kernel_dim, rep.image_dim, rep.equal) == oracle_exactness(pg, aps, margin)
+        assert (rep.kernel_dim, rep.image_dim, rep.equal) == ref_exactness(pg, aps, margin)
 
     @pytest.mark.parametrize("q,radius,k", [(2, 3, 1), (2, 4, 1), (3, 3, 1), (2, 4, 2), (3, 3, 2)])
     def test_stalled_peel_refuses(self, q, radius, k):
@@ -874,7 +817,7 @@ class TestCertificate:
         interior, verts, rows, image = certificate_inputs(pg, aps, 0)
         assert radon._annihilated(rows, image)
         assert _certified_dims(pg, interior, verts, rows, image) is None
-        kernel_dim, image_dim, equal = oracle_exactness(pg, aps, 0)
+        kernel_dim, image_dim, equal = ref_exactness(pg, aps, 0)
         assert kernel_dim > image_dim == len(verts) and not equal
         rep = exactness_check(pg, aps, 0)
         assert (rep.kernel_dim, rep.image_dim, rep.equal) == (kernel_dim, image_dim, equal)
@@ -909,42 +852,13 @@ class TestCertificate:
         assert _subspace_dims(rows, image, len(interior))[1] == pg.num_vertices - 1
 
 
-def interior_family_oracle(pg, margin):
-    """The per-apartment route: every apartment looks up its own peaked
-    windows (those with the apex strictly inside) and is built through the
-    NamedTuple constructor."""
-    ball, k, edge_index = pg.ball, pg.k, pg.edge_index
-    depth = max(ball.params.radius - margin, 0)
-    width = k + 2
-
-    def windows(c):
-        return tuple(edge_index[c[i:i + width]] for i in range(len(c) - width + 1))
-
-    ends = [v for v in range(ball.num_vertices) if ball.depths[v] == depth]
-    ups = {v: windows(ball.chains[v]) for v in ends}
-    downs = {v: windows(ball.chains[v][::-1]) for v in ends}
-    apartments = []
-    for seq in enumerate_oriented_diameters(ball, depth):
-        n = len(seq)
-        if n < width:
-            continue
-        h = (n - 1) // 2
-        lo = h - k if h > k else 0
-        ids = ups[seq[0]][:lo]
-        if lo < h:
-            ids += tuple([edge_index[seq[i:i + width]] for i in range(lo, min(h, n - width + 1))])
-        ids += downs[seq[-1]][depth - h:]
-        apartments.append(OrientedApartment(len(apartments), seq, ids))
-    family = ApartmentFamily(pg, apartments)
-    family.complete = margin == 0
-    return family
-
-
-def assert_family_matches_oracle(pg, margin):
-    got, want = interior_family(pg, margin), interior_family_oracle(pg, margin)
-    assert got.apartments == want.apartments
-    assert got._through == want._through
-    assert got.complete is want.complete
+def assert_family_matches_reference(pg, margin):
+    got = interior_family(pg, margin)
+    g = reference.graph(pg.ball.params.q, pg.ball.params.radius, pg.k)
+    want = reference.family(g, margin)
+    assert got.apartments == list(want)
+    assert got._through == reference.through(want, g.num_edges)
+    assert got.complete is (margin == 0)
     assert all(type(ap) is OrientedApartment for ap in got)
     # Each base is the ball memo's own tuple, not a copy.
     depth = max(pg.ball.params.radius - margin, 0)
@@ -960,15 +874,15 @@ FAMILY_BALLS = ([(2, radius) for radius in range(1, 6)] + [(3, radius) for radiu
 
 class TestPeakedWindows:
     """interior_family, with its peaked windows looked up once per end pair,
-    against the per-apartment route."""
+    against the reference's geodesic windows."""
 
     @pytest.mark.parametrize("q,radius", FAMILY_BALLS)
-    def test_families_match_the_per_apartment_route(self, q, radius):
+    def test_families_match_the_reference(self, q, radius):
         b = build_ball(TreeParams(q, radius))
         for k in range(2 * radius + 2):
             pg = build_path_graph(b, k)
             for margin in range(radius + 2):
-                assert_family_matches_oracle(pg, margin)
+                assert_family_matches_reference(pg, margin)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -980,23 +894,23 @@ class TestPeakedWindows:
         pg = build_path_graph(build_ball(TreeParams(q, radius)),
                               data.draw(st.integers(0, 2 * radius + 1)))
         for margin in data.draw(st.lists(st.integers(0, radius + 1), min_size=1, max_size=3)):
-            assert_family_matches_oracle(pg, margin)
+            assert_family_matches_reference(pg, margin)
 
 
 ROW_GRID = [(q, radius, k) for q, radius in ((2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (4, 3))
             for k in range(3)]
 
 
-def family_route(pg, aps, margin):
-    """What exactness_check and radon_kernel_interior give from aps's own
-    kernel rows: (kernel_dim, image_dim, equal) from the all-Fraction
-    oracle, and the basis vectors as (edge, value) item lists."""
-    interior = interior_edges(pg, margin)
-    if not interior:
+def family_route(pg, ref_aps, margin):
+    """What exactness_check and radon_kernel_interior give from a family's
+    own kernel rows, by the reference on its apartments ``ref_aps``:
+    (kernel_dim, image_dim, equal), and the basis vectors as (edge, value)
+    item lists."""
+    g = ref_graph(pg)
+    if not reference.interior_edges(g, margin):
         return (0, 0, True), None
-    basis = _linalg.nullspace(_kernel_rows(aps, interior), len(interior))
-    return (oracle_exactness(pg, aps, margin),
-            [[(interior[j], v) for j, v in vec.items()] for vec in basis])
+    return (reference.exactness(g, ref_aps, margin),
+            [list(vec.items()) for vec in reference.interior_kernel(g, ref_aps, margin)])
 
 
 class TestInteriorRoute:
@@ -1088,10 +1002,11 @@ class TestInteriorRoute:
             tuple(seg)
             for seg in enumerate_oriented_diameters(build_ball(TreeParams(q, radius)))])
         assert rebuilt.complete
+        ref_families = {name: ref_apartments(pg, fam) for name, fam in families.items()}
         for margin in range(radius + 1):
             interior = bool(interior_edges(pg, margin))
             got, seen = self.library_route(monkeypatch, pg, full, margin)
-            assert got == family_route(pg, full, margin)
+            assert got == family_route(pg, ref_apartments(pg, full), margin)
             if margin == 0:
                 assert seen == [full, full]
             elif interior:
@@ -1106,7 +1021,7 @@ class TestInteriorRoute:
             for name, fam in families.items():
                 assert not fam.complete, name
                 got, seen = self.library_route(monkeypatch, pg, fam, margin)
-                assert got == family_route(pg, fam, margin), name
+                assert got == family_route(pg, ref_families[name], margin), name
                 # With no interior, only exactness_check reads rows.
                 assert seen == ([fam, fam] if interior else [fam]), name
 
@@ -1194,27 +1109,6 @@ class TestWalksAndIntegrals:
         assert random_loops(pg, [], 3, 1) == []
 
 
-def lcm_radon_transform(aps, omega):
-    """radon_transform as it converted the cochain on every call."""
-    den, nums = lcm_form(omega.data)
-    own, sums = {}, {}
-    for a, x in omega.data.items():
-        own[nums[a]] = x
-        for i in through(aps, a):
-            sums[i] = sums.get(i, 0) + nums[a]
-    return shared_fractions(sums, den, own)
-
-
-def lcm_path_integral(omega, walk):
-    """path_integral over the lcm of the denominators the walk meets."""
-    get = omega.data.get
-    terms = [(v, sign) for a, sign in zip(walk.edges, walk.signs) if (v := get(a))]
-    if not terms:
-        return ZERO
-    den = lcm(*(v.denominator for v, _ in terms))
-    return Fraction(sum(sign * v.numerator * (den // v.denominator) for v, sign in terms), den)
-
-
 @st.composite
 def walks(draw, pg):
     """A walk of up to 12 steps from a drawn vertex with an edge."""
@@ -1233,8 +1127,8 @@ def walks(draw, pg):
 
 class TestCarriedIntFormInRadon:
     """The transform and path integrals read the carried int form; each
-    gives what the per-call lcm conversion gave, on the harmonic-grid
-    sizes."""
+    gives the reference's values, holding the cochain's own objects, on
+    the harmonic-grid sizes."""
 
     @settings(max_examples=60, deadline=None)
     @given(inst=st.sampled_from(HARMONIC_GRID), data=st.data())
@@ -1243,8 +1137,8 @@ class TestCarriedIntFormInRadon:
         w = data.draw(edge_cochains(pg))
         df = coboundary(pg, data.draw(vertex_cochains(pg)))
         for omega in (w, df, df + w):
-            same_values(radon_transform(pg, aps, omega), lcm_radon_transform(aps, omega),
-                        omega.data.values())
+            want = reference.transform(ref_graph(pg), reference.family(ref_graph(pg)), omega.data)
+            same_values(radon_transform(pg, aps, omega), want, omega.data.values())
 
     @settings(max_examples=100, deadline=None)
     @given(inst=st.sampled_from(HARMONIC_GRID), data=st.data())
@@ -1256,7 +1150,8 @@ class TestCarriedIntFormInRadon:
         df = coboundary(pg, data.draw(vertex_cochains(pg)))
         for omega in (Cochain(1, on_walk), data.draw(edge_cochains(pg)), df):
             got = path_integral(omega, walk)
-            assert got == lcm_path_integral(omega, walk) and type(got) is Fraction
+            assert got == reference.path_integral(omega.data, walk.edges, walk.signs)
+            assert type(got) is Fraction
 
     @pytest.mark.parametrize("q,radius,k,margin", [(2, 1, 0, 0), (2, 4, 0, 2), (3, 3, 0, 2)])
     def test_kernel_vectors_carry_their_form(self, q, radius, k, margin):
@@ -1266,30 +1161,10 @@ class TestCarriedIntFormInRadon:
             assert_int_form(w, built=True)
 
 
-def enlarged_support_oracle(pg, omega):
-    """The center of the support hull by all-pairs eccentricities (the
-    smallest id among the minimizers), and the region by a distance from
-    it to every ball vertex."""
-    if omega.is_zero():
-        return set()
-    b = pg.ball
-    tree_vertices = set()
-    for a in omega.support:
-        tree_vertices.update(pg.edges[a])
-    best_t, best_ecc = None, None
-    hull = sorted(convex_hull(b, tree_vertices))
-    for t in hull:
-        ecc = max(b.distance(t, v) for v in hull)
-        if best_ecc is None or ecc < best_ecc:
-            best_t, best_ecc = t, ecc
-    region = {v for v in range(b.num_vertices) if b.distance(best_t, v) <= best_ecc}
-    return {s for s, p in enumerate(pg.verts) if any(v in region for v in p)}
-
-
 class TestEnlargedSupport:
     @pytest.mark.parametrize("q,radius", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
                                           (3, 1), (3, 2), (3, 3), (4, 2)])
-    def test_matches_oracle(self, q, radius):
+    def test_matches_reference(self, q, radius):
         """Scattered and clustered supports at every level below 2R."""
         rng = random.Random(q * 10 + radius)
         for k in range(2 * radius):
@@ -1303,7 +1178,8 @@ class TestEnlargedSupport:
                     support = range(first, min(first + size, pg.num_edges))
                 omega = Cochain(1, {a: Fraction(rng.randrange(1, 9), rng.randrange(1, 5))
                                     for a in support})
-                assert enlarged_support(pg, omega) == enlarged_support_oracle(pg, omega)
+                assert enlarged_support(pg, omega) == reference.enlarged_support(
+                    reference.graph(q, radius, k), omega.data)
 
     def test_zero_cochain(self):
         assert enlarged_support(tower(2, 2, 0), Cochain.zero(1)) == set()
@@ -1325,15 +1201,11 @@ class TestPrimitive:
         f = primitive(pg, aps, omega, base)
         assert f == Cochain.indicator(0, s)
 
-    def test_kernel_basis_primitives_match_solve_oracle(self):
+    def test_kernel_basis_primitives_match_solve_reference(self):
         pg = tower(2, 4, 0)
         aps = apartments(2, 4, 0)
-        from treeforms.cochains import incidence_rows
-        comps = components(pg)
-        comp_of = {}
-        for ci, comp in enumerate(comps):
-            for s in comp:
-                comp_of[s] = ci
+        g = reference.graph(2, 4, 0)
+        comp_of = reference.components(g)
         for w in radon_kernel_interior(pg, aps, 2):
             enlarged = enlarged_support(pg, w)
             base = max(s for s in range(pg.num_vertices) if s not in enlarged)
@@ -1344,8 +1216,8 @@ class TestPrimitive:
             # support inside the enlarged region
             assert set(f.support) <= enlarged
             # matches an exact linear solve up to one constant per component
-            sol = _linalg.solve(list(incidence_rows(pg)),
-                                [w(a) for a in range(pg.num_edges)], pg.num_vertices)
+            sol = reference.solve(reference.d_rows(g), [w(a) for a in range(pg.num_edges)],
+                                  pg.num_vertices)
             assert sol is not None
             deltas = {}
             for s in range(pg.num_vertices):
@@ -1417,25 +1289,14 @@ class TestSpan:
                    for entry in payload)
 
 
-def oracle_span(pgs, diameters):
-    """The elimination-only verdict: every edge's row, built from the
-    apartments' own edge lists, through the all-Fraction eliminator.
-    Levels go deepest first, where rows are short, and stop at full rank."""
-    col = {seq: i for i, seq in enumerate(diameters)}
-    elim = FractionEliminator()
-    for pg in sorted(pgs, key=lambda pg: -pg.k):
-        rows = [{} for _ in range(pg.num_edges)]
-        for ap in induced_apartments(pg, diameters):
-            for a in ap.edges:
-                rows[a][col[ap.base]] = ONE
-        for row in rows:
-            if row and elim.insert(row) and len(elim.pivots) == len(diameters):
-                return True
-    return len(elim.pivots) == len(diameters)
+def ref_spans(pgs, diameters):
+    """The reference's verdict: the rank of every edge's characteristic
+    function against the number of sequences."""
+    return reference.spans([ref_graph(pg) for pg in pgs], diameters)
 
 
-# Where the oracle stays cheap; q4-R3 and q5-R3 (6320 and 22350
-# diameters) take about a second per oracle call and more.
+# Where the reference stays cheap; q4-R3 and q5-R3 (6320 and 22350
+# diameters) take seconds per call.
 SPAN_GRID = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
              (4, 1), (4, 2), (5, 1), (5, 2)]
 
@@ -1460,33 +1321,19 @@ def span_inputs(q, radius, levels):
             enumerate_oriented_diameters(ball(q, radius)))
 
 
-@pytest.fixture
-def eliminations(monkeypatch):
-    """How many eliminators ``span_check`` has made so far."""
-    made = []
-
-    class Counting(_linalg.Eliminator):
-        def __init__(self):
-            made.append(self)
-            super().__init__()
-
-    monkeypatch.setattr(_linalg, "Eliminator", Counting)
-    return made
-
-
 class TestSpanCertificates:
     @pytest.mark.parametrize("q, radius", SPAN_GRID)
     def test_named_subsets_match_oracle(self, q, radius):
         top = 2 * radius
         for levels in (range(top), [0], range(1, top, 2), range(0, top, 2)):
             pgs, diams = span_inputs(q, radius, levels)
-            assert span_check(pgs, diams) == oracle_span(pgs, diams), list(levels)
+            assert span_check(pgs, diams) == ref_spans(pgs, diams), list(levels)
 
     @settings(max_examples=40, deadline=None)
     @given(case=level_lists())
     def test_random_subsets_match_oracle(self, case):
         pgs, diams = span_inputs(*case)
-        assert span_check(pgs, diams) == oracle_span(pgs, diams)
+        assert span_check(pgs, diams) == ref_spans(pgs, diams)
 
     def test_repeated_diameter_never_spans(self):
         """Both copies of a diameter share every row, so the copy's own
@@ -1507,14 +1354,15 @@ class TestSpanCertificates:
         geos = [geodesic_between(b, u, v) for u, v in data.draw(st.lists(pair, max_size=12))]
         levels = data.draw(st.lists(st.integers(0, 2 * radius - 1), unique=True))
         pgs = [tower(q, radius, k) for k in levels]
-        assert span_check(pgs, geos) == oracle_span(pgs, geos)
+        assert span_check(pgs, geos) == ref_spans(pgs, geos)
 
     @pytest.mark.parametrize("q, radius, levels, verdict", FALLBACK_CASES)
-    def test_fallback_cases(self, eliminations, q, radius, levels, verdict):
+    def test_fallback_cases(self, monkeypatch, q, radius, levels, verdict):
+        eliminations = spy_calls(monkeypatch, _linalg, "Eliminator")
         pgs, diams = span_inputs(q, radius, levels)
         assert span_check(pgs, diams) is verdict
         assert len(eliminations) == 1
-        assert oracle_span(pgs, diams) is verdict
+        assert ref_spans(pgs, diams) is verdict
 
     # q2-R1's spans_at_0 is the first of FALLBACK_CASES.
     @pytest.mark.parametrize("q, radius", [x for x in SPAN_GRID if x != (2, 1)]

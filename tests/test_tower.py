@@ -1,6 +1,5 @@
 """Path graphs: enumeration, incidence, automorphism action, monotone walks."""
 
-import itertools
 import json
 import random
 
@@ -16,20 +15,9 @@ from treeforms.tower import (PathGraph, SpanningForest, apply_automorphism,
                              build_path_graph, component_roots, num_components)
 from treeforms.tree import random_automorphism
 
-from conftest import (FOREST_DOCTORS, apartments, ball, components, compose, deep_root,
-                      doctoring, false_root, identity, incidence, is_loop, orphan, tower)
-
-
-def enumerate_paths_oracle(b, nverts):
-    """Brute force: filter all vertex tuples for injectivity and adjacency."""
-    if nverts == 1:
-        return [(v,) for v in range(b.num_vertices)]
-    edge_set = {(u, v) for u, v in b.edges} | {(v, u) for u, v in b.edges}
-    out = []
-    for tup in itertools.permutations(range(b.num_vertices), nverts):
-        if all((x, y) in edge_set for x, y in zip(tup, tup[1:])):
-            out.append(tup)
-    return sorted(out)
+import reference
+from conftest import (FOREST_DOCTORS, apartments, ball, compose, deep_root, doctoring,
+                      false_root, identity, incidence, is_loop, orphan, tower)
 
 
 class TestEnumeration:
@@ -54,12 +42,11 @@ class TestEnumeration:
         assert pg.num_edges == expected
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
-    def test_against_brute_force(self, k):
+    def test_against_reference(self, k):
         """Up to k = 2R, where the top level has no edges."""
-        b = ball(2, 2)
-        pg = tower(2, 2, k)
-        assert pg.verts == enumerate_paths_oracle(b, k + 1)
-        assert pg.edges == enumerate_paths_oracle(b, k + 2)
+        pg, ref = tower(2, 2, k), reference.graph(2, 2, k)
+        assert (pg.verts, pg.edges, pg.head, pg.tail) == (ref.verts, ref.edges, ref.head,
+                                                          ref.tail)
 
     def test_ordered_pairs_at_distance_k_oracle(self):
         b = ball(3, 2)
@@ -163,14 +150,6 @@ class TestAutomorphismAction:
             apply_automorphism(pg, g)
 
 
-def apply_automorphism_oracle(pg, g):
-    """The full-tuple route: map every tree vertex of each path and look
-    the image tuple up in ``vert_index`` or ``edge_index``."""
-    image = g.perm.__getitem__
-    return ([pg.vert_index[tuple(map(image, p))] for p in pg.verts],
-            [pg.edge_index[tuple(map(image, e))] for e in pg.edges])
-
-
 # Every level k <= 2R of the balls q in {2, 3}, R <= 3.
 ACTION_SIZES = [(q, radius, k) for q in (2, 3) for radius in (1, 2, 3)
                 for k in range(2 * radius + 1)]
@@ -178,18 +157,19 @@ ACTION_SIZES = [(q, radius, k) for q in (2, 3) for radius in (1, 2, 3)
 
 class TestEndPairAction:
     """``apply_automorphism`` reads each path off its two ends; the
-    full-tuple route is the oracle."""
+    reference maps every tree vertex of each path."""
 
     @pytest.mark.parametrize("q,radius,k", ACTION_SIZES)
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 10 ** 9))
-    def test_matches_full_tuple_oracle(self, q, radius, k, seed):
+    def test_matches_reference(self, q, radius, k, seed):
         pg = tower(q, radius, k)
         g = random_automorphism(ball(q, radius), seed)
-        assert apply_automorphism(pg, g) == apply_automorphism_oracle(pg, g)
+        assert apply_automorphism(pg, g) == reference.act_on_paths(reference.graph(q, radius, k),
+                                                                   g.perm)
 
     @pytest.mark.parametrize("p,radius", [(2, 3), (3, 2)])
-    def test_matches_oracle_on_group_elements(self, p, radius):
+    def test_matches_reference_on_group_elements(self, p, radius):
         """Root-fixing group elements act on the ball through
         ``BallEmbedding.automorphism_from``."""
         emb = embed_ball(p, radius)
@@ -198,7 +178,8 @@ class TestEndPairAction:
         for k in range(2 * radius + 1):
             pg = build_path_graph(emb.ball, k)
             for g in autos:
-                assert apply_automorphism(pg, g) == apply_automorphism_oracle(pg, g)
+                assert apply_automorphism(pg, g) == reference.act_on_paths(
+                    reference.graph(p, radius, k), g.perm)
 
     @pytest.mark.parametrize("q,radius,k", [(2, 2, 0), (2, 3, 1), (2, 3, 4), (3, 2, 2),
                                             (3, 3, 6)])
@@ -233,36 +214,10 @@ class TestComponents:
         assert num_components(tower(2, 1, 1)) == 1
 
     @pytest.mark.parametrize("q,radius,k", [(2, 3, 2), (2, 2, 2), (3, 2, 2)])
-    def test_against_bfs_oracle(self, q, radius, k):
-        pg = tower(q, radius, k)
-        # Depth-first oracle, independent of SpanningForest
-        adj = {s: set() for s in range(pg.num_vertices)}
-        for a in range(pg.num_edges):
-            adj[pg.head[a]].add(pg.tail[a])
-            adj[pg.tail[a]].add(pg.head[a])
-        seen, count = set(), 0
-        root = {}
-        for s in range(pg.num_vertices):
-            if s in seen:
-                continue
-            count += 1
-            stack = [s]
-            while stack:
-                x = stack.pop()
-                if x in seen:
-                    continue
-                seen.add(x)
-                root[x] = s
-                stack.extend(adj[x])
-        assert num_components(pg) == count
-        # s is the smallest vertex of the component it opens
-        assert component_roots(pg) == [root[s] for s in range(pg.num_vertices)]
-
-    def test_partition(self):
-        pg = tower(2, 2, 1)
-        comps = components(pg)
-        flat = sorted(s for comp in comps for s in comp)
-        assert flat == list(range(pg.num_vertices))
+    def test_against_bfs_reference(self, q, radius, k):
+        roots = reference.components(reference.graph(q, radius, k))
+        assert component_roots(tower(q, radius, k)) == roots
+        assert num_components(tower(q, radius, k)) == len(set(roots))
 
 
 FOREST_TOWERS = [(q, radius, k) for q in (2, 3) for radius in (2, 3) for k in range(4)]
@@ -273,19 +228,12 @@ def random_edge_subset(pg, seed, percent):
     return [a for a in range(pg.num_edges) if rng.randrange(100) < percent]
 
 
-def union_find_components(pg, edge_ids):
-    """(vertices touched by edge_ids, their component count), by union-find."""
-    parent = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in edge_ids:
-        parent[find(pg.head[a])] = find(pg.tail[a])
-    return len(parent), len({find(x) for x in list(parent)})
+def spanned_components(case, edge_ids):
+    """(vertices touched by edge_ids, their component count), by the reference."""
+    g = reference.graph(*case)
+    roots = reference.components(g, edge_ids)
+    touched = {v for a in edge_ids for v in (g.head[a], g.tail[a])}
+    return len(touched), len({roots[v] for v in touched})
 
 
 class TestSpanningForest:
@@ -308,7 +256,7 @@ class TestSpanningForest:
             parent = pg.tail[a] if pg.head[a] == s else pg.head[a]
             assert forest.depth[s] == forest.depth[parent] + 1
             assert forest.root[s] == forest.root[parent]
-        touched, ncomp = union_find_components(pg, edge_ids)
+        touched, ncomp = spanned_components(case, edge_ids)
         assert tree_edges == touched - ncomp
         assert sorted(forest.order) == list(range(pg.num_vertices))
 
@@ -335,7 +283,7 @@ class TestSpanningForest:
     def test_fundamental_loop_count_is_cycle_rank(self, case, seed, percent):
         pg = tower(*case)
         edge_ids = random_edge_subset(pg, seed, percent)
-        touched, ncomp = union_find_components(pg, edge_ids)
+        touched, ncomp = spanned_components(case, edge_ids)
         assert len(fundamental_loops(pg, edge_ids)) == len(edge_ids) - touched + ncomp
 
     @settings(max_examples=40, deadline=None)
@@ -363,31 +311,14 @@ class TestSpanningForest:
     @pytest.mark.parametrize("q,radius,k", [(2, 3, 0), (2, 3, 1), (3, 2, 2)])
     def test_roots_share_one_queue(self, q, radius, k):
         """Roots in one component all stay roots, and each vertex hangs at
-        its distance from the nearest root, measured by a breadth-first walk
-        from each root on its own."""
+        its distance from the nearest root, measured by a breadth-first
+        search from all the roots."""
         pg = tower(q, radius, k)
         roots = [0, pg.num_vertices // 2, pg.num_vertices - 1]
         forest = SpanningForest(pg, roots=roots)
         assert forest.checked() and forest.order[:3] == roots
-        adj = {s: set() for s in range(pg.num_vertices)}
-        for h, t in zip(pg.head, pg.tail):
-            adj[h].add(t)
-            adj[t].add(h)
-        nearest = {}
-        for r in roots:
-            dist, frontier = {r: 0}, [r]
-            while frontier:
-                following = []
-                for s in frontier:
-                    for u in adj[s]:
-                        if u not in dist:
-                            dist[u] = dist[s] + 1
-                            following.append(u)
-                frontier = following
-            for s, d in dist.items():
-                nearest[s] = min(nearest.get(s, d), d)
-        assert {s: forest.depth[s] for s in nearest} == nearest
-        assert all((forest.root[s] is None) == (s not in nearest) for s in range(pg.num_vertices))
+        nearest = reference.bfs(reference.graph(q, radius, k).adjacency, roots)[0]
+        assert [None if r is None else d for r, d in zip(forest.root, forest.depth)] == nearest
         assert all(forest.root[r] == r and forest.parent_edge[r] is None for r in roots)
 
     def test_roots_grow_only_their_components(self):
@@ -408,9 +339,9 @@ class TestSpanningForest:
         """Base on an isolated k=2 path, support in the large component: the
         support's component gets its own root and the failing loop lies in it."""
         pg, aps = tower(2, 4, 2), apartments(2, 4, 2)
-        comps = components(pg)
-        assert len(comps) > 1
-        base = next(comp[0] for comp in comps if len(comp) == 1)
+        comps = reference.components(reference.graph(2, 4, 2))
+        assert len(set(comps)) > 1
+        base = next(s for s in comps if comps.count(s) == 1)
         bad = Cochain.indicator(1, 4)
         with pytest.raises(PathDependenceError, match="^edge 4: df = 0 but cochain value is 1") as err:
             primitive(pg, aps, bad, base)

@@ -1,6 +1,5 @@
 """Tree ball construction, geodesics, hulls, and seeded automorphisms."""
 
-import collections
 import hashlib
 import json
 import random
@@ -13,36 +12,8 @@ from treeforms.tree import (BallAutomorphism, TreeParams, build_ball,
                             enumerate_oriented_diameters,
                             geodesic_between, random_automorphism)
 
-from conftest import ball, compose, convex_hull, identity, inverse, is_leaf
-
-
-def bfs_distances(b, source):
-    """Independent oracle: breadth-first distances over the edge list."""
-    adj = collections.defaultdict(list)
-    for u, v in b.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    dist = {source: 0}
-    queue = collections.deque([source])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return dist
-
-
-def distance_oracle(b, u, v):
-    """The meet-based distance that ``TreeBall.distance`` replaced: the
-    meet is the vertex on u's root chain at the depth of the common prefix
-    of the two addresses."""
-    a, c = b.addresses[u], b.addresses[v]
-    k = 0
-    while k < len(a) and k < len(c) and a[k] == c[k]:
-        k += 1
-    m = b.chains[u][len(a) - k]
-    return b.depths[u] + b.depths[v] - 2 * b.depths[m]
+import reference
+from conftest import ball, compose, identity, inverse, is_leaf
 
 
 class TestParams:
@@ -131,10 +102,10 @@ class TestGeodesics:
             geodesic_between(ball22, 0, 99)
 
     @pytest.mark.parametrize("q,radius", [(2, 3), (3, 2)])
-    def test_length_matches_bfs_oracle(self, q, radius):
+    def test_length_matches_bfs_reference(self, q, radius):
         b = ball(q, radius)
         for u in range(0, b.num_vertices, 3):
-            dist = bfs_distances(b, u)
+            dist = reference.ball(q, radius).distances[u]
             for v in range(b.num_vertices):
                 seg = geodesic_between(b, u, v)
                 assert len(seg) - 1 == dist[v] == b.distance(u, v)
@@ -144,30 +115,20 @@ class TestGeodesics:
                     assert (min(x, y), max(x, y)) in set(b.edges)
 
     @pytest.mark.parametrize("q,radius", [(2, 5), (3, 3), (5, 2), (4, 2)])
-    def test_distance_matches_meet_oracle_and_geodesic(self, q, radius):
-        b = ball(q, radius)
+    def test_distance_and_geodesic_match_reference(self, q, radius):
+        b, ref = ball(q, radius), reference.ball(q, radius)
         for u in range(b.num_vertices):
             for v in range(b.num_vertices):
-                assert b.distance(u, v) == distance_oracle(b, u, v) \
-                    == len(geodesic_between(b, u, v)) - 1
+                assert b.distance(u, v) == ref.distances[u][v]
+                assert geodesic_between(b, u, v) == reference.geodesic(ref, u, v)
 
     @pytest.mark.parametrize("q,radius", [(2, 4), (3, 3)])
-    def test_meet_matches_ancestor_oracle(self, q, radius):
-        """The deepest common ancestor found by walking v's parents up to the
-        first ancestor of u, with parents read off the edge list."""
-        b = ball(q, radius)
-        parent = {c: p for p, c in b.edges}
-
-        def ancestors(x):
-            out = [x]
-            while out[-1] in parent:
-                out.append(parent[out[-1]])
-            return out
-
+    def test_meet_matches_reference(self, q, radius):
+        """The geodesic's vertex closest to the root."""
+        b, ref = ball(q, radius), reference.ball(q, radius)
         for u in range(b.num_vertices):
-            above_u = set(ancestors(u))
             for v in range(b.num_vertices):
-                assert b.meet(u, v) == next(x for x in ancestors(v) if x in above_u)
+                assert b.meet(u, v) == reference.meet(ref, u, v)
 
     def test_meet_depth_identity(self):
         b = ball(2, 3)
@@ -223,36 +184,15 @@ class TestOrientedDiameters:
                 enumerate_oriented_diameters(ball22, depth)
 
 
-def diameters_oracle(b, depth):
-    """The per-pair route: every ordered pair of distinct depth-D vertices
-    joined by its own up-down slice, with the meet depths of one end filled
-    in block by block."""
-    q = b.params.q
-    ends = [v for v in range(b.num_vertices) if b.depths[v] == depth]
-    downs = [b.chains[v][::-1] for v in ends]
-    out = []
-    for i, u in enumerate(ends):
-        meet = [0] * len(ends)
-        for d in range(1, depth + 1):
-            run = q ** (depth - d)
-            start = i - i % run
-            meet[start:start + run] = [d] * run
-        up = b.chains[u]
-        for v, down, dm in zip(ends, downs, meet):
-            if v != u:
-                out.append(up[:len(up) - dm] + down[dm + 1:])
-    return out
-
-
-# Every ball the oracle comparisons of the diameters and the interior
-# families run on, each built fresh so that no memo is shared.
-ORACLE_BALLS = ([(2, radius) for radius in range(1, 6)]
+# Every ball the diameters are compared with the reference on, each built
+# fresh so that no memo is shared.
+REFERENCE_BALLS = ([(2, radius) for radius in range(1, 6)]
                 + [(q, radius) for q in (3, 4, 5) for radius in range(1, 5)])
 
 
-def assert_diameters_match_oracle(b, depth):
+def assert_diameters_match_reference(b, depth):
     got = enumerate_oriented_diameters(b, depth)
-    assert got == diameters_oracle(b, depth)
+    assert got == reference.diameters(reference.ball(b.params.q, b.params.radius), depth)
     assert all(type(seg) is tuple for seg in got)
     # Later calls hand out the memo's own tuples.
     assert all(x is y for x, y in zip(enumerate_oriented_diameters(b, depth), got))
@@ -260,13 +200,13 @@ def assert_diameters_match_oracle(b, depth):
 
 class TestMeetDepthRuns:
     """enumerate_oriented_diameters, one map per run of ends sharing a
-    meet depth, against the per-pair route."""
+    meet depth, against the reference's geodesics."""
 
-    @pytest.mark.parametrize("q,radius", ORACLE_BALLS)
-    def test_runs_match_the_per_pair_route(self, q, radius):
+    @pytest.mark.parametrize("q,radius", REFERENCE_BALLS)
+    def test_runs_match_the_reference(self, q, radius):
         b = build_ball(TreeParams(q, radius))
         for depth in range(radius + 1):
-            assert_diameters_match_oracle(b, depth)
+            assert_diameters_match_reference(b, depth)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -277,52 +217,7 @@ class TestMeetDepthRuns:
         radius = data.draw(st.integers(1, 2 if q > 5 else 3))
         b = build_ball(TreeParams(q, radius))
         for depth in data.draw(st.permutations(range(radius + 1))):
-            assert_diameters_match_oracle(b, depth)
-
-
-def pairwise_hull(b, vertex_ids):
-    """Independent oracle: the union of the geodesics between all pairs."""
-    hull = set()
-    for u in vertex_ids:
-        for v in vertex_ids:
-            hull.update(geodesic_between(b, u, v))
-    return hull
-
-
-class TestConvexHull:
-    def test_singleton(self, ball22):
-        assert convex_hull(ball22, [7]) == {7}
-
-    def test_two_sibling_leaves(self, ball22):
-        assert convex_hull(ball22, [4, 5]) == {4, 5, 1}
-
-    def test_all_leaves_of_small_ball(self, ball21):
-        assert convex_hull(ball21, ball21.leaves) == set(range(4))
-
-    def test_empty_rejected(self, ball22):
-        with pytest.raises(ValueError):
-            convex_hull(ball22, [])
-
-    def test_union_of_pairwise_geodesics_oracle(self):
-        b = ball(2, 3)
-        sets = [[0, 12], [5, 6, 7], list(b.leaves)[:4]]
-        for s in sets:
-            assert convex_hull(b, s) == pairwise_hull(b, s)
-
-    @settings(max_examples=60, deadline=None)
-    @given(size=st.sampled_from([(2, 2), (2, 3), (2, 5), (3, 3), (3, 4)]),
-           data=st.data())
-    def test_matches_pairwise_hull(self, size, data):
-        b = ball(*size)
-        s = data.draw(st.lists(st.integers(0, b.num_vertices - 1), min_size=1,
-                               max_size=12))
-        assert convex_hull(b, s) == pairwise_hull(b, s)
-
-
-def preserves_edges_oracle(b, perm) -> bool:
-    """perm maps every edge of the ball into its edge set."""
-    edge_set = set(b.edges)
-    return all((min(perm[u], perm[v]), max(perm[u], perm[v])) in edge_set for u, v in b.edges)
+            assert_diameters_match_reference(b, depth)
 
 
 class TestAutomorphisms:
@@ -357,8 +252,8 @@ class TestAutomorphisms:
         b = ball(2, 3)
         g = random_automorphism(b, seed)
         for u in range(0, b.num_vertices, 2):
-            dist = bfs_distances(b, u)
-            gdist = bfs_distances(b, g(u))
+            dist = reference.ball(2, 3).distances[u]
+            gdist = reference.ball(2, 3).distances[g(u)]
             for v in range(b.num_vertices):
                 assert dist[v] == gdist[g(v)]
 
@@ -374,17 +269,17 @@ class TestAutomorphisms:
     @settings(max_examples=60, deadline=None)
     @given(size=st.sampled_from([(2, 1), (2, 2), (2, 4), (3, 2), (3, 3), (4, 2)]),
            seed=st.integers(0, 10 ** 9), data=st.data())
-    def test_parent_test_matches_edge_set_oracle(self, size, seed, data):
+    def test_parent_test_matches_edge_set_reference(self, size, seed, data):
         """The parent test accepts a random automorphism, and after one
         transposition of its values accepts exactly when the edge set does."""
         b = ball(*size)
         perm = list(random_automorphism(b, seed).perm)
-        assert preserves_edges_oracle(b, perm)
+        assert reference.is_automorphism(reference.ball(*size), perm)
         n = b.num_vertices
         i = data.draw(st.integers(0, n - 1))
         j = data.draw(st.integers(0, n - 1))
         perm[i], perm[j] = perm[j], perm[i]
-        if preserves_edges_oracle(b, perm):
+        if reference.is_automorphism(reference.ball(*size), perm):
             assert BallAutomorphism(b, perm).perm == tuple(perm)
         else:
             with pytest.raises(ValueError, match="edge set"):
@@ -464,7 +359,8 @@ def tree_layer_digest():
         put("meet", [[b.meet(u, v) for v in range(n)] for u in range(n)])
         put("geodesics", [[_seq(geodesic_between(b, u, v)) for v in range(n)]
                           for u in range(n)])
-        put("hulls", [[sorted(convex_hull(b, (u, v))) for v in range(n)] for u in range(n)])
+        put("hulls", [[sorted(reference.hull(reference.ball(q, radius), (u, v)))
+                       for v in range(n)] for u in range(n)])
     for p, radius in PIN_EMBEDDINGS:
         emb = BallEmbedding(p, radius)
         put("embedding", (p, radius))
