@@ -113,7 +113,9 @@ def meet(b, u, v):
 
 def hull(b, vertices):
     """The smallest subtree holding the vertices: the union of the
-    geodesics between every two of them."""
+    geodesics between every two of them.  No vertex has no hull."""
+    if not vertices:
+        raise ValueError("the hull of no vertex")
     return {x for u in vertices for v in vertices for x in geodesic(b, u, v)}
 
 

@@ -610,6 +610,17 @@ class TestUniformSamplers:
             assert len(got) == len(indices)
 
     @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (3, 1)])
+    def test_samples_cover_the_reference_set(self, p, m, exact):
+        # Ties the decoder tests above to the samplers themselves: enough
+        # seeded draws land in the reference set and reach all of it.
+        for n in range(m):
+            got = {g.entries for g in SAMPLERS[exact](p, n, m, 2000, n)}
+            accepted = {t for t in itertools.product(range(p ** m), repeat=4)
+                        if reference.in_sampled_set(p, n, m, exact, *t)}
+            assert got == accepted
+
+    @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("p,m,n", SAMPLER_GRID)
     def test_samples_are_seeded_and_at_their_level(self, p, m, n, exact):
         sampler = SAMPLERS[exact]

@@ -219,6 +219,15 @@ class TestComponents:
         assert component_roots(tower(q, radius, k)) == roots
         assert num_components(tower(q, radius, k)) == len(set(roots))
 
+    def test_partition(self):
+        # Each vertex names the smallest vertex of its component, which
+        # names itself.
+        pg = tower(2, 2, 1)
+        roots = component_roots(pg)
+        assert len(roots) == pg.num_vertices
+        assert all(roots[r] == r <= s for s, r in enumerate(roots))
+        assert len(set(roots)) == num_components(pg)
+
 
 FOREST_TOWERS = [(q, radius, k) for q in (2, 3) for radius in (2, 3) for k in range(4)]
 

@@ -220,6 +220,44 @@ class TestMeetDepthRuns:
             assert_diameters_match_reference(b, depth)
 
 
+def geodesic_union(b, vertices):
+    """The union of the library's geodesics between every two vertices."""
+    return {x for u in vertices for v in vertices for x in geodesic_between(b, u, v)}
+
+
+class TestConvexHull:
+    """The reference hull on hand-worked sets, and against the library's
+    geodesics."""
+
+    def test_singleton(self):
+        assert reference.hull(reference.ball(2, 2), [7]) == {7}
+
+    def test_two_sibling_leaves(self):
+        assert reference.hull(reference.ball(2, 2), [4, 5]) == {4, 5, 1}
+
+    def test_all_leaves_of_small_ball(self):
+        ref = reference.ball(2, 1)
+        assert reference.hull(ref, ref.leaves) == set(range(4))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            reference.hull(reference.ball(2, 2), [])
+
+    def test_union_of_pairwise_geodesics_oracle(self):
+        b, ref = ball(2, 3), reference.ball(2, 3)
+        for s in [[0, 12], [5, 6, 7], list(b.leaves)[:4]]:
+            assert reference.hull(ref, s) == geodesic_union(b, s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.sampled_from([(2, 2), (2, 3), (2, 5), (3, 3), (3, 4)]),
+           data=st.data())
+    def test_matches_pairwise_hull(self, size, data):
+        b = ball(*size)
+        s = data.draw(st.lists(st.integers(0, b.num_vertices - 1), min_size=1,
+                               max_size=12))
+        assert reference.hull(reference.ball(*size), s) == geodesic_union(b, s)
+
+
 class TestAutomorphisms:
     def test_identity(self, ball22):
         g = identity(ball22)
