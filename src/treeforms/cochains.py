@@ -278,15 +278,9 @@ def coboundary_rank(pg: PathGraph) -> int:
 
     ``_forest_rank`` checks the facts of the graph's breadth-first forest
     ``pg.forest`` and proves rank(d) = V - #roots from them.  When a check
-    fails, ``incidence_rank`` decides.  A harmonic certificate kept with
-    the forest was passed only after ``_forest_rank`` proved that rank on
-    the same forest, which the graph never changes, so then V - #roots is
-    returned with no check.
+    fails, ``incidence_rank`` decides.
     """
-    forest = pg.forest
-    if forest.certified:
-        return len(forest.root) - forest.parent_edge.count(None)
-    rank = _forest_rank(forest)
+    rank = _forest_rank(pg.forest)
     if rank is None:
         return incidence_rank(pg)
     return rank

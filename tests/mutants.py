@@ -135,10 +135,6 @@ MUTANTS = [
     ("cochains.py",
      "    if forest.certified:\n        return [vec for _, vec in _fundamental_cycles(forest)], True\n",
      "", [f"{SHARED}::test_one_graph_builds_one_forest"]),
-    # coboundary_rank ignores the kept verdict.
-    ("cochains.py",
-     "    if forest.certified:\n        return len(forest.root) - forest.parent_edge.count(None)\n",
-     "", [f"{SHARED}::test_kept_verdict_answers_the_rank"]),
     # PathGraph.forest is rebuilt on each read.
     ("tower.py", "    @functools.cached_property\n    def forest(self)",
      "    @property\n    def forest(self)",

@@ -116,13 +116,15 @@ def apply(rows, x):
 
 def same_rref(rows):
     """``_reduced_pivots`` of the rows is the reference RREF, pivot by
-    pivot, with the pivots in the order the rows created them."""
+    pivot, with the pivots in the order the rows created them and each
+    row's keys in the same order."""
     elim = _linalg.Eliminator()
     for row in rows:
         elim.insert(row)
     got, want = _linalg._reduced_pivots(elim), reference.rref(rows)
     assert list(got) == list(want)
-    assert got == want
+    for j, row in want.items():
+        assert list(got[j].items()) == list(row.items())
 
 
 class TestReducedPivots:
